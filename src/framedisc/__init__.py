@@ -12,7 +12,6 @@ from .counterexample import (
     BalancingWitness,
     CounterexampleInstance,
     counterexample_vectors,
-    frame_identity_check,
     signed_norm_lower_bound,
     subset_center_distance,
     trace_ball_witness,

@@ -151,22 +151,6 @@ def cmd_reduce(args) -> int:
     return _emit_report(report, args.format, out)
 
 
-def _paving_search(a: np.ndarray, r: int, limit: int):
-    """Exhaustive min over r^n partitions of max_j ||Q_j A Q_j||."""
-    import itertools
-
-    n = a.shape[0]
-    if r**n > limit:
-        raise BudgetExceededError(f"paving search refuses r^n = {r}^{n} > {limit}")
-    best_val, best_assign = np.inf, None
-    for assign in itertools.product(range(r), repeat=n):
-        part = frames.partition(r, np.array(assign))
-        val = reductions.paving_quality(a, part)
-        if val < best_val:
-            best_val, best_assign = val, assign
-    return frames.partition(r, np.array(best_assign)), float(best_val)
-
-
 def cmd_search(args) -> int:
     started = time.perf_counter()
     data = load_json(args.input)
@@ -198,7 +182,7 @@ def cmd_search(args) -> int:
                  "slack": cert.slack, "exact": exact}
     elif args.kind == "pave":
         a = matrix_from_dict(data)
-        part, value = _paving_search(a, args.r, args.limit)
+        part, value = engines._paving_search(a, args.r, args.limit)
         claims = [Claim("paving_quality", computed=value, bound=opnorm(a),
                         tolerance=1e-12, relation="le")]
         extra = {"witness": partition_to_dict(part), "exact": True}
@@ -242,9 +226,9 @@ def cmd_net_check(args) -> int:
         raise FrameDiscError(f"epsilon must be positive, got {args.epsilon}")
     data = load_json(args.input)
     vs = system_from_dict(data)
-    if vs.k > 3 and not args.heuristic_net:
+    if vs.k > 2 and not args.heuristic_net:
         raise FrameDiscError(
-            f"certified nets stop at k = 3; pass --heuristic-net for k = {vs.k}"
+            f"certified nets stop at k = 2; pass --heuristic-net for k = {vs.k}"
         )
     n_bound = args.n_bound
     mesh = args.epsilon / (4.0 * n_bound)

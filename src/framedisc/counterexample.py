@@ -26,9 +26,10 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
 from .engines import banaszczyk_sign_search, exhaustive_sign_search
-from .frames import VectorSystem, frame_bound, frame_operator
+from .frames import VectorSystem, frame_operator
 from .linalg import rank_one
 from .reports import Claim, VerificationReport, finish_report
+from .rng import make_rng
 
 EXHAUSTIVE_K_CAP = 18
 
@@ -72,22 +73,6 @@ def counterexample_vectors(k: int) -> CounterexampleInstance:
         k=k, alpha=alpha, beta=beta, delta=delta, N=1.0 / delta,
         primed=primed_vs, normalized=normalized_vs,
     )
-
-
-def frame_identity_check(inst: CounterexampleInstance) -> VerificationReport:
-    """Verify that the primed frame operator fixes e_k and that the
-    normalized frame bound equals 1/delta."""
-    e_k = np.zeros(inst.k)
-    e_k[-1] = 1.0
-    image_err = float(np.linalg.norm(frame_operator(inst.primed) @ e_k - e_k))
-    fb = frame_bound(inst.normalized)
-    claims = [
-        Claim("primed_frame_fixes_e_k", computed=image_err, bound=0.0,
-              tolerance=1e-10, relation="abs"),
-        Claim("normalized_frame_bound_is_1_over_delta", computed=fb,
-              bound=inst.N, tolerance=1e-9, relation="abs"),
-    ]
-    return finish_report("frame-identity-check", {"k": inst.k}, claims)
 
 
 def subset_center_distance(inst: CounterexampleInstance, X) -> tuple[float, float]:
@@ -153,8 +138,7 @@ def verify_counterexample(
     if k <= 12:
         subsets = range(2 ** (k - 1))
     else:
-        rng_subsets = np.random.Generator(np.random.Philox(key=seed))
-        subsets = rng_subsets.integers(0, 2 ** (k - 1), size=256)
+        subsets = make_rng(seed).integers(0, 2 ** (k - 1), size=256)
     for mask in subsets:
         x = [i for i in range(k - 1) if (int(mask) >> i) & 1]
         direct, closed = subset_center_distance(inst, x)

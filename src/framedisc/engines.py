@@ -5,6 +5,15 @@
 * Exhaustive sign search (Gray-code enumeration with incremental operator
   updates) and exhaustive / simulated-annealing partition search for the
   min-max subset frame bound.
+* One exhaustive partition enumerator serves both the partition search
+  (parts scored by their frame bound) and the paving search behind
+  ``search --kind pave`` (parts scored by ||A[S, S]||).
+
+Tie rules of the exact searches: the sign search fixes s_0 = +1 and returns
+the lexicographically smallest optimal sign vector; the partition and
+paving searches return the lexicographically smallest optimal assignment.
+Each distinct part is scored once, so assignments with the same parts (a
+partition and its relabelings) tie exactly and the first one wins.
 * Matroid union augmentation deciding whether a vector family splits into
   r parts each spanning C^k, with a counting certificate on failure.
 * Gaussian median radius of the operator norm on self-adjoint matrices and
@@ -15,6 +24,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -23,7 +33,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
 from .frames import Partition, PartitionCertificate, VectorSystem, partition, partition_certificate
-from .linalg import rank_one
+from .linalg import _opnorm, as_hermitian, rank_one
+from .reductions import paving_quality
 from .rng import make_rng
 
 
@@ -111,11 +122,6 @@ class SignSearchFailure:
     evaluations: int
 
 
-def _opnorm_h(h: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(h)
-    return float(max(abs(w[0]), abs(w[-1])))
-
-
 # ---------------------------------------------------------------------------
 # Beck-Fiala
 
@@ -130,31 +136,26 @@ def coordinate_profile(vs: VectorSystem) -> CoordinateProfile:
     return CoordinateProfile(a=np.abs(vs.vectors) ** 2)
 
 
-def _nullspace_direction(m: np.ndarray) -> np.ndarray:
-    """A nonzero nullspace vector of m (rows < cols guaranteed by the caller),
-    via reduced row echelon elimination with pivot threshold 1e-11."""
-    m = np.array(m, dtype=np.float64)
+def _row_reduce(m: np.ndarray, tol: float) -> tuple[np.ndarray, list]:
+    """Reduced row echelon form of m by Gauss-Jordan elimination with partial
+    pivoting, and its pivot columns (pivots[row] = col). A pivot is accepted
+    when its modulus exceeds tol. Real input stays real, complex stays complex."""
+    m = np.array(m, dtype=np.result_type(m, np.float64))
     rows, cols = m.shape
-    pivot_of_col: dict[int, int] = {}
-    row = 0
+    pivots: list = []
     for col in range(cols):
+        row = len(pivots)
         if row >= rows:
             break
         p = int(np.argmax(np.abs(m[row:, col]))) + row
-        if abs(m[p, col]) <= 1e-11:
+        if abs(m[p, col]) <= tol:
             continue
         m[[row, p]] = m[[p, row]]
         m[row] /= m[row, col]
         others = np.arange(rows) != row
         m[others] -= np.outer(m[others, col], m[row])
-        pivot_of_col[col] = row
-        row += 1
-    free = next(c for c in range(cols) if c not in pivot_of_col)
-    d = np.zeros(cols)
-    d[free] = 1.0
-    for col, rw in pivot_of_col.items():
-        d[col] = -m[rw, free]
-    return d
+        pivots.append(col)
+    return m, pivots
 
 
 def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
@@ -188,7 +189,12 @@ def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
             raise RuntimeError(
                 "Beck-Fiala invariant violated: active rows >= floating variables"
             )
-        d = _nullspace_direction(c[np.ix_(active, fl)])
+        # a nullspace direction of the active block (fewer rows than columns)
+        red, pivots = _row_reduce(c[np.ix_(active, fl)], 1e-11)
+        free = next(j for j in range(fl.size) if j not in pivots)
+        d = np.zeros(fl.size)
+        d[free] = 1.0
+        d[pivots] = -red[:len(pivots), free]
         moving = np.abs(d) > 1e-14
         steps = np.where(d > 0, (1.0 - x[fl]) / np.where(moving, d, 1.0),
                          (-1.0 - x[fl]) / np.where(moving, d, 1.0))
@@ -210,11 +216,18 @@ def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
 # exhaustive and annealed searches
 
 
-def _gray_flips(bits: int):
-    """Yield the bit flipped at each step of the bits-wide Gray code walk
-    (2^bits - 1 flips)."""
-    for i in range(1, 2**bits):
-        yield (i & -i).bit_length() - 1
+def _gray_walk(mats):
+    """Yield (signs, ||sum_i s_i M_i||) for all 2^(n-1) sign patterns with
+    s_0 = +1, in Gray-code order: each step flips one sign and updates the
+    sum by -+2 M_i. ``signs`` is one array updated in place; copy to keep."""
+    signs = np.ones(len(mats), dtype=np.int64)
+    s = np.sum(mats, axis=0)
+    yield signs, _opnorm(s)
+    for step in range(1, 2 ** (len(mats) - 1)):
+        i = (step & -step).bit_length()  # lowest set bit of step, plus one
+        s = s - 2 * signs[i] * mats[i]
+        signs[i] = -signs[i]
+        yield signs, _opnorm(s)
 
 
 def exhaustive_sign_search(vs: VectorSystem, limit: int = 24) -> tuple[SignVector, float]:
@@ -227,20 +240,44 @@ def exhaustive_sign_search(vs: VectorSystem, limit: int = 24) -> tuple[SignVecto
     n = vs.n
     if n > limit:
         raise BudgetExceededError(f"exhaustive sign search refuses n = {n} > limit = {limit}")
-    mats = [rank_one(v) for v in vs.vectors]
-    signs = np.ones(n, dtype=np.int64)
-    s = np.sum(mats, axis=0)
-    best_val = _opnorm_h(s)
-    best_signs = tuple(signs)
-    for bit in _gray_flips(n - 1):
-        i = bit + 1
-        s = s - 2 * signs[i] * mats[i]
-        signs[i] = -signs[i]
-        val = _opnorm_h(s)
+    best_val, best_signs = np.inf, None
+    for signs, val in _gray_walk([rank_one(v) for v in vs.vectors]):
         key = tuple(signs)
         if val < best_val or (val == best_val and key < best_signs):
             best_val, best_signs = val, key
     return SignVector(signs=np.array(best_signs, dtype=np.int64)), float(best_val)
+
+
+def _min_max_partition(n: int, r: int, part_score, limit: int) -> Partition:
+    """Lexicographically first assignment of 0..n-1 to r parts minimizing
+    max_j part_score(indices of part j); the empty part scores 0.
+
+    Walks all r^n assignments in lexicographic order keeping the first
+    strict improvement. Scores are cached by the part's bitmask, so each
+    distinct part is scored once and assignments with the same parts tie
+    exactly.
+    """
+    if r < 1:
+        raise InvalidParameterError(f"part count must be >= 1, got {r}")
+    if r**n > limit:
+        raise BudgetExceededError(
+            f"exhaustive partition search refuses r^n = {r}^{n} > limit = {limit}"
+        )
+    scores = {0: 0.0}  # at most min(2^n, r^n) entries
+    best_val, best_assign = math.inf, None
+    for assign in itertools.product(range(r), repeat=n):
+        masks = [0] * r
+        for i, j in enumerate(assign):
+            masks[j] |= 1 << i
+        val = 0.0
+        for mask in masks:
+            score = scores.get(mask)
+            if score is None:
+                score = scores[mask] = part_score([i for i in range(n) if mask >> i & 1])
+            val = max(val, score)
+        if val < best_val:
+            best_val, best_assign = val, assign
+    return partition(r, best_assign)
 
 
 def exhaustive_partition_search(
@@ -251,35 +288,20 @@ def exhaustive_partition_search(
     Lexicographically smallest optimal assignment wins ties. Refuses when
     r^n exceeds the enumeration limit.
     """
-    n = vs.n
-    if r < 1:
-        raise InvalidParameterError(f"part count must be >= 1, got {r}")
-    if r**n > limit:
-        raise BudgetExceededError(
-            f"exhaustive partition search refuses r^n = {r}^{n} > limit = {limit}"
-        )
-    mats = np.stack([rank_one(v) for v in vs.vectors])
-    best_val = np.inf
-    best_assign = None
-    assignment = np.zeros(n, dtype=np.int64)
 
-    def walk(i, sums):
-        nonlocal best_val, best_assign
-        if i == n:
-            val = max(_opnorm_h(s) for s in sums)
-            if val < best_val:
-                best_val = val
-                best_assign = assignment.copy()
-            return
-        for j in range(r):
-            assignment[i] = j
-            sums[j] += mats[i]
-            walk(i + 1, sums)
-            sums[j] -= mats[i]
+    def part_score(idx):
+        sub = vs.vectors[idx]
+        return _opnorm(sub.T @ sub.conj())
 
-    walk(0, [np.zeros((vs.k, vs.k), dtype=np.complex128) for _ in range(r)])
-    part = partition(r, best_assign)
-    return partition_certificate(vs, part, N)
+    return partition_certificate(vs, _min_max_partition(vs.n, r, part_score, limit), N)
+
+
+def _paving_search(a, r: int, limit: int) -> tuple[Partition, float]:
+    """Exhaustive min over r^n partitions of max_j ||Q_j A Q_j||: the
+    lexicographically smallest optimal partition and its paving quality."""
+    a = as_hermitian(a)
+    part = _min_max_partition(a.shape[0], r, lambda idx: _opnorm(a[np.ix_(idx, idx)]), limit)
+    return part, paving_quality(a, part)
 
 
 @dataclass(frozen=True)
@@ -312,7 +334,7 @@ def anneal_partition_search(
                      else np.zeros((vs.k, vs.k), dtype=np.complex128) for j in range(r)])
 
     def value(ss):
-        return max(_opnorm_h(s) for s in ss)
+        return max(_opnorm(s) for s in ss)
 
     cur = value(sums)
     best_val, best_assign = cur, assignment.copy()
@@ -349,26 +371,6 @@ def _rank_tol(vs: VectorSystem) -> float:
     return 1e-10 * float(max(np.max(norms), 1e-30))
 
 
-def _rank(cols: np.ndarray, tol: float) -> int:
-    """Column rank by Gaussian elimination; pivot accepted when its modulus
-    exceeds tol."""
-    m = np.array(cols, dtype=np.complex128)
-    rows, ncols = m.shape
-    rank = 0
-    for col in range(ncols):
-        if rank >= rows:
-            break
-        p = int(np.argmax(np.abs(m[rank:, col]))) + rank
-        if abs(m[p, col]) <= tol:
-            continue
-        m[[rank, p]] = m[[p, rank]]
-        m[rank] /= m[rank, col]
-        others = np.arange(rows) != rank
-        m[others] -= np.outer(m[others, col], m[rank])
-        rank += 1
-    return rank
-
-
 def matroid_spanning_partition(vs: VectorSystem, r: int):
     """Partition into r parts each spanning C^k, or a ViolatingSet.
 
@@ -385,11 +387,11 @@ def matroid_spanning_partition(vs: VectorSystem, r: int):
     tol = _rank_tol(vs)
     cols = vs.vectors.T  # column i is vector i
 
+    def rank(idxs) -> int:
+        return len(_row_reduce(cols[:, list(idxs)], tol)[1])
+
     def indep(idxs) -> bool:
-        idxs = list(idxs)
-        if not idxs:
-            return True
-        return _rank(cols[:, idxs], tol) == len(idxs)
+        return rank(idxs) == len(idxs)
 
     parts: list[set] = [set() for _ in range(r)]
     placed: dict[int, int] = {}
@@ -437,7 +439,7 @@ def matroid_spanning_partition(vs: VectorSystem, r: int):
         for elem, j in placed.items():
             assignment[elem] = j
         for part_set in parts:
-            if _rank(cols[:, sorted(part_set)], tol) != k:
+            if rank(sorted(part_set)) != k:
                 raise RuntimeError("internal error: assembled part does not span C^k")
         return partition(r, assignment)
 
@@ -475,13 +477,13 @@ def matroid_spanning_partition(vs: VectorSystem, r: int):
         parent, _, _, _ = reachable_and_sink(x)
         reach.update(parent.keys())
     base = sorted(reach)
-    d = _rank(cols[:, base], tol) if base else 0
+    d = rank(base)
     in_closure = np.zeros(n, dtype=bool)
     for z in range(n):
         if z in reach:
             in_closure[z] = True
         else:
-            in_closure[z] = _rank(cols[:, base + [z]], tol) == d
+            in_closure[z] = rank(base + [z]) == d
     x_set = tuple(int(i) for i in np.flatnonzero(~in_closure))
     violation = ViolatingSet(indices=x_set, complement_rank=d, r=r, k=k)
     if violation.deficiency() <= 0:
@@ -535,8 +537,9 @@ def gaussian_median_radius(k: int, samples: int, seed: int) -> BanaszczykContext
 def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 0):
     """Signs with ||sum_i s_i B_i|| <= M for Hilbert-Schmidt-small B_i.
 
-    Exhaustive (Gray code, first sign fixed) for n <= 20; otherwise seeded
-    random restarts with greedy single flips. Existence is guaranteed by
+    Exhaustive (Gray code, first sign fixed, stopping at the first pattern
+    within M) for n <= 20; otherwise seeded random restarts with greedy
+    single flips, which need budget >= 1. Existence is guaranteed by
     Banaszczyk's theorem; the finder is heuristic above the exhaustive
     range, so a SignSearchFailure carries the best value found.
     """
@@ -546,21 +549,13 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
         raise InvalidParameterError("need at least one matrix")
     for b in mats:
         hs = float(np.linalg.norm(b))
-        if hs > 0.2 + 1e-12:
+        if not hs <= 0.2 + 1e-12:  # also rejects non-finite entries
             raise InvalidParameterError(
-                f"Hilbert-Schmidt norm {hs:.12g} exceeds 1/5; scale inputs first"
+                f"Hilbert-Schmidt norm {hs:.12g} is not at most 1/5; scale inputs first"
             )
     if n <= 20:
-        signs = np.ones(n, dtype=np.int64)
-        s = np.sum(mats, axis=0)
-        best_val, best_signs, evals = _opnorm_h(s), signs.copy(), 1
-        if best_val <= M:
-            return SignVector(signs=best_signs)
-        for bit in _gray_flips(n - 1):
-            i = bit + 1
-            s = s - 2 * signs[i] * mats[i]
-            signs[i] = -signs[i]
-            val = _opnorm_h(s)
+        best_val, evals = np.inf, 0
+        for signs, val in _gray_walk(mats):
             evals += 1
             if val < best_val:
                 best_val, best_signs = val, signs.copy()
@@ -569,20 +564,22 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
         return SignSearchFailure(best_value=float(best_val),
                                  best_signs=SignVector(signs=best_signs),
                                  evaluations=evals)
+    if budget < 1:
+        raise InvalidParameterError(f"heuristic sign search needs budget >= 1, got {budget}")
     rng = make_rng(seed)
     stacked = np.stack(mats)
     best_val, best_signs, evals = np.inf, None, 0
     while evals < budget:
         signs = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int64)
         s = np.tensordot(signs, stacked, axes=1)
-        val = _opnorm_h(s)
+        val = _opnorm(s)
         evals += 1
         improved = True
         while improved and evals < budget:
             improved = False
             for i in range(n):
                 cand = s - 2 * signs[i] * stacked[i]
-                cval = _opnorm_h(cand)
+                cval = _opnorm(cand)
                 evals += 1
                 if cval < val - 1e-15:
                     s, val = cand, cval

@@ -82,46 +82,49 @@ def _normalize_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def eigensystem(h) -> Eigensystem:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
-    h = as_hermitian(h)
+def _solve(solver, h: np.ndarray):
+    """Run a numpy Hermitian eigensolver on h; a convergence failure becomes
+    an EigensolverError carrying the off-diagonal residual."""
     try:
-        w, v = np.linalg.eigh(h)
+        return solver(h)
     except np.linalg.LinAlgError as exc:
         off = h - np.diag(np.diag(h))
         raise EigensolverError(
             f"eigensolver failed to converge: {exc}",
             residual=float(np.linalg.norm(off)),
         ) from exc
+
+
+def eigensystem(h) -> Eigensystem:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
+    w, v = _solve(np.linalg.eigh, as_hermitian(h))
     return Eigensystem(eigenvalues=w, eigenvectors=_normalize_phases(v))
 
 
 def eigenvalues(h) -> np.ndarray:
     """Eigenvalues only (ascending)."""
-    h = as_hermitian(h)
-    try:
-        return np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        off = h - np.diag(np.diag(h))
-        raise EigensolverError(
-            f"eigensolver failed to converge: {exc}",
-            residual=float(np.linalg.norm(off)),
-        ) from exc
+    return _solve(np.linalg.eigvalsh, as_hermitian(h))
+
+
+def _opnorm(h: np.ndarray) -> float:
+    """max(|lambda_min|, |lambda_max|) of a matrix the caller already knows to
+    be Hermitian. No validation: this is the kernel of every enumeration loop."""
+    w = _solve(np.linalg.eigvalsh, h)
+    return float(max(abs(w[0]), abs(w[-1])))
 
 
 def opnorm(h) -> float:
     """Operator norm of a Hermitian matrix: max(|lambda_min|, |lambda_max|)."""
-    w = eigenvalues(h)
-    return float(max(abs(w[0]), abs(w[-1])))
+    return _opnorm(as_hermitian(h))
 
 
 def schatten_norm(h, p) -> float:
     """Schatten p-norm (sum |lambda|^p)^(1/p); p = inf gives the operator norm."""
     if p != np.inf and p < 1:
         raise InvalidParameterError(f"Schatten norm requires p >= 1, got {p}")
-    w = eigenvalues(h)
     if p == np.inf:
-        return float(max(abs(w[0]), abs(w[-1])))
+        return opnorm(h)
+    w = eigenvalues(h)
     return float(np.sum(np.abs(w) ** p) ** (1.0 / p))
 
 

@@ -13,6 +13,7 @@ the wall-time field.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -91,8 +92,8 @@ def finish_report(command, inputs, claims, seed=None, budget=None, extra=None,
 
 
 def format_float(x: float) -> str:
-    if x != x:
-        raise InvalidParameterError("cannot serialize NaN")
+    if not math.isfinite(x):
+        raise InvalidParameterError(f"cannot serialize non-finite float {x}")
     if x == int(x) and abs(x) < 1e16:
         return f"{x:.1f}"
     return f"{x:.17g}"

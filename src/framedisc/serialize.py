@@ -18,6 +18,14 @@ from .reductions import DiagonalProjection, diagonal_projection
 from .engines import SignVector, sign_vector
 
 
+def _require_keys(d, kind: str, keys: tuple) -> None:
+    if not isinstance(d, dict) or not set(keys) <= d.keys():
+        got = sorted(d) if isinstance(d, dict) else type(d).__name__
+        raise InvalidParameterError(
+            f"{kind} input needs keys {', '.join(map(repr, keys))}; got {got}"
+        )
+
+
 def _pairs(arr: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in arr]
 
@@ -28,6 +36,7 @@ def matrix_to_dict(m: np.ndarray) -> dict:
 
 
 def matrix_from_dict(d: dict, hermitian: bool = True) -> np.ndarray:
+    _require_keys(d, "matrix", ("dim", "entries"))
     n = int(d["dim"])
     entries = d["entries"]
     if len(entries) != n * n:
@@ -50,6 +59,7 @@ def system_to_dict(vs: VectorSystem) -> dict:
 
 
 def system_from_dict(d: dict) -> VectorSystem:
+    _require_keys(d, "vector-system", ("k", "vectors"))
     k = int(d["k"])
     rows = [[complex(re, im) for re, im in row] for row in d["vectors"]]
     vs = vector_system(np.array(rows, dtype=np.complex128).reshape(len(rows), k))

@@ -1,12 +1,13 @@
 import csv
 import io
+import itertools
 import json
 import re
 
 import numpy as np
 import pytest
 
-from framedisc import vector_system
+from framedisc import partition, paving_quality, vector_system
 from framedisc.cli import (
     EXIT_BUDGET,
     EXIT_CLAIM_FAILURE,
@@ -76,6 +77,11 @@ def test_verify_weaver_heuristic_mode(tmp_path):
                 "--seed", "4", "--out", str(out)]) == EXIT_PASS
     report = json.loads(out.read_text())
     assert report["budget"] == 300 and report["seed"] == 4
+
+
+def test_verify_weaver_heuristic_zero_budget_is_usage_error():
+    assert run(["verify-weaver", "--k", "30", "--mode", "heuristic",
+                "--budget", "0"]) == EXIT_USAGE
 
 
 def test_verify_weaver_budget_refusal():
@@ -157,6 +163,34 @@ def test_search_pave_trivial(tmp_path, capsys):
     assert report["claims"][0]["computed"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_search_pave_matches_brute_force(tmp_path, capsys):
+    rng = make_rng(74)
+    g = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    a = (g + g.conj().T) / 2.0
+    np.fill_diagonal(a, 0.0)
+    src = tmp_path / "mat.json"
+    src.write_text(canonical_json(matrix_to_dict(a)) + "\n")
+    for r in (2, 3):
+        assert run(["search", "--kind", "pave", "--input", str(src),
+                    "--r", str(r)]) == EXIT_PASS
+        report = json.loads(capsys.readouterr().out)
+        best_val, best = np.inf, None
+        for assign in itertools.product(range(r), repeat=7):
+            val = paving_quality(a, partition(r, assign))
+            if val < best_val:
+                best_val, best = val, assign
+        assert report["claims"][0]["computed"] == pytest.approx(best_val, rel=1e-12)
+        assert report["extra"]["witness"]["assignment"] == [j + 1 for j in best]
+
+
+def test_search_pave_rejects_vector_system_input(tmp_path, capsys):
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(np.eye(2)))
+    assert run(["search", "--kind", "pave", "--input", str(src)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'dim'" in err and "'entries'" in err and "'k'" in err
+
+
 def test_search_matroid_feasible_and_deficient(tmp_path, capsys):
     src = tmp_path / "sys.json"
     write_system(src, vector_system(np.vstack([np.eye(2), np.eye(2)])))
@@ -182,6 +216,16 @@ def test_search_banaszczyk(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["claims"][0]["computed"] <= report["extra"]["M"] + 1e-9
     assert report["extra"]["R_hat"] > 0
+
+
+def test_search_banaszczyk_zero_budget_is_usage_error(tmp_path):
+    rng = make_rng(75)
+    g = rng.standard_normal((21, 2)) + 1j * rng.standard_normal((21, 2))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(g))
+    assert run(["search", "--kind", "banaszczyk", "--input", str(src),
+                "--budget", "0"]) == EXIT_USAGE
 
 
 def test_net_check_k2(tmp_path, capsys):
@@ -217,6 +261,17 @@ def test_net_check_refusals(tmp_path):
     write_system(src2, vector_system(np.eye(2)))
     assert run(["net-check", "--input", str(src2), "--epsilon", "-1",
                 "--n-bound", "2"]) == EXIT_USAGE
+
+
+def test_net_check_k3_needs_heuristic_flag(tmp_path, capsys):
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(np.eye(3)))
+    args = ["net-check", "--input", str(src), "--epsilon", "2", "--n-bound", "1.5"]
+    assert run(args) == EXIT_USAGE
+    assert "k = 2" in capsys.readouterr().err
+    assert run(args + ["--heuristic-net"]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert report["extra"]["certified_net"] is False
 
 
 def test_banaszczyk_radius_command(tmp_path):

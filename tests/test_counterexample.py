@@ -8,7 +8,6 @@ from framedisc import (
     InvalidParameterError,
     counterexample_vectors,
     frame_bound,
-    frame_identity_check,
     frame_operator,
     signed_norm_lower_bound,
     subset_center_distance,
@@ -44,13 +43,6 @@ def test_primed_frame_operator_fixes_last_basis_vector():
         e_k = np.zeros(k)
         e_k[-1] = 1.0
         assert np.linalg.norm(frame_operator(inst.primed) @ e_k - e_k) <= 1e-12
-
-
-def test_frame_identity_check_report_passes():
-    report = frame_identity_check(counterexample_vectors(6))
-    assert report.passed
-    names = [c.name for c in report.claims]
-    assert "primed_frame_fixes_e_k" in names
 
 
 def test_subset_center_distance_matches_closed_form():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,34 @@ def test_exhaustive_partition_two_basis_copies():
     assert cert.slack == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(BudgetExceededError):
         exhaustive_partition_search(vs, 2, 2.0, limit=8)
+
+
+def _quarter_norm_system(seed, n, k):
+    rng = make_rng(seed)
+    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    return vector_system(g / (2 * np.linalg.norm(g, axis=1, keepdims=True)))
+
+
+def test_exhaustive_partition_picks_lexicographic_optimum():
+    # Mirror assignments have the same parts and must tie exactly, so the
+    # witness is the first optimal assignment in lexicographic order.
+    vs = _quarter_norm_system(1, 5, 2)
+    cert = exhaustive_partition_search(vs, 2, 2.0)
+    best_val, best = np.inf, None
+    for assign in itertools.product(range(2), repeat=vs.n):
+        parts = [[i for i in range(vs.n) if assign[i] == j] for j in range(2)]
+        val = max(subset_frame_bound(vs, p) for p in parts)
+        if val < best_val:
+            best_val, best = val, assign
+    assert cert.partition.assignment.tolist() == list(best) == [0, 1, 1, 0, 1]
+    assert np.max(cert.per_part_bound) == pytest.approx(best_val, abs=1e-12)
+
+
+def test_exhaustive_partition_witness_starts_in_part_zero():
+    for seed in range(10):
+        for n, k in ((4, 2), (6, 3)):
+            cert = exhaustive_partition_search(_quarter_norm_system(seed, n, k), 2, 2.0)
+            assert cert.partition.assignment[0] == 0
 
 
 def test_anneal_never_beats_exhaustive_and_is_deterministic():
@@ -276,6 +306,8 @@ def test_banaszczyk_search_rejects_large_matrices():
         banaszczyk_sign_search([np.eye(2)], M=1.0)
     with pytest.raises(InvalidParameterError):
         banaszczyk_sign_search([], M=1.0)
+    with pytest.raises(InvalidParameterError):
+        banaszczyk_sign_search([np.full((2, 2), np.nan)] * 3, M=1.0)
 
 
 # ---------------------------------------------------------------------------

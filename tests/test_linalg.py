@@ -178,3 +178,16 @@ def test_orthonormal_basis_signed_sum_hs_norm_is_k():
 
 def test_eigensolver_error_type_exists():
     assert issubclass(EigensolverError, RuntimeError)
+
+
+def test_solver_failure_becomes_eigensolver_error(monkeypatch):
+    def fail(h):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    h = np.array([[0.0, 2.0], [2.0, 1.0]])
+    for f in (opnorm, eigensystem, lambda m: schatten_norm(m, 2)):
+        with pytest.raises(EigensolverError) as info:
+            f(h)
+        assert info.value.residual == pytest.approx(np.sqrt(8.0))

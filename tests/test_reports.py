@@ -66,6 +66,12 @@ def test_format_float():
         format_float(float("nan"))
 
 
+def test_format_float_rejects_infinities():
+    for x in (float("inf"), float("-inf")):
+        with pytest.raises(InvalidParameterError):
+            format_float(x)
+
+
 def test_canonical_json_round_trips_binary64():
     rng = make_rng(60)
     values = list(rng.standard_normal(50)) + [1e-300, 1e300, 16 / 7]
