@@ -3,7 +3,9 @@
 Subcommands: gen-weaver, verify-weaver, reduce, search, net-check,
 banaszczyk-radius. Every command emits a self-checking verification report
 (JSON by default, CSV on request) and exits 0 on pass, 1 on claim failure,
-2 on usage or input errors, 3 on budget refusals. All randomness flows from
+2 on usage or input errors, 3 on budget refusals and 4 on an internal error
+(an unexpected exception, reported as "internal error: ..." on stderr, so
+that 1 always means a failed claim). All randomness flows from
 the explicit --seed; identical (input, seed, budget) reproduce the report
 byte for byte apart from the wall-time field.
 """
@@ -45,6 +47,7 @@ EXIT_PASS = 0
 EXIT_CLAIM_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _write(text: str, out: str | None) -> None:
@@ -158,10 +161,10 @@ def cmd_search(args) -> int:
     extra: dict = {}
     if args.kind == "signs":
         vs = system_from_dict(data)
-        if 2 ** (vs.n - 1) > args.limit:
+        if 2 ** (vs.n - 1) > min(args.limit, budget):
             raise BudgetExceededError(
                 f"exhaustive sign search needs 2^{vs.n - 1} evaluations, "
-                f"over the limit {args.limit}"
+                f"over the limit {args.limit} or the budget {budget}"
             )
         witness, value = engines.exhaustive_sign_search(vs, limit=vs.n)
         claims = [Claim("min_signed_opnorm", computed=value, bound=value,
@@ -340,6 +343,9 @@ def main(argv=None) -> int:
     except (FrameDiscError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

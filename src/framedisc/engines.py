@@ -5,26 +5,34 @@
 * Exhaustive sign search (Gray-code enumeration with incremental operator
   updates) and exhaustive / simulated-annealing partition search for the
   min-max subset frame bound.
+* One blocked Gray-code walker serves the exhaustive sign search and the
+  n <= 20 branch of the Banaszczyk sign search. It builds the signed sums
+  of a block of consecutive patterns with one cumulative sum and takes
+  their norms with one batched eigensolve; a block array holds at most
+  WALK_BLOCK_BYTES (256 KB). Real input is walked in real arithmetic, and
+  the sign search on n < k vectors walks the n x n Gram form instead.
 * One exhaustive partition enumerator serves both the partition search
   (parts scored by their frame bound) and the paving search behind
-  ``search --kind pave`` (parts scored by ||A[S, S]||).
-
-Tie rules of the exact searches: the sign search fixes s_0 = +1 and returns
-the lexicographically smallest optimal sign vector; the partition and
-paving searches return the lexicographically smallest optimal assignment.
-Each distinct part is scored once, so assignments with the same parts (a
-partition and its relabelings) tie exactly and the first one wins.
+  ``search --kind pave`` (parts scored by ||A[S, S]||). It visits each
+  partition into at most r parts once, as a restricted-growth string.
 * Matroid union augmentation deciding whether a vector family splits into
   r parts each spanning C^k, with a counting certificate on failure.
 * Gaussian median radius of the operator norm on self-adjoint matrices and
   a sign search keeping signed sums inside operator-norm radius 5R.
 * Phase-quotient epsilon-nets on the unit sphere and net-certified frame
   bounds with additive error 2*N*mesh.
+
+Tie rules of the exact searches: the sign search fixes s_0 = +1 and returns
+the lexicographically smallest optimal sign vector; the exhaustive branch
+of the Banaszczyk search returns the first pattern in Gray order within M.
+The partition and paving searches return the lexicographically smallest
+optimal assignment. Each distinct part is scored once, so a partition and
+its relabelings tie exactly, and the first of them, the restricted-growth
+string, is the one the walk visits.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -33,7 +41,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
 from .frames import Partition, PartitionCertificate, VectorSystem, partition, partition_certificate
-from .linalg import _opnorm, as_hermitian, rank_one
+from .linalg import _opnorm, _solve, as_hermitian, rank_one
 from .reductions import paving_quality
 from .rng import make_rng
 
@@ -216,46 +224,108 @@ def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
 # exhaustive and annealed searches
 
 
-def _gray_walk(mats):
-    """Yield (signs, ||sum_i s_i M_i||) for all 2^(n-1) sign patterns with
-    s_0 = +1, in Gray-code order: each step flips one sign and updates the
-    sum by -+2 M_i. ``signs`` is one array updated in place; copy to keep."""
-    signs = np.ones(len(mats), dtype=np.int64)
-    s = np.sum(mats, axis=0)
-    yield signs, _opnorm(s)
-    for step in range(1, 2 ** (len(mats) - 1)):
-        i = (step & -step).bit_length()  # lowest set bit of step, plus one
-        s = s - 2 * signs[i] * mats[i]
-        signs[i] = -signs[i]
-        yield signs, _opnorm(s)
+# Byte cap of each (B, k, k) block of signed sums the sign walker builds:
+# large enough to amortise the per-call cost of the eigensolver, small
+# enough to keep the walk's peak memory flat.
+WALK_BLOCK_BYTES = 1 << 18
+
+
+def _real_if_real(a: np.ndarray) -> np.ndarray:
+    """a as float64 when no entry has an imaginary part, else a unchanged."""
+    return np.ascontiguousarray(a.real) if np.iscomplexobj(a) and not a.imag.any() else a
+
+
+def _gray_blocks(mats: np.ndarray):
+    """Yield (signs, norms) blocks covering ||sum_i s_i M_i|| for all 2^(n-1)
+    sign patterns with s_0 = +1, in Gray-code order.
+
+    Pattern t has gray(t) = t ^ (t >> 1), and s_{i+1} = -1 iff bit i of
+    gray(t) is set, so consecutive patterns differ in one sign. A block's
+    sums are the running sum (np.cumsum in place, seeded with the previous
+    block's last sum) of its -+2 M_i steps, which adds the same numbers in
+    the same order as a one-pattern-at-a-time walk; their norms come from
+    one batched eigensolve. ``signs`` is (B, n) and ``norms`` is (B,), with
+    B * k * k * itemsize <= WALK_BLOCK_BYTES unless B = 1.
+    """
+    n, k = mats.shape[0], mats.shape[-1]
+    total = 2 ** (n - 1)
+    size = max(1, WALK_BLOCK_BYTES // (k * k * mats.itemsize))
+    bits = np.arange(n - 1, dtype=np.int64)
+    last = None
+    for start in range(0, total, size):
+        t = np.arange(start, min(start + size, total), dtype=np.int64)
+        signs = np.ones((t.size, n), dtype=np.int64)
+        signs[:, 1:] -= 2 * ((t ^ (t >> 1))[:, None] >> bits & 1)
+        # step t > 0 flips sign i, where bit i - 1 is the lowest set bit of t
+        flip = np.frexp(t & -t)[1]
+        sums = np.take(mats, flip, axis=0)
+        sums *= 2 * signs[np.arange(t.size), flip][:, None, None]
+        if last is None:
+            sums[0] = np.sum(mats, axis=0)
+        else:
+            sums[0] += last
+        np.cumsum(sums, axis=0, out=sums)
+        last = sums[-1].copy()
+        yield signs, _opnorm(sums)
 
 
 def exhaustive_sign_search(vs: VectorSystem, limit: int = 24) -> tuple[SignVector, float]:
     """Global minimum over sign patterns of ||sum_i s_i A_{v_i}||.
 
     The first sign is fixed +1 (global flip symmetry); enumeration walks a
-    Gray code, updating the operator by +-2 A_{v_i} per step. Ties go to the
-    lexicographically smallest sign vector.
+    Gray code in blocks (see _gray_blocks). Ties go to the lexicographically
+    smallest sign vector. Real vectors are walked in real arithmetic, and
+    when n < k the walk runs on the columns g_i of G^(1/2), G the n x n Gram
+    matrix, since ||sum_i s_i v_i v_i*|| = ||G^(1/2) S G^(1/2)||.
     """
     n = vs.n
     if n > limit:
         raise BudgetExceededError(f"exhaustive sign search refuses n = {n} > limit = {limit}")
+    vecs = _real_if_real(vs.vectors)
+    if n < vs.k:
+        w, u = _solve(np.linalg.eigh, vecs.conj() @ vecs.T)
+        vecs = ((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T).T
+    mats = vecs[:, :, None] * vecs.conj()[:, None, :]  # rank_one of each row
     best_val, best_signs = np.inf, None
-    for signs, val in _gray_walk([rank_one(v) for v in vs.vectors]):
-        key = tuple(signs)
-        if val < best_val or (val == best_val and key < best_signs):
-            best_val, best_signs = val, key
+    for signs, vals in _gray_blocks(mats):
+        val = vals.min()
+        if val <= best_val:
+            key = min(map(tuple, signs[vals == val].tolist()))
+            if val < best_val or key < best_signs:
+                best_val, best_signs = val, key
     return SignVector(signs=np.array(best_signs, dtype=np.int64)), float(best_val)
+
+
+def _restricted_growth(n: int, r: int):
+    """Yield the assignments a of 0..n-1 to labels < r with a_0 = 0 and
+    a_i <= max(a_<i) + 1, in lexicographic order. Each partition into at
+    most r parts appears once, as its lexicographically first relabeling.
+    ``a`` is one list updated in place; copy to keep."""
+    a = [0] * n
+    top = [0] * n  # top[i] = max(a[:i + 1])
+    while True:
+        yield a
+        i = n - 1
+        while i > 0 and a[i] == min(top[i - 1] + 1, r - 1):
+            i -= 1
+        if i <= 0:
+            return
+        a[i] += 1
+        top[i] = max(top[i - 1], a[i])
+        a[i + 1:] = [0] * (n - 1 - i)
+        top[i + 1:] = [top[i]] * (n - 1 - i)
 
 
 def _min_max_partition(n: int, r: int, part_score, limit: int) -> Partition:
     """Lexicographically first assignment of 0..n-1 to r parts minimizing
     max_j part_score(indices of part j); the empty part scores 0.
 
-    Walks all r^n assignments in lexicographic order keeping the first
-    strict improvement. Scores are cached by the part's bitmask, so each
-    distinct part is scored once and assignments with the same parts tie
-    exactly.
+    An assignment's value depends only on its parts, so the lexicographically
+    first optimal assignment is the first relabeling of its partition, a
+    restricted-growth string; the walk visits only those, in lexicographic
+    order, keeping the first strict improvement. Scores are cached by the
+    part's bitmask, so each distinct part is scored once. The refusal rule
+    still counts all r^n assignments.
     """
     if r < 1:
         raise InvalidParameterError(f"part count must be >= 1, got {r}")
@@ -265,7 +335,7 @@ def _min_max_partition(n: int, r: int, part_score, limit: int) -> Partition:
         )
     scores = {0: 0.0}  # at most min(2^n, r^n) entries
     best_val, best_assign = math.inf, None
-    for assign in itertools.product(range(r), repeat=n):
+    for assign in _restricted_growth(n, r):
         masks = [0] * r
         for i, j in enumerate(assign):
             masks[j] |= 1 << i
@@ -276,7 +346,7 @@ def _min_max_partition(n: int, r: int, part_score, limit: int) -> Partition:
                 score = scores[mask] = part_score([i for i in range(n) if mask >> i & 1])
             val = max(val, score)
         if val < best_val:
-            best_val, best_assign = val, assign
+            best_val, best_assign = val, list(assign)
     return partition(r, best_assign)
 
 
@@ -526,9 +596,7 @@ def gaussian_median_radius(k: int, samples: int, seed: int) -> BanaszczykContext
         if k == 1:
             norms[done:done + c] = np.abs(rng.standard_normal(c))
         else:
-            h = sample_selfadjoint_gaussian(k, c, rng)
-            w = np.linalg.eigvalsh(h)
-            norms[done:done + c] = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+            norms[done:done + c] = _opnorm(sample_selfadjoint_gaussian(k, c, rng))
         done += c
     r_hat = float(np.median(norms))
     return BanaszczykContext(k=k, R_hat=r_hat, M=5.0 * r_hat, samples=samples, seed=seed)
@@ -553,21 +621,22 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
             raise InvalidParameterError(
                 f"Hilbert-Schmidt norm {hs:.12g} is not at most 1/5; scale inputs first"
             )
+    stacked = _real_if_real(np.stack(mats))
     if n <= 20:
-        best_val, evals = np.inf, 0
-        for signs, val in _gray_walk(mats):
-            evals += 1
-            if val < best_val:
-                best_val, best_signs = val, signs.copy()
-                if best_val <= M:
-                    return SignVector(signs=best_signs)
+        best_val = np.inf
+        for signs, vals in _gray_blocks(stacked):
+            hit = np.flatnonzero(vals <= M)
+            if hit.size:
+                return SignVector(signs=signs[hit[0]])
+            j = int(np.argmin(vals))
+            if vals[j] < best_val:
+                best_val, best_signs = vals[j], signs[j]
         return SignSearchFailure(best_value=float(best_val),
                                  best_signs=SignVector(signs=best_signs),
-                                 evaluations=evals)
+                                 evaluations=2 ** (n - 1))
     if budget < 1:
         raise InvalidParameterError(f"heuristic sign search needs budget >= 1, got {budget}")
     rng = make_rng(seed)
-    stacked = np.stack(mats)
     best_val, best_signs, evals = np.inf, None, 0
     while evals < budget:
         signs = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int64)

@@ -83,15 +83,16 @@ def _normalize_phases(vecs: np.ndarray) -> np.ndarray:
 
 
 def _solve(solver, h: np.ndarray):
-    """Run a numpy Hermitian eigensolver on h; a convergence failure becomes
-    an EigensolverError carrying the off-diagonal residual."""
+    """Run a numpy Hermitian eigensolver on h, a matrix or a stack (..., k, k);
+    a convergence failure becomes an EigensolverError carrying the
+    off-diagonal residual."""
     try:
         return solver(h)
     except np.linalg.LinAlgError as exc:
-        off = h - np.diag(np.diag(h))
+        off = ~np.eye(h.shape[-1], dtype=bool)
         raise EigensolverError(
             f"eigensolver failed to converge: {exc}",
-            residual=float(np.linalg.norm(off)),
+            residual=float(np.linalg.norm(h[..., off])),
         ) from exc
 
 
@@ -106,11 +107,13 @@ def eigenvalues(h) -> np.ndarray:
     return _solve(np.linalg.eigvalsh, as_hermitian(h))
 
 
-def _opnorm(h: np.ndarray) -> float:
+def _opnorm(h: np.ndarray):
     """max(|lambda_min|, |lambda_max|) of a matrix the caller already knows to
-    be Hermitian. No validation: this is the kernel of every enumeration loop."""
+    be Hermitian (a float), or of each matrix of a stack (..., k, k) (an
+    array). No validation: this is the kernel of every enumeration loop."""
     w = _solve(np.linalg.eigvalsh, h)
-    return float(max(abs(w[0]), abs(w[-1])))
+    norms = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def opnorm(h) -> float:

@@ -26,6 +26,25 @@ def _require_keys(d, kind: str, keys: tuple) -> None:
         )
 
 
+def _complex(z) -> complex:
+    """Decode one [re, im] pair."""
+    try:
+        re, im = z
+        return complex(re, im)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"complex entries travel as [re, im] pairs of numbers; got {z!r}"
+        ) from None
+
+
+def _complex_list(entries) -> list:
+    if not isinstance(entries, list):
+        raise InvalidParameterError(
+            f"expected a list of [re, im] pairs; got {type(entries).__name__}"
+        )
+    return [_complex(z) for z in entries]
+
+
 def _pairs(arr: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in arr]
 
@@ -38,10 +57,9 @@ def matrix_to_dict(m: np.ndarray) -> dict:
 def matrix_from_dict(d: dict, hermitian: bool = True) -> np.ndarray:
     _require_keys(d, "matrix", ("dim", "entries"))
     n = int(d["dim"])
-    entries = d["entries"]
-    if len(entries) != n * n:
-        raise InvalidParameterError(f"matrix dim {n} needs {n * n} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
+    flat = np.array(_complex_list(d["entries"]))
+    if flat.size != n * n:
+        raise InvalidParameterError(f"matrix dim {n} needs {n * n} entries, got {flat.size}")
     m = flat.reshape(n, n)
     return as_hermitian(m) if hermitian else m
 
@@ -51,7 +69,7 @@ def vector_to_dict(v: np.ndarray) -> dict:
 
 
 def vector_from_dict(d: dict) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in d["entries"]])
+    return np.array(_complex_list(d["entries"]))
 
 
 def system_to_dict(vs: VectorSystem) -> dict:
@@ -61,7 +79,9 @@ def system_to_dict(vs: VectorSystem) -> dict:
 def system_from_dict(d: dict) -> VectorSystem:
     _require_keys(d, "vector-system", ("k", "vectors"))
     k = int(d["k"])
-    rows = [[complex(re, im) for re, im in row] for row in d["vectors"]]
+    if not isinstance(d["vectors"], list):
+        raise InvalidParameterError("vector-system 'vectors' must be a list of vectors")
+    rows = [_complex_list(row) for row in d["vectors"]]
     vs = vector_system(np.array(rows, dtype=np.complex128).reshape(len(rows), k))
     if vs.k != k:
         raise InvalidParameterError(f"declared k = {k} but vectors have length {vs.k}")

@@ -11,6 +11,7 @@ from framedisc import partition, paving_quality, vector_system
 from framedisc.cli import (
     EXIT_BUDGET,
     EXIT_CLAIM_FAILURE,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_USAGE,
     main,
@@ -137,6 +138,42 @@ def test_search_signs_budget_refusal(tmp_path):
     src = tmp_path / "sys.json"
     write_system(src, vector_system(np.ones((30, 1))))
     assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_BUDGET
+
+
+def test_search_signs_enforces_budget(tmp_path, capsys):
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(make_rng(3).standard_normal((5, 3))))
+    assert run(["search", "--kind", "signs", "--input", str(src), "--budget", "15"]) == EXIT_BUDGET
+    assert "budget 15" in capsys.readouterr().err
+    assert run(["search", "--kind", "signs", "--input", str(src), "--budget", "16"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["budget"] == 16
+
+
+@pytest.mark.parametrize("payload", [{"k": 2, "vectors": [[1, 0], [0, 1]]},
+                                     {"k": 2, "vectors": [[["x", 0], [1, 0]]]},
+                                     {"k": 2, "vectors": 3}])
+def test_malformed_wire_entries_are_usage_errors(tmp_path, capsys, payload):
+    src = tmp_path / "sys.json"
+    src.write_text(json.dumps(payload))
+    assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "[re, im]" in err or "list of vectors" in err
+
+
+def test_malformed_matrix_entries_are_usage_errors(tmp_path, capsys):
+    src = tmp_path / "a.json"
+    src.write_text(json.dumps({"dim": 1, "entries": [["x", 0]]}))
+    assert run(["search", "--kind", "pave", "--input", str(src)]) == EXIT_USAGE
+    assert "[re, im]" in capsys.readouterr().err
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def broken(k):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr("framedisc.counterexample.counterexample_vectors", broken)
+    assert run(["verify-weaver", "--k", "5"]) == EXIT_INTERNAL
+    assert "internal error: ZeroDivisionError: boom" in capsys.readouterr().err
 
 
 def test_search_partition_exhaustive_and_anneal(tmp_path, capsys):

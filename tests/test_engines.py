@@ -27,6 +27,7 @@ from framedisc import (
     subset_frame_bound,
     vector_system,
 )
+from framedisc import engines
 from framedisc.engines import normalize_phase
 from framedisc.rng import make_rng
 
@@ -160,6 +161,53 @@ def test_exhaustive_partition_witness_starts_in_part_zero():
         for n, k in ((4, 2), (6, 3)):
             cert = exhaustive_partition_search(_quarter_norm_system(seed, n, k), 2, 2.0)
             assert cert.partition.assignment[0] == 0
+
+
+def _product_reference(n, r, part_score):
+    """The first strict improvement over all r^n assignments in
+    lexicographic order; an empty part scores 0."""
+    best_val, best = np.inf, None
+    for assign in itertools.product(range(r), repeat=n):
+        parts = [[i for i in range(n) if assign[i] == j] for j in range(r)]
+        val = max(part_score(p) if p else 0.0 for p in parts)
+        if val < best_val:
+            best_val, best = val, list(assign)
+    return best, best_val
+
+
+@pytest.mark.parametrize("r, n, seed", [(2, 5, 1), (2, 7, 3), (3, 6, 4), (3, 5, 5),
+                                        (4, 6, 6), (4, 5, 7)])
+def test_restricted_growth_walk_matches_product_reference(r, n, seed):
+    # (2, 5, 1) is the mirror-tie input of the lexicographic tie rule
+    vs = _quarter_norm_system(seed, n, 2)
+
+    def frame_score(idx):
+        sub = vs.vectors[idx]
+        return opnorm(sub.T @ sub.conj())
+
+    def tie_score(idx):  # many exact ties between different partitions
+        return float(sum(idx) % 3 + len(idx))
+
+    for score in (frame_score, tie_score):
+        best, best_val = _product_reference(n, r, score)
+        part = engines._min_max_partition(n, r, score, limit=r**n)
+        assert part.assignment.tolist() == best
+        val = max((score(np.flatnonzero(part.assignment == j).tolist())
+                   for j in range(r) if np.any(part.assignment == j)), default=0.0)
+        assert val == best_val
+    if seed == 1:
+        cert = exhaustive_partition_search(vs, r, 2.0)
+        assert cert.partition.assignment.tolist() == [0, 1, 1, 0, 1]
+
+
+def test_restricted_growth_counts_partitions():
+    # 2^(n-1) partitions into at most 2 parts; Bell numbers when r >= n
+    assert sum(1 for _ in engines._restricted_growth(8, 2)) == 2**7
+    assert [sum(1 for _ in engines._restricted_growth(n, n)) for n in range(1, 7)] == \
+        [1, 2, 5, 15, 52, 203]
+    assert sum(1 for _ in engines._restricted_growth(5, 1)) == 1
+    with pytest.raises(BudgetExceededError):
+        engines._min_max_partition(5, 2, lambda idx: 0.0, limit=31)
 
 
 def test_anneal_never_beats_exhaustive_and_is_deterministic():

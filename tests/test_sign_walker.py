@@ -1,0 +1,150 @@
+"""The blocked Gray-code sign walker behind exhaustive_sign_search and the
+n <= 20 branch of banaszczyk_sign_search, checked against brute-force and
+one-pattern-at-a-time reference walks kept here."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from framedisc import (
+    SignSearchFailure,
+    SignVector,
+    banaszczyk_sign_search,
+    exhaustive_sign_search,
+    opnorm,
+    rank_one,
+    vector_system,
+)
+from framedisc import engines
+from framedisc.counterexample import counterexample_vectors
+from framedisc.rng import make_rng
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def unit_rows(seed, n, k, real):
+    rng = make_rng(seed)
+    g = rng.standard_normal((n, k))
+    if not real:
+        g = g + 1j * rng.standard_normal((n, k))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def brute_force(v):
+    """(signs, ||sum_i s_i v_i v_i*||) for every pattern with s_0 = +1, in
+    lexicographic order of the signs."""
+    out = []
+    for tail in itertools.product((-1, 1), repeat=v.shape[0] - 1):
+        s = (1,) + tail
+        m = sum(si * np.outer(vi, vi.conj()) for si, vi in zip(s, v))
+        out.append((s, float(np.max(np.abs(np.linalg.eigvalsh(m))))))
+    return out
+
+
+def sequential_walk(mats):
+    """The walk one pattern per eigensolve: Gray order, s_0 = +1, each step
+    flipping one sign and updating the sum by -+2 M_i."""
+    signs = np.ones(len(mats), dtype=np.int64)
+    s = np.sum(mats, axis=0)
+    rows, norms = [signs.copy()], [np.max(np.abs(np.linalg.eigvalsh(s)))]
+    for step in range(1, 2 ** (len(mats) - 1)):
+        i = (step & -step).bit_length()
+        s = s - 2 * signs[i] * mats[i]
+        signs[i] = -signs[i]
+        rows.append(signs.copy())
+        norms.append(np.max(np.abs(np.linalg.eigvalsh(s))))
+    return np.array(rows), np.array(norms)
+
+
+def blocked_walk(mats):
+    blocks = list(engines._gray_blocks(mats))
+    return (np.concatenate([s for s, _ in blocks]), np.concatenate([v for _, v in blocks]))
+
+
+@SEEDED
+@given(seed=SEEDS, shape=st.sampled_from([(1, 1), (1, 3), (3, 7), (5, 8), (4, 4), (6, 6),
+                                          (7, 3), (8, 2)]),
+       real=st.booleans())
+def test_walk_matches_brute_force(seed, shape, real):
+    # n < k takes the Gram path, real input the real path
+    v = unit_rows(seed, *shape, real)
+    sv, value = exhaustive_sign_search(vector_system(v))
+    ref = brute_force(v)
+    best = min(val for _, val in ref)
+    assert value == pytest.approx(best, rel=1e-12, abs=1e-15)
+    assert sv.signs[0] == 1
+    assert opnorm(sum(s * rank_one(x) for s, x in zip(sv.signs, v))) == pytest.approx(
+        value, rel=1e-12, abs=1e-15)
+    near = [s for s, val in ref if val <= best + 1e-9]
+    if len(near) == 1:
+        assert tuple(sv.signs) == near[0]
+
+
+@pytest.mark.parametrize("n, k", [(9, 4), (6, 6), (1, 1)])
+def test_block_size_does_not_change_complex_walk(monkeypatch, n, k):
+    v = unit_rows(7, n, k, real=False)
+    mats = np.stack([rank_one(x) for x in v])
+    ref_signs, ref_norms = sequential_walk(mats)
+    results = []
+    for cap in (engines.WALK_BLOCK_BYTES, 1, 2 ** (n - 1) * mats[0].nbytes):
+        monkeypatch.setattr(engines, "WALK_BLOCK_BYTES", cap)
+        signs, norms = blocked_walk(mats)
+        assert np.array_equal(signs, ref_signs)
+        assert np.array_equal(norms, ref_norms)  # bitwise
+        sv, value = exhaustive_sign_search(vector_system(v))
+        results.append((sv.signs.tolist(), value))
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+@pytest.mark.parametrize("cap", [1, 64, engines.WALK_BLOCK_BYTES])
+def test_exact_ties_go_to_the_lexicographically_smallest_signs(monkeypatch, cap):
+    # sum_i s_i e_i e_i* = diag(s): every pattern has norm exactly 1
+    monkeypatch.setattr(engines, "WALK_BLOCK_BYTES", cap)
+    sv, value = exhaustive_sign_search(vector_system(np.eye(5)))
+    assert value == 1.0
+    assert sv.signs.tolist() == [1, -1, -1, -1, -1]
+
+
+def test_walk_block_holds_at_most_the_byte_cap():
+    mats = np.stack([rank_one(x) for x in unit_rows(3, 12, 5, real=False)])
+    cap = engines.WALK_BLOCK_BYTES
+    sizes = [s.shape[0] for s, _ in engines._gray_blocks(mats)]
+    assert sum(sizes) == 2**11 and len(sizes) > 1
+    assert max(sizes) * mats[0].nbytes <= cap
+
+
+@SEEDED
+@given(seed=SEEDS, n=st.integers(1, 9), k=st.integers(1, 4), real=st.booleans(),
+       q=st.sampled_from([None, 0.0, 0.1, 0.5, 1.0]))
+def test_banaszczyk_exhaustive_branch_matches_sequential_walk(seed, n, k, real, q):
+    mats = [rank_one(x) / 5.0 for x in unit_rows(seed, n, k, real)]
+    stack = np.stack(mats)
+    ref_signs, ref_norms = sequential_walk(stack.real if real else stack)
+    M = -1.0 if q is None else float(np.quantile(ref_norms, q))
+    result = banaszczyk_sign_search(mats, M=M)
+    hits = np.flatnonzero(ref_norms <= M)
+    if hits.size:
+        assert isinstance(result, SignVector)
+        assert result.signs.tolist() == ref_signs[hits[0]].tolist()
+    else:
+        assert isinstance(result, SignSearchFailure)
+        first = int(np.argmin(ref_norms))
+        assert result.evaluations == 2 ** (n - 1)
+        assert result.best_signs.signs.tolist() == ref_signs[first].tolist()
+        assert result.best_value == ref_norms[first]
+
+
+@pytest.mark.parametrize("k", range(6, 13))
+def test_weaver_minimum_matches_orbit_representatives(k):
+    # the family is invariant under permuting its k - 1 vectors, so the
+    # signed norm depends only on the number c of minus signs
+    vs = counterexample_vectors(k).normalized
+    mats = [rank_one(v) for v in vs.vectors]
+    orbit = min(opnorm(sum(s * m for s, m in zip([1] * (k - 1 - c) + [-1] * c, mats)))
+                for c in range(k - 1))
+    _, value = exhaustive_sign_search(vs)
+    assert value == pytest.approx(orbit, rel=1e-12)
