@@ -115,6 +115,10 @@ def cmd_verify_weaver(args) -> int:
     return _emit_report(report, args.format, args.out)
 
 
+def _tol_or(args, default: float) -> float:
+    return default if args.tol is None else args.tol
+
+
 def cmd_reduce(args) -> int:
     started = time.perf_counter()
     n_bound = args.n_bound
@@ -126,9 +130,9 @@ def cmd_reduce(args) -> int:
         payload = canonical_json(system_to_dict(vs)) + "\n"
         claims = [
             Claim("max_vector_norm_squared", computed=float(np.max(vs.norms_squared())),
-                  bound=1.0, tolerance=args.tol or 1e-9, relation="le"),
+                  bound=1.0, tolerance=_tol_or(args, 1e-9), relation="le"),
             Claim("frame_bound_equals_N", computed=frames.frame_bound(vs),
-                  bound=n_bound, tolerance=args.tol or 1e-8, relation="abs"),
+                  bound=n_bound, tolerance=_tol_or(args, 1e-8), relation="abs"),
         ]
     else:
         vs = system_from_dict(data)
@@ -139,13 +143,13 @@ def cmd_reduce(args) -> int:
             frames.frame_operator(trace.w) - np.eye(vs.k)))
         claims = [
             Claim("projection_residual", computed=proj_residual, bound=0.0,
-                  tolerance=args.tol or 1e-8, relation="abs"),
+                  tolerance=_tol_or(args, 1e-8), relation="abs"),
             Claim("diagonal_delta_le_1_over_N", computed=diagonal_delta(trace.P),
                   bound=1.0 / n_bound, tolerance=1e-10, relation="le"),
             Claim("completed_frame_tightness", computed=tight_residual, bound=0.0,
-                  tolerance=args.tol or 1e-9, relation="abs"),
+                  tolerance=_tol_or(args, 1e-9), relation="abs"),
             Claim("zero_diagonal_opnorm", computed=opnorm(trace.A),
-                  bound=1.0 + 1.0 / n_bound, tolerance=args.tol or 1e-8, relation="le"),
+                  bound=1.0 + 1.0 / n_bound, tolerance=_tol_or(args, 1e-8), relation="le"),
         ]
     if outprefix:
         Path(str(outprefix) + ".object.json").write_text(payload)
@@ -177,7 +181,9 @@ def cmd_search(args) -> int:
                                                        limit=args.limit)
             exact = True
         else:
-            cert = engines.anneal_partition_search(vs, args.r, args.n_bound, seed=seed)
+            steps = min(budget, engines.AnnealSchedule.steps)
+            cert = engines.anneal_partition_search(vs, args.r, args.n_bound, seed=seed,
+                                                   schedule=engines.AnnealSchedule(steps=steps))
             exact = False
         claims = [Claim("max_part_frame_bound", computed=float(np.max(cert.per_part_bound)),
                         bound=args.n_bound, tolerance=0.0, relation="le")]
@@ -185,7 +191,7 @@ def cmd_search(args) -> int:
                  "slack": cert.slack, "exact": exact}
     elif args.kind == "pave":
         a = matrix_from_dict(data)
-        part, value = engines._paving_search(a, args.r, args.limit)
+        part, value = engines._paving_search(a, args.r, min(args.limit, budget))
         claims = [Claim("paving_quality", computed=value, bound=opnorm(a),
                         tolerance=1e-12, relation="le")]
         extra = {"witness": partition_to_dict(part), "exact": True}
@@ -241,9 +247,9 @@ def cmd_net_check(args) -> int:
     oracle = frames.subset_frame_bound(vs, subset)
     claims = [
         Claim("net_max_below_oracle", computed=net_max, bound=oracle,
-              tolerance=args.tol or 1e-9, relation="le"),
+              tolerance=_tol_or(args, 1e-9), relation="le"),
         Claim("oracle_below_certified", computed=oracle, bound=certified,
-              tolerance=args.tol or 1e-9, relation="le"),
+              tolerance=_tol_or(args, 1e-9), relation="le"),
     ]
     extra = {"net_max": net_max, "certified_sup_bound": certified,
              "eigenvalue_oracle": oracle, "mesh": mesh,
@@ -268,6 +274,13 @@ def cmd_banaszczyk_radius(args) -> int:
 # parser / entry point
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"tolerance must be >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framedisc",
@@ -280,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=20000, help="evaluation cap")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
 
     p = sub.add_parser("gen-weaver", help="generate a counterexample-family instance")
     p.add_argument("--k", type=int, required=True)

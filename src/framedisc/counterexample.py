@@ -31,8 +31,6 @@ from .linalg import rank_one
 from .reports import Claim, VerificationReport, finish_report
 from .rng import make_rng
 
-EXHAUSTIVE_K_CAP = 18
-
 
 @dataclass(frozen=True)
 class CounterexampleInstance:
@@ -113,19 +111,21 @@ def verify_counterexample(
 ) -> VerificationReport:
     """Check the family's three headline claims.
 
-    Exhaustive mode (k <= 18) reports the exact minimum over sign patterns
-    of ||sum_i s_i A_{v_i}|| and asserts it is at least the closed-form
-    floor. Heuristic mode reports a seeded upper bound instead; the floor
-    claim still holds because it holds for every sign pattern.
+    Exhaustive mode reports the exact minimum over the 2^(k-2) sign
+    patterns of ||sum_i s_i A_{v_i}|| and asserts it is at least the
+    closed-form floor; it refuses when 2^(k-2) exceeds the budget (k <= 16
+    under the default budget). Heuristic mode reports a seeded upper bound
+    instead; the floor claim still holds because it holds for every sign
+    pattern.
     """
     k = inst.k
     lb = signed_norm_lower_bound(k)
     if mode == "exhaustive":
-        if k > EXHAUSTIVE_K_CAP:
+        if 2 ** (k - 2) > budget:
             raise BudgetExceededError(
-                f"exhaustive verification caps at k = {EXHAUSTIVE_K_CAP}, got {k}"
+                f"exhaustive verification needs 2^{k - 2} evaluations, over the budget {budget}"
             )
-        _, min_norm = exhaustive_sign_search(inst.normalized)
+        _, min_norm = exhaustive_sign_search(inst.normalized, limit=k - 1)
     elif mode == "heuristic":
         fifth = [rank_one(v) / 5.0 for v in inst.normalized.vectors]
         result = banaszczyk_sign_search(fifth, M=0.0, budget=budget, seed=seed)
@@ -160,7 +160,7 @@ def verify_counterexample(
         {"k": k, "mode": mode},
         claims,
         seed=seed,
-        budget=budget if mode == "heuristic" else None,
+        budget=budget,
         extra={"min_signed_norm_or_bound": float(min_norm), "lower_bound": lb},
     )
 

@@ -16,7 +16,10 @@
   ``search --kind pave`` (parts scored by ||A[S, S]||). It visits each
   partition into at most r parts once, as a restricted-growth string.
 * Matroid union augmentation deciding whether a vector family splits into
-  r parts each spanning C^k, with a counting certificate on failure.
+  r parts each spanning C^k, with a counting certificate on failure. Each
+  (element, part) exchange query is one elimination, and an element that
+  fails to insert is never retried: the union matroid's span only grows as
+  elements are placed.
 * Gaussian median radius of the operator norm on self-adjoint matrices and
   a sign search keeping signed sums inside operator-norm radius 5R.
 * Phase-quotient epsilon-nets on the unit sphere and net-certified frame
@@ -444,57 +447,66 @@ def _rank_tol(vs: VectorSystem) -> float:
 def matroid_spanning_partition(vs: VectorSystem, r: int):
     """Partition into r parts each spanning C^k, or a ViolatingSet.
 
-    Matroid union augmentation over r copies of the linear matroid of the
-    vectors: each element is inserted via an augmenting exchange path when
-    possible. Success means r disjoint bases were assembled (leftover
-    elements go to part 0). Otherwise the closure of the set reachable from
-    the unplaceable elements yields X with r*(k - d) > |X| for d the span
-    dimension of the complement of X.
+    Matroid union augmentation (Edmonds) over r copies of the linear matroid
+    of the vectors: each element is inserted via an augmenting exchange path
+    when possible. One elimination of a part's columns followed by v_z
+    answers both questions about (z, part): a pivot in the last column means
+    z can join the part; otherwise the last column holds the coordinates of
+    v_z in the part's basis, and z can replace exactly the members with a
+    nonzero coordinate. Success means r disjoint bases were assembled
+    (leftover elements go to part 0). The placed elements only grow, so
+    their span in the union matroid only grows, and an element that cannot
+    be inserted once never can be later; it is not retried. The closure of
+    the set reachable from all unplaceable elements then yields X with
+    r*(k - d) > |X| for d the span dimension of the complement of X.
     """
     if r < 2:
         raise InvalidParameterError(f"need r >= 2, got {r}")
     n, k = vs.n, vs.k
     tol = _rank_tol(vs)
     cols = vs.vectors.T  # column i is vector i
+    norms = np.sqrt(vs.norms_squared())
 
     def rank(idxs) -> int:
-        return len(_row_reduce(cols[:, list(idxs)], tol)[1])
-
-    def indep(idxs) -> bool:
-        return rank(idxs) == len(idxs)
+        return len(_row_reduce(cols[:, idxs], tol)[1])
 
     parts: list[set] = [set() for _ in range(r)]
     placed: dict[int, int] = {}
 
-    def reachable_and_sink(x):
-        """BFS over exchange arcs from x. Returns (parent, labels, sink, sink_part);
-        sink is an element addable to a part, or None if none is reachable."""
-        parent = {x: None}
+    def search(sources):
+        """BFS over exchange arcs z -> y (z can replace y in part label[y])
+        from the sources. Returns (parent, label, sink, sink_part); sink is the
+        first element reached that can join part sink_part, or None."""
+        parent = dict.fromkeys(sources)
         label = {}
-        queue = deque([x])
+        queue = deque(sources)
         while queue:
             z = queue.popleft()
             for j in range(r):
                 if z in parts[j]:
                     continue
-                if len(parts[j]) < k and indep(parts[j] | {z}):
+                members = list(parts[j])
+                red, pivots = _row_reduce(cols[:, members + [z]], tol)
+                if pivots and pivots[-1] == len(members):
                     return parent, label, z, j
-                for y in parts[j]:
-                    if y in parent:
-                        continue
-                    if indep((parts[j] - {y}) | {z}):
+                coords = {members[col]: red[row, -1] for row, col in enumerate(pivots)}
+                for y in members:
+                    if y not in parent and abs(coords.get(y, 0.0)) * norms[y] > tol:
                         parent[y] = z
                         label[y] = j
                         queue.append(y)
         return parent, label, None, None
 
-    def augment(x) -> bool:
-        parent, label, sink, sink_part = reachable_and_sink(x)
-        if sink is None:
-            return False
-        parts[sink_part].add(sink)
-        placed[sink] = sink_part
-        cur = sink
+    unplaced = []
+    for x in range(n):
+        if len(placed) == r * k:
+            break
+        parent, label, cur, j = search([x])
+        if cur is None:
+            unplaced.append(x)
+            continue
+        parts[j].add(cur)
+        placed[cur] = j
         while parent[cur] is not None:
             prev = parent[cur]
             j = label[cur]
@@ -502,58 +514,21 @@ def matroid_spanning_partition(vs: VectorSystem, r: int):
             parts[j].add(prev)
             placed[prev] = j
             cur = prev
-        return True
 
-    def success_partition() -> Partition:
+    if len(placed) == r * k:
         assignment = np.zeros(n, dtype=np.int64)
         for elem, j in placed.items():
             assignment[elem] = j
-        for part_set in parts:
-            if rank(sorted(part_set)) != k:
-                raise RuntimeError("internal error: assembled part does not span C^k")
+        if any(rank(sorted(part_set)) != k for part_set in parts):
+            raise RuntimeError("internal error: assembled part does not span C^k")
         return partition(r, assignment)
 
-    total = 0
-    unplaced = []
-    for x in range(n):
-        if total == r * k:
-            break
-        if augment(x):
-            total += 1
-        else:
-            unplaced.append(x)
-
-    if total == r * k:
-        return success_partition()
-
-    # Re-attempt unplaceable elements against the final state, then build the
-    # counting certificate from the closure of everything still reachable.
-    progressed = True
-    while progressed and total < r * k:
-        progressed = False
-        still = []
-        for x in unplaced:
-            if augment(x):
-                total += 1
-                progressed = True
-            else:
-                still.append(x)
-        unplaced = still
-    if total == r * k:
-        return success_partition()
-
-    reach: set = set()
-    for x in unplaced:
-        parent, _, _, _ = reachable_and_sink(x)
-        reach.update(parent.keys())
+    reach, _, sink, _ = search(unplaced)
+    if sink is not None:
+        raise RuntimeError("internal error: an unplaced element became insertable")
     base = sorted(reach)
     d = rank(base)
-    in_closure = np.zeros(n, dtype=bool)
-    for z in range(n):
-        if z in reach:
-            in_closure[z] = True
-        else:
-            in_closure[z] = rank(base + [z]) == d
+    in_closure = np.array([z in reach or rank(base + [z]) == d for z in range(n)])
     x_set = tuple(int(i) for i in np.flatnonzero(~in_closure))
     violation = ViolatingSet(indices=x_set, complement_rank=d, r=r, k=k)
     if violation.deficiency() <= 0:

@@ -7,7 +7,13 @@ import re
 import numpy as np
 import pytest
 
-from framedisc import partition, paving_quality, vector_system
+from framedisc import (
+    AnnealSchedule,
+    anneal_partition_search,
+    partition,
+    paving_quality,
+    vector_system,
+)
 from framedisc.cli import (
     EXIT_BUDGET,
     EXIT_CLAIM_FAILURE,
@@ -89,6 +95,15 @@ def test_verify_weaver_budget_refusal():
     assert run(["verify-weaver", "--k", "25"]) == EXIT_BUDGET
 
 
+def test_verify_weaver_exhaustive_enforces_budget(tmp_path, capsys):
+    # k = 8 walks 2^6 = 64 sign patterns
+    assert run(["verify-weaver", "--k", "8", "--budget", "63"]) == EXIT_BUDGET
+    assert "budget 63" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    assert run(["verify-weaver", "--k", "8", "--budget", "64", "--out", str(out)]) == EXIT_PASS
+    assert json.loads(out.read_text())["budget"] == 64
+
+
 def test_reduce_vec2proj_and_proj2vec(tmp_path):
     rng = make_rng(70)
     g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
@@ -110,6 +125,24 @@ def test_reduce_vec2proj_and_proj2vec(tmp_path):
                 "--n-bound", "2", "--out", str(back)]) == EXIT_PASS
     report2 = json.loads((tmp_path / "back.report.json").read_text())
     assert report2["passed"] is True
+
+
+def test_tol_zero_is_kept_and_negative_tol_is_usage_error(tmp_path):
+    g = make_rng(71).standard_normal((4, 2)) + 1j * make_rng(72).standard_normal((4, 2))
+    g /= 2 * np.linalg.norm(g, axis=1, keepdims=True)
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(g))
+    prefix = tmp_path / "fwd"
+    code = run(["reduce", "--direction", "vec2proj", "--input", str(src),
+                "--n-bound", "2", "--tol", "0", "--out", str(prefix)])
+    assert code in (EXIT_PASS, EXIT_CLAIM_FAILURE)
+    claims = json.loads((tmp_path / "fwd.report.json").read_text())["claims"]
+    tols = {c["name"]: c["tolerance"] for c in claims}
+    assert tols == {"projection_residual": 0.0, "diagonal_delta_le_1_over_N": 1e-10,
+                    "completed_frame_tightness": 0.0, "zero_diagonal_opnorm": 0.0}
+    for bad in ("-1e-9", "nan"):
+        assert run(["reduce", "--direction", "vec2proj", "--input", str(src),
+                    "--n-bound", "2", "--tol", bad]) == EXIT_USAGE
 
 
 def test_reduce_rejects_bad_delta(tmp_path):
@@ -189,6 +222,34 @@ def test_search_partition_exhaustive_and_anneal(tmp_path, capsys):
                 "--n-bound", "2", "--budget", "3", "--limit", "3"]) == EXIT_PASS
     report = json.loads(capsys.readouterr().out)
     assert report["extra"]["exact"] is False
+
+
+def test_search_partition_anneal_steps_follow_budget(tmp_path, capsys):
+    g = make_rng(80).standard_normal((9, 3)) + 1j * make_rng(81).standard_normal((9, 3))
+    g /= 2 * np.linalg.norm(g, axis=1, keepdims=True)
+    vs = vector_system(g)
+    src = tmp_path / "sys.json"
+    write_system(src, vs)
+    # 3^9 > 10, so the search anneals, for at most 10 steps
+    assert run(["search", "--kind", "partition", "--input", str(src), "--r", "3",
+                "--n-bound", "2", "--seed", "5", "--budget", "10"]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert report["extra"]["exact"] is False
+    short = anneal_partition_search(vs, 3, 2.0, seed=5, schedule=AnnealSchedule(steps=10))
+    full = anneal_partition_search(vs, 3, 2.0, seed=5)
+    assert report["extra"]["witness"]["assignment"] == [j + 1 for j in short.partition.assignment]
+    assert list(short.partition.assignment) != list(full.partition.assignment)
+
+
+def test_search_pave_enforces_budget(tmp_path, capsys):
+    src = tmp_path / "mat.json"
+    a = np.ones((4, 4)) - np.eye(4)
+    src.write_text(canonical_json(matrix_to_dict(a)) + "\n")
+    # r^n = 2^4 = 16 assignments
+    assert run(["search", "--kind", "pave", "--input", str(src), "--budget", "15"]) == EXIT_BUDGET
+    capsys.readouterr()
+    assert run(["search", "--kind", "pave", "--input", str(src), "--budget", "16"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["budget"] == 16
 
 
 def test_search_pave_trivial(tmp_path, capsys):

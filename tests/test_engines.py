@@ -292,6 +292,51 @@ def test_matroid_random_rotations():
             assert np.linalg.matrix_rank(shuffled.vectors[p]) == k
 
 
+def _matroid_input(rng, kind, n, k):
+    """n vectors in C^k: general, confined to a lower-dimensional subspace,
+    or scaled copies of a few coordinate vectors."""
+    if kind == "general":
+        return rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    if kind == "low-rank":
+        d = int(rng.integers(1, k + 1))
+        basis = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+        return (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) @ basis
+    return np.eye(k)[rng.integers(0, k, size=n)] * rng.choice([1.0, -2.0, 0.5, 1j], size=(n, 1))
+
+
+def test_matroid_matches_brute_force():
+    rng = make_rng(46)
+    outcomes = set()
+    for trial in range(60):
+        kind = ("general", "low-rank", "repeated")[trial % 3]
+        k = int(rng.integers(1, 4))
+        r = int(rng.integers(2, 4))
+        n = int(rng.integers(1, 9))
+        v = _matroid_input(rng, kind, n, k)
+        rank = {mask: np.linalg.matrix_rank(v[[i for i in range(n) if mask >> i & 1]])
+                if mask else 0 for mask in range(2**n)}
+        feasible = False
+        for assign in itertools.product(range(r), repeat=n):
+            masks = [0] * r
+            for i, j in enumerate(assign):
+                masks[j] |= 1 << i
+            if all(rank[m] == k for m in masks):
+                feasible = True
+                break
+        result = matroid_spanning_partition(vector_system(v), r)
+        assert isinstance(result, Partition) == feasible, (trial, kind, n, k, r)
+        outcomes.add((kind, feasible))
+        if feasible:
+            assert all(np.linalg.matrix_rank(v[p]) == k for p in result.parts())
+        else:
+            rest = [i for i in range(n) if i not in result.indices]
+            d = np.linalg.matrix_rank(v[rest]) if rest else 0
+            assert d == result.complement_rank
+            assert r * (k - d) > len(result.indices)
+    # every kind of input produced both outcomes
+    assert len(outcomes) == 6
+
+
 def test_matroid_validation():
     with pytest.raises(InvalidParameterError):
         matroid_spanning_partition(vector_system(np.eye(2)), 1)
