@@ -175,6 +175,8 @@ def cmd_search(args) -> int:
                         tolerance=0.0, relation="abs")]
         extra = {"witness": signs_to_dict(witness), "exact": True}
     elif args.kind == "partition":
+        if budget < 1:
+            raise FrameDiscError(f"partition search needs budget >= 1, got {budget}")
         vs = system_from_dict(data)
         if args.r ** vs.n <= min(args.limit, budget):
             cert = engines.exhaustive_partition_search(vs, args.r, args.n_bound,

@@ -23,11 +23,15 @@
 * Gaussian median radius of the operator norm on self-adjoint matrices and
   a sign search keeping signed sums inside operator-norm radius 5R.
 * Phase-quotient epsilon-nets on the unit sphere and net-certified frame
-  bounds with additive error 2*N*mesh.
+  bounds with additive error 2*N*mesh. A net point u scores
+  sum_{i in X} |<u, v_i>|^2 as the quadratic form u* S u with the k x k
+  frame operator S = sum_{i in X} v_i v_i*, so the cost is O(P k^2) for
+  P net points whatever |X| is, with no P x |X| table of inner products.
 
 Tie rules of the exact searches: the sign search fixes s_0 = +1 and returns
 the lexicographically smallest optimal sign vector; the exhaustive branch
-of the Banaszczyk search returns the first pattern in Gray order within M.
+of the Banaszczyk search returns the first pattern in Gray order within M
+among the first ``budget`` patterns.
 The partition and paving searches return the lexicographically smallest
 optimal assignment. Each distinct part is scored once, so a partition and
 its relabelings tie exactly, and the first of them, the restricted-growth
@@ -238,9 +242,10 @@ def _real_if_real(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.real) if np.iscomplexobj(a) and not a.imag.any() else a
 
 
-def _gray_blocks(mats: np.ndarray):
-    """Yield (signs, norms) blocks covering ||sum_i s_i M_i|| for all 2^(n-1)
-    sign patterns with s_0 = +1, in Gray-code order.
+def _gray_blocks(mats: np.ndarray, count: int | None = None):
+    """Yield (signs, norms) blocks covering ||sum_i s_i M_i|| for the first
+    ``count`` (default all 2^(n-1)) sign patterns with s_0 = +1, in
+    Gray-code order.
 
     Pattern t has gray(t) = t ^ (t >> 1), and s_{i+1} = -1 iff bit i of
     gray(t) is set, so consecutive patterns differ in one sign. A block's
@@ -251,7 +256,7 @@ def _gray_blocks(mats: np.ndarray):
     B * k * k * itemsize <= WALK_BLOCK_BYTES unless B = 1.
     """
     n, k = mats.shape[0], mats.shape[-1]
-    total = 2 ** (n - 1)
+    total = 2 ** (n - 1) if count is None else min(count, 2 ** (n - 1))
     size = max(1, WALK_BLOCK_BYTES // (k * k * mats.itemsize))
     bits = np.arange(n - 1, dtype=np.int64)
     last = None
@@ -580,11 +585,12 @@ def gaussian_median_radius(k: int, samples: int, seed: int) -> BanaszczykContext
 def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 0):
     """Signs with ||sum_i s_i B_i|| <= M for Hilbert-Schmidt-small B_i.
 
-    Exhaustive (Gray code, first sign fixed, stopping at the first pattern
-    within M) for n <= 20; otherwise seeded random restarts with greedy
-    single flips, which need budget >= 1. Existence is guaranteed by
-    Banaszczyk's theorem; the finder is heuristic above the exhaustive
-    range, so a SignSearchFailure carries the best value found.
+    For n <= 20 the first ``budget`` patterns of the Gray code (first sign
+    fixed), stopping at the first one within M; otherwise seeded random
+    restarts with greedy single flips for ``budget`` evaluations. Both need
+    budget >= 1. Existence is guaranteed by Banaszczyk's theorem, but the
+    finder only sees the patterns its budget covers, so a SignSearchFailure
+    carries the best value found and the number of patterns evaluated.
     """
     mats = [np.asarray(b, dtype=np.complex128) for b in matrices]
     n = len(mats)
@@ -596,10 +602,12 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
             raise InvalidParameterError(
                 f"Hilbert-Schmidt norm {hs:.12g} is not at most 1/5; scale inputs first"
             )
+    if budget < 1:
+        raise InvalidParameterError(f"sign search needs budget >= 1, got {budget}")
     stacked = _real_if_real(np.stack(mats))
     if n <= 20:
         best_val = np.inf
-        for signs, vals in _gray_blocks(stacked):
+        for signs, vals in _gray_blocks(stacked, count=budget):
             hit = np.flatnonzero(vals <= M)
             if hit.size:
                 return SignVector(signs=signs[hit[0]])
@@ -608,9 +616,7 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
                 best_val, best_signs = vals[j], signs[j]
         return SignSearchFailure(best_value=float(best_val),
                                  best_signs=SignVector(signs=best_signs),
-                                 evaluations=2 ** (n - 1))
-    if budget < 1:
-        raise InvalidParameterError(f"heuristic sign search needs budget >= 1, got {budget}")
+                                 evaluations=min(budget, 2 ** (n - 1)))
     rng = make_rng(seed)
     best_val, best_signs, evals = np.inf, None, 0
     while evals < budget:
@@ -682,9 +688,9 @@ def build_epsilon_net(k: int, mesh: float, seed: int = 0) -> EpsilonNet:
             )
         thetas = np.linspace(0.0, np.pi / 2, nt + 1)
         phis = np.arange(np_) * (2 * np.pi / np_)
-        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-        pts = np.stack([np.cos(tt).ravel().astype(np.complex128),
-                        (np.sin(tt) * np.exp(1j * pp)).ravel()], axis=1)
+        # row i * np_ + j is (theta_i, phi_j), the meshgrid "ij" order
+        pts = np.stack([np.repeat(np.cos(thetas), np_).astype(np.complex128),
+                        np.outer(np.sin(thetas), np.exp(1j * phis)).ravel()], axis=1)
         return EpsilonNet(k=2, mesh=mesh, points=pts, certified=True)
     est = (4.0 / mesh) ** (2 * k - 2)
     if est > NET_POINT_LIMIT:
@@ -710,6 +716,10 @@ def net_certified_bound(vs: VectorSystem, X, net: EpsilonNet, N: float) -> tuple
         raise InvalidParameterError(f"subset indices out of range 0..{vs.n - 1}")
     if idx.size == 0:
         return 0.0, 2.0 * N * net.mesh
-    inner = net.points @ vs.vectors[idx].conj().T  # <u, v_i> per net point u
-    net_max = float(np.max(np.sum(np.abs(inner) ** 2, axis=1)))
+    v = vs.vectors[idx]
+    s = v.T @ v.conj()  # S = sum_i v_i v_i*, so sum_i |<u, v_i>|^2 = u* S u
+    u = np.ascontiguousarray(net.points, dtype=np.complex128)
+    # u* S u is real: the real dot product of u and S u read as (re, im) pairs
+    quad = np.einsum("pj,pj->p", u.view(np.float64), (u @ s.T).view(np.float64))
+    net_max = float(np.max(quad))
     return net_max, net_max + 2.0 * N * net.mesh

@@ -8,6 +8,17 @@ the pass flag can always be recomputed from the stored numbers
 which round-trips binary64 exactly; re-running a command with the same
 seed and budget therefore reproduces the report byte for byte apart from
 the wall-time field.
+
+Bulk payloads (a matrix's entries, a system's vectors, a loaded JSON
+input) are lists whose items are lists of one width w holding only Python
+floats. Such a list is laid out from a template: the w-slot row, with the
+newlines and indentation the recursive emitter would write, repeated once
+per row and filled with one ``%`` over ``format_float`` of every item in
+order. Each slot receives the string the recursive path would have
+produced for that float, and the text between slots is the text it would
+have produced between them, so the bytes are identical; only the
+per-item Python calls are gone. Any other shape (dicts, strings, ints,
+bools, mixed or ragged rows) takes the recursive path.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import InvalidParameterError
 
@@ -99,6 +111,13 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _float_rows(obj) -> bool:
+    """True iff obj holds only lists of one nonzero width whose items are
+    all exactly float (not bool, int or a numpy scalar)."""
+    return (set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1
+            and set(map(type, chain.from_iterable(obj))) == {float})
+
+
 def canonical_json(obj, indent: int = 0) -> str:
     """JSON with sorted keys and 17-significant-digit floats."""
     pad = " " * indent
@@ -124,6 +143,11 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if _float_rows(obj):
+            # what the recursive path below lays out, as one template
+            row = "[\n" + ",\n".join([f"{pad}    %s"] * len(obj[0])) + f"\n{pad}  ]"
+            rows = "[\n" + ",\n".join([f"{pad}  {row}"] * len(obj)) + f"\n{pad}]"
+            return rows % tuple(map(format_float, chain.from_iterable(obj)))
         items = [f"{pad}  {canonical_json(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     # numpy scalars and arrays

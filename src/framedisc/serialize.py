@@ -46,7 +46,8 @@ def _complex_list(entries) -> list:
 
 
 def _pairs(arr: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in arr]
+    """arr's complex entries as nested lists of [re, im] Python floats."""
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def matrix_to_dict(m: np.ndarray) -> dict:
@@ -73,7 +74,7 @@ def vector_from_dict(d: dict) -> np.ndarray:
 
 
 def system_to_dict(vs: VectorSystem) -> dict:
-    return {"k": vs.k, "vectors": [_pairs(row) for row in vs.vectors]}
+    return {"k": vs.k, "vectors": _pairs(vs.vectors)}
 
 
 def system_from_dict(d: dict) -> VectorSystem:

@@ -91,6 +91,21 @@ def test_verify_weaver_heuristic_zero_budget_is_usage_error():
                 "--budget", "0"]) == EXIT_USAGE
 
 
+def test_verify_weaver_heuristic_small_k_walks_at_most_budget(tmp_path):
+    # k = 12 has 11 vectors, so the heuristic mode walks the Gray code; a
+    # budget of 1 sees only the all-plus pattern, not the exact minimum
+    exact, short = tmp_path / "exact.json", tmp_path / "short.json"
+    assert run(["verify-weaver", "--k", "12", "--out", str(exact)]) == EXIT_PASS
+    assert run(["verify-weaver", "--k", "12", "--mode", "heuristic", "--budget", "1",
+                "--out", str(short)]) == EXIT_PASS
+    exact_min = json.loads(exact.read_text())["extra"]["min_signed_norm_or_bound"]
+    report = json.loads(short.read_text())
+    assert report["budget"] == 1
+    assert report["extra"]["min_signed_norm_or_bound"] > exact_min + 1.0
+    assert run(["verify-weaver", "--k", "12", "--mode", "heuristic",
+                "--budget", "0"]) == EXIT_USAGE
+
+
 def test_verify_weaver_budget_refusal():
     assert run(["verify-weaver", "--k", "25"]) == EXIT_BUDGET
 
@@ -241,6 +256,17 @@ def test_search_partition_anneal_steps_follow_budget(tmp_path, capsys):
     assert list(short.partition.assignment) != list(full.partition.assignment)
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_search_partition_budget_below_one_is_usage_error(tmp_path, capsys, budget):
+    g = make_rng(82).standard_normal((8, 2)) + 1j * make_rng(83).standard_normal((8, 2))
+    g /= 2 * np.linalg.norm(g, axis=1, keepdims=True)
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(g))
+    assert run(["search", "--kind", "partition", "--input", str(src), "--r", "2",
+                "--n-bound", "2", "--budget", budget]) == EXIT_USAGE
+    assert "budget >= 1" in capsys.readouterr().err
+
+
 def test_search_pave_enforces_budget(tmp_path, capsys):
     src = tmp_path / "mat.json"
     a = np.ones((4, 4)) - np.eye(4)
@@ -319,6 +345,15 @@ def test_search_banaszczyk(tmp_path, capsys):
 def test_search_banaszczyk_zero_budget_is_usage_error(tmp_path):
     rng = make_rng(75)
     g = rng.standard_normal((21, 2)) + 1j * rng.standard_normal((21, 2))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(g))
+    assert run(["search", "--kind", "banaszczyk", "--input", str(src),
+                "--budget", "0"]) == EXIT_USAGE
+
+
+def test_search_banaszczyk_exhaustive_branch_zero_budget_is_usage_error(tmp_path):
+    g = make_rng(76).standard_normal((6, 2)) + 1j * make_rng(77).standard_normal((6, 2))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     src = tmp_path / "sys.json"
     write_system(src, vector_system(g))

@@ -473,3 +473,45 @@ def test_net_empty_subset():
     net_max, cert = net_certified_bound(vs, [], net, 2.0)
     assert net_max == 0.0
     assert cert == pytest.approx(2 * 2.0 * 0.1)
+
+
+def meshgrid_lattice(mesh):
+    """The k = 2 lattice built from a full (theta, phi) meshgrid."""
+    h = mesh / 3.0
+    nt = int(np.ceil((np.pi / 2) / (2 * h)))
+    n_phi = int(np.ceil((2 * np.pi) / (2 * h)))
+    thetas = np.linspace(0.0, np.pi / 2, nt + 1)
+    phis = np.arange(n_phi) * (2 * np.pi / n_phi)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    return np.stack([np.cos(tt).ravel().astype(np.complex128),
+                     (np.sin(tt) * np.exp(1j * pp)).ravel()], axis=1)
+
+
+@pytest.mark.parametrize("mesh", [0.5, 0.1, 0.0371, 0.0125, 0.00625])
+def test_net_k2_lattice_is_bitwise_the_meshgrid_lattice(mesh):
+    net = build_epsilon_net(2, mesh)
+    ref = meshgrid_lattice(mesh)
+    assert net.points.shape == ref.shape
+    assert np.array_equal(net.points.view(np.uint64), ref.view(np.uint64))
+
+
+def per_point_sum(points, vectors):
+    """max over net points u of sum_i |<u, v_i>|^2, one point at a time."""
+    return max(sum(abs(np.vdot(v, u)) ** 2 for v in vectors) for u in points)
+
+
+@pytest.mark.parametrize("k, mesh", [(1, 0.05), (2, 0.2), (3, 0.9)])
+@pytest.mark.parametrize("seed", range(4))
+def test_net_bound_matches_per_point_sum(k, mesh, seed):
+    rng = make_rng(400 + seed)
+    vs = vector_system(random_unit_rows(7, k, rng))
+    net = build_epsilon_net(k, mesh, seed=seed)
+    for size in (0, 1, 3, 7):
+        subset = sorted(rng.choice(7, size=size, replace=False).tolist())
+        net_max, cert = net_certified_bound(vs, subset, net, 2.0)
+        assert cert == net_max + 2.0 * 2.0 * mesh
+        if size == 0:
+            assert net_max == 0.0
+            continue
+        ref = per_point_sum(net.points, vs.vectors[subset])
+        assert net_max == pytest.approx(ref, rel=1e-13, abs=0.0)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedisc import (
+    InvalidParameterError,
     SignSearchFailure,
     SignVector,
     banaszczyk_sign_search,
@@ -148,3 +149,51 @@ def test_weaver_minimum_matches_orbit_representatives(k):
                 for c in range(k - 1))
     _, value = exhaustive_sign_search(vs)
     assert value == pytest.approx(orbit, rel=1e-12)
+
+
+def blocked_walk_first(mats, count):
+    blocks = list(engines._gray_blocks(mats, count=count))
+    return (np.concatenate([s for s, _ in blocks]), np.concatenate([v for _, v in blocks]))
+
+
+@SEEDED
+@given(seed=SEEDS, n=st.integers(1, 9), k=st.integers(1, 4), real=st.booleans(),
+       budget=st.integers(1, 300), q=st.sampled_from([None, 0.0, 0.3, 1.0]))
+def test_banaszczyk_exhaustive_branch_walks_at_most_budget_patterns(seed, n, k, real,
+                                                                    budget, q):
+    mats = [rank_one(x) / 5.0 for x in unit_rows(seed, n, k, real)]
+    stack = np.stack(mats)
+    ref_signs, ref_norms = sequential_walk(stack.real if real else stack)
+    walked = min(budget, 2 ** (n - 1))
+    ref_signs, ref_norms = ref_signs[:walked], ref_norms[:walked]
+    truncated = blocked_walk_first(stack.real if real else stack, budget)
+    assert np.array_equal(truncated[0], ref_signs)
+    assert np.array_equal(truncated[1], ref_norms)  # bitwise
+    M = -1.0 if q is None else float(np.quantile(ref_norms, q))
+    result = banaszczyk_sign_search(mats, M=M, budget=budget)
+    hits = np.flatnonzero(ref_norms <= M)
+    if hits.size:
+        assert isinstance(result, SignVector)
+        assert result.signs.tolist() == ref_signs[hits[0]].tolist()
+    else:
+        assert isinstance(result, SignSearchFailure)
+        first = int(np.argmin(ref_norms))
+        assert result.evaluations == walked
+        assert result.best_signs.signs.tolist() == ref_signs[first].tolist()
+        assert result.best_value == ref_norms[first]
+
+
+@pytest.mark.parametrize("n", [3, 21])
+@pytest.mark.parametrize("budget", [0, -5])
+def test_banaszczyk_rejects_budget_below_one_on_both_branches(n, budget):
+    mats = [rank_one(x) / 5.0 for x in unit_rows(9, n, 2, real=False)]
+    with pytest.raises(InvalidParameterError):
+        banaszczyk_sign_search(mats, M=1.0, budget=budget)
+
+
+def test_truncated_walk_keeps_block_boundaries(monkeypatch):
+    # a budget that ends inside the second block stops there
+    mats = np.stack([rank_one(x) for x in unit_rows(5, 10, 3, real=False)])
+    monkeypatch.setattr(engines, "WALK_BLOCK_BYTES", 64 * mats[0].nbytes)
+    sizes = [s.shape[0] for s, _ in engines._gray_blocks(mats, count=100)]
+    assert sizes == [64, 36]
