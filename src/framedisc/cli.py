@@ -171,32 +171,41 @@ def cmd_search(args) -> int:
                 f"over the limit {args.limit} or the budget {budget}"
             )
         witness, value = engines.exhaustive_sign_search(vs, limit=vs.n)
-        claims = [Claim("min_signed_opnorm", computed=value, bound=value,
-                        tolerance=0.0, relation="abs")]
+        # The walk's value against the witness's explicit k x k signed sum.
+        # Each of the 2^(n-1) running-sum steps (and the Gram square root
+        # when n < k) may round by eps * sum_i ||v_i||^2.
+        scale = float(np.sum(vs.norms_squared()))
+        steps = 2 ** (vs.n - 1) + vs.n + vs.k
+        explicit = opnorm((vs.vectors.T * witness.signs) @ vs.vectors.conj())  # sum s_i v_i v_i*
+        claims = [Claim("min_signed_opnorm", computed=value, bound=explicit,
+                        tolerance=steps * float(np.finfo(float).eps) * scale, relation="abs")]
         extra = {"witness": signs_to_dict(witness), "exact": True}
     elif args.kind == "partition":
         if budget < 1:
             raise FrameDiscError(f"partition search needs budget >= 1, got {budget}")
         vs = system_from_dict(data)
-        if args.r ** vs.n <= min(args.limit, budget):
-            cert = engines.exhaustive_partition_search(vs, args.r, args.n_bound,
-                                                       limit=args.limit)
-            exact = True
-        else:
+        counters: dict = {}
+        try:
+            cert = engines.exhaustive_partition_search(vs, args.r, args.n_bound, limit=args.limit,
+                                                       budget=budget, counters=counters)
+            extra = {"exact": True, **counters}
+        except BudgetExceededError:
+            if args.r < 2:  # one part, one partition: nothing to anneal
+                raise
             steps = min(budget, engines.AnnealSchedule.steps)
             cert = engines.anneal_partition_search(vs, args.r, args.n_bound, seed=seed,
                                                    schedule=engines.AnnealSchedule(steps=steps))
-            exact = False
+            extra = {"exact": False}
         claims = [Claim("max_part_frame_bound", computed=float(np.max(cert.per_part_bound)),
                         bound=args.n_bound, tolerance=0.0, relation="le")]
-        extra = {"witness": partition_to_dict(cert.partition),
-                 "slack": cert.slack, "exact": exact}
+        extra.update(witness=partition_to_dict(cert.partition), slack=cert.slack)
     elif args.kind == "pave":
         a = matrix_from_dict(data)
-        part, value = engines._paving_search(a, args.r, min(args.limit, budget))
+        counters = {}
+        part, value = engines._paving_search(a, args.r, args.limit, budget, counters)
         claims = [Claim("paving_quality", computed=value, bound=opnorm(a),
                         tolerance=1e-12, relation="le")]
-        extra = {"witness": partition_to_dict(part), "exact": True}
+        extra = {"witness": partition_to_dict(part), "exact": True, **counters}
     elif args.kind == "matroid":
         vs = system_from_dict(data)
         result = engines.matroid_spanning_partition(vs, args.r)

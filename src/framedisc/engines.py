@@ -11,10 +11,17 @@
   their norms with one batched eigensolve; a block array holds at most
   WALK_BLOCK_BYTES (256 KB). Real input is walked in real arithmetic, and
   the sign search on n < k vectors walks the n x n Gram form instead.
-* One exhaustive partition enumerator serves both the partition search
-  (parts scored by their frame bound) and the paving search behind
-  ``search --kind pave`` (parts scored by ||A[S, S]||). It visits each
-  partition into at most r parts once, as a restricted-growth string.
+* One exact partition search serves both the partition search (parts
+  scored by their frame bound) and the paving search behind
+  ``search --kind pave`` (parts scored by ||A[S, S]||). It is a depth-first
+  branch and bound over restricted-growth prefixes, so each partition into
+  at most r parts is reached at most once. Its precondition is that a part
+  score is monotone under inclusion: a frame bound grows because each
+  vector adds a PSD term, ||A[S, S]|| by Cauchy interlacing. A prefix whose
+  largest partial part score exceeds the best leaf so far by more than
+  PRUNE_MARGIN (1e-12) of it is pruned; the margin absorbs the few ulps by
+  which a superset's computed score can fall below its subset's. The walk
+  counts the prefixes (nodes) it visits, and a budget caps them.
 * Matroid union augmentation deciding whether a vector family splits into
   r parts each spanning C^k, with a counting certificate on failure. Each
   (element, part) exchange query is one elimination, and an element that
@@ -35,7 +42,10 @@ among the first ``budget`` patterns.
 The partition and paving searches return the lexicographically smallest
 optimal assignment. Each distinct part is scored once, so a partition and
 its relabelings tie exactly, and the first of them, the restricted-growth
-string, is the one the walk visits.
+string, is the one the walk visits. Leaves are reached in lexicographic
+order and accepted only on a strict improvement, and pruning drops only
+prefixes that no leaf below can strictly improve on, so the winner and
+its value are those of scoring every restricted-growth string.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
 from .frames import Partition, PartitionCertificate, VectorSystem, partition, partition_certificate
-from .linalg import _opnorm, _solve, as_hermitian, rank_one
+from .linalg import _opnorm, _phase_normalized_rows, _solve, as_hermitian, rank_one
 from .reductions import paving_quality
 from .rng import make_rng
 
@@ -304,36 +314,36 @@ def exhaustive_sign_search(vs: VectorSystem, limit: int = 24) -> tuple[SignVecto
     return SignVector(signs=np.array(best_signs, dtype=np.int64)), float(best_val)
 
 
-def _restricted_growth(n: int, r: int):
-    """Yield the assignments a of 0..n-1 to labels < r with a_0 = 0 and
-    a_i <= max(a_<i) + 1, in lexicographic order. Each partition into at
-    most r parts appears once, as its lexicographically first relabeling.
-    ``a`` is one list updated in place; copy to keep."""
-    a = [0] * n
-    top = [0] * n  # top[i] = max(a[:i + 1])
-    while True:
-        yield a
-        i = n - 1
-        while i > 0 and a[i] == min(top[i - 1] + 1, r - 1):
-            i -= 1
-        if i <= 0:
-            return
-        a[i] += 1
-        top[i] = max(top[i - 1], a[i])
-        a[i + 1:] = [0] * (n - 1 - i)
-        top[i + 1:] = [top[i]] * (n - 1 - i)
+# A prefix is pruned once its score exceeds the incumbent by more than this
+# share of it: a superset's computed score can be a few ulps below its
+# subset's, and pruning on a bare ">" could then drop an optimal leaf.
+PRUNE_MARGIN = 1e-12
 
 
-def _min_max_partition(n: int, r: int, part_score, limit: int) -> Partition:
+def _min_max_partition(n: int, r: int, part_score, limit: int,
+                       budget: int | None = None, counters: dict | None = None) -> Partition:
     """Lexicographically first assignment of 0..n-1 to r parts minimizing
     max_j part_score(indices of part j); the empty part scores 0.
 
+    Precondition: part_score is monotone under inclusion (S <= T implies
+    part_score(S) <= part_score(T), up to rounding).
+
     An assignment's value depends only on its parts, so the lexicographically
     first optimal assignment is the first relabeling of its partition, a
-    restricted-growth string; the walk visits only those, in lexicographic
-    order, keeping the first strict improvement. Scores are cached by the
-    part's bitmask, so each distinct part is scored once. The refusal rule
-    still counts all r^n assignments.
+    restricted-growth string (a_0 = 0, a_i <= max(a_<i) + 1). A depth-first
+    branch and bound walks their prefixes in lexicographic order. A prefix's
+    bound is the max score of its partial parts, which by monotonicity no
+    completion goes below; the prefix is dropped once that bound exceeds the
+    best leaf so far by more than PRUNE_MARGIN of it. A leaf is accepted
+    only on a strict improvement, so the walk returns what scoring every
+    restricted-growth string would. Scores are cached by the part's bitmask,
+    so each distinct part is scored once and a leaf's value is the same float
+    whichever path reached it.
+
+    Refuses up front when r^n exceeds ``limit``, and raises
+    BudgetExceededError when the walk would visit more than ``budget``
+    prefixes (nodes). ``counters``, if given, receives ``nodes_visited`` and
+    ``parts_scored``.
     """
     if r < 1:
         raise InvalidParameterError(f"part count must be >= 1, got {r}")
@@ -342,43 +352,73 @@ def _min_max_partition(n: int, r: int, part_score, limit: int) -> Partition:
             f"exhaustive partition search refuses r^n = {r}^{n} > limit = {limit}"
         )
     scores = {0: 0.0}  # at most min(2^n, r^n) entries
+    masks = [0] * r  # bitmask of each part of the current prefix
+    current = [0.0] * r  # scores[masks[j]]
+    assign = [0] * n
     best_val, best_assign = math.inf, None
-    for assign in _restricted_growth(n, r):
-        masks = [0] * r
-        for i, j in enumerate(assign):
-            masks[j] |= 1 << i
-        val = 0.0
-        for mask in masks:
+    nodes = 0
+
+    def visit(i: int, used: int) -> None:
+        """Extend the prefix a_0..a_(i-1), which uses labels < used, by a_i."""
+        nonlocal best_val, best_assign, nodes
+        for j in range(min(used + 1, r)):
+            if budget is not None and nodes >= budget:
+                raise BudgetExceededError(
+                    f"exhaustive partition search visits more than budget = {budget} nodes"
+                )
+            nodes += 1
+            old_mask, old_score = masks[j], current[j]
+            mask = masks[j] = old_mask | 1 << i
             score = scores.get(mask)
             if score is None:
-                score = scores[mask] = part_score([i for i in range(n) if mask >> i & 1])
-            val = max(val, score)
-        if val < best_val:
-            best_val, best_assign = val, list(assign)
+                score = scores[mask] = part_score([t for t in range(n) if mask >> t & 1])
+            current[j] = score
+            bound = max(current)
+            assign[i] = j
+            if i + 1 == n:
+                if bound < best_val:
+                    best_val, best_assign = bound, list(assign)
+            elif bound <= best_val + PRUNE_MARGIN * best_val:
+                visit(i + 1, max(used, j + 1))
+            masks[j], current[j] = old_mask, old_score
+
+    try:
+        visit(0, 0)
+    finally:
+        if counters is not None:
+            counters.update(nodes_visited=nodes, parts_scored=len(scores) - 1)
     return partition(r, best_assign)
 
 
 def exhaustive_partition_search(
-    vs: VectorSystem, r: int, N: float, limit: int = 2**24
+    vs: VectorSystem, r: int, N: float, limit: int = 2**24,
+    budget: int | None = None, counters: dict | None = None,
 ) -> PartitionCertificate:
     """Globally minimal max_j subset frame bound over all r^n assignments.
 
     Lexicographically smallest optimal assignment wins ties. Refuses when
-    r^n exceeds the enumeration limit.
+    r^n exceeds the enumeration limit or the walk exceeds ``budget`` nodes
+    (see _min_max_partition, which also fills ``counters``). A part's frame
+    bound can only grow as vectors join it, since each adds a PSD term.
     """
 
     def part_score(idx):
         sub = vs.vectors[idx]
         return _opnorm(sub.T @ sub.conj())
 
-    return partition_certificate(vs, _min_max_partition(vs.n, r, part_score, limit), N)
+    part = _min_max_partition(vs.n, r, part_score, limit, budget, counters)
+    return partition_certificate(vs, part, N)
 
 
-def _paving_search(a, r: int, limit: int) -> tuple[Partition, float]:
+def _paving_search(a, r: int, limit: int, budget: int | None = None,
+                   counters: dict | None = None) -> tuple[Partition, float]:
     """Exhaustive min over r^n partitions of max_j ||Q_j A Q_j||: the
-    lexicographically smallest optimal partition and its paving quality."""
+    lexicographically smallest optimal partition and its paving quality.
+    ||A[S, S]|| can only grow with S, by Cauchy interlacing, so the
+    branch and bound of _min_max_partition applies."""
     a = as_hermitian(a)
-    part = _min_max_partition(a.shape[0], r, lambda idx: _opnorm(a[np.ix_(idx, idx)]), limit)
+    part = _min_max_partition(a.shape[0], r, lambda idx: _opnorm(a[np.ix_(idx, idx)]),
+                              limit, budget, counters)
     return part, paving_quality(a, part)
 
 
@@ -702,8 +742,7 @@ def build_epsilon_net(k: int, mesh: float, seed: int = 0) -> EpsilonNet:
     rng = make_rng(seed)
     g = rng.standard_normal((count, k)) + 1j * rng.standard_normal((count, k))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    pts = np.array([normalize_phase(u) for u in g])
-    return EpsilonNet(k=k, mesh=mesh, points=pts, certified=False)
+    return EpsilonNet(k=k, mesh=mesh, points=_phase_normalized_rows(g), certified=False)
 
 
 def net_certified_bound(vs: VectorSystem, X, net: EpsilonNet, N: float) -> tuple[float, float]:

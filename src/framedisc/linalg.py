@@ -71,15 +71,16 @@ class Eigensystem:
         return self.eigenvalues.size
 
 
-def _normalize_phases(vecs: np.ndarray) -> np.ndarray:
-    vecs = vecs.copy()
-    for t in range(vecs.shape[1]):
-        col = vecs[:, t]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            pivot = col[nz[0]]
-            vecs[:, t] = col * (pivot.conjugate() / abs(pivot))
-    return vecs
+def _phase_normalized_rows(m: np.ndarray) -> np.ndarray:
+    """Each row of m times the phase that makes its first entry of modulus
+    > 1e-12 real nonnegative (rows with no such entry are kept). np.hypot
+    rounds like the scalar abs(pivot), so a row comes out with the same bits
+    as when it is normalized on its own."""
+    big = np.abs(m) > 1e-12
+    pivot = m[np.arange(m.shape[0]), np.argmax(big, axis=1)]
+    found = big.any(axis=1)
+    modulus = np.where(found, np.hypot(pivot.real, pivot.imag), 1.0)
+    return m * np.where(found, pivot.conj() / modulus, 1.0)[:, None]
 
 
 def _solve(solver, h: np.ndarray):
@@ -99,7 +100,7 @@ def _solve(solver, h: np.ndarray):
 def eigensystem(h) -> Eigensystem:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
     w, v = _solve(np.linalg.eigh, as_hermitian(h))
-    return Eigensystem(eigenvalues=w, eigenvectors=_normalize_phases(v))
+    return Eigensystem(eigenvalues=w, eigenvectors=_phase_normalized_rows(v.T).T)
 
 
 def eigenvalues(h) -> np.ndarray:

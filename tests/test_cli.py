@@ -10,8 +10,11 @@ import pytest
 from framedisc import (
     AnnealSchedule,
     anneal_partition_search,
+    engines,
+    opnorm,
     partition,
     paving_quality,
+    rank_one,
     vector_system,
 )
 from framedisc.cli import (
@@ -24,7 +27,7 @@ from framedisc.cli import (
 )
 from framedisc.reports import canonical_json
 from framedisc.rng import make_rng
-from framedisc.serialize import matrix_to_dict, system_to_dict
+from framedisc.serialize import matrix_to_dict, system_from_dict, system_to_dict
 
 
 def run(args):
@@ -182,6 +185,28 @@ def test_search_signs_trivial(tmp_path, capsys):
     assert sorted(report["extra"]["witness"]["signs"]) == [-1, 1]
 
 
+@pytest.mark.parametrize("n, k", [(9, 3), (6, 10)])  # the n > k and Gram (n < k) paths
+def test_search_signs_claim_rechecks_the_witness(tmp_path, capsys, monkeypatch, n, k):
+    rng = make_rng(85)
+    vs = vector_system(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+    src = tmp_path / "sys.json"
+    write_system(src, vs)
+    assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    claim = report["claims"][0]
+    signs = np.array(report["extra"]["witness"]["signs"])
+    explicit = opnorm(sum(s * rank_one(v) for s, v in zip(signs, vs.vectors)))
+    assert claim["name"] == "min_signed_opnorm" and claim["relation"] == "abs"
+    assert claim["bound"] == pytest.approx(explicit, rel=1e-13)
+    assert 0 < claim["tolerance"] < 1e-9 * float(np.sum(vs.norms_squared()))
+    assert abs(claim["computed"] - claim["bound"]) <= claim["tolerance"]
+    # a walk value that is off by more than rounding fails the claim
+    walk = engines.exhaustive_sign_search
+    monkeypatch.setattr(engines, "exhaustive_sign_search",
+                        lambda vs, limit: (walk(vs, limit)[0], walk(vs, limit)[1] * (1 + 1e-8)))
+    assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_CLAIM_FAILURE
+
+
 def test_search_signs_budget_refusal(tmp_path):
     src = tmp_path / "sys.json"
     write_system(src, vector_system(np.ones((30, 1))))
@@ -271,11 +296,71 @@ def test_search_pave_enforces_budget(tmp_path, capsys):
     src = tmp_path / "mat.json"
     a = np.ones((4, 4)) - np.eye(4)
     src.write_text(canonical_json(matrix_to_dict(a)) + "\n")
-    # r^n = 2^4 = 16 assignments
-    assert run(["search", "--kind", "pave", "--input", str(src), "--budget", "15"]) == EXIT_BUDGET
+    # ||A[S, S]|| = max(|S| - 1, 1) ties so often that the walk visits all
+    # 1 + 2 + 4 + 8 = 15 restricted-growth prefixes
+    assert run(["search", "--kind", "pave", "--input", str(src), "--budget", "14"]) == EXIT_BUDGET
     capsys.readouterr()
-    assert run(["search", "--kind", "pave", "--input", str(src), "--budget", "16"]) == EXIT_PASS
-    assert json.loads(capsys.readouterr().out)["budget"] == 16
+    assert run(["search", "--kind", "pave", "--input", str(src), "--budget", "15"]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert report["budget"] == 15
+    assert report["extra"]["nodes_visited"] == 15
+    assert report["extra"]["witness"]["assignment"] == [1, 1, 2, 2]
+
+
+def _node_count_input(tmp_path, kind):
+    rng = make_rng(84)
+    src = tmp_path / f"{kind}.json"
+    if kind == "partition":
+        g = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+        write_system(src, vector_system(g / (2 * np.linalg.norm(g, axis=1, keepdims=True))))
+    else:
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        a = (g + g.conj().T) / 2.0
+        np.fill_diagonal(a, 0.0)
+        src.write_text(canonical_json(matrix_to_dict(a)) + "\n")
+    return src
+
+
+def test_search_partition_node_budget_boundary(tmp_path, capsys):
+    src = _node_count_input(tmp_path, "partition")
+    argv = ["search", "--kind", "partition", "--input", str(src), "--r", "3",
+            "--n-bound", "2", "--seed", "3"]
+    assert run(argv) == EXIT_PASS
+    exact = json.loads(capsys.readouterr().out)
+    nodes = exact["extra"]["nodes_visited"]
+    assert exact["extra"]["exact"] is True
+    # the whole restricted-growth tree of r = 3, n = 9 has 4925 nodes
+    assert exact["extra"]["parts_scored"] <= nodes < 4925
+    assert run(argv + ["--budget", str(nodes)]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert report["extra"] == exact["extra"]
+    # one node short: the annealing fallback, for min(budget, 2000) steps
+    assert run(argv + ["--budget", str(nodes - 1)]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert report["extra"]["exact"] is False
+    assert "nodes_visited" not in report["extra"]
+    vs = system_from_dict(json.loads(src.read_text()))
+    steps = min(nodes - 1, AnnealSchedule.steps)
+    anneal = anneal_partition_search(vs, 3, 2.0, seed=3, schedule=AnnealSchedule(steps=steps))
+    assert report["extra"]["witness"]["assignment"] == \
+        [j + 1 for j in anneal.partition.assignment]
+    # r = 1 has one partition and n = 9 nodes, and nothing to anneal
+    one = ["search", "--kind", "partition", "--input", str(src), "--r", "1", "--n-bound", "9"]
+    assert run(one + ["--budget", "9"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["extra"]["nodes_visited"] == 9
+    assert run(one + ["--budget", "8"]) == EXIT_BUDGET
+
+
+def test_search_pave_node_budget_boundary(tmp_path, capsys):
+    src = _node_count_input(tmp_path, "pave")
+    argv = ["search", "--kind", "pave", "--input", str(src), "--r", "3"]
+    assert run(argv) == EXIT_PASS
+    nodes = json.loads(capsys.readouterr().out)["extra"]["nodes_visited"]
+    assert nodes < 4925
+    assert run(argv + ["--budget", str(nodes)]) == EXIT_PASS
+    capsys.readouterr()
+    assert run(argv + ["--budget", str(nodes - 1)]) == EXIT_BUDGET
+    assert "budget" in capsys.readouterr().err
 
 
 def test_search_pave_trivial(tmp_path, capsys):

@@ -15,6 +15,7 @@ from framedisc import (
     verify_counterexample,
 )
 from framedisc.counterexample import min_center_distance
+from framedisc.rng import make_rng
 
 
 def test_family_constants_k5():
@@ -93,6 +94,42 @@ def test_verify_counterexample_heuristic():
     assert report.passed
     # heuristic reports an upper bound, still above the proven floor
     assert report.extra["min_signed_norm_or_bound"] >= report.extra["lower_bound"] - 1e-9
+
+
+def _loop_subset_deviation(inst, masks):
+    """max |direct - closed| summing <e_k, v'_i> v'_i one subset at a time."""
+    k = inst.k
+    e_k = np.zeros(k)
+    e_k[-1] = 1.0
+    dev = 0.0
+    for mask in masks:
+        x = [i for i in range(k - 1) if int(mask) >> i & 1]
+        total = np.zeros(k, dtype=np.complex128)
+        for i in x:
+            v = inst.primed.vectors[i]
+            total += np.vdot(v, e_k) * v
+        c = len(x)
+        closed = math.sqrt(c * (k - 1 - c) / (k - 1) ** 3 + (c / (k - 1) - 0.5) ** 2)
+        dev = max(dev, abs(float(np.linalg.norm(total - 0.5 * e_k)) - closed))
+    return dev
+
+
+@pytest.mark.parametrize("k", [5, 9, 12, 13, 20])
+def test_subset_check_matches_per_subset_loop(k):
+    inst = counterexample_vectors(k)
+    report = verify_counterexample(inst, mode="heuristic", seed=3, budget=50)
+    masks = range(2 ** (k - 1)) if k <= 12 else \
+        make_rng(3).integers(0, 2 ** (k - 1), size=256)
+    computed = next(c.computed for c in report.claims
+                    if c.name == "closed_form_subset_distance_agreement")
+    # both sides are sums of at most k - 1 terms of size <= 1/2, so summing
+    # in another order moves them by a few eps
+    assert computed == pytest.approx(_loop_subset_deviation(inst, masks), abs=8 * k * 2**-52)
+    assert computed <= 1e-12
+    for mask in list(masks)[:20]:
+        x = [i for i in range(k - 1) if int(mask) >> i & 1]
+        direct, closed = subset_center_distance(inst, x)
+        assert direct == pytest.approx(closed, abs=8 * k * 2**-52)
 
 
 def test_verify_counterexample_refusals():

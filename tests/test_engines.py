@@ -27,7 +27,7 @@ from framedisc import (
     subset_frame_bound,
     vector_system,
 )
-from framedisc import engines
+from framedisc import engines, linalg
 from framedisc.engines import normalize_phase
 from framedisc.rng import make_rng
 
@@ -201,13 +201,26 @@ def test_restricted_growth_walk_matches_product_reference(r, n, seed):
 
 
 def test_restricted_growth_counts_partitions():
-    # 2^(n-1) partitions into at most 2 parts; Bell numbers when r >= n
-    assert sum(1 for _ in engines._restricted_growth(8, 2)) == 2**7
-    assert [sum(1 for _ in engines._restricted_growth(n, n)) for n in range(1, 7)] == \
+    # A constant score prunes nothing, so the walk visits every prefix: the
+    # leaves, nodes(n) - nodes(n - 1), are the partitions into at most r
+    # parts: 2^(n-1) for r = 2, Bell numbers when r >= n, 1 for r = 1.
+    def nodes(n, r):
+        counters = {}
+        engines._min_max_partition(n, r, lambda idx: 0.0, limit=r**n, counters=counters)
+        return counters["nodes_visited"]
+
+    assert nodes(8, 2) - nodes(7, 2) == 2**7
+    assert [nodes(n, n) - (nodes(n - 1, n) if n > 1 else 0) for n in range(1, 7)] == \
         [1, 2, 5, 15, 52, 203]
-    assert sum(1 for _ in engines._restricted_growth(5, 1)) == 1
+    assert nodes(5, 1) == 5
+    counters = {}
+    engines._min_max_partition(8, 2, lambda idx: 0.0, limit=2**8, counters=counters)
+    assert counters == {"nodes_visited": 2**8 - 1, "parts_scored": 2**8 - 1}
     with pytest.raises(BudgetExceededError):
         engines._min_max_partition(5, 2, lambda idx: 0.0, limit=31)
+    with pytest.raises(BudgetExceededError):
+        engines._min_max_partition(5, 2, lambda idx: 0.0, limit=32, budget=30)
+    engines._min_max_partition(5, 2, lambda idx: 0.0, limit=32, budget=31)
 
 
 def test_anneal_never_beats_exhaustive_and_is_deterministic():
@@ -413,6 +426,31 @@ def test_normalize_phase():
     assert w[0].imag == pytest.approx(0.0)
     assert w[0].real >= 0
     assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(u))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_phase_normalized_rows_match_normalize_phase_bitwise():
+    rng = make_rng(90)
+    g = rng.standard_normal((500, 4)) + 1j * rng.standard_normal((500, 4))
+    g[:100, 0] = 0.0  # pivot moves to a later entry
+    g[100:150, :2] = 1e-13  # entries at or below the 1e-12 threshold are skipped
+    g[150:160] = 0.0  # no pivot: the row is kept
+    g[160:170] = g[160:170].real  # real rows
+    ref = np.array([normalize_phase(u) for u in g])
+    assert _same_bits(linalg._phase_normalized_rows(g), ref)
+
+
+@pytest.mark.parametrize("k, mesh, seed", [(3, 0.5, 0), (4, 1.0, 1), (5, 1.6, 2)])
+def test_heuristic_net_points_match_per_row_normalize_phase(k, mesh, seed):
+    net = build_epsilon_net(k, mesh, seed=seed)
+    rng = make_rng(seed)
+    g = rng.standard_normal(net.points.shape) + 1j * rng.standard_normal(net.points.shape)
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    assert not net.certified
+    assert _same_bits(net.points, np.array([normalize_phase(u) for u in g]))
 
 
 def test_net_k1_exact():

@@ -1,0 +1,131 @@
+"""The branch and bound behind exhaustive_partition_search and
+``search --kind pave``, checked bitwise against a reference that scores
+every restricted-growth string, kept here."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from framedisc import exhaustive_partition_search, vector_system
+from framedisc import engines
+from framedisc.linalg import _opnorm
+from framedisc.rng import make_rng
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def restricted_growth(n, r):
+    """Yield the assignments a of 0..n-1 to labels < r with a_0 = 0 and
+    a_i <= max(a_<i) + 1, in lexicographic order (one list, updated in place)."""
+    a = [0] * n
+    top = [0] * n  # top[i] = max(a[:i + 1])
+    while True:
+        yield a
+        i = n - 1
+        while i > 0 and a[i] == min(top[i - 1] + 1, r - 1):
+            i -= 1
+        if i <= 0:
+            return
+        a[i] += 1
+        top[i] = max(top[i - 1], a[i])
+        a[i + 1:] = [0] * (n - 1 - i)
+        top[i + 1:] = [top[i]] * (n - 1 - i)
+
+
+def reference_search(n, r, part_score):
+    """Score every restricted-growth string with a bitmask score cache and
+    keep the first strict improvement: (assignment, value)."""
+    scores = {0: 0.0}
+    best_val, best = np.inf, None
+    for assign in restricted_growth(n, r):
+        masks = [0] * r
+        for i, j in enumerate(assign):
+            masks[j] |= 1 << i
+        val = 0.0
+        for mask in masks:
+            if mask not in scores:
+                scores[mask] = part_score([i for i in range(n) if mask >> i & 1])
+            val = max(val, scores[mask])
+        if val < best_val:
+            best_val, best = val, list(assign)
+    return best, best_val
+
+
+def value_of(assignment, r, part_score):
+    return max((part_score(np.flatnonzero(assignment == j).tolist())
+                for j in range(r) if np.any(assignment == j)), default=0.0)
+
+
+def vectors(seed, n, k, kind):
+    """Complex rows of random norm <= 1; "dup" repeats and rescales rows,
+    "zero" zeroes some."""
+    rng = make_rng(seed)
+    v = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    v *= (rng.random((n, 1)) / np.linalg.norm(v, axis=1, keepdims=True))
+    if kind == "dup":
+        v = v[rng.integers(0, max(1, n // 2), size=n)] * rng.choice([1.0, -1.0, 1j], size=(n, 1))
+    elif kind == "zero":
+        v[rng.random(n) < 0.4] = 0.0
+    return v
+
+
+SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 4))
+
+
+@SEEDED
+@given(seed=SEEDS, shape=SHAPES, kind=st.sampled_from(["generic", "dup", "zero"]))
+def test_frame_search_matches_reference(seed, shape, kind):
+    r, n, k = shape
+    v = vectors(seed, n, k, kind)
+
+    def score(idx):
+        sub = v[idx]
+        return _opnorm(sub.T @ sub.conj())
+
+    best, best_val = reference_search(n, r, score)
+    counters = {}
+    cert = exhaustive_partition_search(vector_system(v), r, 2.0, counters=counters)
+    assert cert.partition.assignment.tolist() == best
+    assert value_of(cert.partition.assignment, r, score) == best_val
+    assert 1 <= counters["parts_scored"] <= counters["nodes_visited"]
+
+
+@SEEDED
+@given(seed=SEEDS, shape=SHAPES, kind=st.sampled_from(["generic", "dup", "zero"]))
+def test_paving_search_matches_reference(seed, shape, kind):
+    r, n, _ = shape
+    g = vectors(seed, n, n, kind)
+    a = (g + g.conj().T) / 2.0
+    np.fill_diagonal(a, 0.0)
+
+    def score(idx):
+        return _opnorm(a[np.ix_(idx, idx)])
+
+    best, best_val = reference_search(n, r, score)
+    part, _ = engines._paving_search(a, r, limit=r**n)
+    assert part.assignment.tolist() == best
+    assert value_of(part.assignment, r, score) == best_val
+
+
+@SEEDED
+@given(seed=SEEDS, shape=SHAPES, top=st.integers(0, 3))
+def test_tie_heavy_monotone_scores_match_reference(seed, shape, top):
+    # small integer weights: many partitions tie exactly, and a weight of 0
+    # leaves a part's score unchanged when its element joins
+    r, n, _ = shape
+    w = make_rng(seed).integers(0, top + 1, size=n)
+    for score in (lambda idx: float(sum(w[idx])), lambda idx: float(max(w[idx], default=0))):
+        best, best_val = reference_search(n, r, score)
+        part = engines._min_max_partition(n, r, score, limit=r**n)
+        assert part.assignment.tolist() == best
+        assert value_of(part.assignment, r, score) == best_val
+
+
+def test_pruning_skips_most_of_the_tree():
+    v = vectors(3, 12, 4, "generic")
+    counters = {}
+    exhaustive_partition_search(vector_system(v), 2, 2.0, counters=counters)
+    # the whole restricted-growth tree of r = 2, n = 12 has 2^12 - 1 nodes
+    assert counters["nodes_visited"] < 2**12 - 1
+    assert counters["parts_scored"] < 2**12 - 1
