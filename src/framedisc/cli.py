@@ -207,17 +207,21 @@ def cmd_search(args) -> int:
                         tolerance=1e-12, relation="le")]
         extra = {"witness": partition_to_dict(part), "exact": True, **counters}
     elif args.kind == "matroid":
+        if budget < 1:
+            raise FrameDiscError(f"matroid search needs budget >= 1, got {budget}")
         vs = system_from_dict(data)
-        result = engines.matroid_spanning_partition(vs, args.r)
+        counters = {}
+        result = engines.matroid_spanning_partition(vs, args.r, budget, counters)
         if isinstance(result, frames.Partition):
             claims = [Claim("spanning_parts", computed=float(args.r), bound=float(args.r),
                             tolerance=0.0, relation="abs")]
-            extra = {"witness": partition_to_dict(result), "feasible": True}
+            extra = {"witness": partition_to_dict(result), "feasible": True, **counters}
         else:
             claims = [Claim("violation_deficiency", computed=float(result.deficiency()),
                             bound=1.0, tolerance=0.0, relation="ge")]
             extra = {"violating_set": [i + 1 for i in result.indices],
-                     "complement_rank": result.complement_rank, "feasible": False}
+                     "complement_rank": result.complement_rank, "feasible": False,
+                     **counters}
     elif args.kind == "banaszczyk":
         vs = system_from_dict(data)
         ctx = engines.gaussian_median_radius(vs.k, samples=max(budget, 1000), seed=seed)

@@ -124,6 +124,10 @@ def verify_counterexample(
     under the default budget). Heuristic mode reports a seeded upper bound
     instead; the floor claim still holds because it holds for every sign
     pattern.
+
+    The closed-form subset claim checks all 2^(k-1) subsets for k <= 12 and
+    256 seeded ones above: drawn as bitmasks up to k = 64, and as 0/1
+    indicator rows beyond, where a bitmask no longer fits in an int64.
     """
     k = inst.k
     lb = signed_norm_lower_bound(k)
@@ -141,14 +145,18 @@ def verify_counterexample(
     else:
         raise InvalidParameterError(f"mode must be 'exhaustive' or 'heuristic', got {mode!r}")
 
-    if k <= 12:
-        masks = np.arange(2 ** (k - 1), dtype=np.int64)
-    else:
-        masks = make_rng(seed).integers(0, 2 ** (k - 1), size=256)
+    if k <= 64:
+        if k <= 12:
+            masks = np.arange(2 ** (k - 1), dtype=np.int64)
+        else:
+            masks = make_rng(seed).integers(0, 2 ** (k - 1), size=256)
+        subsets = masks[:, None] >> np.arange(k - 1) & 1
+    else:  # 2^(k-1) is past int64: draw each subset's indicator row instead
+        subsets = make_rng(seed).integers(0, 2, size=(256, k - 1))
     subset_dev = 0.0
     block = max(1, 1024 // k)  # subsets per product: each temporary stays <= 16 KB
-    for start in range(0, masks.size, block):
-        bits = (masks[start:start + block, None] >> np.arange(k - 1) & 1).astype(float)
+    for start in range(0, subsets.shape[0], block):
+        bits = subsets[start:start + block].astype(float)
         direct, closed = _subset_center_distances(inst, bits)
         subset_dev = max(subset_dev, float(np.max(np.abs(direct - closed))))
 

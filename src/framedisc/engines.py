@@ -23,10 +23,13 @@
   which a superset's computed score can fall below its subset's. The walk
   counts the prefixes (nodes) it visits, and a budget caps them.
 * Matroid union augmentation deciding whether a vector family splits into
-  r parts each spanning C^k, with a counting certificate on failure. Each
-  (element, part) exchange query is one elimination, and an element that
-  fails to insert is never retried: the union matroid's span only grows as
-  elements are placed.
+  r parts each spanning C^k, with a counting certificate on failure. One
+  elimination per part, of its members followed by all n vectors and
+  pivoting among the members only, answers every (element, part) exchange
+  query until that part changes; the certificate's closure test is one
+  such elimination too. An element that fails to insert is never retried:
+  the union matroid's span only grows as elements are placed. A budget
+  caps the exchange queries.
 * Gaussian median radius of the operator norm on self-adjoint matrices and
   a sign search keeping signed sums inside operator-norm radius 5R.
 * Phase-quotient epsilon-nets on the unit sphere and net-certified frame
@@ -161,14 +164,19 @@ def coordinate_profile(vs: VectorSystem) -> CoordinateProfile:
     return CoordinateProfile(a=np.abs(vs.vectors) ** 2)
 
 
-def _row_reduce(m: np.ndarray, tol: float) -> tuple[np.ndarray, list]:
+def _row_reduce(m: np.ndarray, tol: float, ncols: int | None = None) -> tuple[np.ndarray, list]:
     """Reduced row echelon form of m by Gauss-Jordan elimination with partial
     pivoting, and its pivot columns (pivots[row] = col). A pivot is accepted
-    when its modulus exceeds tol. Real input stays real, complex stays complex."""
+    when its modulus exceeds tol. Real input stays real, complex stays complex.
+
+    With ``ncols``, pivots are sought only among the first ncols columns, but
+    every row operation still acts on all columns. Row operations act on each
+    column separately, so any later column ends up exactly as it would if it
+    were the only column after the first ncols."""
     m = np.array(m, dtype=np.result_type(m, np.float64))
     rows, cols = m.shape
     pivots: list = []
-    for col in range(cols):
+    for col in range(cols if ncols is None else ncols):
         row = len(pivots)
         if row >= rows:
             break
@@ -489,21 +497,32 @@ def _rank_tol(vs: VectorSystem) -> float:
     return 1e-10 * float(max(np.max(norms), 1e-30))
 
 
-def matroid_spanning_partition(vs: VectorSystem, r: int):
+def matroid_spanning_partition(vs: VectorSystem, r: int, budget: int | None = None,
+                               counters: dict | None = None):
     """Partition into r parts each spanning C^k, or a ViolatingSet.
 
     Matroid union augmentation (Edmonds) over r copies of the linear matroid
     of the vectors: each element is inserted via an augmenting exchange path
-    when possible. One elimination of a part's columns followed by v_z
-    answers both questions about (z, part): a pivot in the last column means
-    z can join the part; otherwise the last column holds the coordinates of
-    v_z in the part's basis, and z can replace exactly the members with a
-    nonzero coordinate. Success means r disjoint bases were assembled
-    (leftover elements go to part 0). The placed elements only grow, so
-    their span in the union matroid only grows, and an element that cannot
-    be inserted once never can be later; it is not retried. The closure of
-    the set reachable from all unplaceable elements then yields X with
-    r*(k - d) > |X| for d the span dimension of the complement of X.
+    when possible. A part's table is one elimination of [members | all n
+    vectors] that pivots among the members only; v_z's column of it holds
+    what eliminating [members | v_z] would leave there, and answers both
+    questions about (z, part): an entry above tol below the pivot rows means
+    z can join the part; otherwise the entries in the pivot rows are the
+    coordinates of v_z in the part's basis, and z can replace exactly the
+    members with a nonzero coordinate. A table is built when a search first
+    queries its part and dropped when the part changes, by an insertion or
+    an exchange along an augmenting path. Success means r disjoint bases
+    were assembled (leftover elements go to part 0). The placed elements
+    only grow, so their span in the union matroid only grows, and an element
+    that cannot be inserted once never can be later; it is not retried. The
+    closure of the set reachable from all unplaceable elements then yields X
+    with r*(k - d) > |X| for d the span dimension of the complement of X;
+    one table of the reachable set decides the closure for every element.
+
+    Raises BudgetExceededError when the searches would examine more than
+    ``budget`` (element, part) pairs. ``counters``, if given, receives
+    ``exchange_queries`` (the pairs examined) and ``eliminations`` (the
+    _row_reduce calls).
     """
     if r < 2:
         raise InvalidParameterError(f"need r >= 2, got {r}")
@@ -511,11 +530,20 @@ def matroid_spanning_partition(vs: VectorSystem, r: int):
     tol = _rank_tol(vs)
     cols = vs.vectors.T  # column i is vector i
     norms = np.sqrt(vs.norms_squared())
+    tally = counters if counters is not None else {}
+    tally.update(exchange_queries=0, eliminations=0)
 
-    def rank(idxs) -> int:
-        return len(_row_reduce(cols[:, idxs], tol)[1])
+    def eliminate(idxs, ncols=None):
+        tally["eliminations"] += 1
+        return _row_reduce(cols[:, idxs], tol, ncols)
+
+    def table(members):
+        """(reduced [members | all n vectors], pivots); column len(members) + z
+        belongs to v_z."""
+        return eliminate(members + list(range(n)), len(members))
 
     parts: list[set] = [set() for _ in range(r)]
+    tables: list = [None] * r  # (members, reduced, pivots) of each part, or None
     placed: dict[int, int] = {}
 
     def search(sources):
@@ -530,13 +558,22 @@ def matroid_spanning_partition(vs: VectorSystem, r: int):
             for j in range(r):
                 if z in parts[j]:
                     continue
-                members = list(parts[j])
-                red, pivots = _row_reduce(cols[:, members + [z]], tol)
-                if pivots and pivots[-1] == len(members):
+                if budget is not None and tally["exchange_queries"] >= budget:
+                    raise BudgetExceededError(
+                        f"matroid partition examines more than budget = {budget} "
+                        f"exchange queries"
+                    )
+                tally["exchange_queries"] += 1
+                if tables[j] is None:
+                    members = list(parts[j])
+                    tables[j] = (members, *table(members))
+                members, red, pivots = tables[j]
+                col = red[:, len(members) + z]
+                if np.any(np.abs(col[len(pivots):]) > tol):
                     return parent, label, z, j
-                coords = {members[col]: red[row, -1] for row, col in enumerate(pivots)}
-                for y in members:
-                    if y not in parent and abs(coords.get(y, 0.0)) * norms[y] > tol:
+                for row, c in enumerate(pivots):
+                    y = members[c]
+                    if y not in parent and abs(col[row]) * norms[y] > tol:
                         parent[y] = z
                         label[y] = j
                         queue.append(y)
@@ -551,12 +588,14 @@ def matroid_spanning_partition(vs: VectorSystem, r: int):
             unplaced.append(x)
             continue
         parts[j].add(cur)
+        tables[j] = None
         placed[cur] = j
         while parent[cur] is not None:
             prev = parent[cur]
             j = label[cur]
             parts[j].remove(cur)
             parts[j].add(prev)
+            tables[j] = None
             placed[prev] = j
             cur = prev
 
@@ -564,7 +603,7 @@ def matroid_spanning_partition(vs: VectorSystem, r: int):
         assignment = np.zeros(n, dtype=np.int64)
         for elem, j in placed.items():
             assignment[elem] = j
-        if any(rank(sorted(part_set)) != k for part_set in parts):
+        if any(len(eliminate(sorted(part_set))[1]) != k for part_set in parts):
             raise RuntimeError("internal error: assembled part does not span C^k")
         return partition(r, assignment)
 
@@ -572,8 +611,10 @@ def matroid_spanning_partition(vs: VectorSystem, r: int):
     if sink is not None:
         raise RuntimeError("internal error: an unplaced element became insertable")
     base = sorted(reach)
-    d = rank(base)
-    in_closure = np.array([z in reach or rank(base + [z]) == d for z in range(n)])
+    red, pivots = table(base)
+    d = len(pivots)
+    raises_rank = np.any(np.abs(red[d:, len(base):]) > tol, axis=0)
+    in_closure = np.array([z in reach for z in range(n)]) | ~raises_rank
     x_set = tuple(int(i) for i in np.flatnonzero(~in_closure))
     violation = ViolatingSet(indices=x_set, complement_rank=d, r=r, k=k)
     if violation.deficiency() <= 0:

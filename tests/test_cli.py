@@ -89,6 +89,17 @@ def test_verify_weaver_heuristic_mode(tmp_path):
     assert report["budget"] == 300 and report["seed"] == 4
 
 
+def test_verify_weaver_heuristic_above_k64(tmp_path):
+    # 2^(k-1) no longer fits in an int64, so the sampled subsets are drawn
+    # as indicator rows
+    out = tmp_path / "r.json"
+    assert run(["verify-weaver", "--k", "70", "--mode", "heuristic", "--budget", "50",
+                "--out", str(out)]) == EXIT_PASS
+    report = json.loads(out.read_text())
+    assert report["passed"] is True
+    assert "closed_form_subset_distance_agreement" in [c["name"] for c in report["claims"]]
+
+
 def test_verify_weaver_heuristic_zero_budget_is_usage_error():
     assert run(["verify-weaver", "--k", "30", "--mode", "heuristic",
                 "--budget", "0"]) == EXIT_USAGE

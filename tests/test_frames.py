@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framedisc import (
     InfeasibleError,
@@ -18,6 +20,9 @@ from framedisc import (
     vector_system,
 )
 from framedisc.rng import make_rng
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+EPS = float(np.finfo(float).eps)
 
 
 def random_system(n, k, rng, max_norm=1.0):
@@ -115,6 +120,35 @@ def test_scale_system_quadratic_bound_and_argmin_invariance():
     assert (a < b) == (sa < sb)
     with pytest.raises(InvalidParameterError):
         scale_system(vs, 0.0)
+
+
+def seeded_vectors(seed, n, k, real):
+    rng = make_rng(seed)
+    v = rng.standard_normal((n, k))
+    return v if real else v + 1j * rng.standard_normal((n, k))
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), k=st.integers(1, 5),
+       real=st.booleans(), t=st.floats(1e-3, 1e3))
+def test_frame_bound_scales_as_t_squared(seed, n, k, real, t):
+    v = seeded_vectors(seed, n, k, real)
+    fb = frame_bound(vector_system(v))
+    assert frame_bound(vector_system(t * v)) == pytest.approx(t * t * fb, rel=1e-12)
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), k=st.integers(1, 5),
+       real=st.booleans(), headroom=st.floats(0.0, 3.0), cap=st.floats(0.05, 2.0))
+def test_complete_to_tight_frame_operator_is_N_identity(seed, n, k, real, headroom, cap):
+    vs = vector_system(seeded_vectors(seed, n, k, real))
+    N = frame_bound(vs) * (1.0 + headroom)
+    out, _ = complete_to_tight(vs, N, cap * N)
+    # rounding of the eigensolve and of the pieces, plus residual
+    # eigenvalues up to 1e-12 that complete_to_tight leaves unpadded
+    err = np.max(np.abs(frame_operator(out) - N * np.eye(k)))
+    assert err <= 64 * k * EPS * N + 1e-12
+    assert np.array_equal(out.vectors[:n], vs.vectors)
 
 
 def test_complete_to_tight_single_vector():

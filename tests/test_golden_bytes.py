@@ -4,6 +4,12 @@
 the sha256 of every file they write, with `wall_time_s` zeroed, must match
 the values pinned here. The pins were taken from the recursive emitter, so
 any change to how a float, key or row is laid out shows up as a mismatch.
+
+Heuristic `verify-weaver` at k = 14 and k = 40 and `search --kind matroid`
+on a feasible and an infeasible input are pinned the same way, so a change
+to how subsets are sampled or how the matroid search decides its exchanges
+shows up too. The matroid pins predate the search's `eliminations` and
+`exchange_queries` counters, so those two keys are dropped before hashing.
 """
 
 import hashlib
@@ -29,6 +35,14 @@ PINNED = {
         "7ba85aed42eb8d08e5a8e862fbf26e73748c694e47e991a9241b65b3335c56ab",
     "p2v.report.json":
         "f06d226aae0b657fb3f9ab1bd10e1fedab0d510f3c1ea3769f12e701c5a4e91a",
+    "weaver_heur_k14.report.json":
+        "48107328bd3390ca6c6b3f7abf2d7952d37e436c4378878241406d7bb7a4c514",
+    "weaver_heur_k40.report.json":
+        "ed5218973aab9150c386a43274ec876b1b9a83c0edc21397fa1708b91d145381",
+    "matroid_feasible.report.json":
+        "071c6378803a2aedc78e3edf6e3c97cb7ec452aecd34e11aba6102846a89fe2c",
+    "matroid_infeasible.report.json":
+        "6c7b2ee04a6f257b634204698b51aa11c982ba55eb00d9892526bd1e63ea8d32",
 }
 
 
@@ -39,7 +53,21 @@ def seeded_system(seed: int, n: int, k: int, top: float) -> dict:
     v = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     v *= np.sqrt(top / np.linalg.eigvalsh(v.T @ v.conj())[-1])
+    return wire(k, v)
+
+
+def wire(k: int, v: np.ndarray) -> dict:
     return {"k": k, "vectors": [[[float(z.real), float(z.imag)] for z in row] for row in v]}
+
+
+def deficient_system(seed: int) -> dict:
+    """10 vectors in a 2-dim subspace of C^4 and 2 generic ones: no split
+    into 2 spanning parts exists."""
+    rng = make_rng(seed)
+    basis = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    flat = (rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))) @ basis
+    generic = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    return wire(4, np.vstack([flat, generic])[rng.permutation(12)])
 
 
 @pytest.fixture(scope="module")
@@ -55,10 +83,22 @@ def digests(tmp_path_factory) -> dict:
     assert main(["reduce", "--direction", "proj2vec", "--input",
                  str(tmp_path / "v2p.object.json"), "--n-bound", "2",
                  "--out", str(tmp_path / "p2v")]) == EXIT_PASS
+    for k in (14, 40):
+        assert main(["verify-weaver", "--k", str(k), "--mode", "heuristic", "--budget", "300",
+                     "--seed", "5", "--out", str(tmp_path / f"weaver_heur_k{k}.report.json")]
+                    ) == EXIT_PASS
+    feasible = tmp_path / "feasible.json"
+    feasible.write_text(json.dumps(seeded_system(20261019, 10, 3, 2.0)))
+    infeasible = tmp_path / "infeasible.json"
+    infeasible.write_text(json.dumps(deficient_system(20261020)))
+    for name, src, r in (("feasible", feasible, 3), ("infeasible", infeasible, 2)):
+        assert main(["search", "--kind", "matroid", "--input", str(src), "--r", str(r),
+                     "--out", str(tmp_path / f"matroid_{name}.report.json")]) == EXIT_PASS
     out = {}
     for name in PINNED:
         text = (tmp_path / name).read_text()
         text = re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": 0.0', text)
+        text = re.sub(r'\n *"(eliminations|exchange_queries)": \d+,', '', text)
         out[name] = hashlib.sha256(text.encode()).hexdigest()
     return out
 
