@@ -17,9 +17,9 @@ from framedisc import (
     counterexample_vectors,
     exhaustive_sign_search,
     frame_bound,
+    rank_one,
     signed_norm_lower_bound,
     subset_center_distance,
-    trace_ball_witness,
     verify_counterexample,
 )
 
@@ -46,9 +46,9 @@ for k in (25, 100, 400):
     lb = signed_norm_lower_bound(k)
     print(f"  k = {k:4d}: floor = {lb:8.4f}, floor/sqrt(k) = {lb / math.sqrt(k):.4f}")
 
-w = trace_ball_witness(100)
-print(f"\ntrace-ball witness at k = 100: {len(w.matrices)} trace-norm-one matrices, "
-      f"every signed sum has operator norm >= {w.lower_bound:.4f}")
+mats = [rank_one(v) for v in counterexample_vectors(100).normalized.vectors]
+print(f"\ntrace-ball witness at k = 100: {len(mats)} trace-norm-one matrices, "
+      f"every signed sum has operator norm >= {signed_norm_lower_bound(100):.4f}")
 
 report = verify_counterexample(counterexample_vectors(6))
 print(f"\nself-checking report (k = 6): passed = {report.passed}")

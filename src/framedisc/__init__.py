@@ -9,12 +9,10 @@ signed-discrepancy floor.
 """
 
 from .counterexample import (
-    BalancingWitness,
     CounterexampleInstance,
     counterexample_vectors,
     signed_norm_lower_bound,
     subset_center_distance,
-    trace_ball_witness,
     verify_counterexample,
 )
 from .engines import (
@@ -53,7 +51,6 @@ from .frames import (
     frame_operator,
     partition,
     partition_certificate,
-    scale_system,
     subset_frame_bound,
     tight_pad_unit,
     unit_norm_lift,

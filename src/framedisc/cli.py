@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
 Subcommands: gen-weaver, verify-weaver, reduce, search, net-check,
-banaszczyk-radius. Every command emits a self-checking verification report
-(JSON by default, CSV on request) and exits 0 on pass, 1 on claim failure,
+banaszczyk-radius. Every command but gen-weaver (which writes instance
+files) builds a self-checking verification report and returns it; ``main``
+times the call, writes the report (JSON by default, or the claims table as
+CSV) and exits 0 on pass, 1 on claim failure,
 2 on usage or input errors, 3 on budget refusals and 4 on an internal error
 (an unexpected exception, reported as "internal error: ..." on stderr, so
 that 1 always means a failed claim). All randomness flows from
@@ -24,13 +26,13 @@ import numpy as np
 from . import counterexample as cx
 from . import engines, frames, reductions
 from .errors import BudgetExceededError, FrameDiscError
-from .linalg import diagonal_delta, is_projection, opnorm, rank_one
+from .linalg import diagonal_delta, opnorm, rank_one
 from .reports import (
     Claim,
+    VerificationReport,
     canonical_json,
     finish_report,
     format_float,
-    report_to_dict,
     report_to_json,
 )
 from .serialize import (
@@ -50,33 +52,25 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_report(report, fmt: str, out: str | None) -> int:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "computed", "bound", "tolerance", "relation", "passed"])
-        for c in report.claims:
-            writer.writerow([c.name, format_float(float(c.computed)),
-                             format_float(float(c.bound)), format_float(float(c.tolerance)),
-                             c.relation, c.passed])
-        _write(buf.getvalue(), out)
-    else:
-        _write(report_to_json(report), out)
-    return EXIT_PASS if report.passed else EXIT_CLAIM_FAILURE
+def _report_text(report: VerificationReport, fmt: str) -> str:
+    """The report as canonical JSON, or its claims as one CSV table."""
+    if fmt == "json":
+        return report_to_json(report)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["name", "computed", "bound", "tolerance", "relation", "passed"])
+    for c in report.claims:
+        writer.writerow([c.name, format_float(float(c.computed)),
+                         format_float(float(c.bound)), format_float(float(c.tolerance)),
+                         c.relation, c.passed])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_gen_weaver(args) -> int:
+def cmd_gen_weaver(args) -> None:
     inst = cx.counterexample_vectors(args.k)
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -92,38 +86,20 @@ def cmd_gen_weaver(args) -> int:
     (outdir / f"weaver_vectors_k{inst.k}.json").write_text(
         canonical_json(system_to_dict(inst.normalized)) + "\n"
     )
-    return EXIT_PASS
 
 
-def cmd_verify_weaver(args) -> int:
-    started = time.perf_counter()
+def cmd_verify_weaver(args) -> VerificationReport:
     inst = cx.counterexample_vectors(args.k)
-    report = cx.verify_counterexample(inst, mode=args.mode, seed=args.seed,
-                                      budget=args.budget)
-    report.wall_time_s = time.perf_counter() - started
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "alpha", "beta", "delta", "N", "lower_bound",
-                         "min_signed_norm_or_bound", "mode"])
-        writer.writerow([inst.k] + [format_float(v) for v in
-                                    (inst.alpha, inst.beta, inst.delta, inst.N,
-                                     report.extra["lower_bound"],
-                                     report.extra["min_signed_norm_or_bound"])] + [args.mode])
-        _write(buf.getvalue(), args.out)
-        return EXIT_PASS if report.passed else EXIT_CLAIM_FAILURE
-    return _emit_report(report, args.format, args.out)
+    return cx.verify_counterexample(inst, mode=args.mode, seed=args.seed, budget=args.budget)
 
 
 def _tol_or(args, default: float) -> float:
     return default if args.tol is None else args.tol
 
 
-def cmd_reduce(args) -> int:
-    started = time.perf_counter()
+def cmd_reduce(args) -> VerificationReport:
     n_bound = args.n_bound
     data = load_json(args.input)
-    outprefix = args.out
     if args.direction == "proj2vec":
         p = matrix_from_dict(data)
         vs = reductions.projection_to_vectors(p, n_bound)
@@ -151,26 +127,18 @@ def cmd_reduce(args) -> int:
             Claim("zero_diagonal_opnorm", computed=opnorm(trace.A),
                   bound=1.0 + 1.0 / n_bound, tolerance=_tol_or(args, 1e-8), relation="le"),
         ]
-    if outprefix:
-        Path(str(outprefix) + ".object.json").write_text(payload)
-    report = finish_report(f"reduce-{args.direction}", data, claims, started=started)
-    out = str(outprefix) + ".report.json" if outprefix else None
-    return _emit_report(report, args.format, out)
+    if args.out:  # a prefix: the report goes to <out>.report.<format> (see main)
+        Path(args.out + ".object.json").write_text(payload)
+    return finish_report(f"reduce-{args.direction}", data, claims)
 
 
-def cmd_search(args) -> int:
-    started = time.perf_counter()
+def cmd_search(args) -> VerificationReport:
     data = load_json(args.input)
     seed, budget = args.seed, args.budget
     extra: dict = {}
     if args.kind == "signs":
         vs = system_from_dict(data)
-        if 2 ** (vs.n - 1) > min(args.limit, budget):
-            raise BudgetExceededError(
-                f"exhaustive sign search needs 2^{vs.n - 1} evaluations, "
-                f"over the limit {args.limit} or the budget {budget}"
-            )
-        witness, value = engines.exhaustive_sign_search(vs, limit=vs.n)
+        witness, value = engines.exhaustive_sign_search(vs, min(args.limit, budget))
         # The walk's value against the witness's explicit k x k signed sum.
         # Each of the 2^(n-1) running-sum steps (and the Gram square root
         # when n < k) may round by eps * sum_i ||v_i||^2.
@@ -181,8 +149,6 @@ def cmd_search(args) -> int:
                         tolerance=steps * float(np.finfo(float).eps) * scale, relation="abs")]
         extra = {"witness": signs_to_dict(witness), "exact": True}
     elif args.kind == "partition":
-        if budget < 1:
-            raise FrameDiscError(f"partition search needs budget >= 1, got {budget}")
         vs = system_from_dict(data)
         counters: dict = {}
         try:
@@ -207,8 +173,6 @@ def cmd_search(args) -> int:
                         tolerance=1e-12, relation="le")]
         extra = {"witness": partition_to_dict(part), "exact": True, **counters}
     elif args.kind == "matroid":
-        if budget < 1:
-            raise FrameDiscError(f"matroid search needs budget >= 1, got {budget}")
         vs = system_from_dict(data)
         counters = {}
         result = engines.matroid_spanning_partition(vs, args.r, budget, counters)
@@ -239,13 +203,11 @@ def cmd_search(args) -> int:
                      "R_hat": ctx.R_hat, "M": ctx.M, "exhausted_budget": True}
     else:  # pragma: no cover - argparse restricts choices
         raise FrameDiscError(f"unknown search kind {args.kind!r}")
-    report = finish_report(f"search-{args.kind}", data, claims, seed=seed,
-                           budget=budget, extra=extra, started=started)
-    return _emit_report(report, args.format, args.out)
+    return finish_report(f"search-{args.kind}", data, claims, seed=seed,
+                         budget=budget, extra=extra)
 
 
-def cmd_net_check(args) -> int:
-    started = time.perf_counter()
+def cmd_net_check(args) -> VerificationReport:
     if args.epsilon <= 0:
         raise FrameDiscError(f"epsilon must be positive, got {args.epsilon}")
     data = load_json(args.input)
@@ -269,20 +231,17 @@ def cmd_net_check(args) -> int:
     extra = {"net_max": net_max, "certified_sup_bound": certified,
              "eigenvalue_oracle": oracle, "mesh": mesh,
              "net_points": int(net.points.shape[0]), "certified_net": net.certified}
-    report = finish_report("net-check", data, claims, seed=args.seed,
-                           budget=args.budget, extra=extra, started=started)
-    return _emit_report(report, args.format, args.out)
+    return finish_report("net-check", data, claims, seed=args.seed,
+                         budget=args.budget, extra=extra)
 
 
-def cmd_banaszczyk_radius(args) -> int:
-    started = time.perf_counter()
+def cmd_banaszczyk_radius(args) -> VerificationReport:
     ctx = engines.gaussian_median_radius(args.k, samples=args.samples, seed=args.seed)
     claims = [Claim("median_radius_positive", computed=ctx.R_hat, bound=0.0,
                     tolerance=0.0, relation="ge")]
     extra = {"k": ctx.k, "R_hat": ctx.R_hat, "M": ctx.M, "samples": ctx.samples}
-    report = finish_report("banaszczyk-radius", {"k": args.k, "samples": args.samples},
-                           claims, seed=args.seed, extra=extra, started=started)
-    return _emit_report(report, args.format, args.out)
+    return finish_report("banaszczyk-radius", {"k": args.k, "samples": args.samples},
+                         claims, seed=args.seed, extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +255,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs budget >= 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framedisc",
@@ -305,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="64-bit seed for all randomness")
-        p.add_argument("--budget", type=int, default=20000, help="evaluation cap")
+        p.add_argument("--budget", type=_budget, default=20000, help="evaluation cap")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
@@ -363,8 +329,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        report = args.func(args)
+        if report is None:  # gen-weaver: instance files, no report
+            return EXIT_PASS
+        report.wall_time_s = time.perf_counter() - started
+        out = args.out
+        if out and args.command == "reduce":
+            out = f"{out}.report.{args.format}"
+        text = _report_text(report, args.format)
+        if out:
+            Path(out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return EXIT_PASS if report.passed else EXIT_CLAIM_FAILURE
     except BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET

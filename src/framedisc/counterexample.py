@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidParameterError
+from .errors import InvalidParameterError
 from .engines import banaszczyk_sign_search, exhaustive_sign_search
 from .frames import VectorSystem, frame_operator
 from .linalg import rank_one
@@ -41,17 +41,6 @@ class CounterexampleInstance:
     N: float
     primed: VectorSystem
     normalized: VectorSystem
-
-
-@dataclass(frozen=True)
-class BalancingWitness:
-    """Trace-norm-one matrices whose signed sums all have operator norm at
-    least lower_bound = 1/(delta*sqrt(k-1)) ~ sqrt(k)/2."""
-
-    k: int
-    matrices: list
-    lower_bound: float
-    ratio_to_sqrt_k: float
 
 
 def counterexample_vectors(k: int) -> CounterexampleInstance:
@@ -132,11 +121,7 @@ def verify_counterexample(
     k = inst.k
     lb = signed_norm_lower_bound(k)
     if mode == "exhaustive":
-        if 2 ** (k - 2) > budget:
-            raise BudgetExceededError(
-                f"exhaustive verification needs 2^{k - 2} evaluations, over the budget {budget}"
-            )
-        _, min_norm = exhaustive_sign_search(inst.normalized, limit=k - 1)
+        _, min_norm = exhaustive_sign_search(inst.normalized, budget)
     elif mode == "heuristic":
         fifth = [rank_one(v) / 5.0 for v in inst.normalized.vectors]
         result = banaszczyk_sign_search(fifth, M=0.0, budget=budget, seed=seed)
@@ -178,15 +163,4 @@ def verify_counterexample(
         seed=seed,
         budget=budget,
         extra={"min_signed_norm_or_bound": float(min_norm), "lower_bound": lb},
-    )
-
-
-def trace_ball_witness(k: int) -> BalancingWitness:
-    """Rank-one operators of the normalized family, each of trace norm 1,
-    with the Omega(sqrt(k)) signed-discrepancy floor."""
-    inst = counterexample_vectors(k)
-    mats = [rank_one(v) for v in inst.normalized.vectors]
-    lb = signed_norm_lower_bound(k)
-    return BalancingWitness(
-        k=k, matrices=mats, lower_bound=lb, ratio_to_sqrt_k=lb / math.sqrt(k)
     )

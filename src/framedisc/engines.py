@@ -60,7 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
-from .frames import Partition, PartitionCertificate, VectorSystem, partition, partition_certificate
+from .frames import (Partition, PartitionCertificate, VectorSystem, _unit_ball_norms,
+                     partition, partition_certificate)
 from .linalg import _opnorm, _phase_normalized_rows, _solve, as_hermitian, rank_one
 from .reductions import paving_quality
 from .rng import make_rng
@@ -79,13 +80,6 @@ class SignVector:
     @property
     def n(self) -> int:
         return self.signs.size
-
-
-def sign_vector(signs) -> SignVector:
-    arr = np.asarray(signs, dtype=np.int64)
-    if arr.ndim != 1 or not np.all(np.abs(arr) == 1):
-        raise InvalidParameterError("signs must be a 1-d sequence of +1/-1")
-    return SignVector(signs=arr)
 
 
 @dataclass(frozen=True)
@@ -156,11 +150,7 @@ class SignSearchFailure:
 
 def coordinate_profile(vs: VectorSystem) -> CoordinateProfile:
     """Entrywise squared moduli of the system's vectors."""
-    ns = vs.norms_squared()
-    if np.any(ns > 1 + 1e-12):
-        raise InvalidParameterError(
-            f"all vectors must have norm <= 1; max squared norm is {np.max(ns):.12g}"
-        )
+    _unit_ball_norms(vs)
     return CoordinateProfile(a=np.abs(vs.vectors) ** 2)
 
 
@@ -295,18 +285,22 @@ def _gray_blocks(mats: np.ndarray, count: int | None = None):
         yield signs, _opnorm(sums)
 
 
-def exhaustive_sign_search(vs: VectorSystem, limit: int = 24) -> tuple[SignVector, float]:
+def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23) -> tuple[SignVector, float]:
     """Global minimum over sign patterns of ||sum_i s_i A_{v_i}||.
 
-    The first sign is fixed +1 (global flip symmetry); enumeration walks a
-    Gray code in blocks (see _gray_blocks). Ties go to the lexicographically
-    smallest sign vector. Real vectors are walked in real arithmetic, and
-    when n < k the walk runs on the columns g_i of G^(1/2), G the n x n Gram
-    matrix, since ||sum_i s_i v_i v_i*|| = ||G^(1/2) S G^(1/2)||.
+    The first sign is fixed +1 (global flip symmetry), so the walk evaluates
+    2^(n-1) patterns; it refuses when that exceeds ``budget`` (the default
+    reaches n = 24). Enumeration walks a Gray code in blocks (see
+    _gray_blocks). Ties go to the lexicographically smallest sign vector.
+    Real vectors are walked in real arithmetic, and when n < k the walk runs
+    on the columns g_i of G^(1/2), G the n x n Gram matrix, since
+    ||sum_i s_i v_i v_i*|| = ||G^(1/2) S G^(1/2)||.
     """
     n = vs.n
-    if n > limit:
-        raise BudgetExceededError(f"exhaustive sign search refuses n = {n} > limit = {limit}")
+    if 2 ** (n - 1) > budget:
+        raise BudgetExceededError(
+            f"exhaustive sign search needs 2^{n - 1} evaluations, over the budget {budget}"
+        )
     vecs = _real_if_real(vs.vectors)
     if n < vs.k:
         w, u = _solve(np.linalg.eigh, vecs.conj() @ vecs.T)

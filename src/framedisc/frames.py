@@ -43,6 +43,16 @@ class VectorSystem:
         return np.sum(np.abs(self.vectors) ** 2, axis=1)
 
 
+def _unit_ball_norms(vs: VectorSystem) -> np.ndarray:
+    """The squared norms of vs; raises unless each is <= 1 (to 1e-12)."""
+    ns = vs.norms_squared()
+    if np.any(ns > 1 + 1e-12):
+        raise InvalidParameterError(
+            f"all vectors must have norm <= 1; max squared norm is {np.max(ns):.12g}"
+        )
+    return ns
+
+
 def vector_system(vectors) -> VectorSystem:
     """Build a validated VectorSystem from an (n, k) array-like of vectors."""
     arr = np.asarray(vectors, dtype=np.complex128)
@@ -139,13 +149,6 @@ def partition_certificate(vs: VectorSystem, part: Partition, N: float) -> Partit
     )
 
 
-def scale_system(vs: VectorSystem, t: float) -> VectorSystem:
-    """Multiply every vector by t > 0; the frame bound scales by t^2."""
-    if not t > 0:
-        raise InvalidParameterError(f"scale factor must be positive, got {t}")
-    return VectorSystem(k=vs.k, vectors=vs.vectors * t)
-
-
 def complete_to_tight(vs: VectorSystem, N: float, cap: float) -> tuple[VectorSystem, TightPadTrace]:
     """Append vectors so the frame operator becomes N*I_k, each added vector
     with squared norm <= cap.
@@ -185,11 +188,7 @@ def unit_norm_lift(vs: VectorSystem, N: float) -> VectorSystem:
     frame bound <= N (Cauchy-Schwarz cross-term estimate). N is recorded
     for that check only; it does not enter the construction.
     """
-    ns = vs.norms_squared()
-    if np.any(ns > 1 + 1e-12):
-        raise InvalidParameterError(
-            f"all vectors must have norm <= 1; max squared norm is {np.max(ns):.12g}"
-        )
+    ns = _unit_ball_norms(vs)
     if vs.n < vs.k:
         raise InvalidParameterError(
             f"lift needs at least as many vectors as dimensions (n={vs.n} < k={vs.k}); "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .frames import Partition, VectorSystem, complete_to_tight, frame_bound
+from .frames import Partition, VectorSystem, _unit_ball_norms, complete_to_tight, frame_bound
 from .linalg import as_hermitian, diagonal_delta, eigensystem, is_projection, opnorm
 
 
@@ -28,12 +28,6 @@ class DiagonalProjection:
 
     n: int
     support: frozenset
-
-    def matrix(self) -> np.ndarray:
-        q = np.zeros((self.n, self.n), dtype=np.complex128)
-        idx = sorted(self.support)
-        q[idx, idx] = 1.0
-        return q
 
 
 def diagonal_projection(n: int, support) -> DiagonalProjection:
@@ -96,11 +90,7 @@ def vectors_to_projection(vs: VectorSystem, N: float) -> ReductionTrace:
     projection P, its diagonal D, and the zero-diagonal part A = P - D."""
     if N < 1:
         raise InvalidParameterError(f"N must be >= 1, got {N}")
-    ns = vs.norms_squared()
-    if np.any(ns > 1 + 1e-12):
-        raise InvalidParameterError(
-            f"all vectors must have norm <= 1; max squared norm is {np.max(ns):.12g}"
-        )
+    _unit_ball_norms(vs)
     fb = frame_bound(vs)
     if fb > N + 1e-10:
         raise InvalidParameterError(f"frame bound {fb:.12g} exceeds N = {N:.12g}")

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass, field
 from itertools import chain
+
+import numpy as np
 
 from .errors import InvalidParameterError
 
@@ -85,9 +86,8 @@ def revalidate(report: VerificationReport) -> bool:
     )
 
 
-def finish_report(command, inputs, claims, seed=None, budget=None, extra=None,
-                  started: float | None = None) -> VerificationReport:
-    wall = time.perf_counter() - started if started is not None else 0.0
+def finish_report(command, inputs, claims, seed=None, budget=None,
+                  extra=None) -> VerificationReport:
     return VerificationReport(
         command=command,
         inputs_digest=digest(inputs),
@@ -95,7 +95,6 @@ def finish_report(command, inputs, claims, seed=None, budget=None, extra=None,
         seed=seed,
         budget=budget,
         extra=extra,
-        wall_time_s=wall,
     )
 
 
@@ -150,20 +149,14 @@ def canonical_json(obj, indent: int = 0) -> str:
             return rows % tuple(map(format_float, chain.from_iterable(obj)))
         items = [f"{pad}  {canonical_json(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    # numpy scalars and arrays
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.integer):
-            return str(int(obj))
-        if isinstance(obj, np.floating):
-            return format_float(float(obj))
-        if isinstance(obj, np.complexfloating):
-            return canonical_json([float(obj.real), float(obj.imag)], indent)
-        if isinstance(obj, np.ndarray):
-            return canonical_json(obj.tolist(), indent)
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if isinstance(obj, np.floating):
+        return format_float(float(obj))
+    if isinstance(obj, np.complexfloating):
+        return canonical_json([float(obj.real), float(obj.imag)], indent)
+    if isinstance(obj, np.ndarray):
+        return canonical_json(obj.tolist(), indent)
     if isinstance(obj, complex):
         return canonical_json([obj.real, obj.imag], indent)
     raise InvalidParameterError(f"cannot serialize object of type {type(obj)!r}")

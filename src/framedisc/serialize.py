@@ -1,8 +1,9 @@
 """JSON wire formats.
 
 Complex scalars travel as [re, im] pairs. Matrices are row-major flat entry
-lists with an explicit dimension. Partitions and supports are 1-based on
-the wire (parts 1..r, indices 1..n) and 0-based in memory.
+lists with an explicit dimension. Partitions are 1-based on the wire
+(parts 1..r) and 0-based in memory. Commands read matrices and vector
+systems, and write those, partitions and sign vectors.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ import json
 import numpy as np
 
 from .errors import InvalidParameterError
-from .frames import Partition, VectorSystem, partition, vector_system
+from .engines import SignVector
+from .frames import Partition, VectorSystem, vector_system
 from .linalg import as_hermitian
-from .reductions import DiagonalProjection, diagonal_projection
-from .engines import SignVector, sign_vector
 
 
 def _require_keys(d, kind: str, keys: tuple) -> None:
@@ -65,14 +65,6 @@ def matrix_from_dict(d: dict, hermitian: bool = True) -> np.ndarray:
     return as_hermitian(m) if hermitian else m
 
 
-def vector_to_dict(v: np.ndarray) -> dict:
-    return {"entries": _pairs(np.asarray(v, dtype=np.complex128))}
-
-
-def vector_from_dict(d: dict) -> np.ndarray:
-    return np.array(_complex_list(d["entries"]))
-
-
 def system_to_dict(vs: VectorSystem) -> dict:
     return {"k": vs.k, "vectors": _pairs(vs.vectors)}
 
@@ -93,24 +85,8 @@ def partition_to_dict(p: Partition) -> dict:
     return {"r": p.r, "assignment": [int(a) + 1 for a in p.assignment]}
 
 
-def partition_from_dict(d: dict) -> Partition:
-    return partition(int(d["r"]), [int(a) - 1 for a in d["assignment"]])
-
-
-def support_to_dict(q: DiagonalProjection) -> dict:
-    return {"n": q.n, "support": [int(i) + 1 for i in sorted(q.support)]}
-
-
-def support_from_dict(d: dict) -> DiagonalProjection:
-    return diagonal_projection(int(d["n"]), [int(i) - 1 for i in d["support"]])
-
-
 def signs_to_dict(s: SignVector) -> dict:
     return {"signs": [int(x) for x in s.signs]}
-
-
-def signs_from_dict(d: dict) -> SignVector:
-    return sign_vector(d["signs"])
 
 
 def load_json(path) -> dict:

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,9 @@ def write_system(path, vs):
     path.write_text(canonical_json(system_to_dict(vs)) + "\n")
 
 
+CSV_HEADER = ["name", "computed", "bound", "tolerance", "relation", "passed"]
+
+
 def strip_wall_time(text: str) -> str:
     return re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": 0', text)
 
@@ -71,14 +75,17 @@ def test_verify_weaver_json(tmp_path, capsys):
 
 
 def test_verify_weaver_csv(tmp_path):
-    out = tmp_path / "report.csv"
+    out, ref = tmp_path / "report.csv", tmp_path / "report.json"
     assert run(["verify-weaver", "--k", "6", "--format", "csv",
                 "--out", str(out)]) == EXIT_PASS
-    rows = list(csv.reader(io.StringIO(out.read_text())))
-    assert rows[0] == ["k", "alpha", "beta", "delta", "N", "lower_bound",
-                       "min_signed_norm_or_bound", "mode"]
-    assert rows[1][0] == "6"
-    assert float(rows[1][6]) >= float(rows[1][5]) - 1e-9
+    assert run(["verify-weaver", "--k", "6", "--out", str(ref)]) == EXIT_PASS
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    floor = next(r for r in rows if r["name"] == "signed_norm_floor")
+    extra = json.loads(ref.read_text())["extra"]
+    # the floor claim carries the signed minimum and the proven floor
+    assert float(floor["computed"]) == extra["min_signed_norm_or_bound"]
+    assert float(floor["bound"]) == extra["lower_bound"]
+    assert float(floor["computed"]) >= float(floor["bound"]) - 1e-9
 
 
 def test_verify_weaver_heuristic_mode(tmp_path):
@@ -154,6 +161,18 @@ def test_reduce_vec2proj_and_proj2vec(tmp_path):
                 "--n-bound", "2", "--out", str(back)]) == EXIT_PASS
     report2 = json.loads((tmp_path / "back.report.json").read_text())
     assert report2["passed"] is True
+
+
+def test_reduce_csv_report_is_named_csv(tmp_path):
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(np.eye(2) / 2))
+    prefix = tmp_path / "fwd"
+    assert run(["reduce", "--direction", "vec2proj", "--input", str(src), "--n-bound", "2",
+                "--format", "csv", "--out", str(prefix)]) == EXIT_PASS
+    assert not (tmp_path / "fwd.report.json").exists()
+    rows = list(csv.reader(io.StringIO((tmp_path / "fwd.report.csv").read_text())))
+    assert rows[0] == CSV_HEADER
+    assert (tmp_path / "fwd.object.json").exists()
 
 
 def test_tol_zero_is_kept_and_negative_tol_is_usage_error(tmp_path):
@@ -374,6 +393,13 @@ def test_search_pave_node_budget_boundary(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_search_pave_budget_below_one_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "mat.json"
+    src.write_text(canonical_json(matrix_to_dict(np.array([[0.0, 1.0], [1.0, 0.0]]))) + "\n")
+    assert run(["search", "--kind", "pave", "--input", str(src), "--budget", "0"]) == EXIT_USAGE
+    assert "budget >= 1" in capsys.readouterr().err
+
+
 def test_search_pave_trivial(tmp_path, capsys):
     src = tmp_path / "mat.json"
     src.write_text(canonical_json(matrix_to_dict(
@@ -529,3 +555,54 @@ def test_reports_byte_identical_modulo_wall_time(tmp_path):
 
 def test_unknown_subcommand_is_usage():
     assert run(["frobnicate"]) == EXIT_USAGE
+
+
+def report_commands(tmp_path):
+    """One argv per report-writing command (reduce's --out is a prefix)."""
+    rng = make_rng(78)
+    g = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    unit = tmp_path / "unit.json"
+    write_system(unit, vector_system(g))
+    half = tmp_path / "half.json"
+    write_system(half, vector_system(g / 2))
+    mat = tmp_path / "mat.json"
+    mat.write_text(canonical_json(matrix_to_dict(1.0 - np.eye(4))) + "\n")
+    proj = tmp_path / "proj.json"
+    # the projection onto span{e_1 + e_2, e_3 + e_4}: diagonal 1/2 = 1/N
+    proj.write_text(canonical_json(matrix_to_dict(np.kron(np.eye(2), np.full((2, 2), 0.5))))
+                    + "\n")
+    search = ["search", "--budget", "2000"]
+    return {
+        "verify-weaver": ["verify-weaver", "--k", "6"],
+        "reduce-vec2proj": ["reduce", "--direction", "vec2proj", "--input", str(half),
+                            "--n-bound", "2"],
+        "reduce-proj2vec": ["reduce", "--direction", "proj2vec", "--input", str(proj),
+                            "--n-bound", "2"],
+        "search-signs": search + ["--kind", "signs", "--input", str(unit)],
+        "search-partition": search + ["--kind", "partition", "--input", str(half)],
+        "search-pave": search + ["--kind", "pave", "--input", str(mat)],
+        "search-matroid": search + ["--kind", "matroid", "--input", str(unit)],
+        "search-banaszczyk": search + ["--kind", "banaszczyk", "--input", str(unit)],
+        "net-check": ["net-check", "--input", str(unit), "--epsilon", "0.5",
+                      "--n-bound", "5"],
+        "banaszczyk-radius": ["banaszczyk-radius", "--k", "2", "--samples", "1000"],
+    }
+
+
+def test_every_report_command_writes_its_claims_as_the_one_csv_table(tmp_path):
+    for name, argv in report_commands(tmp_path).items():
+        stem = tmp_path / name
+        paths = {}
+        for fmt in ("json", "csv"):
+            out = f"{stem}.{fmt}"
+            assert run(argv + ["--format", fmt, "--out", out]) in (EXIT_PASS, EXIT_CLAIM_FAILURE)
+            paths[fmt] = f"{out}.report.{fmt}" if argv[0] == "reduce" else out
+        claims = json.loads(Path(paths["json"]).read_text())["claims"]
+        rows = list(csv.reader(io.StringIO(Path(paths["csv"]).read_text())))
+        assert rows[0] == CSV_HEADER, name
+        assert len(rows) == 1 + len(claims) >= 2, name
+        for row, c in zip(rows[1:], claims):
+            assert row[0] == c["name"] and row[4] == c["relation"], name
+            assert [float(x) for x in row[1:4]] == [c["computed"], c["bound"], c["tolerance"]]
+            assert row[5] == str(c["passed"]), name

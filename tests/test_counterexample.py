@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framedisc import (
     BudgetExceededError,
@@ -9,13 +11,15 @@ from framedisc import (
     counterexample_vectors,
     frame_bound,
     frame_operator,
+    rank_one,
     signed_norm_lower_bound,
     subset_center_distance,
-    trace_ball_witness,
     verify_counterexample,
 )
 from framedisc.counterexample import min_center_distance
 from framedisc.rng import make_rng
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
 def test_family_constants_k5():
@@ -64,6 +68,19 @@ def test_subset_center_distance_depends_only_on_size():
     d1, _ = subset_center_distance(inst, [0, 1, 2])
     d2, _ = subset_center_distance(inst, [3, 4, 5])
     assert d1 == pytest.approx(d2, abs=1e-13)
+
+
+@SEEDED
+@given(k=st.integers(5, 40), seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0))
+def test_subset_distance_is_the_closed_form_in_c(k, seed, share):
+    inst = counterexample_vectors(k)
+    X = np.flatnonzero(make_rng(seed).random(k - 1) < share)
+    c = X.size
+    direct, closed = subset_center_distance(inst, X)
+    assert closed == pytest.approx(
+        math.sqrt(c * (k - 1 - c) / (k - 1) ** 3 + (c / (k - 1) - 0.5) ** 2), rel=1e-15)
+    assert abs(direct - closed) <= 1e-12  # the verify-weaver claim's tolerance
+    assert closed >= min_center_distance(k) - 1e-15
 
 
 def test_min_center_distance_near_half_split():
@@ -141,10 +158,9 @@ def test_verify_counterexample_refusals():
         counterexample_vectors(4)
 
 
-def test_trace_ball_witness():
-    w = trace_ball_witness(30)
-    assert len(w.matrices) == 29
-    for m in w.matrices[:3]:
+def test_normalized_rank_ones_have_trace_one_and_sqrt_k_floor():
+    mats = [rank_one(v) for v in counterexample_vectors(30).normalized.vectors]
+    assert len(mats) == 29
+    for m in mats[:3]:
         assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
-    assert 0.4 <= w.ratio_to_sqrt_k <= 0.6
-    assert w.lower_bound == pytest.approx(signed_norm_lower_bound(30))
+    assert 0.4 <= signed_norm_lower_bound(30) / math.sqrt(30) <= 0.6

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framedisc import (
     AnnealSchedule,
@@ -30,6 +32,8 @@ from framedisc import (
 from framedisc import engines, linalg
 from framedisc.engines import normalize_phase
 from framedisc.rng import make_rng
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
 def random_unit_rows(n, k, rng, max_norm=1.0):
@@ -68,6 +72,24 @@ def test_beck_fiala_bound_random():
         assert np.all(np.abs(sv.signs) == 1)
         disc = float(np.max(np.abs(prof.a.T @ sv.signs)))
         assert disc <= 2.0 + 1e-9
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), k=st.integers(1, 12),
+       real=st.booleans(), density=st.floats(0.1, 1.0), unit=st.booleans())
+def test_beck_fiala_discrepancy_at_most_two(seed, n, k, real, density, unit):
+    rng = make_rng(seed)
+    v = rng.standard_normal((n, k))
+    v = v if real else v + 1j * rng.standard_normal((n, k))
+    v[rng.random((n, k)) > density] = 0.0  # sparse columns: few vectors per coordinate
+    v[np.all(v == 0, axis=1), 0] = 1.0
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    if not unit:
+        v *= rng.random((n, 1))
+    prof = coordinate_profile(vector_system(v))
+    signs = beck_fiala_signs(prof).signs
+    assert signs.shape == (n,) and np.all(np.abs(signs) == 1)
+    assert np.max(np.abs(prof.a.T @ signs)) <= 2.0 + 1e-9
 
 
 def test_beck_fiala_rejects_heavy_rows():
@@ -123,7 +145,11 @@ def test_exhaustive_signs_unitary_invariance():
 def test_exhaustive_signs_budget_refusal():
     vs = vector_system(np.ones((30, 1)))
     with pytest.raises(BudgetExceededError):
-        exhaustive_sign_search(vs, limit=24)
+        exhaustive_sign_search(vs, budget=2**23)
+    # 3 vectors walk 2^2 patterns: a budget of 4 suffices, 3 does not
+    exhaustive_sign_search(vector_system(np.eye(3)), budget=4)
+    with pytest.raises(BudgetExceededError, match="budget 3"):
+        exhaustive_sign_search(vector_system(np.eye(3)), budget=3)
 
 
 def test_exhaustive_partition_two_basis_copies():

@@ -13,7 +13,6 @@ from framedisc import (
     partition,
     partition_certificate,
     rank_one,
-    scale_system,
     subset_frame_bound,
     tight_pad_unit,
     unit_norm_lift,
@@ -105,21 +104,6 @@ def test_partition_certificate_two_basis_copies():
     bad = partition_certificate(vs, partition(2, [0, 1, 0, 1]), 2.0)
     assert np.max(bad.per_part_bound) == pytest.approx(2.0)
     assert bad.slack == pytest.approx(0.0)
-
-
-def test_scale_system_quadratic_bound_and_argmin_invariance():
-    rng = make_rng(23)
-    vs = random_system(6, 3, rng)
-    assert frame_bound(scale_system(vs, 3.0)) == pytest.approx(9 * frame_bound(vs), rel=1e-10)
-    # scaling preserves which subset attains the larger bound
-    a = subset_frame_bound(vs, [0, 1, 2])
-    b = subset_frame_bound(vs, [3, 4, 5])
-    svs = scale_system(vs, 0.37)
-    sa = subset_frame_bound(svs, [0, 1, 2])
-    sb = subset_frame_bound(svs, [3, 4, 5])
-    assert (a < b) == (sa < sb)
-    with pytest.raises(InvalidParameterError):
-        scale_system(vs, 0.0)
 
 
 def seeded_vectors(seed, n, k, real):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framedisc import (
     InvalidParameterError,
@@ -19,6 +21,13 @@ from framedisc import (
     vectors_to_projection,
 )
 from framedisc.rng import make_rng
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def projection_matrix(q):
+    """The 0/1 diagonal matrix of a DiagonalProjection."""
+    return np.diag(np.isin(np.arange(q.n), list(q.support)).astype(float))
 
 
 def test_projection_to_vectors_identity_n1():
@@ -96,6 +105,22 @@ def test_round_trip_projection_vectors_projection():
     assert np.max(np.abs(trace.P[:7, :7] - p)) <= 1e-8
 
 
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), k=st.integers(1, 4),
+       real=st.booleans(), headroom=st.floats(0.0, 3.0))
+def test_vec2proj_then_proj2vec_has_frame_bound_N_and_unit_ball_vectors(seed, n, k, real,
+                                                                         headroom):
+    rng = make_rng(seed)
+    v = rng.standard_normal((n, k))
+    v = v if real else v + 1j * rng.standard_normal((n, k))
+    vs = vector_system(v / np.max(np.linalg.norm(v, axis=1)))  # norms <= 1, one of them 1
+    N = max(1.0, frame_bound(vs)) * (1.0 + headroom)
+    back = projection_to_vectors(vectors_to_projection(vs, N).P, N)
+    assert back.k == k
+    assert frame_bound(back) == pytest.approx(N, rel=1e-9)
+    assert np.max(back.norms_squared()) <= 1.0 + 1e-9
+
+
 def test_vectors_to_projection_rejects():
     with pytest.raises(InvalidParameterError):
         vectors_to_projection(vector_system([[1.5, 0.0]]), 2.0)
@@ -105,7 +130,7 @@ def test_vectors_to_projection_rejects():
 
 def test_diagonal_projection_and_compress():
     q = diagonal_projection(3, [0, 2])
-    assert np.allclose(q.matrix(), np.diag([1.0, 0.0, 1.0]))
+    assert np.allclose(projection_matrix(q), np.diag([1.0, 0.0, 1.0]))
     a = np.arange(9, dtype=float).reshape(3, 3)
     a = (a + a.T) / 2
     c = compress(a, q)
@@ -127,7 +152,7 @@ def test_compression_quadratic_identity():
     trace = vectors_to_projection(vs, n_level)
     m = trace.m
     w = trace.w.vectors
-    q = diagonal_projection(m, [0, 2]).matrix()
+    q = projection_matrix(diagonal_projection(m, [0, 2]))
     for _ in range(20):
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         # the isometry u -> (<u, w_i>)_i carries C^k onto range(P)
@@ -143,7 +168,7 @@ def test_paving_quality_examples():
     assert paving_quality(a, partition(2, [0, 1])) == 0.0
     assert paving_quality(a, partition(1, [0, 0])) == pytest.approx(1.0)
     projs = partition_to_diagonal_projections(partition(2, [0, 1]))
-    assert sum(q.matrix() for q in projs) == pytest.approx(np.eye(2))
+    assert sum(projection_matrix(q) for q in projs) == pytest.approx(np.eye(2))
 
 
 def test_paving_quality_contraction_and_label_invariance():

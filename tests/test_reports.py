@@ -15,19 +15,12 @@ from framedisc.reports import (
 from framedisc.serialize import (
     matrix_from_dict,
     matrix_to_dict,
-    partition_from_dict,
     partition_to_dict,
-    signs_from_dict,
     signs_to_dict,
-    support_from_dict,
-    support_to_dict,
     system_from_dict,
     system_to_dict,
-    vector_from_dict,
-    vector_to_dict,
 )
-from framedisc import diagonal_projection, partition, vector_system
-from framedisc.engines import sign_vector
+from framedisc import SignVector, partition, vector_system
 from framedisc.rng import make_rng
 
 
@@ -121,8 +114,6 @@ def test_matrix_round_trip():
 
 def test_vector_and_system_round_trip():
     rng = make_rng(62)
-    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    assert np.array_equal(vector_from_dict(vector_to_dict(v)), v)
     vs = vector_system(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
     back = system_from_dict(system_to_dict(vs))
     assert back.k == vs.k
@@ -133,20 +124,9 @@ def test_partition_wire_is_one_based():
     p = partition(3, [0, 2, 1])
     d = partition_to_dict(p)
     assert d == {"r": 3, "assignment": [1, 3, 2]}
-    back = partition_from_dict(d)
-    assert np.array_equal(back.assignment, p.assignment)
-
-
-def test_support_wire_is_one_based():
-    q = diagonal_projection(4, [0, 3])
-    d = support_to_dict(q)
-    assert d == {"n": 4, "support": [1, 4]}
-    assert support_from_dict(d).support == q.support
 
 
 def test_signs_round_trip():
-    s = sign_vector([1, -1, 1])
+    s = SignVector(signs=np.array([1, -1, 1]))
     assert signs_to_dict(s) == {"signs": [1, -1, 1]}
-    assert np.array_equal(signs_from_dict(signs_to_dict(s)).signs, s.signs)
-    with pytest.raises(InvalidParameterError):
-        sign_vector([1, 0, -1])
+    assert json.loads(canonical_json(signs_to_dict(s)))["signs"] == s.signs.tolist()
