@@ -208,8 +208,10 @@ def cmd_search(args) -> VerificationReport:
 
 
 def cmd_net_check(args) -> VerificationReport:
-    if args.epsilon <= 0:
+    if not args.epsilon > 0:
         raise FrameDiscError(f"epsilon must be positive, got {args.epsilon}")
+    if not args.n_bound > 0:
+        raise FrameDiscError(f"the level N must be positive, got {args.n_bound}")
     data = load_json(args.input)
     vs = system_from_dict(data)
     if vs.k > 2 and not args.heuristic_net:
@@ -239,7 +241,8 @@ def cmd_banaszczyk_radius(args) -> VerificationReport:
     ctx = engines.gaussian_median_radius(args.k, samples=args.samples, seed=args.seed)
     claims = [Claim("median_radius_positive", computed=ctx.R_hat, bound=0.0,
                     tolerance=0.0, relation="ge")]
-    extra = {"k": ctx.k, "R_hat": ctx.R_hat, "M": ctx.M, "samples": ctx.samples}
+    extra = {"k": ctx.k, "R_hat": ctx.R_hat, "M": ctx.M, "samples": ctx.samples,
+             "eigensolves": ctx.eigensolves}
     return finish_report("banaszczyk-radius", {"k": args.k, "samples": args.samples},
                          claims, seed=args.seed, extra=extra)
 

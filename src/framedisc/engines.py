@@ -31,7 +31,27 @@
   the union matroid's span only grows as elements are placed. A budget
   caps the exchange queries.
 * Gaussian median radius of the operator norm on self-adjoint matrices and
-  a sign search keeping signed sums inside operator-norm radius 5R.
+  a sign search keeping signed sums inside operator-norm radius 5R. For
+  2 <= k <= RADIUS_CERTIFY_MAX_K the median is a certified selection: it
+  returns the bits of np.median over every sample's eigensolved norm but
+  eigensolves only a pilot and the samples that can be the median. The
+  exact norms of the first p ~ (z n / 2)^(2/3) of n samples give a bracket
+  [t_lo, t_hi] at pilot ranks p/2 -+ z sqrt(p)/2 (z = RADIUS_Z). Every
+  other sample H is placed by unpivoted Cholesky factorizations of
+  t I -+ H: both succeed at t_lo (1 - eta) => its computed norm is below
+  t_lo; either fails at t_hi (1 + eta) => above t_hi. The margin
+  eta = RADIUS_ETA (1e-9) is far above the k * eps backward error of
+  Cholesky and of the eigensolver. The remaining candidates C are
+  eigensolved. With B samples certified below and i, j the median ranks
+  minus B, the sorted candidate norms c_i, c_j are the full sample's order
+  statistics at the median ranks when 0 <= i <= j < |C|, c_i >= t_lo and
+  c_j <= t_hi: certified-below values are < t_lo <= c_i, and
+  certified-above values are > t_hi >= c_j. A batched eigensolve gives
+  each matrix the bits it gets alone, so c_i and c_j carry the bits of the
+  all-samples computation, and they are averaged as np.median does. On a
+  bracket miss (probability about 2 Phi(-z)) the pass reruns with every
+  sample a candidate, which is the all-samples computation. Above
+  RADIUS_CERTIFY_MAX_K every sample is a candidate from the start.
 * Phase-quotient epsilon-nets on the unit sphere and net-certified frame
   bounds with additive error 2*N*mesh. A net point u scores
   sum_{i in X} |<u, v_i>|^2 as the quadratic form u* S u with the k x k
@@ -107,6 +127,7 @@ class BanaszczykContext:
     M: float
     samples: int
     seed: int
+    eigensolves: int
 
 
 @dataclass(frozen=True)
@@ -620,41 +641,138 @@ def matroid_spanning_partition(vs: VectorSystem, r: int, budget: int | None = No
 # Banaszczyk radius and sign balancing
 
 
+# Gaussian median radius: the certified selection (see the module
+# docstring). On a 2-vCPU x86 host the Cholesky tests stop paying for
+# themselves past k = 12 at 2,000 samples (past k ~ 22 at 20,000 samples,
+# past k ~ 9 at 1,000), so larger k eigensolves every sample. RADIUS_Z is the pilot bracket's
+# half-width in binomial standard deviations, RADIUS_ETA the relative
+# margin of the Cholesky tests.
+RADIUS_CERTIFY_MAX_K = 12
+RADIUS_Z = 5.0
+RADIUS_ETA = 1e-9
+
+
+def _selfadjoint_draws(k: int, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``count`` standard Gaussian self-adjoint k x k matrices,
+    in the one order they are drawn: diag (count, k) ~ N(0, 1), then the
+    real and the imaginary part (each N(0, 1/2)) of entry (a, b) for each
+    pair a < b in row-major order, as off (k(k-1)/2, 2, count)."""
+    diag = rng.standard_normal((count, k))
+    off = rng.standard_normal((k * (k - 1) // 2, 2, count)) / np.sqrt(2)
+    return diag, off
+
+
+def _selfadjoint_matrices(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The complex (count, k, k) matrices of entry arrays as drawn by
+    ``_selfadjoint_draws``."""
+    count, k = diag.shape
+    h = np.zeros((count, k, k), dtype=np.complex128)
+    idx = np.arange(k)
+    h[:, idx, idx] = diag
+    for (a, b), (re, im) in zip(zip(*np.triu_indices(k, 1)), off):
+        h[:, a, b] = re + 1j * im
+        h[:, b, a] = re - 1j * im
+    return h
+
+
 def sample_selfadjoint_gaussian(k: int, count: int, rng) -> np.ndarray:
     """Standard Gaussian on the real space of self-adjoint k x k matrices:
     diagonal entries N(0,1); off-diagonal real and imaginary parts N(0, 1/2),
     so the Hilbert-Schmidt norm is the Euclidean norm of the Gaussian."""
-    diag = rng.standard_normal((count, k))
-    h = np.zeros((count, k, k), dtype=np.complex128)
-    idx = np.arange(k)
-    h[:, idx, idx] = diag
-    for a in range(k):
-        for b in range(a + 1, k):
-            re = rng.standard_normal(count) / np.sqrt(2)
-            im = rng.standard_normal(count) / np.sqrt(2)
-            h[:, a, b] = re + 1j * im
-            h[:, b, a] = re - 1j * im
-    return h
+    return _selfadjoint_matrices(*_selfadjoint_draws(k, count, rng))
+
+
+def _cholesky_succeeds(t: float, sign: int, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Where the unpivoted Cholesky factorization A = R* R of A = t I + sign H
+    runs to the end, for a batch of self-adjoint H given by their entry
+    arrays with the batch as the last axis: diag (k, c) and off as drawn.
+    Real arithmetic on the upper triangle of R. A pivot <= 0 makes every
+    later pivot nan or -inf, so the last pivot alone decides."""
+    k = diag.shape[0]
+    q = {pair: i for i, pair in enumerate(zip(*np.triu_indices(k, 1)))}
+    re, im = {}, {}
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j in range(k):
+            pivot = t + sign * diag[j]
+            for i in range(j):
+                pivot -= re[i, j] ** 2 + im[i, j] ** 2
+            if j == k - 1:
+                return pivot > 0
+            inv = 1.0 / np.sqrt(pivot)
+            for l in range(j + 1, k):
+                x, y = sign * off[q[j, l], 0], sign * off[q[j, l], 1]
+                for i in range(j):  # minus conj(R_ij) R_il
+                    x -= re[i, j] * re[i, l] + im[i, j] * im[i, l]
+                    y -= re[i, j] * im[i, l] - im[i, j] * re[i, l]
+                re[j, l], im[j, l] = x * inv, y * inv
+
+
+def _norm_below(t: float, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Where both t I - H and t I + H factor, so -t < lambda(H) < t. The
+    second factorization runs only on the matrices that passed the first."""
+    ok = _cholesky_succeeds(t, -1, diag, off)
+    idx = np.flatnonzero(ok)
+    ok[idx] = _cholesky_succeeds(t, 1, diag[:, idx], off[..., idx])
+    return ok
+
+
+def _pilot_bracket(norms: np.ndarray) -> tuple[float, float]:
+    """[t_lo, t_hi] at ranks p/2 -+ z sqrt(p)/2 of p sorted pilot norms."""
+    p, half = norms.size, RADIUS_Z * math.sqrt(norms.size) / 2
+    return norms[max(0, math.floor(p / 2 - half))], norms[min(p - 1, math.ceil(p / 2 + half))]
+
+
+def _median_pass(k: int, samples: int, seed: int, certify: bool):
+    """One pass of the certified selection (see the module docstring):
+    (median or None on a bracket miss, eigensolves). Without ``certify``
+    every sample is eigensolved and the median is always found."""
+    rng = make_rng(seed)
+    chunk = max(1, 2_000_000 // (k * k))
+    lo, hi = -np.inf, np.inf
+    pilot = min(samples, int((RADIUS_Z * samples / 2) ** (2 / 3)))
+    exact, below, done = [], 0, 0
+    while done < samples:
+        c = min(chunk, samples - done)
+        diag, off = _selfadjoint_draws(k, c, rng)
+        first = 0
+        if certify and done == 0:
+            first = min(c, pilot)
+            exact.append(np.sort(_opnorm(_selfadjoint_matrices(diag[:first], off[..., :first]))))
+            lo, hi = _pilot_bracket(exact[0])
+        keep = slice(first, c)
+        if certify:
+            dg, od = np.ascontiguousarray(diag[keep].T), off[..., keep]
+            rest = np.flatnonzero(~_norm_below(lo * (1 - RADIUS_ETA), dg, od))
+            below += c - first - rest.size
+            keep = first + rest[_norm_below(hi * (1 + RADIUS_ETA), dg[:, rest], od[..., rest])]
+        exact.append(_opnorm(_selfadjoint_matrices(diag[keep], off[..., keep])))
+        done += c
+    exact = np.concatenate(exact)
+    i, j = (samples - 1) // 2 - below, samples // 2 - below
+    if not 0 <= i <= j < exact.size:
+        return None, exact.size
+    part = np.partition(exact, (i, j))
+    if not (part[i] >= lo and part[j] <= hi):
+        return None, exact.size
+    return float(np.median(part[i:j + 1])), exact.size
 
 
 def gaussian_median_radius(k: int, samples: int, seed: int) -> BanaszczykContext:
     """Empirical median of the operator norm of Gaussian self-adjoint
     matrices, and the balancing radius M = 5 R."""
+    if k < 1:
+        raise InvalidParameterError(f"need k >= 1, got {k}")
     if samples < 1000:
         raise InvalidParameterError(f"need at least 1000 samples, got {samples}")
-    rng = make_rng(seed)
-    norms = np.empty(samples)
-    done = 0
-    chunk = 200_000 if k == 1 else max(1, 2_000_000 // (k * k))
-    while done < samples:
-        c = min(chunk, samples - done)
-        if k == 1:
-            norms[done:done + c] = np.abs(rng.standard_normal(c))
-        else:
-            norms[done:done + c] = _opnorm(sample_selfadjoint_gaussian(k, c, rng))
-        done += c
-    r_hat = float(np.median(norms))
-    return BanaszczykContext(k=k, R_hat=r_hat, M=5.0 * r_hat, samples=samples, seed=seed)
+    if k == 1:  # the norm of a 1 x 1 Gaussian is |g|
+        r_hat, solves = float(np.median(np.abs(make_rng(seed).standard_normal(samples)))), 0
+    else:
+        r_hat, solves = _median_pass(k, samples, seed, certify=k <= RADIUS_CERTIFY_MAX_K)
+        if r_hat is None:
+            r_hat, more = _median_pass(k, samples, seed, certify=False)
+            solves += more
+    return BanaszczykContext(k=k, R_hat=r_hat, M=5.0 * r_hat, samples=samples, seed=seed,
+                             eigensolves=solves)
 
 
 def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 0):

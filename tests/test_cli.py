@@ -518,6 +518,15 @@ def test_net_check_refusals(tmp_path):
                 "--n-bound", "2"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("n_bound", ["0", "-2"])
+def test_net_check_rejects_a_level_that_is_not_positive(tmp_path, capsys, n_bound):
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(np.eye(2)))
+    assert run(["net-check", "--input", str(src), "--epsilon", "0.1",
+                "--n-bound", n_bound]) == EXIT_USAGE
+    assert "the level N must be positive" in capsys.readouterr().err
+
+
 def test_net_check_k3_needs_heuristic_flag(tmp_path, capsys):
     src = tmp_path / "sys.json"
     write_system(src, vector_system(np.eye(3)))
@@ -536,6 +545,23 @@ def test_banaszczyk_radius_command(tmp_path):
     report = json.loads(out.read_text())
     assert report["extra"]["R_hat"] == pytest.approx(0.67449, abs=0.02)
     assert report["extra"]["M"] == pytest.approx(5 * report["extra"]["R_hat"])
+    assert report["extra"]["eigensolves"] == 0  # |g| needs no eigensolve
+
+
+def test_banaszczyk_radius_counts_its_eigensolves(tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["banaszczyk-radius", "--k", "3", "--samples", "20000", "--out", str(out)]
+    assert run(argv) == EXIT_PASS
+    solves = json.loads(out.read_text())["extra"]["eigensolves"]
+    assert 0 < solves < 20000 // 4  # the pilot and the candidates only
+    assert run(argv) == EXIT_PASS
+    assert json.loads(out.read_text())["extra"]["eigensolves"] == solves
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_banaszczyk_radius_rejects_k_below_one(capsys, k):
+    assert run(["banaszczyk-radius", "--k", k, "--samples", "1000"]) == EXIT_USAGE
+    assert "need k >= 1" in capsys.readouterr().err
 
 
 def test_reports_byte_identical_modulo_wall_time(tmp_path):

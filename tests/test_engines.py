@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framedisc import (
@@ -398,6 +398,97 @@ def test_gaussian_median_radius_grows_with_k():
     assert r1 < r2 < r3
     with pytest.raises(InvalidParameterError):
         gaussian_median_radius(1, samples=10, seed=0)
+    for k in (0, -2):
+        with pytest.raises(InvalidParameterError, match="need k >= 1"):
+            gaussian_median_radius(k, samples=1000, seed=0)
+
+
+def reference_selfadjoint(k, c, rng):
+    """c Gaussian self-adjoint matrices drawn entry by entry: the diagonal,
+    then the real and imaginary part of each pair a < b."""
+    h = np.zeros((c, k, k), dtype=np.complex128)
+    h[:, np.arange(k), np.arange(k)] = rng.standard_normal((c, k))
+    for a in range(k):
+        for b in range(a + 1, k):
+            re = rng.standard_normal(c) / np.sqrt(2)
+            im = rng.standard_normal(c) / np.sqrt(2)
+            h[:, a, b] = re + 1j * im
+            h[:, b, a] = re - 1j * im
+    return h
+
+
+def test_sample_selfadjoint_gaussian_draws_entry_by_entry():
+    for k in (1, 2, 5):
+        h = engines.sample_selfadjoint_gaussian(k, 7, make_rng(k))
+        assert np.array_equal(h, reference_selfadjoint(k, 7, make_rng(k)))
+
+
+def reference_median_radius(k, samples, seed):
+    """The all-samples median: each chunk drawn by reference_selfadjoint,
+    every sample eigensolved, and np.median over all of them."""
+    rng = make_rng(seed)
+    if k == 1:
+        return float(np.median(np.abs(rng.standard_normal(samples))))
+    norms = np.empty(samples)
+    chunk = max(1, 2_000_000 // (k * k))
+    for done in range(0, samples, chunk):
+        c = min(chunk, samples - done)
+        w = np.linalg.eigvalsh(reference_selfadjoint(k, c, rng))
+        norms[done:done + c] = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+    return float(np.median(norms))
+
+
+@SEEDED
+@given(k=st.integers(1, 7), samples=st.integers(1000, 3001), seed=st.integers(0, 2**32))
+@example(k=2, samples=1000, seed=0)
+@example(k=3, samples=1001, seed=3)
+@example(k=6, samples=60_001, seed=41)  # two chunks of up to 55,555
+def test_gaussian_median_radius_bits_equal_the_all_samples_median(k, samples, seed):
+    ctx = gaussian_median_radius(k, samples=samples, seed=seed)
+    ref = reference_median_radius(k, samples, seed)
+    assert ctx.R_hat.hex() == ref.hex()
+    assert ctx.M.hex() == (5.0 * ref).hex()
+    if k > 1:
+        assert ctx.eigensolves < samples  # the tests placed some samples
+
+
+@pytest.mark.parametrize("bracket, missed", [
+    ((1.01, 1.2), True),      # just above the median
+    ((0.8, 0.99), True),      # just below it
+    ((1.5, 2.0), True),       # far above: more than half certified below
+    ((0.2, 0.4), True),       # far below: more than half certified above
+    ((0.999, 1.001), False),  # tight around it
+])
+def test_gaussian_median_radius_bracket_miss_reruns_to_the_same_bits(monkeypatch, bracket,
+                                                                      missed):
+    ref = reference_median_radius(4, 5001, 900)
+    monkeypatch.setattr(engines, "_pilot_bracket", lambda norms: tuple(ref * f for f in bracket))
+    ctx = gaussian_median_radius(4, samples=5001, seed=900)
+    assert (ctx.eigensolves > 5001) == missed  # a miss reruns with every sample
+    assert ctx.R_hat.hex() == ref.hex()
+
+
+def test_gaussian_median_radius_above_the_crossover_eigensolves_every_sample():
+    k = engines.RADIUS_CERTIFY_MAX_K + 1
+    ctx = gaussian_median_radius(k, samples=1000, seed=5)
+    assert ctx.eigensolves == 1000
+    assert ctx.R_hat.hex() == reference_median_radius(k, 1000, 5).hex()
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("gap", [1e-6, 1e-9])
+def test_cholesky_certificate_agrees_with_eigvalsh_near_the_norm(k, gap):
+    diag, off = engines._selfadjoint_draws(k, 400, make_rng(k))
+    w = np.linalg.eigvalsh(engines._selfadjoint_matrices(diag, off))
+    lo, hi, norm = w[:, 0], w[:, -1], np.max(np.abs(w), axis=1)
+    dg = np.ascontiguousarray(diag.T)
+    for sign, edge in ((-1, hi), (1, -lo)):  # t I - H > 0 iff t > lambda_max
+        assert engines._cholesky_succeeds(edge + gap * norm, sign, dg, off).all()
+        assert not engines._cholesky_succeeds(edge - gap * norm, sign, dg, off).any()
+    for s in range(25):
+        one_d, one_o = dg[:, s:s + 1], off[..., s:s + 1]
+        assert engines._norm_below(norm[s] * (1 + gap), one_d, one_o).all()
+        assert not engines._norm_below(norm[s] * (1 - gap), one_d, one_o).any()
 
 
 def test_banaszczyk_search_small_exhaustive():

@@ -10,6 +10,13 @@ on a feasible and an infeasible input are pinned the same way, so a change
 to how subsets are sampled or how the matroid search decides its exchanges
 shows up too. The matroid pins predate the search's `eliminations` and
 `exchange_queries` counters, so those two keys are dropped before hashing.
+
+`banaszczyk-radius` at k = 4 (250,000 samples, two chunks) and k = 3 (an
+odd 1,001 samples), and `search --kind banaszczyk` on a seeded input, pin
+the Gaussian median radius R_hat and M = 5 R_hat. Their pins were taken
+from the all-samples median, before the certified selection; the radius
+report's `eigensolves` counter came with the selection and is dropped
+before hashing.
 """
 
 import hashlib
@@ -43,6 +50,12 @@ PINNED = {
         "071c6378803a2aedc78e3edf6e3c97cb7ec452aecd34e11aba6102846a89fe2c",
     "matroid_infeasible.report.json":
         "6c7b2ee04a6f257b634204698b51aa11c982ba55eb00d9892526bd1e63ea8d32",
+    "radius_k4.report.json":
+        "9c95961d146e4467fcf0eb8bfb4c1f9a042b4c13723d667c9aec8a235f26ba20",
+    "radius_k3.report.json":
+        "97edf6ac14757349b17340804e688a09a198a9c597d7cb01e8128b438d09e42b",
+    "banaszczyk.report.json":
+        "80475742689e57fc63e307223767956702aba1f51562ca5d5039272af1a6d437",
 }
 
 
@@ -94,11 +107,19 @@ def digests(tmp_path_factory) -> dict:
     for name, src, r in (("feasible", feasible, 3), ("infeasible", infeasible, 2)):
         assert main(["search", "--kind", "matroid", "--input", str(src), "--r", str(r),
                      "--out", str(tmp_path / f"matroid_{name}.report.json")]) == EXIT_PASS
+    assert main(["banaszczyk-radius", "--k", "4", "--samples", "250000", "--seed", "3",
+                 "--out", str(tmp_path / "radius_k4.report.json")]) == EXIT_PASS
+    assert main(["banaszczyk-radius", "--k", "3", "--samples", "1001", "--seed", "41",
+                 "--out", str(tmp_path / "radius_k3.report.json")]) == EXIT_PASS
+    balancing = tmp_path / "balancing.json"
+    balancing.write_text(json.dumps(seeded_system(20261021, 16, 3, 2.0)))
+    assert main(["search", "--kind", "banaszczyk", "--input", str(balancing), "--seed", "7",
+                 "--out", str(tmp_path / "banaszczyk.report.json")]) == EXIT_PASS
     out = {}
     for name in PINNED:
         text = (tmp_path / name).read_text()
         text = re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": 0.0', text)
-        text = re.sub(r'\n *"(eliminations|exchange_queries)": \d+,', '', text)
+        text = re.sub(r'\n *"(eliminations|exchange_queries|eigensolves)": \d+,', '', text)
         out[name] = hashlib.sha256(text.encode()).hexdigest()
     return out
 
