@@ -136,9 +136,10 @@ def cmd_search(args) -> VerificationReport:
     data = load_json(args.input)
     seed, budget = args.seed, args.budget
     extra: dict = {}
+    counters: dict = {}
     if args.kind == "signs":
         vs = system_from_dict(data)
-        witness, value = engines.exhaustive_sign_search(vs, min(args.limit, budget))
+        witness, value = engines.exhaustive_sign_search(vs, min(args.limit, budget), counters)
         # The walk's value against the witness's explicit k x k signed sum.
         # Each of the 2^(n-1) running-sum steps (and the Gram square root
         # when n < k) may round by eps * sum_i ||v_i||^2.
@@ -147,10 +148,9 @@ def cmd_search(args) -> VerificationReport:
         explicit = opnorm((vs.vectors.T * witness.signs) @ vs.vectors.conj())  # sum s_i v_i v_i*
         claims = [Claim("min_signed_opnorm", computed=value, bound=explicit,
                         tolerance=steps * float(np.finfo(float).eps) * scale, relation="abs")]
-        extra = {"witness": signs_to_dict(witness), "exact": True}
+        extra = {"witness": signs_to_dict(witness), "exact": True, **counters}
     elif args.kind == "partition":
         vs = system_from_dict(data)
-        counters: dict = {}
         try:
             cert = engines.exhaustive_partition_search(vs, args.r, args.n_bound, limit=args.limit,
                                                        budget=budget, counters=counters)
@@ -167,14 +167,12 @@ def cmd_search(args) -> VerificationReport:
         extra.update(witness=partition_to_dict(cert.partition), slack=cert.slack)
     elif args.kind == "pave":
         a = matrix_from_dict(data)
-        counters = {}
         part, value = engines._paving_search(a, args.r, args.limit, budget, counters)
         claims = [Claim("paving_quality", computed=value, bound=opnorm(a),
                         tolerance=1e-12, relation="le")]
         extra = {"witness": partition_to_dict(part), "exact": True, **counters}
     elif args.kind == "matroid":
         vs = system_from_dict(data)
-        counters = {}
         result = engines.matroid_spanning_partition(vs, args.r, budget, counters)
         if isinstance(result, frames.Partition):
             claims = [Claim("spanning_parts", computed=float(args.r), bound=float(args.r),

@@ -112,7 +112,7 @@ def verify_counterexample(
     closed-form floor; it refuses when 2^(k-2) exceeds the budget (k <= 16
     under the default budget). Heuristic mode reports a seeded upper bound
     instead; the floor claim still holds because it holds for every sign
-    pattern.
+    pattern. Exhaustive reports carry the sign search's ``eigensolves``.
 
     The closed-form subset claim checks all 2^(k-1) subsets for k <= 12 and
     256 seeded ones above: drawn as bitmasks up to k = 64, and as 0/1
@@ -120,8 +120,9 @@ def verify_counterexample(
     """
     k = inst.k
     lb = signed_norm_lower_bound(k)
+    counters: dict = {}
     if mode == "exhaustive":
-        _, min_norm = exhaustive_sign_search(inst.normalized, budget)
+        _, min_norm = exhaustive_sign_search(inst.normalized, budget, counters)
     elif mode == "heuristic":
         fifth = [rank_one(v) / 5.0 for v in inst.normalized.vectors]
         result = banaszczyk_sign_search(fifth, M=0.0, budget=budget, seed=seed)
@@ -162,5 +163,5 @@ def verify_counterexample(
         claims,
         seed=seed,
         budget=budget,
-        extra={"min_signed_norm_or_bound": float(min_norm), "lower_bound": lb},
+        extra={"min_signed_norm_or_bound": float(min_norm), "lower_bound": lb, **counters},
     )

@@ -7,10 +7,33 @@
   min-max subset frame bound.
 * One blocked Gray-code walker serves the exhaustive sign search and the
   n <= 20 branch of the Banaszczyk sign search. It builds the signed sums
-  of a block of consecutive patterns with one cumulative sum and takes
-  their norms with one batched eigensolve; a block array holds at most
-  WALK_BLOCK_BYTES (256 KB). Real input is walked in real arithmetic, and
-  the sign search on n < k vectors walks the n x n Gram form instead.
+  of a block of consecutive patterns with one cumulative sum; a block
+  array holds at most WALK_BLOCK_BYTES (256 KB). The Banaszczyk branch
+  takes every sum's norm with one batched eigensolve per block. Real input
+  is walked in real arithmetic, and the sign search on n < k vectors walks
+  the n x n Gram form instead.
+* The exhaustive sign search eigensolves only the sums that can tie or
+  beat the incumbent, the smallest norm eigensolved so far. The first
+  block is eigensolved whole. In each later block a sum S is dropped when
+  a batched LAPACK Cholesky factorization of t I - S, or then of t I + S,
+  fails, with t = incumbent + eta sum_i ||v_i||^2 and eta = WALK_ETA
+  (1e-9); the survivors are eigensolved as before. A failed factorization
+  puts an eigenvalue of S outside (-t, t) up to Cholesky's backward error
+  c k eps (t + ||S||) <= 2 c k eps sum_i ||v_i||^2, and eigvalsh is off by
+  at most c k eps ||S||; both are far below eta sum_i ||v_i||^2, so a
+  dropped sum's computed norm exceeds the incumbent, which is at least the
+  final minimum: it can neither win nor tie. A batched eigensolve gives
+  each matrix the bits it gets alone, so the minimum and its
+  lexicographically smallest witness are bitwise those of eigensolving
+  every sum. The margin scales with sum_i ||v_i||^2 rather than with the
+  incumbent, which can be a rounding residue (duplicated vectors give
+  minima of 1e-16). Near-ties of the incumbent survive, so a block is
+  certified only when at most half of the previous block's eigensolved
+  sums lay below the new threshold; when almost every pattern ties the
+  walk eigensolves every block, as before. Nor is a walk whose M_i are all
+  diagonal (each vector on one coordinate, such as np.eye(n)) ever
+  certified: the eigensolve of a diagonal sum is as cheap as a Cholesky
+  factorization, so ruling sums out cannot pay.
 * One exact partition search serves both the partition search (parts
   scored by their frame bound) and the paving search behind
   ``search --kind pave`` (parts scored by ||A[S, S]||). It is a depth-first
@@ -82,7 +105,8 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidParameterError
 from .frames import (Partition, PartitionCertificate, VectorSystem, _unit_ball_norms,
                      partition, partition_certificate)
-from .linalg import _opnorm, _phase_normalized_rows, _solve, as_hermitian, rank_one
+from .linalg import (_cholesky_factors, _opnorm, _phase_normalized_rows, _solve, as_hermitian,
+                     rank_one)
 from .reductions import paving_quality
 from .rng import make_rng
 
@@ -264,6 +288,9 @@ def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
 # large enough to amortise the per-call cost of the eigensolver, small
 # enough to keep the walk's peak memory flat.
 WALK_BLOCK_BYTES = 1 << 18
+# The sign search rules a pattern out once Cholesky proves its norm above
+# the incumbent plus this share of sum_i ||v_i||^2 (see the module docstring).
+WALK_ETA = 1e-9
 
 
 def _real_if_real(a: np.ndarray) -> np.ndarray:
@@ -272,7 +299,7 @@ def _real_if_real(a: np.ndarray) -> np.ndarray:
 
 
 def _gray_blocks(mats: np.ndarray, count: int | None = None):
-    """Yield (signs, norms) blocks covering ||sum_i s_i M_i|| for the first
+    """Yield (signs, sums) blocks covering sum_i s_i M_i for the first
     ``count`` (default all 2^(n-1)) sign patterns with s_0 = +1, in
     Gray-code order.
 
@@ -280,9 +307,9 @@ def _gray_blocks(mats: np.ndarray, count: int | None = None):
     gray(t) is set, so consecutive patterns differ in one sign. A block's
     sums are the running sum (np.cumsum in place, seeded with the previous
     block's last sum) of its -+2 M_i steps, which adds the same numbers in
-    the same order as a one-pattern-at-a-time walk; their norms come from
-    one batched eigensolve. ``signs`` is (B, n) and ``norms`` is (B,), with
-    B * k * k * itemsize <= WALK_BLOCK_BYTES unless B = 1.
+    the same order as a one-pattern-at-a-time walk. ``signs`` is (B, n) and
+    ``sums`` is (B, k, k), with B * k * k * itemsize <= WALK_BLOCK_BYTES
+    unless B = 1.
     """
     n, k = mats.shape[0], mats.shape[-1]
     total = 2 ** (n - 1) if count is None else min(count, 2 ** (n - 1))
@@ -303,19 +330,26 @@ def _gray_blocks(mats: np.ndarray, count: int | None = None):
             sums[0] += last
         np.cumsum(sums, axis=0, out=sums)
         last = sums[-1].copy()
-        yield signs, _opnorm(sums)
+        yield signs, sums
 
 
-def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23) -> tuple[SignVector, float]:
+def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
+                           counters: dict | None = None) -> tuple[SignVector, float]:
     """Global minimum over sign patterns of ||sum_i s_i A_{v_i}||.
 
-    The first sign is fixed +1 (global flip symmetry), so the walk evaluates
+    The first sign is fixed +1 (global flip symmetry), so the walk covers
     2^(n-1) patterns; it refuses when that exceeds ``budget`` (the default
     reaches n = 24). Enumeration walks a Gray code in blocks (see
     _gray_blocks). Ties go to the lexicographically smallest sign vector.
     Real vectors are walked in real arithmetic, and when n < k the walk runs
     on the columns g_i of G^(1/2), G the n x n Gram matrix, since
     ||sum_i s_i v_i v_i*|| = ||G^(1/2) S G^(1/2)||.
+
+    Only the patterns that a Cholesky certificate cannot rule out are
+    eigensolved (see the module docstring); the minimum and its witness
+    are those of eigensolving every pattern. ``counters``, if given,
+    receives ``eigensolves``: the matrices eigensolved, the Gram square
+    root's included.
     """
     n = vs.n
     if 2 ** (n - 1) > budget:
@@ -323,17 +357,39 @@ def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23) -> tuple[SignV
             f"exhaustive sign search needs 2^{n - 1} evaluations, over the budget {budget}"
         )
     vecs = _real_if_real(vs.vectors)
+    solves = 0
     if n < vs.k:
         w, u = _solve(np.linalg.eigh, vecs.conj() @ vecs.T)
         vecs = ((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T).T
+        solves = 1
     mats = vecs[:, :, None] * vecs.conj()[:, None, :]  # rank_one of each row
-    best_val, best_signs = np.inf, None
-    for signs, vals in _gray_blocks(mats):
-        val = vals.min()
-        if val <= best_val:
-            key = min(map(tuple, signs[vals == val].tolist()))
-            if val < best_val or key < best_signs:
-                best_val, best_signs = val, key
+    # sum_i ||v_i||^2 bounds every ||sum_i s_i M_i||, and with it the
+    # backward errors of both Cholesky and the eigensolver
+    margin = WALK_ETA * float(np.sum(np.abs(vecs) ** 2))
+    eye = np.eye(mats.shape[-1])
+    # when every M_i is diagonal so is every sum, and its eigensolve costs no
+    # more than a Cholesky factorization: such walks are never certified
+    dense = np.count_nonzero(mats) > np.count_nonzero(np.diagonal(mats, axis1=1, axis2=2))
+    best_val, best_signs, certify = np.inf, None, False
+    for signs, sums in _gray_blocks(mats):
+        patterns, t = len(sums), best_val + margin
+        if certify:
+            keep = np.flatnonzero(_cholesky_factors(t * eye - sums))
+            keep = keep[_cholesky_factors(sums[keep] + t * eye)]
+            signs, sums = signs[keep], sums[keep]
+        if len(sums):
+            vals = _opnorm(sums)
+            solves += len(sums)
+            val = vals.min()
+            if val <= best_val:
+                key = min(map(tuple, signs[vals == val].tolist()))
+                if val < best_val or key < best_signs:
+                    best_val, best_signs = val, key
+            # near-ties of the incumbent are not ruled out, so certifying
+            # pays only while they are at most half of a block
+            certify = dense and 2 * np.count_nonzero(vals < best_val + margin) <= patterns
+    if counters is not None:
+        counters["eigensolves"] = solves
     return SignVector(signs=np.array(best_signs, dtype=np.int64)), float(best_val)
 
 
@@ -800,7 +856,8 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
     stacked = _real_if_real(np.stack(mats))
     if n <= 20:
         best_val = np.inf
-        for signs, vals in _gray_blocks(stacked, count=budget):
+        for signs, sums in _gray_blocks(stacked, count=budget):
+            vals = _opnorm(sums)
             hit = np.flatnonzero(vals <= M)
             if hit.size:
                 return SignVector(signs=signs[hit[0]])

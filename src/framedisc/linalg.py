@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import EigensolverError, InvalidParameterError
 
@@ -95,6 +96,18 @@ def _solve(solver, h: np.ndarray):
             f"eigensolver failed to converge: {exc}",
             residual=float(np.linalg.norm(h[..., off])),
         ) from exc
+
+
+def _cholesky_factors(a: np.ndarray) -> np.ndarray:
+    """Where LAPACK's Cholesky factorization of each matrix of a stack
+    (..., k, k), read from its lower triangle, runs to the end: a bool array
+    (...). It calls numpy.linalg._umath_linalg.cholesky_lo, the batched
+    kernel behind np.linalg.cholesky, which writes NaN over a matrix whose
+    factorization fails; with invalid operations ignored it does so without
+    raising for the whole stack. That module is private to numpy, so a test
+    pins this behaviour."""
+    with np.errstate(invalid="ignore"):
+        return ~np.isnan(_umath_linalg.cholesky_lo(a)[..., -1, -1])
 
 
 def eigensystem(h) -> Eigensystem:

@@ -13,12 +13,16 @@ Bulk payloads (a matrix's entries, a system's vectors, a loaded JSON
 input) are lists whose items are lists of one width w holding only Python
 floats. Such a list is laid out from a template: the w-slot row, with the
 newlines and indentation the recursive emitter would write, repeated once
-per row and filled with one ``%`` over ``format_float`` of every item in
-order. Each slot receives the string the recursive path would have
+per row. When the items' magnitudes sum to below 1e16, a first ``%``
+gives each slot the layout ``format_float`` would use for its item
+(``%.1f`` for an integer-valued float, ``%.17g`` otherwise) and a second
+fills them, so no Python call is made per item; other rows (huge or
+non-finite items, which raise) are filled with ``format_float`` of every
+item. Each slot receives the string the recursive path would have
 produced for that float, and the text between slots is the text it would
-have produced between them, so the bytes are identical; only the
-per-item Python calls are gone. Any other shape (dicts, strings, ints,
-bools, mixed or ragged rows) takes the recursive path.
+have produced between them, so the bytes are identical. Any other shape
+(dicts, strings, ints, bools, mixed or ragged rows) takes the recursive
+path.
 """
 
 from __future__ import annotations
@@ -110,6 +114,11 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# format_float's layout of a finite float below 1e16 in magnitude: "%.17g",
+# or "%.1f" when it is integer-valued (indexed by float.is_integer)
+_SLOTS = ("%.17g", "%.1f")
+
+
 def _float_rows(obj) -> bool:
     """True iff obj holds only lists of one nonzero width whose items are
     all exactly float (not bool, int or a numpy scalar)."""
@@ -146,7 +155,12 @@ def canonical_json(obj, indent: int = 0) -> str:
             # what the recursive path below lays out, as one template
             row = "[\n" + ",\n".join([f"{pad}    %s"] * len(obj[0])) + f"\n{pad}  ]"
             rows = "[\n" + ",\n".join([f"{pad}  {row}"] * len(obj)) + f"\n{pad}]"
-            return rows % tuple(map(format_float, chain.from_iterable(obj)))
+            flat = list(chain.from_iterable(obj))
+            # a sum of magnitudes is at least each one, and nan or inf if any is
+            if sum(map(abs, flat)) < 1e16:
+                slots = map(_SLOTS.__getitem__, map(float.is_integer, flat))
+                return (rows % tuple(slots)) % tuple(flat)
+            return rows % tuple(map(format_float, flat))  # a non-finite item raises
         items = [f"{pad}  {canonical_json(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, np.integer):

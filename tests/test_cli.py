@@ -233,8 +233,27 @@ def test_search_signs_claim_rechecks_the_witness(tmp_path, capsys, monkeypatch, 
     # a walk value that is off by more than rounding fails the claim
     walk = engines.exhaustive_sign_search
     monkeypatch.setattr(engines, "exhaustive_sign_search",
-                        lambda vs, limit: (walk(vs, limit)[0], walk(vs, limit)[1] * (1 + 1e-8)))
+                        lambda vs, limit, counters: (walk(vs, limit)[0],
+                                                     walk(vs, limit)[1] * (1 + 1e-8)))
     assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_CLAIM_FAILURE
+
+
+def test_sign_searches_report_their_eigensolves(tmp_path):
+    rng = make_rng(86)  # 14 vectors in C^6: the walk takes 18 blocks
+    vs = vector_system(rng.standard_normal((14, 6)) + 1j * rng.standard_normal((14, 6)))
+    src, out = tmp_path / "sys.json", tmp_path / "signs.json"
+    write_system(src, vs)
+    assert run(["search", "--kind", "signs", "--input", str(src), "--out", str(out)]) == EXIT_PASS
+    counters = {}
+    engines.exhaustive_sign_search(vs, counters=counters)
+    assert json.loads(out.read_text())["extra"]["eigensolves"] == counters["eigensolves"]
+    assert 0 < counters["eigensolves"] < 2**13
+    exact, heuristic = tmp_path / "exact.json", tmp_path / "heuristic.json"
+    assert run(["verify-weaver", "--k", "12", "--out", str(exact)]) == EXIT_PASS
+    assert 0 < json.loads(exact.read_text())["extra"]["eigensolves"] < 2**10
+    assert run(["verify-weaver", "--k", "12", "--mode", "heuristic", "--budget", "50",
+                "--out", str(heuristic)]) == EXIT_PASS
+    assert "eigensolves" not in json.loads(heuristic.read_text())["extra"]
 
 
 def test_search_signs_budget_refusal(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedisc import InvalidParameterError, vector_system
+from framedisc import InvalidParameterError, reports, vector_system
 from framedisc.reports import canonical_json, format_float
 from framedisc.rng import make_rng
 from framedisc.serialize import _pairs, matrix_to_dict, system_to_dict
@@ -122,6 +122,49 @@ CASES = {
 @pytest.mark.parametrize("indent", [0, 4])
 def test_named_shapes_match_reference(name, indent):
     assert canonical_json(CASES[name], indent) == reference_json(CASES[name], indent)
+
+
+SPECIAL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e16, -1e16, 1e16 - 2.0, -(1e16 - 2.0), 1e16 + 2.0,
+                     5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1e300, 2.0**53, 0.1, -7.0]),
+    st.integers(-10**15, 10**15).map(float),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+MODERATE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -3.0, 0.1]),
+    st.integers(-10**9, 10**9).map(float),
+    st.floats(-1e9, 1e9),
+)
+
+
+def float_rows(items):
+    return st.integers(1, 4).flatmap(
+        lambda w: st.lists(st.lists(items, min_size=w, max_size=w), min_size=1, max_size=8))
+
+
+@SEEDED
+@given(rows=float_rows(SPECIAL_FLOATS), indent=st.sampled_from([0, 4]))
+def test_float_rows_match_per_item_path(rows, indent):
+    # -0.0, integer-valued floats on both sides of 1e16, subnormals and huge
+    # values, laid out as format_float lays out each item
+    assert canonical_json(rows, indent) == reference_json(rows, indent)
+
+
+@SEEDED
+@given(rows=float_rows(MODERATE_FLOATS))
+def test_moderate_float_rows_make_no_call_per_item(rows):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return format_float(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reports, "format_float", counted)
+        assert canonical_json(rows) == reference_json(rows)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

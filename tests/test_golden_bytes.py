@@ -17,6 +17,12 @@ the Gaussian median radius R_hat and M = 5 R_hat. Their pins were taken
 from the all-samples median, before the certified selection; the radius
 report's `eigensolves` counter came with the selection and is dropped
 before hashing.
+
+`search --kind signs` on a real input, a complex input with n >= k and a
+complex input with n < k, and exhaustive `verify-weaver` at k = 12 and
+k = 14, pin the exhaustive sign search's minimum and witness. Their pins
+were taken from the walk that eigensolved every sign pattern; the
+`eigensolves` counter of the certified walk is dropped before hashing.
 """
 
 import hashlib
@@ -56,6 +62,16 @@ PINNED = {
         "97edf6ac14757349b17340804e688a09a198a9c597d7cb01e8128b438d09e42b",
     "banaszczyk.report.json":
         "80475742689e57fc63e307223767956702aba1f51562ca5d5039272af1a6d437",
+    "signs_real.report.json":
+        "0ff305868ee952f081ae1298fa72d0f4045f9bd299b8c4c00162bab11b10c051",
+    "signs_complex_n_ge_k.report.json":
+        "c457ef31880f330cd9a5d9195601882aef84c5b2f0ecc9fa3ab523cbc0013e86",
+    "signs_complex_n_lt_k.report.json":
+        "5fb1a9c280c450ad5944c2018f9e7d2cb9a02e19bdcbb9059fd32c7582d6858c",
+    "weaver_exact_k12.report.json":
+        "5f59b0c27ec0b3977fd47bad7d7aa881f25a2d17b24476b0892df8cb616b9bb1",
+    "weaver_exact_k14.report.json":
+        "568b63a956f7f53b34f222812e1bb10d5a2370a16a325ca68afde372d461083b",
 }
 
 
@@ -67,6 +83,12 @@ def seeded_system(seed: int, n: int, k: int, top: float) -> dict:
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     v *= np.sqrt(top / np.linalg.eigvalsh(v.T @ v.conj())[-1])
     return wire(k, v)
+
+
+def real_system(seed: int, n: int, k: int) -> dict:
+    """n real unit vectors in R^k (zero imaginary parts) in the wire format."""
+    v = make_rng(seed).standard_normal((n, k))
+    return wire(k, v / np.linalg.norm(v, axis=1, keepdims=True))
 
 
 def wire(k: int, v: np.ndarray) -> dict:
@@ -115,6 +137,16 @@ def digests(tmp_path_factory) -> dict:
     balancing.write_text(json.dumps(seeded_system(20261021, 16, 3, 2.0)))
     assert main(["search", "--kind", "banaszczyk", "--input", str(balancing), "--seed", "7",
                  "--out", str(tmp_path / "banaszczyk.report.json")]) == EXIT_PASS
+    for name, system in (("real", real_system(20261022, 12, 4)),
+                         ("complex_n_ge_k", seeded_system(20261023, 11, 3, 2.0)),
+                         ("complex_n_lt_k", seeded_system(20261024, 9, 14, 2.0))):
+        src = tmp_path / f"signs_{name}.json"
+        src.write_text(json.dumps(system))
+        assert main(["search", "--kind", "signs", "--input", str(src),
+                     "--out", str(tmp_path / f"signs_{name}.report.json")]) == EXIT_PASS
+    for k in (12, 14):
+        assert main(["verify-weaver", "--k", str(k), "--mode", "exhaustive",
+                     "--out", str(tmp_path / f"weaver_exact_k{k}.report.json")]) == EXIT_PASS
     out = {}
     for name in PINNED:
         text = (tmp_path / name).read_text()

@@ -1,8 +1,11 @@
 """The blocked Gray-code sign walker behind exhaustive_sign_search and the
 n <= 20 branch of banaszczyk_sign_search, checked against brute-force and
-one-pattern-at-a-time reference walks kept here."""
+one-pattern-at-a-time reference walks kept here, and the Cholesky
+certificate that lets the sign search skip eigensolves, checked against a
+reference search that eigensolves every pattern."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from framedisc import (
 )
 from framedisc import engines
 from framedisc.counterexample import counterexample_vectors
+from framedisc.linalg import _cholesky_factors, _opnorm
 from framedisc.rng import make_rng
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -63,7 +67,32 @@ def sequential_walk(mats):
 
 def blocked_walk(mats):
     blocks = list(engines._gray_blocks(mats))
-    return (np.concatenate([s for s, _ in blocks]), np.concatenate([v for _, v in blocks]))
+    return (np.concatenate([s for s, _ in blocks]),
+            np.concatenate([_opnorm(sums) for _, sums in blocks]))
+
+
+def all_patterns_search(vs):
+    """exhaustive_sign_search as it was before the Cholesky certificate:
+    every pattern of every block eigensolved, the same tie rule."""
+    vecs = engines._real_if_real(vs.vectors)
+    if vs.n < vs.k:
+        w, u = np.linalg.eigh(vecs.conj() @ vecs.T)
+        vecs = ((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T).T
+    mats = vecs[:, :, None] * vecs.conj()[:, None, :]
+    best_val, best_signs = np.inf, None
+    for signs, sums in engines._gray_blocks(mats):
+        vals = _opnorm(sums)
+        val = vals.min()
+        if val <= best_val:
+            key = min(map(tuple, signs[vals == val].tolist()))
+            if val < best_val or key < best_signs:
+                best_val, best_signs = val, key
+    return list(best_signs), float(best_val)
+
+
+def hexed(result):
+    signs, value = result
+    return [int(x) for x in signs], float(value).hex()
 
 
 @SEEDED
@@ -139,6 +168,111 @@ def test_banaszczyk_exhaustive_branch_matches_sequential_walk(seed, n, k, real, 
         assert result.best_value == ref_norms[first]
 
 
+CAPS = [1, 64, engines.WALK_BLOCK_BYTES, None]  # None: the whole walk in one block
+
+
+@SEEDED
+@given(seed=SEEDS, n=st.integers(1, 10), k=st.integers(1, 6), real=st.booleans(),
+       copies=st.sampled_from([1, 2, 3]), cap=st.sampled_from(CAPS))
+def test_certified_search_matches_all_patterns_search(seed, n, k, real, copies, cap):
+    # copies > 1 repeats each vector, so minima are rounding residues and
+    # many patterns tie; n < k takes the Gram path, real input the real path
+    v = np.repeat(unit_rows(seed, n, k, real), copies, axis=0)[:max(n, 2 * copies)]
+    vs = vector_system(v)
+    counters = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engines, "WALK_BLOCK_BYTES",
+                   2 ** vs.n * vs.k * vs.k * 16 if cap is None else cap)
+        sv, value = exhaustive_sign_search(vs, counters=counters)
+        assert hexed((sv.signs, value)) == hexed(all_patterns_search(vs))
+    assert 1 <= counters["eigensolves"] <= 2 ** (vs.n - 1) + (vs.n < vs.k)
+
+
+@pytest.mark.parametrize("k", range(6, 16))
+def test_weaver_search_matches_all_patterns_search(k):
+    vs = counterexample_vectors(k).normalized
+    counters = {}
+    sv, value = exhaustive_sign_search(vs, counters=counters)
+    assert hexed((sv.signs, value)) == hexed(all_patterns_search(vs))
+    if k >= 12:  # several blocks: the certificate skips eigensolves
+        assert counters["eigensolves"] < 2 ** (k - 2)
+    if k == 15:  # both factorizations rule patterns out
+        assert counters["eigensolves"] < 2 ** (k - 2) // 4
+
+
+ROTATION = np.linalg.qr(make_rng(11).standard_normal((5, 5)))[0]
+
+
+@pytest.mark.parametrize("cap", [1, 64, engines.WALK_BLOCK_BYTES])
+@pytest.mark.parametrize("v, solves", [(ROTATION, 16), (np.eye(6)[:4], 8 + 1)])
+def test_all_ties_are_all_eigensolved_and_go_to_the_smallest_signs(monkeypatch, cap, v,
+                                                                   solves):
+    # every pattern ties up to rounding, so no block is worth certifying;
+    # n < k adds the Gram square root's eigensolve
+    monkeypatch.setattr(engines, "WALK_BLOCK_BYTES", cap)
+    vs = vector_system(v)
+    counters = {}
+    sv, value = exhaustive_sign_search(vs, counters=counters)
+    assert hexed((sv.signs, value)) == hexed(all_patterns_search(vs))
+    assert counters["eigensolves"] == solves
+
+
+@pytest.mark.parametrize("cap", [1, 64, engines.WALK_BLOCK_BYTES])
+@pytest.mark.parametrize("v", [np.repeat(np.eye(3), 2, axis=0),
+                               np.vstack([np.eye(5)[:1], np.eye(5)]),
+                               np.vstack([np.eye(4)[:1]] * 3 + [np.eye(4)])])
+def test_diagonal_sums_are_never_certified(monkeypatch, cap, v):
+    # vectors on single coordinates make every signed sum diagonal, whose
+    # eigensolve is as cheap as a Cholesky factorization
+    monkeypatch.setattr(engines, "WALK_BLOCK_BYTES", cap)
+    vs = vector_system(v)
+    counters = {}
+    sv, value = exhaustive_sign_search(vs, counters=counters)
+    assert hexed((sv.signs, value)) == hexed(all_patterns_search(vs))
+    assert counters["eigensolves"] == 2 ** (vs.n - 1)
+
+
+@pytest.mark.parametrize("cap", [1, 64, engines.WALK_BLOCK_BYTES])
+def test_exact_zero_minima_keep_every_tie(monkeypatch, cap):
+    # the rank-one matrices of these integer vectors add up exactly, and each
+    # pair of equal vectors cancels under opposite signs, so the minimum is
+    # 0.0 and several patterns tie at it; a margin relative to the incumbent
+    # would rule out every tie after the first one found
+    monkeypatch.setattr(engines, "WALK_BLOCK_BYTES", cap)
+    vs = vector_system(np.repeat([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], 2, axis=0))
+    counters = {}
+    sv, value = exhaustive_sign_search(vs, counters=counters)
+    assert hexed((sv.signs, value)) == hexed(all_patterns_search(vs))
+    assert (sv.signs.tolist(), value) == ([1, -1, -1, 1, -1, 1], 0.0)
+
+
+def hermitian_stack(seed, count, k, real):
+    rng = make_rng(seed)
+    g = rng.standard_normal((count, k, k))
+    if not real:
+        g = g + 1j * rng.standard_normal((count, k, k))
+    return (g + np.conj(np.swapaxes(g, 1, 2))) / 2
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("k", range(1, 21))
+def test_cholesky_helper_agrees_with_eigvalsh_near_the_norm(k, real):
+    s = hermitian_stack(k, 30, k, real)
+    w = np.linalg.eigvalsh(s)
+    norm = np.maximum(-w[:, 0], w[:, -1])
+    eye = np.eye(k)
+    for rel in (1 + 1e-6, 1 - 1e-6):
+        t = (norm * rel)[:, None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a failed matrix must not warn or raise
+            below = _cholesky_factors(t * eye - s)
+            above = _cholesky_factors(t * eye + s)
+        assert below.shape == above.shape == (30,)
+        assert np.array_equal(below, w[:, -1] < t[:, 0, 0])
+        assert np.array_equal(above, w[:, 0] > -t[:, 0, 0])
+        assert np.all(below & above) == (rel > 1)
+
+
 @pytest.mark.parametrize("k", range(6, 13))
 def test_weaver_minimum_matches_orbit_representatives(k):
     # the family is invariant under permuting its k - 1 vectors, so the
@@ -153,7 +287,8 @@ def test_weaver_minimum_matches_orbit_representatives(k):
 
 def blocked_walk_first(mats, count):
     blocks = list(engines._gray_blocks(mats, count=count))
-    return (np.concatenate([s for s, _ in blocks]), np.concatenate([v for _, v in blocks]))
+    return (np.concatenate([s for s, _ in blocks]),
+            np.concatenate([_opnorm(sums) for _, sums in blocks]))
 
 
 @SEEDED
