@@ -1,45 +1,38 @@
-"""Certifying frame bounds on an epsilon-net.
+"""Certifying subset frame bounds without the eigensolver.
 
-Quadratic-form suprema transfer from a net of mesh epsilon/(4N) on the
-phase-quotiented unit sphere with additive error 2N*mesh, sandwiching the
-eigenvalue-oracle value. The k = 2 lattice net is certified; higher k falls
-back to seeded heuristic sampling.
+A branch and bound over boxes in Hopf coordinates brackets
+sup_u sum_{i in X} |<u, v_i>|^2 between the best box centre's value and
+that value plus a chosen gap; net-check uses the gap 2N * epsilon/(4N).
+Every box bound is proved, so the bracket holds at every k; the
+eigenvalue oracle is printed only to compare.
 
 Run: python3 demos/net_certification_demo.py
 """
 
 import numpy as np
 
-from framedisc import (
-    build_epsilon_net,
-    make_rng,
-    net_certified_bound,
-    subset_frame_bound,
-    vector_system,
-)
+from framedisc import certified_subset_bound, make_rng, subset_frame_bound, vector_system
 
 rng = make_rng(314)
 N = 2.0
 epsilon = 0.1
-mesh = epsilon / (4 * N)
+gap = 2 * N * epsilon / (4 * N)
 
-net = build_epsilon_net(2, mesh)
-print(f"k = 2 lattice net: {net.points.shape[0]} points, mesh {mesh}, "
-      f"certified = {net.certified}")
 
-g = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-vs = vector_system(g / np.linalg.norm(g, axis=1, keepdims=True))
+def unit_rows(n, k):
+    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    return vector_system(g / np.linalg.norm(g, axis=1, keepdims=True))
 
-for subset in ([0, 1, 2], [3, 4], list(range(6))):
-    net_max, certified = net_certified_bound(vs, subset, net, N)
-    oracle = subset_frame_bound(vs, subset)
-    print(f"subset {subset}: net max {net_max:.6f} <= oracle {oracle:.6f} "
-          f"<= certified {certified:.6f}")
 
-print("\nk = 3 heuristic net (coverage not certified):")
-net3 = build_epsilon_net(3, 0.25, seed=1)
-vs3 = vector_system(np.eye(3))
-net_max, certified = net_certified_bound(vs3, [0, 1, 2], net3, 1.0)
-oracle = subset_frame_bound(vs3, [0, 1, 2])
-print(f"{net3.points.shape[0]} sampled points: net max {net_max:.6f}, "
-      f"oracle {oracle:.6f}, heuristic upper bound {certified:.6f}")
+for k, n, subsets in ((2, 6, ([0, 1, 2], [3, 4], list(range(6)))),
+                      (3, 9, ([0, 1, 2, 3], list(range(9))))):
+    vs = unit_rows(n, k)
+    print(f"k = {k}, gap {gap}:")
+    for subset in subsets:
+        lower, upper, evaluations, _ = certified_subset_bound(vs, subset, gap)
+        oracle = subset_frame_bound(vs, subset)
+        print(f"  subset {subset}: {lower:.6f} <= oracle {oracle:.6f} <= {upper:.6f} "
+              f"({evaluations} box centres scored)")
+
+lower, upper, evaluations, _ = certified_subset_bound(vector_system(np.eye(3)), range(3), gap)
+print(f"tight frame I_3: {lower:.6f} <= 1 <= {upper:.6f} ({evaluations} box centre scored)")

@@ -3,8 +3,8 @@
 Numerical constructions and cross-checks for the discrepancy form of the
 paving problem: projection/vector-system reductions, tight-frame
 completions, constructive partial results (Beck-Fiala signing, matroid
-spanning partitions, Gaussian-measure balancing), epsilon-net
-certification, and the sharp counterexample family with its sqrt(k)
+spanning partitions, Gaussian-measure balancing), certified subset
+frame bounds, and the sharp counterexample family with its sqrt(k)
 signed-discrepancy floor.
 """
 
@@ -19,20 +19,18 @@ from .engines import (
     AnnealSchedule,
     BanaszczykContext,
     CoordinateProfile,
-    EpsilonNet,
     SignSearchFailure,
     SignVector,
     ViolatingSet,
     anneal_partition_search,
     banaszczyk_sign_search,
     beck_fiala_signs,
-    build_epsilon_net,
+    certified_subset_bound,
     coordinate_profile,
     exhaustive_partition_search,
     exhaustive_sign_search,
     gaussian_median_radius,
     matroid_spanning_partition,
-    net_certified_bound,
 )
 from .errors import (
     BudgetExceededError,

@@ -75,11 +75,24 @@
   bracket miss (probability about 2 Phi(-z)) the pass reruns with every
   sample a candidate, which is the all-samples computation. Above
   RADIUS_CERTIFY_MAX_K every sample is a candidate from the start.
-* Phase-quotient epsilon-nets on the unit sphere and net-certified frame
-  bounds with additive error 2*N*mesh. A net point u scores
-  sum_{i in X} |<u, v_i>|^2 as the quadratic form u* S u with the k x k
-  frame operator S = sum_{i in X} v_i v_i*, so the cost is O(P k^2) for
-  P net points whatever |X| is, with no P x |X| table of inner products.
+* One branch and bound for every k brackets the subset frame bound, the
+  sup of f(u) = u* S u = sum_{i in X} |<u, v_i>|^2 over unit u in C^k. Up
+  to phase, u has Hopf coordinates theta in [0, pi/2]^(k-1) and phi in
+  [0, 2 pi]^(k-1): u_1 = cos theta_1, u_{j+1} = sin theta_1 ... sin theta_j
+  cos theta_{j+1} e^{i phi_j} (cos theta_k read as 1). Its coordinate
+  columns are orthogonal in R^(2k): a theta column is the real spherical
+  one times each entry's phase, and du/dphi_j = i u_{j+1} e_{j+1} meets
+  another column in one entry at most, where Re(i a m) = 0 for real a, m.
+  Their norms, prod_{l<i} sin theta_l and |u_{j+1}|, are at most w on a
+  box (sines at its upper theta ends, cosines at its lower), so each point
+  of a box with half-widths h lies within r = ||w h||_2 of the centre's
+  point c. For unit u = c + d, 2 Re <d, c> = -||d||^2, so with
+  g = S c - f(c) c and L >= lambda_max(S),
+  f(u) = f(c) + 2 Re <d, g> + d* S d - f(c) ||d||^2
+       <= f(c) + 2 ||g|| r + max(L - f(c), 0) r^2 (+ 1e-12 L for rounding),
+  with L = min(tr S, max row sum of |S|) (1 + 1e-12). Each round scores
+  every open centre, drops the boxes bounded by best + gap and halves the
+  rest along their largest w_i h_i; then best <= sup f <= best + gap.
 
 Tie rules of the exact searches: the sign search fixes s_0 = +1 and returns
 the lexicographically smallest optimal sign vector; the exhaustive branch
@@ -105,8 +118,7 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidParameterError
 from .frames import (Partition, PartitionCertificate, VectorSystem, _unit_ball_norms,
                      partition, partition_certificate)
-from .linalg import (_cholesky_factors, _opnorm, _phase_normalized_rows, _solve, as_hermitian,
-                     rank_one)
+from .linalg import _cholesky_factors, _opnorm, _solve, as_hermitian, rank_one
 from .reductions import paving_quality
 from .rng import make_rng
 
@@ -152,17 +164,6 @@ class BanaszczykContext:
     samples: int
     seed: int
     eigensolves: int
-
-
-@dataclass(frozen=True)
-class EpsilonNet:
-    """Unit vectors covering the phase-quotiented unit sphere of C^k to
-    within `mesh` (certified for k <= 2, heuristic beyond)."""
-
-    k: int
-    mesh: float
-    points: np.ndarray
-    certified: bool
 
 
 @dataclass(frozen=True)
@@ -895,7 +896,7 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
 
 
 # ---------------------------------------------------------------------------
-# epsilon nets
+# certified subset frame bound
 
 
 def normalize_phase(u: np.ndarray) -> np.ndarray:
@@ -908,67 +909,64 @@ def normalize_phase(u: np.ndarray) -> np.ndarray:
     return u * (pivot.conjugate() / abs(pivot))
 
 
-NET_POINT_LIMIT = 2**22
+def _hopf_points(x: np.ndarray) -> np.ndarray:
+    """The unit vectors u(theta, phi) of rows x = (theta, phi)."""
+    d = x.shape[1] // 2
+    u = np.ones((x.shape[0], d + 1), dtype=np.complex128)
+    u[:, :d] = np.cos(x[:, :d])
+    u[:, 1:] *= np.cumprod(np.sin(x[:, :d]), axis=1) * np.exp(1j * x[:, d:])
+    return u
 
 
-def build_epsilon_net(k: int, mesh: float, seed: int = 0) -> EpsilonNet:
-    """Net of phase-normalized unit vectors in C^k.
-
-    k = 1: the single point (1). k = 2: deterministic (theta, phi) lattice
-    with certified covering radius <= mesh. k >= 3: seeded random
-    oversampling, coverage heuristic only.
-    """
-    if mesh <= 0:
-        raise InvalidParameterError(f"mesh must be positive, got {mesh}")
-    if k < 1:
-        raise InvalidParameterError(f"dimension must be >= 1, got {k}")
-    if k == 1:
-        return EpsilonNet(k=1, mesh=mesh, points=np.ones((1, 1), dtype=np.complex128),
-                          certified=True)
-    if k == 2:
-        # u ~ (cos t, sin t e^{i p}), t in [0, pi/2], p in [0, 2pi); grid
-        # half-spacings mesh/3 give covering radius <= mesh*sqrt(5)/3 < mesh.
-        h = mesh / 3.0
-        nt = math.ceil((np.pi / 2) / (2 * h))
-        np_ = math.ceil((2 * np.pi) / (2 * h))
-        count = (nt + 1) * np_
-        if count > NET_POINT_LIMIT:
-            raise BudgetExceededError(
-                f"mesh {mesh} needs about {count} net points (limit {NET_POINT_LIMIT})"
-            )
-        thetas = np.linspace(0.0, np.pi / 2, nt + 1)
-        phis = np.arange(np_) * (2 * np.pi / np_)
-        # row i * np_ + j is (theta_i, phi_j), the meshgrid "ij" order
-        pts = np.stack([np.repeat(np.cos(thetas), np_).astype(np.complex128),
-                        np.outer(np.sin(thetas), np.exp(1j * phis)).ravel()], axis=1)
-        return EpsilonNet(k=2, mesh=mesh, points=pts, certified=True)
-    est = (4.0 / mesh) ** (2 * k - 2)
-    if est > NET_POINT_LIMIT:
-        raise BudgetExceededError(
-            f"mesh {mesh} in dimension {k} needs about {est:.3g} net points "
-            f"(limit {NET_POINT_LIMIT})"
-        )
-    count = int(math.ceil(est))
-    rng = make_rng(seed)
-    g = rng.standard_normal((count, k)) + 1j * rng.standard_normal((count, k))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return EpsilonNet(k=k, mesh=mesh, points=_phase_normalized_rows(g), certified=False)
+def _box_bounds(s: np.ndarray, lam: float, lo: np.ndarray, hi: np.ndarray):
+    """(f, u, bound, w h) of the boxes [lo, hi]: centre points u, their values
+    f = u* S u, each box's bound on u* S u given lam >= lambda_max(S), and
+    the weighted half-widths, whose norm is the box radius r."""
+    m, d = lo.shape[0], lo.shape[1] // 2
+    sin_hi = np.cumprod(np.hstack([np.ones((m, 1)), np.sin(hi[:, :d])]), axis=1)
+    cos_lo = np.hstack([np.cos(lo[:, 1:d]), np.ones((m, 1))])
+    wh = np.hstack([sin_hi[:, :d], sin_hi[:, 1:] * cos_lo]) * (0.5 * (hi - lo))
+    r = np.linalg.norm(wh, axis=1)
+    u = _hopf_points(0.5 * (lo + hi))
+    su = u @ s.T
+    # u* S u is real: the real dot product of u and S u read as (re, im) pairs
+    f = np.einsum("pj,pj->p", u.view(np.float64), su.view(np.float64))
+    g = np.linalg.norm(su - f[:, None] * u, axis=1)
+    return f, u, f + 2.0 * g * r + np.maximum(lam - f, 0.0) * r * r + 1e-12 * lam, wh
 
 
-def net_certified_bound(vs: VectorSystem, X, net: EpsilonNet, N: float) -> tuple[float, float]:
-    """(net_max, net_max + 2*N*mesh): a sandwich for the subset frame bound
-    whenever the net's covering radius really is <= mesh."""
-    if net.k != vs.k:
-        raise InvalidParameterError(f"net dimension {net.k} != system dimension {vs.k}")
+def certified_subset_bound(vs: VectorSystem, X, gap: float, budget: int = 20000):
+    """(lower, upper, evaluations, witness): lower <= sup over unit u of
+    sum_{i in X} |<u, v_i>|^2 <= upper = lower + gap, where lower is the
+    value at the unit vector witness and evaluations counts the box centres
+    scored. Raises BudgetExceededError when they would exceed ``budget``."""
     idx = np.asarray(sorted(X), dtype=np.int64)
     if idx.size and (idx[0] < 0 or idx[-1] >= vs.n):
         raise InvalidParameterError(f"subset indices out of range 0..{vs.n - 1}")
-    if idx.size == 0:
-        return 0.0, 2.0 * N * net.mesh
     v = vs.vectors[idx]
-    s = v.T @ v.conj()  # S = sum_i v_i v_i*, so sum_i |<u, v_i>|^2 = u* S u
-    u = np.ascontiguousarray(net.points, dtype=np.complex128)
-    # u* S u is real: the real dot product of u and S u read as (re, im) pairs
-    quad = np.einsum("pj,pj->p", u.view(np.float64), (u @ s.T).view(np.float64))
-    net_max = float(np.max(quad))
-    return net_max, net_max + 2.0 * N * net.mesh
+    s = v.T @ v.conj()  # S = sum_i v_i v_i*
+    lam = min(float(np.trace(s).real), float(np.max(np.abs(s).sum(axis=1)))) * (1 + 1e-12)
+    if not (gap > 1e-12 * lam and math.isfinite(gap)):
+        raise InvalidParameterError(
+            f"gap must be finite and above the rounding slack {1e-12 * lam:.3g}, got {gap}")
+    lo = np.zeros((1, 2 * vs.k - 2))
+    hi = np.repeat([np.pi / 2, 2 * np.pi], vs.k - 1)[None, :]
+    best, witness, evaluations = -math.inf, None, 0
+    while True:
+        if evaluations + lo.shape[0] > budget:
+            raise BudgetExceededError(f"the bound needs more than {budget} box evaluations")
+        evaluations += lo.shape[0]
+        f, u, bound, wh = _box_bounds(s, lam, lo, hi)
+        top = int(np.argmax(f))
+        if f[top] > best:
+            best, witness = float(f[top]), u[top]
+        keep = bound > best + gap
+        if not keep.any():
+            return best, best + gap, evaluations, witness
+        lo, hi, wh = lo[keep], hi[keep], wh[keep]
+        rows = np.arange(lo.shape[0])
+        axis = np.argmax(wh, axis=1)
+        mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
+        lo, hi = np.concatenate([lo, lo]), np.concatenate([hi, hi])
+        hi[rows, axis] = mid
+        lo[rows + rows.size, axis] = mid

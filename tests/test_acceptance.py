@@ -13,7 +13,7 @@ from framedisc import (
     ViolatingSet,
     banaszczyk_sign_search,
     beck_fiala_signs,
-    build_epsilon_net,
+    certified_subset_bound,
     complete_to_tight,
     coordinate_profile,
     counterexample_vectors,
@@ -24,7 +24,6 @@ from framedisc import (
     gaussian_median_radius,
     is_projection,
     matroid_spanning_partition,
-    net_certified_bound,
     opnorm,
     projection_to_vectors,
     random_projection,
@@ -181,14 +180,13 @@ def test_criterion_8_epsilon_net_sandwich():
     n_level = 2.0
     eps = 0.1
     mesh = eps / (4.0 * n_level)
-    net = build_epsilon_net(2, mesh)
     holds = 0
     for trial in range(100):
         n = int(rng.integers(1, 9))
         g = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         vs = vector_system(g * rng.random((n, 1)) ** 0.5)
-        net_max, cert = net_certified_bound(vs, range(n), net, n_level)
+        net_max, cert, _, _ = certified_subset_bound(vs, range(n), 2.0 * n_level * mesh)
         oracle = subset_frame_bound(vs, range(n))
         if net_max <= oracle + 1e-12 and oracle <= cert + 1e-12:
             holds += 1

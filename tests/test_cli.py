@@ -63,6 +63,21 @@ def test_gen_weaver_usage_error():
     assert run(["gen-weaver"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-weaver", "--k", "6", "--seed", "3"],
+    ["gen-weaver", "--k", "6", "--budget", "5"],
+    ["gen-weaver", "--k", "6", "--format", "csv"],
+    ["gen-weaver", "--k", "6", "--tol", "1"],
+    ["verify-weaver", "--k", "6", "--tol", "1"],
+    ["search", "--kind", "signs", "--input", "sys.json", "--tol", "1"],
+    ["banaszczyk-radius", "--k", "2", "--tol", "1"],
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, tmp_path, capsys):
+    assert run(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_weaver_json(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["verify-weaver", "--k", "5", "--out", str(out)]) == EXIT_PASS
@@ -528,13 +543,14 @@ def test_net_check_subset_flag(tmp_path, capsys):
 
 def test_net_check_refusals(tmp_path):
     src = tmp_path / "sys.json"
-    write_system(src, vector_system(np.eye(5)))
-    assert run(["net-check", "--input", str(src), "--epsilon", "0.1",
+    write_system(src, vector_system(np.eye(2)))
+    assert run(["net-check", "--input", str(src), "--epsilon", "-1",
                 "--n-bound", "2"]) == EXIT_USAGE
-    src2 = tmp_path / "sys2.json"
-    write_system(src2, vector_system(np.eye(2)))
-    assert run(["net-check", "--input", str(src2), "--epsilon", "-1",
-                "--n-bound", "2"]) == EXIT_USAGE
+    g = make_rng(73).standard_normal((8, 4)) + 1j * make_rng(74).standard_normal((8, 4))
+    src4 = tmp_path / "sys4.json"
+    write_system(src4, vector_system(g / np.linalg.norm(g, axis=1, keepdims=True)))
+    assert run(["net-check", "--input", str(src4), "--epsilon", "0.1", "--n-bound", "2",
+                "--budget", "1000"]) == EXIT_BUDGET
 
 
 @pytest.mark.parametrize("n_bound", ["0", "-2"])
@@ -546,15 +562,48 @@ def test_net_check_rejects_a_level_that_is_not_positive(tmp_path, capsys, n_boun
     assert "the level N must be positive" in capsys.readouterr().err
 
 
-def test_net_check_k3_needs_heuristic_flag(tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["--epsilon", "--n-bound"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_net_check_rejects_values_that_are_not_finite_and_positive(tmp_path, capsys, flag,
+                                                                    value):
     src = tmp_path / "sys.json"
-    write_system(src, vector_system(np.eye(3)))
-    args = ["net-check", "--input", str(src), "--epsilon", "2", "--n-bound", "1.5"]
-    assert run(args) == EXIT_USAGE
-    assert "k = 2" in capsys.readouterr().err
-    assert run(args + ["--heuristic-net"]) == EXIT_PASS
-    report = json.loads(capsys.readouterr().out)
-    assert report["extra"]["certified_net"] is False
+    write_system(src, vector_system(np.eye(2)))
+    args = {"--epsilon": "0.1", "--n-bound": "2", flag: value}
+    assert run(["net-check", "--input", str(src), "--epsilon", args["--epsilon"],
+                "--n-bound", args["--n-bound"]]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert flag in err and "must be positive and finite" in err
+
+
+def test_net_check_rejects_a_repeated_subset_index(tmp_path, capsys):
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(np.array([[0.6, 0.0], [0.0, 0.8]])))
+    argv = ["net-check", "--input", str(src), "--epsilon", "0.1", "--n-bound", "2"]
+    assert run(argv + ["--subset", "1"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["extra"]["eigenvalue_oracle"] == \
+        pytest.approx(0.36, abs=1e-15)
+    for subset in ("1,1", "2,1,2", "1,1,1"):
+        assert run(argv + ["--subset", subset]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"--subset repeats index {subset[0]}" in err, subset
+
+
+def test_net_check_certifies_k3_with_the_default_budget(tmp_path, capsys):
+    g = make_rng(75).standard_normal((9, 3)) + 1j * make_rng(76).standard_normal((9, 3))
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(g / np.linalg.norm(g, axis=1, keepdims=True)))
+    args = ["net-check", "--input", str(src), "--epsilon", "0.1", "--n-bound", "1"]
+    assert run(args) == EXIT_PASS
+    extra = json.loads(capsys.readouterr().out)["extra"]
+    assert extra["certified_net"] is True
+    assert 1 <= extra["net_points"] <= 20000
+    assert extra["certified_sup_bound"] == extra["net_max"] + 2 * 1.0 * (0.1 / 4)
+    assert run(args + ["--heuristic-net"]) == EXIT_USAGE
+    eye = tmp_path / "eye.json"
+    write_system(eye, vector_system(np.eye(5)))
+    assert run(["net-check", "--input", str(eye), "--epsilon", "0.1", "--n-bound", "2"]) \
+        == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["extra"]["net_points"] == 1
 
 
 def test_banaszczyk_radius_command(tmp_path):

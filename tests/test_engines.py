@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,14 +17,13 @@ from framedisc import (
     anneal_partition_search,
     banaszczyk_sign_search,
     beck_fiala_signs,
-    build_epsilon_net,
+    certified_subset_bound,
     coordinate_profile,
     exhaustive_partition_search,
     exhaustive_sign_search,
     frame_bound,
     gaussian_median_radius,
     matroid_spanning_partition,
-    net_certified_bound,
     opnorm,
     rank_one,
     subset_frame_bound,
@@ -534,7 +534,7 @@ def test_banaszczyk_search_rejects_large_matrices():
 
 
 # ---------------------------------------------------------------------------
-# epsilon nets
+# certified subset bound
 
 
 def test_normalize_phase():
@@ -560,23 +560,13 @@ def test_phase_normalized_rows_match_normalize_phase_bitwise():
     assert _same_bits(linalg._phase_normalized_rows(g), ref)
 
 
-@pytest.mark.parametrize("k, mesh, seed", [(3, 0.5, 0), (4, 1.0, 1), (5, 1.6, 2)])
-def test_heuristic_net_points_match_per_row_normalize_phase(k, mesh, seed):
-    net = build_epsilon_net(k, mesh, seed=seed)
-    rng = make_rng(seed)
-    g = rng.standard_normal(net.points.shape) + 1j * rng.standard_normal(net.points.shape)
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    assert not net.certified
-    assert _same_bits(net.points, np.array([normalize_phase(u) for u in g]))
-
-
 def test_net_k1_exact():
-    net = build_epsilon_net(1, 0.05)
     vs = vector_system([[0.7 + 0.1j], [0.3]])
-    net_max, cert = net_certified_bound(vs, [0, 1], net, 2.0)
+    net_max, cert, evaluations, witness = certified_subset_bound(vs, [0, 1], 0.1)
     oracle = subset_frame_bound(vs, [0, 1])
     assert net_max == pytest.approx(oracle, abs=1e-12)
-    assert oracle <= cert + 1e-12
+    assert cert == net_max + 0.1
+    assert evaluations == 1 and witness.tolist() == [1.0]
 
 
 def test_net_k2_certified_sandwich():
@@ -585,73 +575,112 @@ def test_net_k2_certified_sandwich():
         vs = vector_system(random_unit_rows(6, 2, rng))
         n_level = 2.0
         mesh = 0.1 / (4 * n_level)
-        net = build_epsilon_net(2, mesh)
-        assert net.certified
-        net_max, cert = net_certified_bound(vs, range(6), net, n_level)
+        net_max, cert, _, _ = certified_subset_bound(vs, range(6), 2 * n_level * mesh)
         oracle = subset_frame_bound(vs, range(6))
         assert net_max <= oracle + 1e-9
         assert oracle <= cert + 1e-9
 
 
-def test_net_k2_points_cover_random_directions():
-    mesh = 0.05
-    net = build_epsilon_net(2, mesh)
-    rng = make_rng(50)
-    for _ in range(200):
-        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        u /= np.linalg.norm(u)
-        # distance after quotienting the global phase
-        inner = np.abs(net.points.conj() @ u)
-        dist = np.sqrt(np.clip(2.0 - 2.0 * np.max(inner), 0.0, None))
-        assert dist <= mesh
+def _system(kind, k, n, real, rng):
+    """n vectors in C^k (R^k if real): random, with zero or repeated rows,
+    or the rows of a matrix with orthonormal columns (a tight frame, S = I)."""
+    def draw(shape):
+        g = rng.standard_normal(shape)
+        return g if real else g + 1j * rng.standard_normal(shape)
+    if kind == "tight":
+        return np.linalg.qr(draw((max(n, k), k)))[0]
+    v = draw((n, k)) * rng.random((n, 1))
+    if kind == "zero":
+        v[rng.random(n) < 0.5] = 0.0
+    elif kind == "duplicate":
+        v = v[rng.integers(0, n, n)]
+    return v
 
 
-def test_net_k3_heuristic_flagged():
-    net = build_epsilon_net(3, 0.5, seed=3)
-    assert not net.certified
-    assert np.max(np.abs(np.linalg.norm(net.points, axis=1) - 1.0)) <= 1e-12
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(k=st.integers(1, 3), n=st.integers(1, 7), real=st.booleans(),
+       kind=st.sampled_from(["random", "zero", "duplicate", "tight", "empty"]),
+       gap_exp=st.floats(-2.5, 0.0), seed=st.integers(0, 2**32 - 1))
+def test_certified_subset_bound_sandwiches_the_top_eigenvalue(k, n, real, kind, gap_exp, seed):
+    rng = make_rng(seed)
+    vs = vector_system(_system(kind, k, n, real, rng))
+    subset = [] if kind == "empty" else range(vs.n)
+    gap = 10.0 ** gap_exp * (1.0 + float(np.sum(vs.norms_squared())))
+    budget = 100000
+    lower, upper, evaluations, witness = certified_subset_bound(vs, subset, gap, budget)
+    lam = subset_frame_bound(vs, subset)
+    assert lower <= lam * (1 + 1e-12) <= upper * (1 + 1e-12)
+    assert upper == lower + gap
+    assert 1 <= evaluations <= budget
+    assert witness[0].imag == 0.0 and witness[0].real >= 0.0
+    assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-14)
+
+
+def _corners(lo, hi):
+    """The 2^dim corners of the box [lo, hi]."""
+    pick = np.array(list(itertools.product((0, 1), repeat=lo.size)), dtype=bool)
+    return np.where(pick, hi, lo)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_box_radius_bounds_the_distance_to_the_centre(k):
+    rng = make_rng(60 + k)
+    top = np.repeat([np.pi / 2, 2 * np.pi], k - 1)
+    for _ in range(300):
+        width = top * 10.0 ** rng.uniform(-3.0, 0.0, top.size)
+        lo = rng.random(top.size) * (top - width)
+        lo[rng.random(top.size) < 0.3] = 0.0  # boxes at the theta = 0 and phi = 0 faces
+        hi = lo + width
+        r = np.linalg.norm(engines._box_bounds(np.zeros((k, k)), 0.0, lo[None], hi[None])[3])
+        x = np.vstack([_corners(lo, hi), lo + rng.random((100, top.size)) * width])
+        centre = engines._hopf_points(0.5 * (lo + hi)[None])
+        dist = np.linalg.norm(engines._hopf_points(x) - centre, axis=1)
+        assert dist.max() <= r * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_box_bound_holds_at_every_point_of_the_box(k):
+    rng = make_rng(70 + k)
+    top = np.repeat([np.pi / 2, 2 * np.pi], k - 1)
+    for _ in range(300):
+        lo = rng.random(top.size) * top
+        hi = lo + (top - lo) * 10.0 ** rng.uniform(-2.0, 0.0, top.size)
+        if rng.random() < 0.5:  # S = t P for the projection P onto u(centre)-perp
+            c = engines._hopf_points(0.5 * (lo + hi)[None])[0]
+            s = rng.random() * (np.eye(k) - np.outer(c, c.conj()))
+        else:
+            v = random_unit_rows(int(rng.integers(1, 5)), k, rng)
+            s = v.T @ v.conj()
+        lam = float(np.linalg.eigvalsh(s)[-1]) * (1 + 1e-12)
+        _, _, bound, _ = engines._box_bounds(s, lam, lo[None], hi[None])
+        u = engines._hopf_points(np.vstack([_corners(lo, hi),
+                                            lo + rng.random((100, top.size)) * (hi - lo)]))
+        values = np.einsum("pj,pj->p", u.conj(), u @ s.T).real
+        assert values.max() <= bound[0]
 
 
 def test_net_budget_refusal_and_validation():
+    vs = vector_system(random_unit_rows(9, 3, make_rng(51)))
+    needed = certified_subset_bound(vs, range(9), 0.05, budget=10**6)[2]
+    assert certified_subset_bound(vs, range(9), 0.05, budget=needed)[2] == needed
     with pytest.raises(BudgetExceededError):
-        build_epsilon_net(6, 0.01)
-    with pytest.raises(InvalidParameterError):
-        build_epsilon_net(2, 0.0)
-    net = build_epsilon_net(2, 0.1)
-    with pytest.raises(InvalidParameterError):
-        net_certified_bound(vector_system(np.eye(3)), [0], net, 2.0)
+        certified_subset_bound(vs, range(9), 0.05, budget=needed - 1)
+    for gap in (0.0, -1.0, math.inf, math.nan, 1e-15):
+        with pytest.raises(InvalidParameterError):
+            certified_subset_bound(vs, range(9), gap)
+    for subset in ([9], [-1, 0]):
+        with pytest.raises(InvalidParameterError):
+            certified_subset_bound(vs, subset, 0.05)
 
 
 def test_net_empty_subset():
-    net = build_epsilon_net(2, 0.1)
     vs = vector_system(np.eye(2))
-    net_max, cert = net_certified_bound(vs, [], net, 2.0)
-    assert net_max == 0.0
-    assert cert == pytest.approx(2 * 2.0 * 0.1)
-
-
-def meshgrid_lattice(mesh):
-    """The k = 2 lattice built from a full (theta, phi) meshgrid."""
-    h = mesh / 3.0
-    nt = int(np.ceil((np.pi / 2) / (2 * h)))
-    n_phi = int(np.ceil((2 * np.pi) / (2 * h)))
-    thetas = np.linspace(0.0, np.pi / 2, nt + 1)
-    phis = np.arange(n_phi) * (2 * np.pi / n_phi)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return np.stack([np.cos(tt).ravel().astype(np.complex128),
-                     (np.sin(tt) * np.exp(1j * pp)).ravel()], axis=1)
-
-
-@pytest.mark.parametrize("mesh", [0.5, 0.1, 0.0371, 0.0125, 0.00625])
-def test_net_k2_lattice_is_bitwise_the_meshgrid_lattice(mesh):
-    net = build_epsilon_net(2, mesh)
-    ref = meshgrid_lattice(mesh)
-    assert net.points.shape == ref.shape
-    assert np.array_equal(net.points.view(np.uint64), ref.view(np.uint64))
+    net_max, cert, evaluations, _ = certified_subset_bound(vs, [], 0.4)
+    assert (net_max, cert, evaluations) == (0.0, 0.4, 1)
 
 
 def per_point_sum(points, vectors):
-    """max over net points u of sum_i |<u, v_i>|^2, one point at a time."""
+    """max over points u of sum_i |<u, v_i>|^2, one point at a time."""
     return max(sum(abs(np.vdot(v, u)) ** 2 for v in vectors) for u in points)
 
 
@@ -660,13 +689,9 @@ def per_point_sum(points, vectors):
 def test_net_bound_matches_per_point_sum(k, mesh, seed):
     rng = make_rng(400 + seed)
     vs = vector_system(random_unit_rows(7, k, rng))
-    net = build_epsilon_net(k, mesh, seed=seed)
     for size in (0, 1, 3, 7):
         subset = sorted(rng.choice(7, size=size, replace=False).tolist())
-        net_max, cert = net_certified_bound(vs, subset, net, 2.0)
+        net_max, cert, _, witness = certified_subset_bound(vs, subset, 2.0 * 2.0 * mesh)
         assert cert == net_max + 2.0 * 2.0 * mesh
-        if size == 0:
-            assert net_max == 0.0
-            continue
-        ref = per_point_sum(net.points, vs.vectors[subset])
+        ref = per_point_sum([witness], vs.vectors[subset])
         assert net_max == pytest.approx(ref, rel=1e-13, abs=0.0)
