@@ -99,8 +99,16 @@ def _tol_or(args, default: float) -> float:
     return default if args.tol is None else args.tol
 
 
+def _check_level(n_bound: float) -> None:
+    """Reject a level N (--n-bound) that is not positive and finite."""
+    if not (n_bound > 0 and math.isfinite(n_bound)):  # also rejects NaN
+        raise FrameDiscError(
+            f"the level N must be positive and finite (--n-bound), got {n_bound}")
+
+
 def cmd_reduce(args) -> VerificationReport:
     n_bound = args.n_bound
+    _check_level(n_bound)
     data = load_json(args.input)
     if args.direction == "proj2vec":
         p = matrix_from_dict(data)
@@ -135,6 +143,7 @@ def cmd_reduce(args) -> VerificationReport:
 
 
 def cmd_search(args) -> VerificationReport:
+    _check_level(args.n_bound)
     data = load_json(args.input)
     seed, budget = args.seed, args.budget
     extra: dict = {}
@@ -210,9 +219,7 @@ def cmd_search(args) -> VerificationReport:
 def cmd_net_check(args) -> VerificationReport:
     if not (args.epsilon > 0 and math.isfinite(args.epsilon)):  # also rejects NaN
         raise FrameDiscError(f"--epsilon must be positive and finite, got {args.epsilon}")
-    if not (args.n_bound > 0 and math.isfinite(args.n_bound)):
-        raise FrameDiscError(
-            f"the level N must be positive and finite (--n-bound), got {args.n_bound}")
+    _check_level(args.n_bound)
     data = load_json(args.input)
     vs = system_from_dict(data)
     subset = [int(i) for i in args.subset.split(",")] if args.subset else range(1, vs.n + 1)

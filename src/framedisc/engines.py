@@ -400,13 +400,23 @@ def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
 PRUNE_MARGIN = 1e-12
 
 
-def _min_max_partition(n: int, r: int, part_score, limit: int,
+def _min_max_partition(n: int, r: int, empty, grow, part_score, limit: int,
                        budget: int | None = None, counters: dict | None = None) -> Partition:
     """Lexicographically first assignment of 0..n-1 to r parts minimizing
-    max_j part_score(indices of part j); the empty part scores 0.
+    max_j of its parts' scores; the empty part scores 0.
 
-    Precondition: part_score is monotone under inclusion (S <= T implies
-    part_score(S) <= part_score(T), up to rounding).
+    A part is scored from a state: the empty part's state is ``empty``,
+    grow(state, i) is the state of the part with index i added, i above
+    every index already in it, and part_score(state) is the part's score.
+    A part's state is therefore always grown through its indices in
+    increasing order, whichever prefix reaches it. The winner is optimal
+    for the scores as computed: where the state is a floating-point sum
+    (exhaustive_partition_search's frame operators), scores can differ by
+    a few ulps from another way of computing them, and on exact ties
+    another, equally optimal partition can come first.
+
+    Precondition: the score is monotone under inclusion (S <= T implies
+    score(S) <= score(T), up to rounding).
 
     An assignment's value depends only on its parts, so the lexicographically
     first optimal assignment is the first relabeling of its partition, a
@@ -418,7 +428,10 @@ def _min_max_partition(n: int, r: int, part_score, limit: int,
     only on a strict improvement, so the walk returns what scoring every
     restricted-growth string would. Scores are cached by the part's bitmask,
     so each distinct part is scored once and a leaf's value is the same float
-    whichever path reached it.
+    whichever path reached it. A part's state is grown only where the walk
+    scores the part or extends the prefix below it. The walk runs under
+    np.errstate(all="ignore"), so that an eigensolve scoring a part fails
+    with _opnorm's EigensolverError alone.
 
     Refuses up front when r^n exceeds ``limit``, and raises
     BudgetExceededError when the walk would visit more than ``budget``
@@ -433,6 +446,7 @@ def _min_max_partition(n: int, r: int, part_score, limit: int,
         )
     scores = {0: 0.0}  # at most min(2^n, r^n) entries
     masks = [0] * r  # bitmask of each part of the current prefix
+    states = [empty] * r  # the state of each part of the current prefix
     current = [0.0] * r  # scores[masks[j]]
     assign = [0] * n
     best_val, best_assign = math.inf, None
@@ -447,11 +461,13 @@ def _min_max_partition(n: int, r: int, part_score, limit: int,
                     f"exhaustive partition search visits more than budget = {budget} nodes"
                 )
             nodes += 1
-            old_mask, old_score = masks[j], current[j]
+            old_mask, old_score, old_state = masks[j], current[j], states[j]
             mask = masks[j] = old_mask | 1 << i
+            state = None
             score = scores.get(mask)
             if score is None:
-                score = scores[mask] = part_score([t for t in range(n) if mask >> t & 1])
+                state = grow(old_state, i)
+                score = scores[mask] = part_score(state)
             current[j] = score
             bound = max(current)
             assign[i] = j
@@ -459,11 +475,13 @@ def _min_max_partition(n: int, r: int, part_score, limit: int,
                 if bound < best_val:
                     best_val, best_assign = bound, list(assign)
             elif bound <= best_val + PRUNE_MARGIN * best_val:
+                states[j] = grow(old_state, i) if state is None else state
                 visit(i + 1, max(used, j + 1))
-            masks[j], current[j] = old_mask, old_score
+            masks[j], current[j], states[j] = old_mask, old_score, old_state
 
     try:
-        visit(0, 0)
+        with np.errstate(all="ignore"):
+            visit(0, 0)
     finally:
         if counters is not None:
             counters.update(nodes_visited=nodes, parts_scored=len(scores) - 1)
@@ -480,13 +498,17 @@ def exhaustive_partition_search(
     r^n exceeds the enumeration limit or the walk exceeds ``budget`` nodes
     (see _min_max_partition, which also fills ``counters``). A part's frame
     bound can only grow as vectors join it, since each adds a PSD term.
+
+    The walk scores a part by the operator norm of its frame operator
+    summed term by term, ((v_a v_a* + v_b v_b*) + ...) for a < b < ...,
+    each part's sum grown from its parent part's. That sum can differ from
+    a matrix product by a few ulps, so where different partitions are
+    optimal in exact arithmetic (duplicated vectors, say) the winner is the
+    lexicographically first partition that is optimal as computed here.
     """
-
-    def part_score(idx):
-        sub = vs.vectors[idx]
-        return _opnorm(sub.T @ sub.conj())
-
-    part = _min_max_partition(vs.n, r, part_score, limit, budget, counters)
+    terms = list(vs.vectors[:, :, None] * vs.vectors.conj()[:, None, :])  # rank_one of each row
+    part = _min_max_partition(vs.n, r, np.zeros((vs.k, vs.k), dtype=np.complex128),
+                              lambda s, i: s + terms[i], _opnorm, limit, budget, counters)
     return partition_certificate(vs, part, N)
 
 
@@ -495,10 +517,11 @@ def _paving_search(a, r: int, limit: int, budget: int | None = None,
     """Exhaustive min over r^n partitions of max_j ||Q_j A Q_j||: the
     lexicographically smallest optimal partition and its paving quality.
     ||A[S, S]|| can only grow with S, by Cauchy interlacing, so the
-    branch and bound of _min_max_partition applies."""
+    branch and bound of _min_max_partition applies. A part's state is its
+    index list, and A[S, S] is an exact gather."""
     a = as_hermitian(a)
-    part = _min_max_partition(a.shape[0], r, lambda idx: _opnorm(a[np.ix_(idx, idx)]),
-                              limit, budget, counters)
+    part = _min_max_partition(a.shape[0], r, [], lambda idx, i: idx + [i],
+                              lambda idx: _opnorm(a[idx][:, idx]), limit, budget, counters)
     return part, paving_quality(a, part)
 
 
@@ -534,28 +557,29 @@ def anneal_partition_search(
     def value(ss):
         return max(_opnorm(s) for s in ss)
 
-    cur = value(sums)
-    best_val, best_assign = cur, assignment.copy()
-    temp = schedule.t0
-    for _ in range(schedule.steps):
-        i = int(rng.integers(0, n))
-        old = int(assignment[i])
-        new = int(rng.integers(0, r - 1))
-        if new >= old:
-            new += 1
-        sums[old] -= mats[i]
-        sums[new] += mats[i]
-        cand = value(sums)
-        delta = cand - cur
-        if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-12)):
-            assignment[i] = new
-            cur = cand
-            if cur < best_val:
-                best_val, best_assign = cur, assignment.copy()
-        else:
-            sums[old] += mats[i]
-            sums[new] -= mats[i]
-        temp *= schedule.cooling
+    with np.errstate(all="ignore"):  # _opnorm's single-matrix kernel, once
+        cur = value(sums)
+        best_val, best_assign = cur, assignment.copy()
+        temp = schedule.t0
+        for _ in range(schedule.steps):
+            i = int(rng.integers(0, n))
+            old = int(assignment[i])
+            new = int(rng.integers(0, r - 1))
+            if new >= old:
+                new += 1
+            sums[old] -= mats[i]
+            sums[new] += mats[i]
+            cand = value(sums)
+            delta = cand - cur
+            if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-12)):
+                assignment[i] = new
+                cur = cand
+                if cur < best_val:
+                    best_val, best_assign = cur, assignment.copy()
+            else:
+                sums[old] += mats[i]
+                sums[new] -= mats[i]
+            temp *= schedule.cooling
     part = partition(r, best_assign)
     return partition_certificate(vs, part, N)
 
@@ -870,26 +894,27 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
                                  evaluations=min(budget, 2 ** (n - 1)))
     rng = make_rng(seed)
     best_val, best_signs, evals = np.inf, None, 0
-    while evals < budget:
-        signs = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int64)
-        s = np.tensordot(signs, stacked, axes=1)
-        val = _opnorm(s)
-        evals += 1
-        improved = True
-        while improved and evals < budget:
-            improved = False
-            for i in range(n):
-                cand = s - 2 * signs[i] * stacked[i]
-                cval = _opnorm(cand)
-                evals += 1
-                if cval < val - 1e-15:
-                    s, val = cand, cval
-                    signs[i] = -signs[i]
-                    improved = True
-        if val < best_val:
-            best_val, best_signs = val, signs.copy()
-        if best_val <= M:
-            return SignVector(signs=best_signs)
+    with np.errstate(all="ignore"):  # _opnorm's single-matrix kernel, once
+        while evals < budget:
+            signs = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int64)
+            s = np.tensordot(signs, stacked, axes=1)
+            val = _opnorm(s)
+            evals += 1
+            improved = True
+            while improved and evals < budget:
+                improved = False
+                for i in range(n):
+                    cand = s - 2 * signs[i] * stacked[i]
+                    cval = _opnorm(cand)
+                    evals += 1
+                    if cval < val - 1e-15:
+                        s, val = cand, cval
+                        signs[i] = -signs[i]
+                        improved = True
+            if val < best_val:
+                best_val, best_signs = val, signs.copy()
+            if best_val <= M:
+                return SignVector(signs=best_signs)
     return SignSearchFailure(best_value=float(best_val),
                              best_signs=SignVector(signs=best_signs),
                              evaluations=evals)

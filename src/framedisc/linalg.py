@@ -4,6 +4,12 @@ Rank-one operators, Hermitian eigensystems, operator and Schatten norms,
 and projection predicates. Everything here is a pure function of its
 arguments; matrices are plain complex128 ndarrays validated (and lightly
 symmetrized) on entry.
+
+Two private kernels call the gufuncs of numpy.linalg._umath_linalg
+directly, skipping the numpy.linalg wrappers: _cholesky_factors calls
+cholesky_lo on stacks, and _opnorm calls eigvalsh_lo on a single matrix.
+That module is private to numpy, so tests pin both against the public
+functions.
 """
 
 from __future__ import annotations
@@ -84,6 +90,14 @@ def _phase_normalized_rows(m: np.ndarray) -> np.ndarray:
     return m * np.where(found, pivot.conj() / modulus, 1.0)[:, None]
 
 
+def _nonconvergence(h: np.ndarray, detail) -> EigensolverError:
+    """The error for an eigensolve of h that failed to converge, carrying
+    the off-diagonal residual."""
+    off = ~np.eye(h.shape[-1], dtype=bool)
+    return EigensolverError(f"eigensolver failed to converge: {detail}",
+                            residual=float(np.linalg.norm(h[..., off])))
+
+
 def _solve(solver, h: np.ndarray):
     """Run a numpy Hermitian eigensolver on h, a matrix or a stack (..., k, k);
     a convergence failure becomes an EigensolverError carrying the
@@ -91,11 +105,7 @@ def _solve(solver, h: np.ndarray):
     try:
         return solver(h)
     except np.linalg.LinAlgError as exc:
-        off = ~np.eye(h.shape[-1], dtype=bool)
-        raise EigensolverError(
-            f"eigensolver failed to converge: {exc}",
-            residual=float(np.linalg.norm(h[..., off])),
-        ) from exc
+        raise _nonconvergence(h, exc) from exc
 
 
 def _cholesky_factors(a: np.ndarray) -> np.ndarray:
@@ -122,17 +132,33 @@ def eigenvalues(h) -> np.ndarray:
 
 
 def _opnorm(h: np.ndarray):
-    """max(|lambda_min|, |lambda_max|) of a matrix the caller already knows to
-    be Hermitian (a float), or of each matrix of a stack (..., k, k) (an
-    array). No validation: this is the kernel of every enumeration loop."""
+    """max(|lambda_min|, |lambda_max|) of a float64 or complex128 matrix the
+    caller already knows to be Hermitian (a float), or of each matrix of a
+    stack (..., k, k) (an array). No validation: this is the kernel of every
+    enumeration loop.
+
+    A single matrix goes straight to eigvalsh_lo, the gufunc behind
+    np.linalg.eigvalsh, with the same eigenvalues bit for bit.
+    When LAPACK fails to converge the gufunc writes NaN, which becomes an
+    EigensolverError here, and raises numpy's invalid flag; a loop scoring
+    many single matrices runs under np.errstate(all="ignore"), set once, so
+    that the flag prints no RuntimeWarning first.
+    """
+    if h.ndim == 2:
+        w = _umath_linalg.eigvalsh_lo(h)
+        norm = max(abs(float(w[0])), abs(float(w[-1])))  # +0.0 for the zero matrix
+        if norm != norm:
+            raise _nonconvergence(h, "LAPACK returned NaN")
+        return norm
     w = _solve(np.linalg.eigvalsh, h)
-    norms = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
-    return float(norms) if norms.ndim == 0 else norms
+    return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
 
 
 def opnorm(h) -> float:
     """Operator norm of a Hermitian matrix: max(|lambda_min|, |lambda_max|)."""
-    return _opnorm(as_hermitian(h))
+    h = as_hermitian(h)
+    with np.errstate(all="ignore"):
+        return _opnorm(h)
 
 
 def schatten_norm(h, p) -> float:

@@ -575,6 +575,23 @@ def test_net_check_rejects_values_that_are_not_finite_and_positive(tmp_path, cap
     assert flag in err and "must be positive and finite" in err
 
 
+@pytest.mark.parametrize("command", [["search", "--kind", "partition"],
+                                     ["reduce", "--direction", "vec2proj"]])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_search_and_reduce_reject_a_level_that_is_not_finite_and_positive(
+        tmp_path, capsys, command, value):
+    src = tmp_path / "sys.json"
+    g = make_rng(4).standard_normal((6, 2))
+    write_system(src, vector_system(g / (2.0 * np.linalg.norm(g, axis=1, keepdims=True))))
+    out = tmp_path / "out"
+    assert run(command + ["--input", str(src), "--n-bound", value,
+                          "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--n-bound" in err
+    assert "must be positive and finite" in err and "Warning" not in err
+    assert list(tmp_path.iterdir()) == [src]  # refused before any output
+
+
 def test_net_check_rejects_a_repeated_subset_index(tmp_path, capsys):
     src = tmp_path / "sys.json"
     write_system(src, vector_system(np.array([[0.6, 0.0], [0.0, 0.8]])))

@@ -201,6 +201,12 @@ def _product_reference(n, r, part_score):
     return best, best_val
 
 
+def _index_walk(n, r, part_score, **kwargs):
+    """The branch and bound with each part's index list as its state."""
+    return engines._min_max_partition(n, r, [], lambda idx, i: idx + [i], part_score,
+                                      **kwargs)
+
+
 @pytest.mark.parametrize("r, n, seed", [(2, 5, 1), (2, 7, 3), (3, 6, 4), (3, 5, 5),
                                         (4, 6, 6), (4, 5, 7)])
 def test_restricted_growth_walk_matches_product_reference(r, n, seed):
@@ -216,7 +222,7 @@ def test_restricted_growth_walk_matches_product_reference(r, n, seed):
 
     for score in (frame_score, tie_score):
         best, best_val = _product_reference(n, r, score)
-        part = engines._min_max_partition(n, r, score, limit=r**n)
+        part = _index_walk(n, r, score, limit=r**n)
         assert part.assignment.tolist() == best
         val = max((score(np.flatnonzero(part.assignment == j).tolist())
                    for j in range(r) if np.any(part.assignment == j)), default=0.0)
@@ -232,7 +238,7 @@ def test_restricted_growth_counts_partitions():
     # parts: 2^(n-1) for r = 2, Bell numbers when r >= n, 1 for r = 1.
     def nodes(n, r):
         counters = {}
-        engines._min_max_partition(n, r, lambda idx: 0.0, limit=r**n, counters=counters)
+        _index_walk(n, r, lambda idx: 0.0, limit=r**n, counters=counters)
         return counters["nodes_visited"]
 
     assert nodes(8, 2) - nodes(7, 2) == 2**7
@@ -240,13 +246,13 @@ def test_restricted_growth_counts_partitions():
         [1, 2, 5, 15, 52, 203]
     assert nodes(5, 1) == 5
     counters = {}
-    engines._min_max_partition(8, 2, lambda idx: 0.0, limit=2**8, counters=counters)
+    _index_walk(8, 2, lambda idx: 0.0, limit=2**8, counters=counters)
     assert counters == {"nodes_visited": 2**8 - 1, "parts_scored": 2**8 - 1}
     with pytest.raises(BudgetExceededError):
-        engines._min_max_partition(5, 2, lambda idx: 0.0, limit=31)
+        _index_walk(5, 2, lambda idx: 0.0, limit=31)
     with pytest.raises(BudgetExceededError):
-        engines._min_max_partition(5, 2, lambda idx: 0.0, limit=32, budget=30)
-    engines._min_max_partition(5, 2, lambda idx: 0.0, limit=32, budget=31)
+        _index_walk(5, 2, lambda idx: 0.0, limit=32, budget=30)
+    _index_walk(5, 2, lambda idx: 0.0, limit=32, budget=31)
 
 
 def test_anneal_never_beats_exhaustive_and_is_deterministic():

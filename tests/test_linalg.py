@@ -1,18 +1,27 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from framedisc import (
     EigensolverError,
     InvalidParameterError,
+    anneal_partition_search,
     as_hermitian,
     counterexample_vectors,
     diagonal_delta,
     eigensystem,
+    engines,
+    exhaustive_partition_search,
     is_projection,
     opnorm,
     rank_one,
     schatten_norm,
+    vector_system,
 )
+from framedisc.linalg import _opnorm
 from framedisc.rng import make_rng
 
 
@@ -180,14 +189,71 @@ def test_eigensolver_error_type_exists():
     assert issubclass(EigensolverError, RuntimeError)
 
 
+def nan_kernel(h):
+    """eigvalsh_lo failing to converge on every matrix: NaN eigenvalues and
+    numpy's invalid flag raised, as LAPACK's failure leaves them."""
+    zeros = np.zeros(h.shape[:-1])
+    return zeros / zeros
+
+
 def test_solver_failure_becomes_eigensolver_error(monkeypatch):
     def fail(h):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", nan_kernel)  # opnorm's kernel
     h = np.array([[0.0, 2.0], [2.0, 1.0]])
     for f in (opnorm, eigensystem, lambda m: schatten_norm(m, 2)):
         with pytest.raises(EigensolverError) as info:
             f(h)
         assert info.value.residual == pytest.approx(np.sqrt(8.0))
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("k", range(1, 41))
+def test_single_matrix_kernel_matches_eigvalsh_bitwise(k, real):
+    # _opnorm calls numpy's private gufunc eigvalsh_lo on a single matrix;
+    # pin it to np.linalg.eigvalsh, C-ordered or not
+    rng = make_rng(k)
+    for _ in range(3):
+        h = random_hermitian(k, rng)
+        h = h.real.copy() if real else h
+        for m in (h, np.asfortranarray(h), h[::-1, ::-1]):
+            w = np.linalg.eigvalsh(m)
+            assert _umath_linalg.eigvalsh_lo(m).tobytes() == w.tobytes()
+            norm = _opnorm(m)
+            assert type(norm) is float
+            assert norm.hex() == float(np.maximum(np.abs(w[0]), np.abs(w[-1]))).hex()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_single_matrix_kernel_gives_positive_zero_for_the_zero_matrix(dtype):
+    for k in (1, 2, 5):
+        for z in (np.zeros((k, k), dtype=dtype), -np.zeros((k, k), dtype=dtype)):
+            assert math.copysign(1.0, _opnorm(z)) == 1.0
+            assert math.copysign(1.0, opnorm(z)) == 1.0
+
+
+def test_kernel_nonconvergence_raises_without_a_warning(monkeypatch, capfd):
+    monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", nan_kernel)
+    h = np.array([[0.0, 2.0], [2.0, 1.0]])
+    v = np.array([[0.6, 0.0], [0.0, 0.8], [0.6, 0.0]])
+    a = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    searches = {
+        "opnorm": (lambda: opnorm(h), np.sqrt(8.0)),
+        "partition": (lambda: exhaustive_partition_search(vector_system(v), 2, 2.0), 0.0),
+        "anneal": (lambda: anneal_partition_search(vector_system(v), 2, 2.0, seed=0),
+                   0.0),
+        "pave": (lambda: engines._paving_search(a, 2, limit=8), 0.0),
+        "banaszczyk": (lambda: engines.banaszczyk_sign_search([h / 20.0] * 21, M=1.0),
+                       None),
+    }
+    for name, (call, residual) in searches.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's RuntimeWarning would raise here
+            with pytest.raises(EigensolverError) as info:
+                call()
+        if residual is not None:
+            assert info.value.residual == pytest.approx(residual), name
+    assert capfd.readouterr().err == ""

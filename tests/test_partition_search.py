@@ -1,9 +1,10 @@
 """The branch and bound behind exhaustive_partition_search and
 ``search --kind pave``, checked bitwise against a reference that scores
-every restricted-growth string, kept here."""
+every restricted-growth string, kept here, and the frame search's term by
+term score checked against a matrix-product score."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framedisc import exhaustive_partition_search, vector_system
@@ -52,6 +53,35 @@ def reference_search(n, r, part_score):
     return best, best_val
 
 
+def index_walk(n, r, part_score, **kwargs):
+    """The branch and bound with each part's index list as its state."""
+    return engines._min_max_partition(n, r, [], lambda idx, i: idx + [i], part_score,
+                                      **kwargs)
+
+
+def term_sum_score(v):
+    """The frame search's score: the norm of a part's frame operator summed
+    term by term, (v_a v_a* + v_b v_b*) + ... for a < b < ..."""
+    terms = [np.outer(x, x.conj()) for x in v]
+
+    def score(idx):
+        s = np.zeros((v.shape[1], v.shape[1]), dtype=np.complex128)
+        for i in idx:
+            s = s + terms[i]
+        return _opnorm(s)
+
+    return score
+
+
+def matmul_score(v):
+    """A part's frame bound from one matrix product, sub.T @ sub.conj()."""
+    def score(idx):
+        sub = v[idx]
+        return _opnorm(sub.T @ sub.conj())
+
+    return score
+
+
 def value_of(assignment, r, part_score):
     return max((part_score(np.flatnonzero(assignment == j).tolist())
                 for j in range(r) if np.any(assignment == j)), default=0.0)
@@ -73,22 +103,50 @@ def vectors(seed, n, k, kind):
 SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 4))
 
 
+# duplicated vectors whose optimal partitions tie exactly, where the matrix
+# product and the term by term sum pick different ones
+DUP_TIE = dict(seed=0, shape=(2, 9, 2), kind="dup")
+
+
 @SEEDED
 @given(seed=SEEDS, shape=SHAPES, kind=st.sampled_from(["generic", "dup", "zero"]))
+@example(**DUP_TIE)
 def test_frame_search_matches_reference(seed, shape, kind):
     r, n, k = shape
     v = vectors(seed, n, k, kind)
-
-    def score(idx):
-        sub = v[idx]
-        return _opnorm(sub.T @ sub.conj())
-
+    score = term_sum_score(v)
     best, best_val = reference_search(n, r, score)
     counters = {}
     cert = exhaustive_partition_search(vector_system(v), r, 2.0, counters=counters)
     assert cert.partition.assignment.tolist() == best
     assert value_of(cert.partition.assignment, r, score) == best_val
     assert 1 <= counters["parts_scored"] <= counters["nodes_visited"]
+
+
+@SEEDED
+@given(seed=SEEDS, shape=SHAPES, kind=st.sampled_from(["generic", "dup", "zero"]))
+@example(**DUP_TIE)
+def test_term_sum_witness_is_optimal_under_the_matmul_score(seed, shape, kind):
+    # The walk under the matrix-product score computes the same optimum
+    # another way. Both scores are within n k eps sum_i ||v_i||^2 of a part's
+    # exact frame bound, so each witness is optimal under the other score up
+    # to that; on generic inputs no two partitions come that close, so the
+    # walks agree exactly.
+    r, n, k = shape
+    v = vectors(seed, n, k, kind)
+    by_terms, by_matmul = term_sum_score(v), matmul_score(v)
+    terms_counters, matmul_counters = {}, {}
+    terms_part = exhaustive_partition_search(vector_system(v), r, 2.0,
+                                             counters=terms_counters).partition
+    matmul_part = index_walk(n, r, by_matmul, limit=r**n, counters=matmul_counters)
+    tol = n * k * np.finfo(float).eps * float(np.sum(np.abs(v) ** 2))
+    matmul_best = value_of(matmul_part.assignment, r, by_matmul)
+    terms_best = value_of(terms_part.assignment, r, by_terms)
+    assert abs(value_of(terms_part.assignment, r, by_matmul) - matmul_best) <= tol
+    assert abs(value_of(matmul_part.assignment, r, by_terms) - terms_best) <= tol
+    if kind == "generic":
+        assert terms_part.assignment.tolist() == matmul_part.assignment.tolist()
+        assert terms_counters == matmul_counters
 
 
 @SEEDED
@@ -117,7 +175,7 @@ def test_tie_heavy_monotone_scores_match_reference(seed, shape, top):
     w = make_rng(seed).integers(0, top + 1, size=n)
     for score in (lambda idx: float(sum(w[idx])), lambda idx: float(max(w[idx], default=0))):
         best, best_val = reference_search(n, r, score)
-        part = engines._min_max_partition(n, r, score, limit=r**n)
+        part = index_walk(n, r, score, limit=r**n)
         assert part.assignment.tolist() == best
         assert value_of(part.assignment, r, score) == best_val
 
