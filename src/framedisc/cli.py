@@ -10,12 +10,19 @@ CSV) and exits 0 on pass, 1 on claim failure,
 that 1 always means a failed claim). All randomness flows from
 the explicit --seed; identical (input, seed, budget) reproduce the report
 byte for byte apart from the wall-time field.
+
+``main`` builds the argparse parser once per process and reuses it on
+every later call, so in-process callers (tests, the benchmark) pay for it
+once. The parser holds no command functions: ``main`` looks the
+subcommand's ``cmd_*`` function up in this module at call time, so a
+rebinding of, say, ``cli.cmd_search`` takes effect on the next call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -150,7 +157,12 @@ def cmd_search(args) -> VerificationReport:
     counters: dict = {}
     if args.kind == "signs":
         vs = system_from_dict(data)
-        witness, value = engines.exhaustive_sign_search(vs, min(args.limit, budget), counters)
+        flag, cap = ("--limit", args.limit) if args.limit < budget else ("--budget", budget)
+        try:
+            witness, value = engines.exhaustive_sign_search(vs, cap, counters)
+        except BudgetExceededError:
+            raise BudgetExceededError(
+                f"the sign search walks 2^{vs.n - 1} patterns, over {flag} {cap}") from None
         # The walk's value against the witness's explicit k x k signed sum.
         # Each of the 2^(n-1) running-sum steps (and the Gram square root
         # when n < k) may round by eps * sum_i ||v_i||^2.
@@ -265,11 +277,19 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _budget(text: str) -> int:
+def _at_least_one(text: str, flag: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"needs budget >= 1, got {text}")
+        raise argparse.ArgumentTypeError(f"needs {flag} >= 1, got {text}")
     return value
+
+
+def _budget(text: str) -> int:
+    return _at_least_one(text, "budget")
+
+
+def _limit(text: str) -> int:
+    return _at_least_one(text, "limit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,13 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-weaver", help="generate a counterexample-family instance")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", default=None, help="output directory (default: .)")
-    p.set_defaults(func=cmd_gen_weaver)
 
     p = sub.add_parser("verify-weaver", help="verify the family's closed forms and floor")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["exhaustive", "heuristic"], default="exhaustive")
     common(p)
-    p.set_defaults(func=cmd_verify_weaver)
 
     p = sub.add_parser("reduce", help="projection <-> vector-system bridge")
     p.add_argument("--direction", choices=["proj2vec", "vec2proj"], required=True)
@@ -303,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the level N of the construction")
     common(p)
     p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("search", help="sign/partition/paving/matroid/balancing searches")
     p.add_argument("--kind", choices=["signs", "partition", "pave", "matroid", "banaszczyk"],
@@ -311,9 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--n-bound", type=float, default=2.0, dest="n_bound")
-    p.add_argument("--limit", type=int, default=2**24, help="exhaustive enumeration cap")
+    p.add_argument("--limit", type=_limit, default=2**24, help="exhaustive enumeration cap")
     common(p)
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("net-check", help="certified bound on a subset's frame bound")
     p.add_argument("--input", required=True)
@@ -322,26 +338,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-bound", type=float, required=True, dest="n_bound")
     common(p)
     p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
-    p.set_defaults(func=cmd_net_check)
 
     p = sub.add_parser("banaszczyk-radius", help="Gaussian median operator-norm radius")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, default=100000)
     common(p)
-    p.set_defaults(func=cmd_banaszczyk_radius)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
+    # looked up at call time, so that a rebound cli.cmd_* is the one called
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     started = time.perf_counter()
     try:
-        report = args.func(args)
+        report = command(args)
         if report is None:  # gen-weaver: instance files, no report
             return EXIT_PASS
         report.wall_time_s = time.perf_counter() - started

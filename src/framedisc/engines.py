@@ -208,7 +208,15 @@ def _row_reduce(m: np.ndarray, tol: float, ncols: int | None = None) -> tuple[np
     With ``ncols``, pivots are sought only among the first ncols columns, but
     every row operation still acts on all columns. Row operations act on each
     column separately, so any later column ends up exactly as it would if it
-    were the only column after the first ncols."""
+    were the only column after the first ncols.
+
+    Each pivot updates the whole table in place, m -= m[:, col, None] *
+    pivot_row with a copy of the pivot row, and then writes that copy back
+    over the pivot row's own (discarded) result. Every other row gets the
+    one product and one subtraction per entry that
+    m[others] -= np.outer(m[others, col], pivot_row) makes, so values,
+    signed zeros and pivots are bitwise those of that masked update, without
+    copying the other rows out through a mask and back."""
     m = np.array(m, dtype=np.result_type(m, np.float64))
     rows, cols = m.shape
     pivots: list = []
@@ -219,10 +227,12 @@ def _row_reduce(m: np.ndarray, tol: float, ncols: int | None = None) -> tuple[np
         p = int(np.argmax(np.abs(m[row:, col]))) + row
         if abs(m[p, col]) <= tol:
             continue
-        m[[row, p]] = m[[p, row]]
+        if p != row:
+            m[[row, p]] = m[[p, row]]
         m[row] /= m[row, col]
-        others = np.arange(rows) != row
-        m[others] -= np.outer(m[others, col], m[row])
+        pivot_row = m[row].copy()
+        m -= m[:, col, None] * pivot_row
+        m[row] = pivot_row
         pivots.append(col)
     return m, pivots
 

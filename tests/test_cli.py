@@ -11,6 +11,7 @@ import pytest
 from framedisc import (
     AnnealSchedule,
     anneal_partition_search,
+    cli,
     engines,
     opnorm,
     partition,
@@ -284,6 +285,29 @@ def test_search_signs_enforces_budget(tmp_path, capsys):
     assert "budget 15" in capsys.readouterr().err
     assert run(["search", "--kind", "signs", "--input", str(src), "--budget", "16"]) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["budget"] == 16
+
+
+def test_search_signs_refusal_names_the_flag_that_refused(tmp_path, capsys):
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(make_rng(3).standard_normal((5, 3))))  # 16 patterns
+    argv = ["search", "--kind", "signs", "--input", str(src)]
+    assert run(argv + ["--limit", "15", "--budget", "100"]) == EXIT_BUDGET
+    assert "over --limit 15" in capsys.readouterr().err
+    assert run(argv + ["--limit", "100", "--budget", "15"]) == EXIT_BUDGET
+    assert "over --budget 15" in capsys.readouterr().err
+    assert run(argv + ["--limit", "16", "--budget", "16"]) == EXIT_PASS
+
+
+@pytest.mark.parametrize("kind", ["signs", "partition", "pave", "matroid", "banaszczyk"])
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_search_limit_below_one_is_usage_error(tmp_path, capsys, kind, limit):
+    src = tmp_path / "in.json"
+    if kind == "pave":
+        src.write_text(canonical_json(matrix_to_dict(1.0 - np.eye(4))) + "\n")
+    else:
+        write_system(src, vector_system(np.vstack([np.eye(2), np.eye(2)])))
+    assert run(["search", "--kind", kind, "--input", str(src), "--limit", limit]) == EXIT_USAGE
+    assert "limit >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload", [{"k": 2, "vectors": [[1, 0], [0, 1]]},
@@ -666,6 +690,63 @@ def test_reports_byte_identical_modulo_wall_time(tmp_path):
 
 def test_unknown_subcommand_is_usage():
     assert run(["frobnicate"]) == EXIT_USAGE
+
+
+def _partition_argv(tmp_path):
+    g = make_rng(79).standard_normal((8, 2)) + 1j * make_rng(80).standard_normal((8, 2))
+    g /= 2 * np.linalg.norm(g, axis=1, keepdims=True)
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(g))
+    return ["search", "--kind", "partition", "--input", str(src), "--r", "2", "--n-bound", "2"]
+
+
+def test_repeated_main_calls_in_one_process_write_the_same_bytes(tmp_path, capsys):
+    argv = _partition_argv(tmp_path)
+    outs = []
+    for interlude in ([], ["search", "--kind", "nope"], ["--help"], ["search", "--help"]):
+        if interlude:
+            assert run(interlude) == (EXIT_PASS if "--help" in interlude else EXIT_USAGE)
+            capsys.readouterr()
+        assert run(argv) == EXIT_PASS
+        outs.append(strip_wall_time(capsys.readouterr().out))
+    assert run(argv) == EXIT_PASS  # two identical consecutive calls
+    outs.append(strip_wall_time(capsys.readouterr().out))
+    assert '"exact": true' in outs[0]
+    assert all(out == outs[0] for out in outs)
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    argv = _partition_argv(tmp_path)
+    codes = [run(a) for a in (argv, ["frobnicate"], ["--help"], argv, argv,
+                              ["banaszczyk-radius", "--k", "1", "--samples", "1000"])]
+    assert codes == [EXIT_PASS, EXIT_USAGE, EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_PASS]
+    assert len(builds) == 1
+
+
+def test_main_calls_the_command_bound_in_cli_at_call_time(tmp_path, capsys, monkeypatch):
+    argv = _partition_argv(tmp_path)
+    assert run(argv) == EXIT_PASS  # the parser is built before the rebinding
+    expected = strip_wall_time(capsys.readouterr().out)
+    seen = []
+
+    def traced_search(args):
+        seen.append(args.kind)
+        return original(args)
+
+    original = cli.cmd_search
+    monkeypatch.setattr(cli, "cmd_search", traced_search)
+    assert run(argv) == EXIT_PASS
+    assert seen == ["partition"]
+    assert strip_wall_time(capsys.readouterr().out) == expected
 
 
 def report_commands(tmp_path):

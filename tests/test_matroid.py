@@ -1,7 +1,9 @@
 """The matroid spanning partition answers its exchange queries from one
 cached elimination per part. It is checked here against a reference that
 runs one elimination per (element, part) query, kept in this file, and the
-capped elimination behind it against per-column eliminations."""
+capped elimination behind it against per-column eliminations. The
+elimination's in-place row update is pinned bitwise to the masked update
+it replaced, also kept here."""
 
 import json
 import re
@@ -139,6 +141,68 @@ def test_cached_tables_match_per_query_reference(seed, kind, r, k, n):
         assert np.array_equal(result.assignment, expected.assignment)
     else:
         assert result == expected
+
+
+def reference_row_reduce(m, tol, ncols=None):
+    """Gauss-Jordan elimination as engines._row_reduce did it before its
+    in-place update: every pivot copies the non-pivot rows out through a
+    mask and writes them back less an outer product with the pivot row."""
+    m = np.array(m, dtype=np.result_type(m, np.float64))
+    rows, cols = m.shape
+    pivots = []
+    for col in range(cols if ncols is None else ncols):
+        row = len(pivots)
+        if row >= rows:
+            break
+        p = int(np.argmax(np.abs(m[row:, col]))) + row
+        if abs(m[p, col]) <= tol:
+            continue
+        m[[row, p]] = m[[p, row]]
+        m[row] /= m[row, col]
+        others = np.arange(rows) != row
+        m[others] -= np.outer(m[others, col], m[row])
+        pivots.append(col)
+    return m, pivots
+
+
+TABLES = ("general", "rank-deficient", "duplicated", "integer")
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(TABLES), real=st.booleans(),
+       rows=st.integers(1, 8), cols=st.integers(0, 14),
+       ncols=st.sampled_from(["all", "partial", "zero"]),
+       tol=st.sampled_from([0.0, 1e-10, 0.3, 1.5]))
+def test_in_place_elimination_is_bitwise_the_masked_one(seed, kind, real, rows, cols,
+                                                        ncols, tol):
+    rng = make_rng(seed)
+
+    def draw(*shape):
+        g = rng.standard_normal(shape)
+        return g if real else g + 1j * rng.standard_normal(shape)
+
+    if kind == "general":
+        m = draw(rows, cols)
+    elif kind == "rank-deficient":
+        d = int(rng.integers(1, rows + 1))
+        m = draw(rows, d) @ draw(d, cols)
+    elif kind == "duplicated":
+        base = draw(rows, max(1, cols // 3))
+        m = base[:, rng.integers(0, base.shape[1], size=cols)] * rng.choice([1.0, -1.0, 0.5], cols)
+    else:  # small integers: exact cancellations, signed zeros and pivot ties
+        m = rng.integers(-2, 3, size=(rows, cols)).astype(float)
+        if not real:
+            m = m + 1j * rng.integers(-2, 3, size=(rows, cols))
+    cap = {"all": None, "partial": cols // 2, "zero": 0}[ncols]
+    red, pivots = engines._row_reduce(m, tol, cap)
+    want, want_pivots = reference_row_reduce(m, tol, cap)
+    assert pivots == want_pivots
+    assert red.dtype == want.dtype and red.shape == want.shape
+    red, want = (np.ascontiguousarray(a).view(np.float64) for a in (red, want))
+    assert np.array_equal(red, want)
+    assert np.array_equal(np.signbit(red), np.signbit(want))
+    if ncols == "zero":
+        assert pivots == []
 
 
 @pytest.mark.parametrize("real", [False, True])
