@@ -278,18 +278,22 @@ def _tolerance(text: str) -> float:
 
 
 def _at_least_one(text: str, flag: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        # argparse's own message would name the type function, not the flag
+        raise argparse.ArgumentTypeError(f"needs an integer {flag}, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"needs {flag} >= 1, got {text}")
     return value
 
 
 def _budget(text: str) -> int:
-    return _at_least_one(text, "budget")
+    return _at_least_one(text, "--budget")
 
 
 def _limit(text: str) -> int:
-    return _at_least_one(text, "limit")
+    return _at_least_one(text, "--limit")
 
 
 def build_parser() -> argparse.ArgumentParser:

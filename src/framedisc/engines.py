@@ -75,6 +75,22 @@
   bracket miss (probability about 2 Phi(-z)) the pass reruns with every
   sample a candidate, which is the all-samples computation. Above
   RADIUS_CERTIFY_MAX_K every sample is a candidate from the start.
+* Above 20 matrices the Banaszczyk sign search flips single signs greedily
+  and eigensolves only the flips a Rayleigh-quotient bound cannot reject.
+  Each state (a restart's first sum s, or the sum after an accepted flip)
+  gets one eigh: for its extreme unit eigenvectors u and eigenvalues q_u,
+  L_i = max_u |q_u - 2 s_i u* B_i u| bounds ||s - 2 s_i B_i|| from below,
+  since |u* C u| <= ||C|| for unit u. The n products u* B_i u come from
+  one (n k, k) x (k, 2) product, with B_i the Hermitian matrix the
+  eigensolvers read from its lower triangle. A flip with
+  L_i >= val - 1e-15 + eta sum_i ||B_i||_F (eta = WALK_ETA) is rejected
+  unsolved and still counts as an evaluation. Rounding in the candidate,
+  in q_u, in the quadratic forms and in eigvalsh is at most c k eps
+  sum_i ||B_i||_F, far below that margin, so the candidate's computed norm
+  would fail the acceptance test val - 1e-15 as well: the flips taken,
+  the best value, its signs and the evaluation count are bitwise those of
+  eigensolving every flip. Exact ties of the current value (most flips of
+  the Weaver family) are not rejected and are eigensolved.
 * One branch and bound for every k brackets the subset frame bound, the
   sup of f(u) = u* S u = sum_{i in X} |<u, v_i>|^2 over unit u in C^k. Up
   to phase, u has Hopf coordinates theta in [0, pi/2]^(k-1) and phi in
@@ -246,6 +262,8 @@ def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
     hits +-1 and freezes.
     """
     a = profile.a
+    if not np.all(np.isfinite(a)):  # NaN would pass both checks below
+        raise InvalidParameterError("coordinate profile entries must be finite")
     if np.any(a < -1e-15):
         raise InvalidParameterError("coordinate profile entries must be nonnegative")
     if np.any(a.sum(axis=1) > 1 + 1e-12):
@@ -871,10 +889,16 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
 
     For n <= 20 the first ``budget`` patterns of the Gray code (first sign
     fixed), stopping at the first one within M; otherwise seeded random
-    restarts with greedy single flips for ``budget`` evaluations. Both need
+    restarts with greedy single flips for ``budget`` evaluations (the
+    budget is checked between passes over the n flips). Both need
     budget >= 1. Existence is guaranteed by Banaszczyk's theorem, but the
     finder only sees the patterns its budget covers, so a SignSearchFailure
     carries the best value found and the number of patterns evaluated.
+
+    The greedy branch eigensolves a flip only when the Rayleigh quotients
+    of the current sum's extreme eigenvectors cannot prove that the flip
+    fails to improve by more than 1e-15 (see the module docstring); the
+    result is bitwise that of eigensolving every flip.
     """
     mats = [np.asarray(b, dtype=np.complex128) for b in matrices]
     n = len(mats)
@@ -903,6 +927,12 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
                                  best_signs=SignVector(signs=best_signs),
                                  evaluations=min(budget, 2 ** (n - 1)))
     rng = make_rng(seed)
+    k = stacked.shape[-1]
+    # LAPACK reads H = L + L* + Re D from each matrix's strict lower triangle
+    # L and diagonal D, and u* H u = 2 Re(u* (L + D) u) - Re(u* D u)
+    lower = np.tril(stacked).reshape(-1, k)
+    diag = np.diagonal(stacked, axis1=1, axis2=2).real
+    margin = WALK_ETA * float(np.sum(np.linalg.norm(stacked, axis=(1, 2))))
     best_val, best_signs, evals = np.inf, None, 0
     with np.errstate(all="ignore"):  # _opnorm's single-matrix kernel, once
         while evals < budget:
@@ -910,17 +940,28 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
             s = np.tensordot(signs, stacked, axes=1)
             val = _opnorm(s)
             evals += 1
+            skip = None
             improved = True
             while improved and evals < budget:
                 improved = False
                 for i in range(n):
+                    evals += 1
+                    if skip is None:  # a new state: bound every flip of it
+                        w, u = _solve(np.linalg.eigh, s)
+                        ends = u[:, [0, -1]]
+                        b = 2 * (ends.conj() * (lower @ ends).reshape(n, k, 2)).sum(axis=1).real
+                        b -= diag @ np.abs(ends) ** 2
+                        bound = np.max(np.abs(w[[0, -1]] - 2 * signs[:, None] * b), axis=1)
+                        skip = (bound >= val - 1e-15 + margin).tolist()
+                    if skip[i]:
+                        continue
                     cand = s - 2 * signs[i] * stacked[i]
                     cval = _opnorm(cand)
-                    evals += 1
                     if cval < val - 1e-15:
                         s, val = cand, cval
                         signs[i] = -signs[i]
                         improved = True
+                        skip = None
             if val < best_val:
                 best_val, best_signs = val, signs.copy()
             if best_val <= M:

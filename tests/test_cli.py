@@ -310,6 +310,18 @@ def test_search_limit_below_one_is_usage_error(tmp_path, capsys, kind, limit):
     assert "limit >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--limit", "--budget"])
+@pytest.mark.parametrize("value", ["x", "1.5"])
+def test_search_non_integer_count_is_usage_error_naming_the_flag(tmp_path, capsys, flag,
+                                                                 value):
+    src = tmp_path / "in.json"
+    write_system(src, vector_system(np.vstack([np.eye(2), np.eye(2)])))
+    assert run(["search", "--kind", "signs", "--input", str(src), flag, value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {flag}: needs an integer {flag}, got '{value}'" in err
+    assert "invalid" not in err
+
+
 @pytest.mark.parametrize("payload", [{"k": 2, "vectors": [[1, 0], [0, 1]]},
                                      {"k": 2, "vectors": [[["x", 0], [1, 0]]]},
                                      {"k": 2, "vectors": 3}])

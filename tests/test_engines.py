@@ -99,6 +99,15 @@ def test_beck_fiala_rejects_heavy_rows():
         beck_fiala_signs(CoordinateProfile(a=np.array([[0.7, 0.7]])))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_beck_fiala_rejects_non_finite_profiles(bad):
+    from framedisc.engines import CoordinateProfile
+
+    # a NaN entry passes both the sign and the l1 mass check
+    with pytest.raises(InvalidParameterError, match="finite"):
+        beck_fiala_signs(CoordinateProfile(a=np.array([[bad, 0.2], [0.3, 0.1]])))
+
+
 # ---------------------------------------------------------------------------
 # exhaustive / anneal searches
 

@@ -1,8 +1,9 @@
 """The blocked Gray-code sign walker behind exhaustive_sign_search and the
 n <= 20 branch of banaszczyk_sign_search, checked against brute-force and
-one-pattern-at-a-time reference walks kept here, and the Cholesky
-certificate that lets the sign search skip eigensolves, checked against a
-reference search that eigensolves every pattern."""
+one-pattern-at-a-time reference walks kept here; the Cholesky certificate
+that lets the sign search skip eigensolves, checked against a reference
+search that eigensolves every pattern; and the Rayleigh-quotient screen of
+the n > 20 greedy-flip branch, checked against the unscreened greedy loop."""
 
 import itertools
 import warnings
@@ -332,3 +333,109 @@ def test_truncated_walk_keeps_block_boundaries(monkeypatch):
     monkeypatch.setattr(engines, "WALK_BLOCK_BYTES", 64 * mats[0].nbytes)
     sizes = [s.shape[0] for s, _ in engines._gray_blocks(mats, count=100)]
     assert sizes == [64, 36]
+
+
+def unscreened_greedy_search(matrices, M, budget, seed):
+    """The n > 20 branch of banaszczyk_sign_search before its screen: every
+    single flip of every state eigensolved."""
+    stacked = engines._real_if_real(np.stack([np.asarray(b, dtype=np.complex128)
+                                              for b in matrices]))
+    n = len(stacked)
+    rng = make_rng(seed)
+    best_val, best_signs, evals = np.inf, None, 0
+    with np.errstate(all="ignore"):
+        while evals < budget:
+            signs = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int64)
+            s = np.tensordot(signs, stacked, axes=1)
+            val = _opnorm(s)
+            evals += 1
+            improved = True
+            while improved and evals < budget:
+                improved = False
+                for i in range(n):
+                    cand = s - 2 * signs[i] * stacked[i]
+                    cval = _opnorm(cand)
+                    evals += 1
+                    if cval < val - 1e-15:
+                        s, val = cand, cval
+                        signs[i] = -signs[i]
+                        improved = True
+            if val < best_val:
+                best_val, best_signs = val, signs.copy()
+            if best_val <= M:
+                return SignVector(signs=best_signs)
+    return SignSearchFailure(best_value=float(best_val),
+                             best_signs=SignVector(signs=best_signs),
+                             evaluations=evals)
+
+
+def outcome(result):
+    if isinstance(result, SignVector):
+        return "found", result.signs.tolist()
+    return ("failed", result.best_value.hex(), result.best_signs.signs.tolist(),
+            result.evaluations)
+
+
+def greedy_inputs(seed, kind, n, k):
+    """n matrices of Hilbert-Schmidt norm at most 1/5: rank-one v v* / 5,
+    general Hermitian ones of full rank, square ones that are not Hermitian,
+    or the Weaver family at k = n + 1."""
+    if kind == "weaver":
+        return [rank_one(v) / 5.0 for v in counterexample_vectors(n + 1).normalized.vectors]
+    if kind in ("rank-one real", "rank-one complex"):
+        return [rank_one(v) / 5.0 for v in unit_rows(seed, n, k, kind == "rank-one real")]
+    h = hermitian_stack(seed, n, k, real=seed % 2 == 0)
+    if kind == "square":  # not Hermitian: the eigensolvers read the lower triangle
+        h = h + np.triu(make_rng(seed + 2).standard_normal((n, k, k)), 1)
+    scale = 0.2 * make_rng(seed + 1).uniform(0.1, 1.0, n) / np.linalg.norm(h, axis=(1, 2))
+    return list(h * scale[:, None, None])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=SEEDS, kind=st.sampled_from(["rank-one real", "rank-one complex", "hermitian",
+                                         "square", "weaver"]),
+       n=st.integers(21, 45), k=st.integers(1, 6), budget=st.integers(1, 700),
+       reach=st.booleans())
+def test_screened_greedy_search_matches_unscreened_search(seed, kind, n, k, budget, reach):
+    # budgets run out mid-pass; a reachable M is the best value the
+    # unscreened search finds, and M = 0 is never reached
+    mats = greedy_inputs(seed, kind, n, k)
+    ref = unscreened_greedy_search(mats, 0.0, budget, seed)
+    M = ref.best_value if reach else 0.0
+    if reach:
+        ref = unscreened_greedy_search(mats, M, budget, seed)
+    assert outcome(banaszczyk_sign_search(mats, M=M, budget=budget, seed=seed)) == outcome(ref)
+
+
+def test_screen_skips_most_eigensolves_of_the_weaver_search(monkeypatch):
+    mats = greedy_inputs(0, "weaver", 39, None)
+    ref = unscreened_greedy_search(mats, 0.0, 1500, 0)
+    calls = []
+
+    def counted(h):
+        calls.append(h.shape)
+        return _opnorm(h)
+
+    monkeypatch.setattr(engines, "_opnorm", counted)
+    result = banaszczyk_sign_search(mats, M=0.0, budget=1500, seed=0)
+    assert outcome(result) == outcome(ref)
+    assert result.evaluations >= 1500 and len(calls) <= 900
+
+
+def test_screen_margin_absorbs_eigensolver_error(monkeypatch):
+    # flipping the last matrix moves the norm by 2e-12: far above the 1e-15
+    # an accepted flip must gain, far below the screen's margin; extreme
+    # eigenvalues pushed outward by half the margin must not let the screen
+    # skip that flip
+    mats = [np.diag([0.19, 0.0])] * 10 + [np.diag([0.0, 0.17])] * 10 + [np.diag([1e-12, 0.0])]
+    margin = engines.WALK_ETA * sum(np.linalg.norm(m) for m in mats)
+    eigh = np.linalg.eigh
+
+    def pushed_out(h):
+        w, u = eigh(h)
+        return w + np.sign(w) * margin / 2, u
+
+    monkeypatch.setattr(np.linalg, "eigh", pushed_out)
+    for seed in range(20):
+        assert outcome(banaszczyk_sign_search(mats, M=0.0, budget=300, seed=seed)) == outcome(
+            unscreened_greedy_search(mats, 0.0, 300, seed))
