@@ -112,7 +112,7 @@ def verify_counterexample(
     closed-form floor; it refuses when 2^(k-2) exceeds the budget (k <= 16
     under the default budget). Heuristic mode reports a seeded upper bound
     instead; the floor claim still holds because it holds for every sign
-    pattern. Exhaustive reports carry the sign search's ``eigensolves``.
+    pattern. Both modes' reports carry the sign search's ``eigensolves``.
 
     The closed-form subset claim checks all 2^(k-1) subsets for k <= 12 and
     256 seeded ones above: drawn as bitmasks up to k = 64, and as 0/1
@@ -125,7 +125,8 @@ def verify_counterexample(
         _, min_norm = exhaustive_sign_search(inst.normalized, budget, counters)
     elif mode == "heuristic":
         fifth = [rank_one(v) / 5.0 for v in inst.normalized.vectors]
-        result = banaszczyk_sign_search(fifth, M=0.0, budget=budget, seed=seed)
+        result = banaszczyk_sign_search(fifth, M=0.0, budget=budget, seed=seed,
+                                        counters=counters)
         # M = 0 is unattainable, so the search always returns its best value.
         min_norm = 5.0 * result.best_value
     else:

@@ -76,21 +76,46 @@
   sample a candidate, which is the all-samples computation. Above
   RADIUS_CERTIFY_MAX_K every sample is a candidate from the start.
 * Above 20 matrices the Banaszczyk sign search flips single signs greedily
-  and eigensolves only the flips a Rayleigh-quotient bound cannot reject.
-  Each state (a restart's first sum s, or the sum after an accepted flip)
-  gets one eigh: for its extreme unit eigenvectors u and eigenvalues q_u,
-  L_i = max_u |q_u - 2 s_i u* B_i u| bounds ||s - 2 s_i B_i|| from below,
-  since |u* C u| <= ||C|| for unit u. The n products u* B_i u come from
-  one (n k, k) x (k, 2) product, with B_i the Hermitian matrix the
-  eigensolvers read from its lower triangle. A flip with
-  L_i >= val - 1e-15 + eta sum_i ||B_i||_F (eta = WALK_ETA) is rejected
-  unsolved and still counts as an evaluation. Rounding in the candidate,
-  in q_u, in the quadratic forms and in eigvalsh is at most c k eps
-  sum_i ||B_i||_F, far below that margin, so the candidate's computed norm
-  would fail the acceptance test val - 1e-15 as well: the flips taken,
-  the best value, its signs and the evaluation count are bitwise those of
-  eigensolving every flip. Exact ties of the current value (most flips of
-  the Weaver family) are not rejected and are eigensolved.
+  from seeded random starts, for exactly ``budget`` evaluations. A flip is
+  taken only when its norm is below val - margin, with val the current
+  norm and margin = eta sum_i ||B_i||_F (eta = WALK_ETA), so a gain of
+  rounding noise is never taken. Each B_i is written once as
+  sigma_i b_i b_i* (sigma_i = +-1, b_i its column at its largest diagonal
+  entry over the root of that entry), with r_i = ||B_i - sigma_i b_i b_i*||_F
+  taken against B_i as stored. Each state s (a restart's first sum, or the
+  sum after a taken flip) gets one eigh, s = U diag(w) U*, and one
+  (n, k) x (k, k) product gives c_ij = u_j* b_i. Up to r_i, flip i is the
+  rank-one update s + rho_i b_i b_i* with rho_i = -2 s_i sigma_i, and
+  det(s + rho_i b_i b_i* - x I) = prod_j (w_j - x) f_i(x) with
+  f_i(x) = 1 + rho_i sum_j |c_ij|^2 / (w_j - x). A rank-one update moves
+  the count of eigenvalues above x by at most one, up when rho_i > 0 and
+  down when rho_i < 0, and it moves exactly when f_i(x) < 0. So the count
+  of w_j above x and the sign of f_i(x) give the flip's count; without
+  that sign, interlacing still bounds it by the count of w_j above x and
+  that count -+ 1. A count of at least 1 at x = t, or of at most k - 1 at
+  x = -t, with t = val - margin / 2, proves the flip's norm at least t,
+  and the flip is rejected unsolved; it still counts as an evaluation.
+  This rejects the mirror ties of the Weaver family, where a flip at a
+  local optimum keeps the norm but moves it to the other end of the
+  spectrum. The screen uses a flip's count only when
+  (1) r_i <= margin / 16, and
+  (2) eigh's backward error, (||h U - U W|| + 2 theta max|w_j|) / (1 - theta)
+      with h the Hermitian matrix eigh reads from s's lower triangle and
+      theta = ||U* U - I||_F, each with an allowance for its own rounding,
+      is at most margin / 8: it bounds ||h - Q W Q*|| for the unitary polar
+      factor Q of U, so w and Q are an exact eigensystem nearby;
+  and the sign of f_i(x) only when also
+  (3) every |w_j - x| >= margin / 16, and
+  (4) |f_i(x)| exceeds the bound on its error from rounding and from
+      |c_ij - q_j* b_i| <= (theta + 2 gamma) ||b_i||, gamma = (k + 2) eps.
+  Then the exactly updated matrix has norm at least t and differs from the
+  Hermitian matrix eigvalsh would read from the flip by at most
+  margin / 8 + 2 sqrt(2) margin / 16 plus c k eps sum_i ||B_i||_F of
+  rounding in forming and eigensolving the flip, which is below margin / 2:
+  the flip's computed norm would fail the acceptance test too. A state
+  with val <= margin takes no flip, since no norm is below
+  val - margin <= 0. So the flips taken, the best value, its signs and the
+  evaluation count are bitwise those of eigensolving every flip.
 * One branch and bound for every k brackets the subset frame bound, the
   sup of f(u) = u* S u = sum_{i in X} |<u, v_i>|^2 over unit u in C^k. Up
   to phase, u has Hopf coordinates theta in [0, pi/2]^(k-1) and phi in
@@ -884,21 +909,86 @@ def gaussian_median_radius(k: int, samples: int, seed: int) -> BanaszczykContext
                              eigensolves=solves)
 
 
-def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 0):
+def _rank_one_screen(stacked: np.ndarray, margin: float):
+    """The flip screen of the greedy sign search (see the module docstring):
+    screen(s, val, signs) eigensolves the sum s = sum_i signs_i B_i once, by
+    eigh, and returns for each i whether flipping signs_i is proved to give
+    a sum of norm at least val - margin / 2.
+
+    Each B_i is written once as sigma_i b_i b_i* + E_i, with b_i its column
+    at its largest diagonal entry d divided by sqrt(|d|) (0 when d = 0) and
+    sigma_i the sign of d. r_i = ||E_i||_F is taken against B_i as stored,
+    so a matrix that is not Hermitian or not of rank one keeps a large r_i,
+    and its flips are never screened."""
+    n, k = stacked.shape[0], stacked.shape[-1]
+    d = np.diagonal(stacked, axis1=1, axis2=2).real
+    col = np.argmax(np.abs(d), axis=1)
+    top = d[np.arange(n), col]
+    sigma = np.where(top < 0, -1, 1)
+    scale = np.divide(1.0, np.sqrt(np.abs(top)), out=np.zeros(n), where=top != 0)
+    b = stacked[np.arange(n), :, col] * scale[:, None]
+    residual = np.linalg.norm(stacked - sigma[:, None, None] * b[:, :, None]
+                              * b.conj()[:, None, :], axis=(1, 2))
+    screened = residual <= margin / 16
+    b2 = np.linalg.norm(b, axis=1) ** 2
+    gamma = (k + 2) * np.finfo(float).eps  # one rounding allowance per k-term sum
+    eye, lower = np.eye(k), np.tri(k, dtype=bool)
+
+    def screen(s: np.ndarray, val: float, signs: np.ndarray) -> list:
+        w, u = _solve(np.linalg.eigh, s)
+        h = np.where(lower, s, s.conj().T)  # the Hermitian matrix eigh reads
+        if np.iscomplexobj(h):
+            np.fill_diagonal(h, h.diagonal().real)
+        # h differs from an exact Q diag(w) Q*, Q unitary with ||Q - u|| <= theta,
+        # by at most (||h u - u w|| + 2 theta max|w|) / (1 - theta)
+        theta = float(np.linalg.norm(u.conj().T @ u - eye)) + k * gamma
+        resid = (float(np.linalg.norm(h @ u - u * w))
+                 + 2 * gamma * math.sqrt(k) * float(np.linalg.norm(h)))
+        if not (theta < 0.5 and (resid + 2 * theta * max(-w[0], w[-1])) / (1 - theta)
+                <= margin / 8):
+            return [False] * n
+        # |c_ij - q_j* b_i| <= delta ||b_i|| and ||c_i|| <= a ||b_i||, so the
+        # error in f_i(x) is at most b2_i kappa / min_j |w_j - x| + gamma
+        delta = theta + 2 * gamma
+        a = 1 + theta + math.sqrt(k) * delta
+        kappa = 2 * (delta * (2 * math.sqrt(k) * a + k * delta) + gamma * a * a)
+        c = b.conj() @ u  # c_ij = u_j* b_i
+        c2 = c.real ** 2 + c.imag ** 2 if np.iscomplexobj(c) else c * c
+        step = -signs * sigma  # the sign of rho_i
+        t = val - margin / 2
+        gap = w - np.array([[t], [-t]])
+        g = np.abs(gap).min(axis=1)
+        f = 1 + 2 * step[:, None] * (c2 @ (1 / gap).T)
+        known = (np.abs(f) > b2[:, None] * (kappa / g) + gamma) & (g >= margin / 16)
+        # the flip has m + step eigenvalues above x where f < 0 and m where
+        # f > 0; where the sign of f is not known, either (interlacing)
+        m = np.count_nonzero(gap > 0, axis=1)
+        count = m + step[:, None] * (f < 0)
+        low = np.where(known[:, 0], count[:, 0], m[0] + np.minimum(step, 0))
+        high = np.where(known[:, 1], count[:, 1], m[1] + np.maximum(step, 0))
+        return (screened & ((low >= 1) | (high <= k - 1))).tolist()
+
+    return screen
+
+
+def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 0,
+                           counters: dict | None = None):
     """Signs with ||sum_i s_i B_i|| <= M for Hilbert-Schmidt-small B_i.
 
     For n <= 20 the first ``budget`` patterns of the Gray code (first sign
     fixed), stopping at the first one within M; otherwise seeded random
-    restarts with greedy single flips for ``budget`` evaluations (the
-    budget is checked between passes over the n flips). Both need
-    budget >= 1. Existence is guaranteed by Banaszczyk's theorem, but the
-    finder only sees the patterns its budget covers, so a SignSearchFailure
-    carries the best value found and the number of patterns evaluated.
+    restarts with greedy single flips for exactly ``budget`` evaluations, a
+    flip being taken when it lowers the norm by more than
+    margin = WALK_ETA sum_i ||B_i||_F. Both need budget >= 1. Existence is
+    guaranteed by Banaszczyk's theorem, but the finder only sees the
+    patterns its budget covers, so a SignSearchFailure carries the best
+    value found and the number of patterns evaluated.
 
-    The greedy branch eigensolves a flip only when the Rayleigh quotients
-    of the current sum's extreme eigenvectors cannot prove that the flip
-    fails to improve by more than 1e-15 (see the module docstring); the
-    result is bitwise that of eigensolving every flip.
+    The greedy branch eigensolves a flip only when the rank-one update of
+    the current sum's eigendecomposition cannot prove that the flip's norm
+    stays above val - margin / 2 (see the module docstring); the result is
+    bitwise that of eigensolving every flip. ``counters``, if given,
+    receives ``eigensolves``: the matrices eigensolved by eigvalsh or eigh.
     """
     mats = [np.asarray(b, dtype=np.complex128) for b in matrices]
     n = len(mats)
@@ -913,51 +1003,62 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
     if budget < 1:
         raise InvalidParameterError(f"sign search needs budget >= 1, got {budget}")
     stacked = _real_if_real(np.stack(mats))
+    solves = 0
     if n <= 20:
         best_val = np.inf
         for signs, sums in _gray_blocks(stacked, count=budget):
             vals = _opnorm(sums)
+            solves += len(sums)
             hit = np.flatnonzero(vals <= M)
             if hit.size:
-                return SignVector(signs=signs[hit[0]])
+                result = SignVector(signs=signs[hit[0]])
+                break
             j = int(np.argmin(vals))
             if vals[j] < best_val:
                 best_val, best_signs = vals[j], signs[j]
-        return SignSearchFailure(best_value=float(best_val),
-                                 best_signs=SignVector(signs=best_signs),
-                                 evaluations=min(budget, 2 ** (n - 1)))
+        else:
+            result = SignSearchFailure(best_value=float(best_val),
+                                       best_signs=SignVector(signs=best_signs),
+                                       evaluations=min(budget, 2 ** (n - 1)))
+    else:
+        result, solves = _greedy_sign_search(stacked, M, budget, seed)
+    if counters is not None:
+        counters["eigensolves"] = solves
+    return result
+
+
+def _greedy_sign_search(stacked: np.ndarray, M: float, budget: int, seed: int):
+    """The n > 20 branch of banaszczyk_sign_search: (result, eigensolves)."""
+    n = stacked.shape[0]
     rng = make_rng(seed)
-    k = stacked.shape[-1]
-    # LAPACK reads H = L + L* + Re D from each matrix's strict lower triangle
-    # L and diagonal D, and u* H u = 2 Re(u* (L + D) u) - Re(u* D u)
-    lower = np.tril(stacked).reshape(-1, k)
-    diag = np.diagonal(stacked, axis1=1, axis2=2).real
     margin = WALK_ETA * float(np.sum(np.linalg.norm(stacked, axis=(1, 2))))
-    best_val, best_signs, evals = np.inf, None, 0
+    screen = _rank_one_screen(stacked, margin)
+    best_val, best_signs, evals, solves = np.inf, None, 0, 0
     with np.errstate(all="ignore"):  # _opnorm's single-matrix kernel, once
         while evals < budget:
             signs = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int64)
             s = np.tensordot(signs, stacked, axes=1)
             val = _opnorm(s)
             evals += 1
+            solves += 1
             skip = None
             improved = True
             while improved and evals < budget:
                 improved = False
-                for i in range(n):
+                for i in range(min(n, budget - evals)):
                     evals += 1
-                    if skip is None:  # a new state: bound every flip of it
-                        w, u = _solve(np.linalg.eigh, s)
-                        ends = u[:, [0, -1]]
-                        b = 2 * (ends.conj() * (lower @ ends).reshape(n, k, 2)).sum(axis=1).real
-                        b -= diag @ np.abs(ends) ** 2
-                        bound = np.max(np.abs(w[[0, -1]] - 2 * signs[:, None] * b), axis=1)
-                        skip = (bound >= val - 1e-15 + margin).tolist()
+                    if skip is None:  # a new state: screen every flip of it
+                        if val <= margin:  # no norm is below val - margin <= 0
+                            skip = [True] * n
+                        else:
+                            skip = screen(s, val, signs)
+                            solves += 1
                     if skip[i]:
                         continue
                     cand = s - 2 * signs[i] * stacked[i]
                     cval = _opnorm(cand)
-                    if cval < val - 1e-15:
+                    solves += 1
+                    if cval < val - margin:
                         s, val = cand, cval
                         signs[i] = -signs[i]
                         improved = True
@@ -965,10 +1066,10 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
             if val < best_val:
                 best_val, best_signs = val, signs.copy()
             if best_val <= M:
-                return SignVector(signs=best_signs)
+                return SignVector(signs=best_signs), solves
     return SignSearchFailure(best_value=float(best_val),
                              best_signs=SignVector(signs=best_signs),
-                             evaluations=evals)
+                             evaluations=evals), solves
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from framedisc import (
     AnnealSchedule,
     anneal_partition_search,
     cli,
+    counterexample_vectors,
     engines,
     opnorm,
     partition,
@@ -267,9 +268,15 @@ def test_sign_searches_report_their_eigensolves(tmp_path):
     exact, heuristic = tmp_path / "exact.json", tmp_path / "heuristic.json"
     assert run(["verify-weaver", "--k", "12", "--out", str(exact)]) == EXIT_PASS
     assert 0 < json.loads(exact.read_text())["extra"]["eigensolves"] < 2**10
-    assert run(["verify-weaver", "--k", "12", "--mode", "heuristic", "--budget", "50",
-                "--out", str(heuristic)]) == EXIT_PASS
-    assert "eigensolves" not in json.loads(heuristic.read_text())["extra"]
+    # k = 12 walks the Gray code, k = 23 flips greedily
+    for k in (12, 23):
+        assert run(["verify-weaver", "--k", str(k), "--mode", "heuristic", "--budget", "50",
+                    "--out", str(heuristic)]) == EXIT_PASS
+        counters = {}
+        fifth = [rank_one(v) / 5.0 for v in counterexample_vectors(k).normalized.vectors]
+        engines.banaszczyk_sign_search(fifth, M=0.0, budget=50, counters=counters)
+        assert json.loads(heuristic.read_text())["extra"]["eigensolves"] == counters["eigensolves"]
+        assert 0 < counters["eigensolves"] <= 100
 
 
 def test_search_signs_budget_refusal(tmp_path):

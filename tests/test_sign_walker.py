@@ -335,12 +335,16 @@ def test_truncated_walk_keeps_block_boundaries(monkeypatch):
     assert sizes == [64, 36]
 
 
-def unscreened_greedy_search(matrices, M, budget, seed):
-    """The n > 20 branch of banaszczyk_sign_search before its screen: every
-    single flip of every state eigensolved."""
+def unscreened_greedy_search(matrices, M, budget, seed, log=None):
+    """The n > 20 branch of banaszczyk_sign_search without its screen: every
+    single flip of every state eigensolved, a flip taken when it lowers the
+    norm by more than margin = WALK_ETA sum_i ||B_i||_F, and exactly
+    ``budget`` evaluations. ``log``, if given, receives (i, val, cval, taken)
+    for every flip."""
     stacked = engines._real_if_real(np.stack([np.asarray(b, dtype=np.complex128)
                                               for b in matrices]))
     n = len(stacked)
+    margin = engines.WALK_ETA * float(np.sum(np.linalg.norm(stacked, axis=(1, 2))))
     rng = make_rng(seed)
     best_val, best_signs, evals = np.inf, None, 0
     with np.errstate(all="ignore"):
@@ -353,10 +357,15 @@ def unscreened_greedy_search(matrices, M, budget, seed):
             while improved and evals < budget:
                 improved = False
                 for i in range(n):
+                    if evals == budget:
+                        break
                     cand = s - 2 * signs[i] * stacked[i]
                     cval = _opnorm(cand)
                     evals += 1
-                    if cval < val - 1e-15:
+                    taken = cval < val - margin
+                    if log is not None:
+                        log.append((i, val, cval, taken))
+                    if taken:
                         s, val = cand, cval
                         signs[i] = -signs[i]
                         improved = True
@@ -377,13 +386,25 @@ def outcome(result):
 
 
 def greedy_inputs(seed, kind, n, k):
-    """n matrices of Hilbert-Schmidt norm at most 1/5: rank-one v v* / 5,
-    general Hermitian ones of full rank, square ones that are not Hermitian,
-    or the Weaver family at k = n + 1."""
+    """n matrices of Hilbert-Schmidt norm at most 1/5: rank-one v v* / 5 or
+    -v v* / 5, near-rank-one ones (0.9 v v* / 5 plus a Hermitian term of
+    Frobenius norm between margin / 32 and margin / 2, around the screen's
+    residual guard margin / 16), general Hermitian ones of full rank, square
+    ones that are not Hermitian, or the Weaver family at k = n + 1."""
     if kind == "weaver":
         return [rank_one(v) / 5.0 for v in counterexample_vectors(n + 1).normalized.vectors]
-    if kind in ("rank-one real", "rank-one complex"):
-        return [rank_one(v) / 5.0 for v in unit_rows(seed, n, k, kind == "rank-one real")]
+    if kind in ("rank-one real", "rank-one complex", "negative rank-one", "near-rank-one"):
+        real = kind == "rank-one real" or (kind != "rank-one complex" and seed % 2 == 0)
+        mats = np.stack([rank_one(v) / 5.0 for v in unit_rows(seed, n, k, real)])
+        if kind == "negative rank-one":
+            return list(-mats)
+        if kind == "near-rank-one":
+            mats *= 0.9
+            margin = engines.WALK_ETA * float(np.sum(np.linalg.norm(mats, axis=(1, 2))))
+            h = hermitian_stack(seed + 3, n, k, real)
+            size = margin / 8 * 4.0 ** make_rng(seed + 4).uniform(-1, 1, n)
+            mats = mats + h * (size / np.linalg.norm(h, axis=(1, 2)))[:, None, None]
+        return list(mats)
     h = hermitian_stack(seed, n, k, real=seed % 2 == 0)
     if kind == "square":  # not Hermitian: the eigensolvers read the lower triangle
         h = h + np.triu(make_rng(seed + 2).standard_normal((n, k, k)), 1)
@@ -391,51 +412,97 @@ def greedy_inputs(seed, kind, n, k):
     return list(h * scale[:, None, None])
 
 
+GREEDY_KINDS = ["rank-one real", "rank-one complex", "negative rank-one", "near-rank-one",
+                "hermitian", "square", "weaver"]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(seed=SEEDS, kind=st.sampled_from(["rank-one real", "rank-one complex", "hermitian",
-                                         "square", "weaver"]),
-       n=st.integers(21, 45), k=st.integers(1, 6), budget=st.integers(1, 700),
+@given(seed=SEEDS, n=st.integers(21, 45), k=st.integers(1, 6), budget=st.integers(1, 700),
        reach=st.booleans())
-def test_screened_greedy_search_matches_unscreened_search(seed, kind, n, k, budget, reach):
-    # budgets run out mid-pass; a reachable M is the best value the
-    # unscreened search finds, and M = 0 is never reached
-    mats = greedy_inputs(seed, kind, n, k)
-    ref = unscreened_greedy_search(mats, 0.0, budget, seed)
-    M = ref.best_value if reach else 0.0
-    if reach:
-        ref = unscreened_greedy_search(mats, M, budget, seed)
-    assert outcome(banaszczyk_sign_search(mats, M=M, budget=budget, seed=seed)) == outcome(ref)
+def test_screened_greedy_search_matches_unscreened_search(seed, n, k, budget, reach):
+    # every example runs every kind; budgets run out mid-pass; a reachable M
+    # is the best value the unscreened search finds, and M = 0 is reached
+    # only by an exactly cancelling sum (k = 1 gives equal scalars)
+    for kind in GREEDY_KINDS:
+        mats = greedy_inputs(seed, kind, n, k)
+        ref = unscreened_greedy_search(mats, 0.0, budget, seed)
+        M = 0.0
+        if reach and isinstance(ref, SignSearchFailure):
+            M = ref.best_value
+            ref = unscreened_greedy_search(mats, M, budget, seed)
+        result = banaszczyk_sign_search(mats, M=M, budget=budget, seed=seed)
+        assert outcome(result) == outcome(ref), kind
+        if isinstance(ref, SignSearchFailure):
+            assert result.evaluations == budget
 
 
 def test_screen_skips_most_eigensolves_of_the_weaver_search(monkeypatch):
     mats = greedy_inputs(0, "weaver", 39, None)
     ref = unscreened_greedy_search(mats, 0.0, 1500, 0)
-    calls = []
+    calls, eighs = [], []
+    eigh = np.linalg.eigh
 
     def counted(h):
         calls.append(h.shape)
         return _opnorm(h)
 
+    def counted_eigh(h):
+        eighs.append(h.shape)
+        return eigh(h)
+
     monkeypatch.setattr(engines, "_opnorm", counted)
-    result = banaszczyk_sign_search(mats, M=0.0, budget=1500, seed=0)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    counters = {}
+    result = banaszczyk_sign_search(mats, M=0.0, budget=1500, seed=0, counters=counters)
     assert outcome(result) == outcome(ref)
-    assert result.evaluations >= 1500 and len(calls) <= 900
+    assert result.evaluations == 1500 and len(calls) <= 150
+    assert counters["eigensolves"] == len(calls) + len(eighs)
 
 
 def test_screen_margin_absorbs_eigensolver_error(monkeypatch):
-    # flipping the last matrix moves the norm by 2e-12: far above the 1e-15
-    # an accepted flip must gain, far below the screen's margin; extreme
-    # eigenvalues pushed outward by half the margin must not let the screen
-    # skip that flip
-    mats = [np.diag([0.19, 0.0])] * 10 + [np.diag([0.0, 0.17])] * 10 + [np.diag([1e-12, 0.0])]
+    # flipping the matrix at index 20 lowers the norm by 1.5 margin, the one
+    # at index 21 by margin / 4: the first flip is taken, the second refused,
+    # also when eigh's values and vectors are off by about margin / 4; at
+    # 2 margin only the measured backward error keeps the screen sound
+    big, small = np.diag([0.19, 0.0]), np.diag([0.0, 0.17])
+    margin = engines.WALK_ETA * (10 * 0.19 + 10 * 0.17)
+    mats = [big] * 10 + [small] * 10 + [np.diag([0.75 * margin, 0.0]),
+                                        np.diag([margin / 8, 0.0])]
     margin = engines.WALK_ETA * sum(np.linalg.norm(m) for m in mats)
     eigh = np.linalg.eigh
 
-    def pushed_out(h):
+    def perturbed(h):
         w, u = eigh(h)
-        return w + np.sign(w) * margin / 2, u
+        return w + np.sign(w) * shift * margin, u + shift * margin
 
-    monkeypatch.setattr(np.linalg, "eigh", pushed_out)
-    for seed in range(20):
-        assert outcome(banaszczyk_sign_search(mats, M=0.0, budget=300, seed=seed)) == outcome(
-            unscreened_greedy_search(mats, 0.0, 300, seed))
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    for shift in (0.25, 2.0):
+        seen = {(20, 1.5): set(), (21, 0.25): set()}
+        for seed in range(20):
+            log = []
+            ref = unscreened_greedy_search(mats, 0.0, 300, seed, log)
+            assert outcome(banaszczyk_sign_search(mats, M=0.0, budget=300, seed=seed)) == (
+                outcome(ref))
+            for i, val, cval, taken in log:
+                for j, gain in seen:
+                    if i == j and abs(val - cval - gain * margin) < margin / 100:
+                        seen[j, gain].add(taken)
+        assert seen == {(20, 1.5): {True}, (21, 0.25): {False}}
+
+
+def test_a_state_within_the_margin_of_zero_takes_no_flip():
+    # twenty copies of diag(0.1, 0) cancel in pairs, leaving the two small
+    # matrices: norms 0.1 margin or 1.7 margin, and from 1.7 margin either
+    # flip gains 1.6 margin; below margin no flip can gain more than margin
+    margin = engines.WALK_ETA * 20 * 0.1
+    mats = [np.diag([0.1, 0.0])] * 20 + [np.diag([0.9 * margin, 0.0]),
+                                         np.diag([0.8 * margin, 0.0])]
+    margin = engines.WALK_ETA * sum(np.linalg.norm(m) for m in mats)
+    gains = []
+    for seed in range(10):
+        log = []
+        ref = unscreened_greedy_search(mats, 0.0, 200, seed, log)
+        assert outcome(banaszczyk_sign_search(mats, M=0.0, budget=200, seed=seed)) == outcome(
+            ref)
+        gains += [(val - cval) / margin for _, val, cval, taken in log if taken and val < 2 * margin]
+    assert gains and all(1.5 < gain < 1.7 for gain in gains)
