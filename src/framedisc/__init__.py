@@ -62,13 +62,11 @@ from .linalg import (
     is_projection,
     opnorm,
     rank_one,
-    schatten_norm,
 )
 from .reductions import (
     DiagonalProjection,
     ReductionTrace,
     compress,
-    diagonal_projection,
     partition_to_diagonal_projections,
     paving_quality,
     projection_to_vectors,

@@ -211,17 +211,20 @@ def cmd_search(args) -> VerificationReport:
         vs = system_from_dict(data)
         ctx = engines.gaussian_median_radius(vs.k, samples=max(budget, 1000), seed=seed)
         mats = [rank_one(v) / 5.0 for v in vs.vectors]
-        result = engines.banaszczyk_sign_search(mats, M=ctx.M, budget=budget, seed=seed)
+        result = engines.banaszczyk_sign_search(mats, M=ctx.M, budget=budget, seed=seed,
+                                                counters=counters)
+        counters["eigensolves"] += ctx.eigensolves  # the radius's and the search's
         if isinstance(result, engines.SignVector):
             signed = np.tensordot(result.signs, np.stack(mats), axes=1)
             claims = [Claim("signed_opnorm_le_M", computed=opnorm(signed),
                             bound=ctx.M, tolerance=1e-9, relation="le")]
-            extra = {"witness": signs_to_dict(result), "R_hat": ctx.R_hat, "M": ctx.M}
+            extra = {"witness": signs_to_dict(result), "R_hat": ctx.R_hat, "M": ctx.M,
+                     **counters}
         else:
             claims = [Claim("signed_opnorm_le_M", computed=result.best_value,
                             bound=ctx.M, tolerance=1e-9, relation="le")]
             extra = {"witness": signs_to_dict(result.best_signs),
-                     "R_hat": ctx.R_hat, "M": ctx.M, "exhausted_budget": True}
+                     "R_hat": ctx.R_hat, "M": ctx.M, "exhausted_budget": True, **counters}
     else:  # pragma: no cover - argparse restricts choices
         raise FrameDiscError(f"unknown search kind {args.kind!r}")
     return finish_report(f"search-{args.kind}", data, claims, seed=seed,

@@ -88,14 +88,6 @@ def subset_center_distance(inst: CounterexampleInstance, X) -> tuple[float, floa
     return float(direct[0]), float(closed[0])
 
 
-def min_center_distance(k: int) -> float:
-    """Closed-form minimum of the subset distance over integer c."""
-    best = math.inf
-    for c in (math.floor((k - 1) / 2), math.ceil((k - 1) / 2)):
-        best = min(best, math.sqrt(c * (k - 1 - c) / (k - 1) ** 3 + (c / (k - 1) - 0.5) ** 2))
-    return best
-
-
 def signed_norm_lower_bound(k: int) -> float:
     """1/(delta*sqrt(k-1)), the proven floor for every sign pattern."""
     delta = (2 * k - 3) / (k - 1) ** 2

@@ -64,16 +64,31 @@
   t I -+ H: both succeed at t_lo (1 - eta) => its computed norm is below
   t_lo; either fails at t_hi (1 + eta) => above t_hi. The margin
   eta = RADIUS_ETA (1e-9) is far above the k * eps backward error of
-  Cholesky and of the eigensolver. The remaining candidates C are
-  eigensolved. With B samples certified below and i, j the median ranks
-  minus B, the sorted candidate norms c_i, c_j are the full sample's order
-  statistics at the median ranks when 0 <= i <= j < |C|, c_i >= t_lo and
-  c_j <= t_hi: certified-below values are < t_lo <= c_i, and
-  certified-above values are > t_hi >= c_j. A batched eigensolve gives
-  each matrix the bits it gets alone, so c_i and c_j carry the bits of the
-  all-samples computation, and they are averaged as np.median does. On a
-  bracket miss (probability about 2 Phi(-z)) the pass reruns with every
-  sample a candidate, which is the all-samples computation. Above
+  Cholesky and of the eigensolver. Narrowing passes then place the
+  candidates left by the same certificate on a narrower bracket [a, b]
+  inside [t_lo, t_hi]: a sample placed below a has computed norm below a,
+  as has every sample placed below t_lo <= a (and above b likewise), so
+  after a pass the argument below holds with a, b for t_lo, t_hi. With m
+  candidates (the pilot norms inside the bracket count too; being exact,
+  they are compared with a and b directly) and i <= j their median ranks,
+  a and b sit at rank fractions (i - z sqrt(m)/2)/m and
+  (j + z sqrt(m)/2)/m of the bracket, read off linearly. A pass is kept
+  only if both median ranks still fall among its candidates; otherwise the
+  previous candidates stand and the narrowing ends. It also ends after a
+  pass that fails to halve the candidates, or at
+  max(k^3, RADIUS_NARROW_MIN) candidates: a pass makes about k^3 numpy
+  calls whatever its size, plus a fixed ~0.1 ms, which there cost more
+  than the eigensolves it can save. The remaining candidates C are
+  eigensolved. With B samples certified below the last bracket kept,
+  [t_lo, t_hi], and i, j the median ranks minus B, the sorted candidate
+  norms c_i, c_j are the full sample's order statistics at the median
+  ranks when 0 <= i <= j < |C|, c_i >= t_lo and c_j <= t_hi:
+  certified-below values are < t_lo <= c_i, and certified-above values are
+  > t_hi >= c_j. A batched eigensolve gives each matrix the bits it gets
+  alone, so c_i and c_j carry the bits of the all-samples computation, and
+  they are averaged as np.median does. When this check fails (the pilot
+  bracket missed the median, probability about 2 Phi(-z)) the pass reruns
+  with every sample a candidate, which is the all-samples computation. Above
   RADIUS_CERTIFY_MAX_K every sample is a candidate from the start.
 * Above 20 matrices the Banaszczyk sign search flips single signs greedily
   from seeded random starts, for exactly ``budget`` evaluations. A flip is
@@ -776,14 +791,26 @@ def matroid_spanning_partition(vs: VectorSystem, r: int, budget: int | None = No
 
 
 # Gaussian median radius: the certified selection (see the module
-# docstring). On a 2-vCPU x86 host the Cholesky tests stop paying for
-# themselves past k = 12 at 2,000 samples (past k ~ 22 at 20,000 samples,
-# past k ~ 9 at 1,000), so larger k eigensolves every sample. RADIUS_Z is the pilot bracket's
-# half-width in binomial standard deviations, RADIUS_ETA the relative
-# margin of the Cholesky tests.
+# docstring). On a 2-vCPU x86 host (best of 3-5 runs) the Cholesky tests
+# stop paying for themselves past k ~ 8 at 1,000 samples, k ~ 14 at 2,000
+# and k ~ 22 at 20,000, so larger k eigensolves every sample. At k >= 12
+# and 2,000 samples or fewer the narrowing never runs (it stops at k^3
+# candidates), so only the 20,000-sample crossover could move with it, and
+# it did not. RADIUS_Z is the pilot bracket's half-width in binomial
+# standard deviations, RADIUS_ETA the relative margin of the Cholesky
+# tests.
 RADIUS_CERTIFY_MAX_K = 12
 RADIUS_Z = 5.0
 RADIUS_ETA = 1e-9
+# Samples per Cholesky screen of a chunk: smaller blocks shrink the
+# screen's temporaries. A chunk holds 2,000,000 // k^2 samples, so chunks
+# of k >= 8 fit in one block; splitting them would multiply the screen's
+# ~k^3 numpy calls per pass, which dominate there.
+RADIUS_BLOCK = 1 << 15
+# Narrowing stops at max(k^3, RADIUS_NARROW_MIN) candidates: a pass makes
+# about k^3 numpy calls plus a fixed ~0.1 ms, which below that many
+# candidates exceeds the eigensolves it can save.
+RADIUS_NARROW_MIN = 256
 
 
 def _selfadjoint_draws(k: int, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -823,7 +850,6 @@ def _cholesky_succeeds(t: float, sign: int, diag: np.ndarray, off: np.ndarray) -
     Real arithmetic on the upper triangle of R. A pivot <= 0 makes every
     later pivot nan or -inf, so the last pivot alone decides."""
     k = diag.shape[0]
-    q = {pair: i for i, pair in enumerate(zip(*np.triu_indices(k, 1)))}
     re, im = {}, {}
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for j in range(k):
@@ -833,8 +859,9 @@ def _cholesky_succeeds(t: float, sign: int, diag: np.ndarray, off: np.ndarray) -
             if j == k - 1:
                 return pivot > 0
             inv = 1.0 / np.sqrt(pivot)
+            row = j * (2 * k - j - 3) // 2 - 1  # off[row + l] is the pair (j, l)
             for l in range(j + 1, k):
-                x, y = sign * off[q[j, l], 0], sign * off[q[j, l], 1]
+                x, y = sign * off[row + l, 0], sign * off[row + l, 1]
                 for i in range(j):  # minus conj(R_ij) R_il
                     x -= re[i, j] * re[i, l] + im[i, j] * im[i, l]
                     y -= re[i, j] * im[i, l] - im[i, j] * re[i, l]
@@ -856,39 +883,85 @@ def _pilot_bracket(norms: np.ndarray) -> tuple[float, float]:
     return norms[max(0, math.floor(p / 2 - half))], norms[min(p - 1, math.ceil(p / 2 + half))]
 
 
+def _narrowed_bracket(lo: float, hi: float, i: int, j: int, m: int) -> tuple[float, float]:
+    """[a, b] at rank fractions (i - z sqrt(m)/2)/m and (j + z sqrt(m)/2)/m of
+    [lo, hi], for m candidates whose median ranks are i <= j."""
+    half = RADIUS_Z * math.sqrt(m) / 2
+    return lo + (hi - lo) * max(0.0, (i - half) / m), lo + (hi - lo) * min(1.0, (j + half) / m)
+
+
+def _screen(lo: float, hi: float, dg: np.ndarray, od: np.ndarray) -> tuple[int, np.ndarray]:
+    """Place samples given by entry arrays (batch last) against [lo, hi]:
+    (how many are certified below lo, the indices of the rest that are not
+    certified above hi)."""
+    rest = np.flatnonzero(~_norm_below(lo * (1 - RADIUS_ETA), dg, od))
+    keep = rest[_norm_below(hi * (1 + RADIUS_ETA), dg[:, rest], od[..., rest])]
+    return dg.shape[1] - rest.size, keep
+
+
+def _narrow(k: int, samples: int, lo: float, hi: float, below: int, pilot: np.ndarray,
+            dg: np.ndarray, od: np.ndarray):
+    """The narrowing passes of the certified selection (see the module
+    docstring), from the pilot bracket [lo, hi] with ``below`` non-pilot
+    samples certified below it, the sorted pilot norms and the candidates'
+    entry arrays: (lo, hi, below, pilot norms in [lo, hi], dg, od) as the last
+    kept pass left them, ``below`` now counting pilot norms too."""
+    below += int(np.count_nonzero(pilot < lo))
+    pilot = pilot[(pilot >= lo) & (pilot <= hi)]
+    i, j, m = (samples - 1) // 2 - below, samples // 2 - below, pilot.size + dg.shape[1]
+    while m > max(k ** 3, RADIUS_NARROW_MIN) and 0 <= i <= j < m:
+        a, b = _narrowed_bracket(lo, hi, i, j, m)
+        n, keep = _screen(a, b, dg, od)
+        n += int(np.count_nonzero(pilot < a))
+        inside = pilot[(pilot >= a) & (pilot <= b)]
+        if not 0 <= i - n <= j - n < inside.size + keep.size:
+            break  # the median ranks left [a, b]: keep the previous candidates
+        lo, hi, below, pilot, dg, od = a, b, below + n, inside, dg[:, keep], od[..., keep]
+        i, j, m, last = i - n, j - n, pilot.size + dg.shape[1], m
+        if 2 * m > last:
+            break
+    return lo, hi, below, pilot, dg, od
+
+
 def _median_pass(k: int, samples: int, seed: int, certify: bool):
     """One pass of the certified selection (see the module docstring):
     (median or None on a bracket miss, eigensolves). Without ``certify``
     every sample is eigensolved and the median is always found."""
     rng = make_rng(seed)
     chunk = max(1, 2_000_000 // (k * k))
-    lo, hi = -np.inf, np.inf
-    pilot = min(samples, int((RADIUS_Z * samples / 2) ** (2 / 3)))
-    exact, below, done = [], 0, 0
+    if not certify:
+        sizes = [min(chunk, samples - d) for d in range(0, samples, chunk)]
+        norms = [_opnorm(sample_selfadjoint_gaussian(k, c, rng)) for c in sizes]
+        return float(np.median(np.concatenate(norms))), samples
+    pilot = int((RADIUS_Z * samples / 2) ** (2 / 3))
+    dgs, ods, below, done = [], [], 0, 0
     while done < samples:
         c = min(chunk, samples - done)
         diag, off = _selfadjoint_draws(k, c, rng)
         first = 0
-        if certify and done == 0:
+        if done == 0:
             first = min(c, pilot)
-            exact.append(np.sort(_opnorm(_selfadjoint_matrices(diag[:first], off[..., :first]))))
-            lo, hi = _pilot_bracket(exact[0])
-        keep = slice(first, c)
-        if certify:
-            dg, od = np.ascontiguousarray(diag[keep].T), off[..., keep]
-            rest = np.flatnonzero(~_norm_below(lo * (1 - RADIUS_ETA), dg, od))
-            below += c - first - rest.size
-            keep = first + rest[_norm_below(hi * (1 + RADIUS_ETA), dg[:, rest], od[..., rest])]
-        exact.append(_opnorm(_selfadjoint_matrices(diag[keep], off[..., keep])))
+            norms = np.sort(_opnorm(_selfadjoint_matrices(diag[:first], off[..., :first])))
+            lo, hi = _pilot_bracket(norms)
+        for start in range(first, c, RADIUS_BLOCK):
+            dg = np.ascontiguousarray(diag[start:start + RADIUS_BLOCK].T)
+            od = off[..., start:start + RADIUS_BLOCK]
+            n, keep = _screen(lo, hi, dg, od)
+            below += n
+            dgs.append(dg[:, keep])
+            ods.append(od[..., keep])
         done += c
-    exact = np.concatenate(exact)
+    dg, od = np.concatenate(dgs, axis=1), np.concatenate(ods, axis=-1)
+    lo, hi, below, inside, dg, od = _narrow(k, samples, lo, hi, below, norms, dg, od)
+    solved = np.concatenate([inside, _opnorm(_selfadjoint_matrices(dg.T, od))])
+    eigensolves = norms.size + dg.shape[1]
     i, j = (samples - 1) // 2 - below, samples // 2 - below
-    if not 0 <= i <= j < exact.size:
-        return None, exact.size
-    part = np.partition(exact, (i, j))
+    if not 0 <= i <= j < solved.size:
+        return None, eigensolves
+    part = np.partition(solved, (i, j))
     if not (part[i] >= lo and part[j] <= hi):
-        return None, exact.size
-    return float(np.median(part[i:j + 1])), exact.size
+        return None, eigensolves
+    return float(np.median(part[i:j + 1])), eigensolves
 
 
 def gaussian_median_radius(k: int, samples: int, seed: int) -> BanaszczykContext:
@@ -1074,16 +1147,6 @@ def _greedy_sign_search(stacked: np.ndarray, M: float, budget: int, seed: int):
 
 # ---------------------------------------------------------------------------
 # certified subset frame bound
-
-
-def normalize_phase(u: np.ndarray) -> np.ndarray:
-    """Phase-quotient representative: first entry of modulus > 1e-12 made
-    real nonnegative."""
-    nz = np.flatnonzero(np.abs(u) > 1e-12)
-    if nz.size == 0:
-        return u
-    pivot = u[nz[0]]
-    return u * (pivot.conjugate() / abs(pivot))
 
 
 def _hopf_points(x: np.ndarray) -> np.ndarray:

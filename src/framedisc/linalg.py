@@ -1,7 +1,7 @@
 """Dense complex Hermitian linear algebra kernel.
 
-Rank-one operators, Hermitian eigensystems, operator and Schatten norms,
-and projection predicates. Everything here is a pure function of its
+Rank-one operators, Hermitian eigensystems, the operator norm, and
+projection predicates. Everything here is a pure function of its
 arguments; matrices are plain complex128 ndarrays validated (and lightly
 symmetrized) on entry.
 
@@ -159,16 +159,6 @@ def opnorm(h) -> float:
     h = as_hermitian(h)
     with np.errstate(all="ignore"):
         return _opnorm(h)
-
-
-def schatten_norm(h, p) -> float:
-    """Schatten p-norm (sum |lambda|^p)^(1/p); p = inf gives the operator norm."""
-    if p != np.inf and p < 1:
-        raise InvalidParameterError(f"Schatten norm requires p >= 1, got {p}")
-    if p == np.inf:
-        return opnorm(h)
-    w = eigenvalues(h)
-    return float(np.sum(np.abs(w) ** p) ** (1.0 / p))
 
 
 def is_projection(p, tol: float) -> bool:

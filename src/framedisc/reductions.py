@@ -30,13 +30,6 @@ class DiagonalProjection:
     support: frozenset
 
 
-def diagonal_projection(n: int, support) -> DiagonalProjection:
-    support = frozenset(int(i) for i in support)
-    if any(i < 0 or i >= n for i in support):
-        raise InvalidParameterError(f"support indices out of range 0..{n - 1}")
-    return DiagonalProjection(n=n, support=support)
-
-
 @dataclass(frozen=True)
 class ReductionTrace:
     """Artifacts of the vectors -> projection construction."""

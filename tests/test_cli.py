@@ -530,15 +530,23 @@ def test_search_matroid_feasible_and_deficient(tmp_path, capsys):
 
 def test_search_banaszczyk(tmp_path, capsys):
     rng = make_rng(71)
-    g = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    src = tmp_path / "sys.json"
-    write_system(src, vector_system(g))
-    assert run(["search", "--kind", "banaszczyk", "--input", str(src),
-                "--budget", "2000", "--seed", "0"]) == EXIT_PASS
-    report = json.loads(capsys.readouterr().out)
-    assert report["claims"][0]["computed"] <= report["extra"]["M"] + 1e-9
-    assert report["extra"]["R_hat"] > 0
+    ctx = engines.gaussian_median_radius(2, samples=2000, seed=0)
+    for n in (6, 25):  # the Gray-code and the greedy branch
+        g = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        src = tmp_path / "sys.json"
+        write_system(src, vector_system(g))
+        assert run(["search", "--kind", "banaszczyk", "--input", str(src),
+                    "--budget", "2000", "--seed", "0"]) == EXIT_PASS
+        report = json.loads(capsys.readouterr().out)
+        assert report["claims"][0]["computed"] <= report["extra"]["M"] + 1e-9
+        assert report["extra"]["R_hat"] > 0
+        counters = {}
+        mats = [rank_one(v) / 5.0 for v in vector_system(g).vectors]
+        engines.banaszczyk_sign_search(mats, M=ctx.M, budget=2000, seed=0, counters=counters)
+        # the radius's eigensolves and the search's
+        assert report["extra"]["eigensolves"] == ctx.eigensolves + counters["eigensolves"]
+        assert counters["eigensolves"] >= 1
 
 
 def test_search_banaszczyk_zero_budget_is_usage_error(tmp_path):

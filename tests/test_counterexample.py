@@ -16,7 +16,6 @@ from framedisc import (
     subset_center_distance,
     verify_counterexample,
 )
-from framedisc.counterexample import min_center_distance
 from framedisc.rng import make_rng
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -80,16 +79,6 @@ def test_subset_distance_is_the_closed_form_in_c(k, seed, share):
     assert closed == pytest.approx(
         math.sqrt(c * (k - 1 - c) / (k - 1) ** 3 + (c / (k - 1) - 0.5) ** 2), rel=1e-15)
     assert abs(direct - closed) <= 1e-12  # the verify-weaver claim's tolerance
-    assert closed >= min_center_distance(k) - 1e-15
-
-
-def test_min_center_distance_near_half_split():
-    k = 9
-    best_direct = min(
-        subset_center_distance(counterexample_vectors(k), list(range(c)))[0]
-        for c in range(k)
-    )
-    assert best_direct == pytest.approx(min_center_distance(k), abs=1e-13)
 
 
 def test_signed_norm_lower_bound_values():

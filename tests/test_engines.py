@@ -30,7 +30,6 @@ from framedisc import (
     vector_system,
 )
 from framedisc import engines, linalg
-from framedisc.engines import normalize_phase
 from framedisc.rng import make_rng
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -458,6 +457,9 @@ def reference_median_radius(k, samples, seed):
 @example(k=2, samples=1000, seed=0)
 @example(k=3, samples=1001, seed=3)
 @example(k=6, samples=60_001, seed=41)  # two chunks of up to 55,555
+@example(k=2, samples=250_000, seed=5)  # several narrowing passes, blocked screens
+@example(k=4, samples=60_001, seed=8)
+@example(k=8, samples=20_000, seed=13)  # one pass above k^3 candidates
 def test_gaussian_median_radius_bits_equal_the_all_samples_median(k, samples, seed):
     ctx = gaussian_median_radius(k, samples=samples, seed=seed)
     ref = reference_median_radius(k, samples, seed)
@@ -481,6 +483,47 @@ def test_gaussian_median_radius_bracket_miss_reruns_to_the_same_bits(monkeypatch
     ctx = gaussian_median_radius(4, samples=5001, seed=900)
     assert (ctx.eigensolves > 5001) == missed  # a miss reruns with every sample
     assert ctx.R_hat.hex() == ref.hex()
+
+
+@pytest.mark.parametrize("shift", [-1e-3, 1e-3])  # a bracket below, above the median
+def test_gaussian_median_radius_narrowing_miss_keeps_its_candidates(monkeypatch, shift):
+    ref = reference_median_radius(4, 60_001, 3)
+    narrowed = gaussian_median_radius(4, samples=60_001, seed=3)
+    passes = []
+
+    def missed(lo, hi, i, j, m):
+        passes.append(m)
+        return tuple(sorted((ref * (1 + shift), ref * (1 + 2 * shift))))
+
+    monkeypatch.setattr(engines, "_narrowed_bracket", missed)
+    ctx = gaussian_median_radius(4, samples=60_001, seed=3)
+    assert len(passes) == 1  # a pass that misses ends the narrowing
+    assert ctx.R_hat.hex() == narrowed.R_hat.hex() == ref.hex()
+    assert narrowed.eigensolves < ctx.eigensolves < 60_001  # no all-samples rerun
+
+
+def test_gaussian_median_radius_narrowing_eigensolves_few_candidates():
+    assert gaussian_median_radius(4, 20_000, seed=1).eigensolves <= 1_600
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_gaussian_median_radius_blocked_screen_matches_a_whole_chunk_screen(monkeypatch, k):
+    seen = []
+
+    def record(k, samples, lo, hi, below, pilot, dg, od):
+        seen.append((below, dg, od))
+        return narrow(k, samples, lo, hi, below, pilot, dg, od)
+
+    narrow = engines._narrow
+    monkeypatch.setattr(engines, "_narrow", record)
+    whole = gaussian_median_radius(k, samples=3001, seed=k)
+    monkeypatch.setattr(engines, "RADIUS_BLOCK", 97)
+    blocked = gaussian_median_radius(k, samples=3001, seed=k)
+    (below, dg, od), (b_below, b_dg, b_od) = seen
+    assert below == b_below
+    assert _same_bits(dg, b_dg) and _same_bits(od, b_od)
+    assert blocked.R_hat.hex() == whole.R_hat.hex()
+    assert blocked.eigensolves == whole.eigensolves
 
 
 def test_gaussian_median_radius_above_the_crossover_eigensolves_every_sample():
@@ -550,6 +593,17 @@ def test_banaszczyk_search_rejects_large_matrices():
 
 # ---------------------------------------------------------------------------
 # certified subset bound
+
+
+def normalize_phase(u: np.ndarray) -> np.ndarray:
+    """Phase-quotient representative, one vector at a time: the first entry
+    of modulus > 1e-12 made real nonnegative. The reference for
+    linalg._phase_normalized_rows."""
+    nz = np.flatnonzero(np.abs(u) > 1e-12)
+    if nz.size == 0:
+        return u
+    pivot = u[nz[0]]
+    return u * (pivot.conjugate() / abs(pivot))
 
 
 def test_normalize_phase():

@@ -18,10 +18,9 @@ from framedisc import (
     is_projection,
     opnorm,
     rank_one,
-    schatten_norm,
     vector_system,
 )
-from framedisc.linalg import _opnorm
+from framedisc.linalg import _opnorm, eigenvalues
 from framedisc.rng import make_rng
 
 
@@ -108,31 +107,6 @@ def test_opnorm_dominates_quadratic_form_samples():
         assert abs(np.vdot(u, h @ u).real) <= top + 1e-12
 
 
-def test_schatten_examples():
-    d = np.diag([1.0, -1.0])
-    assert schatten_norm(d, 1) == pytest.approx(2.0)
-    assert schatten_norm(d, 2) == pytest.approx(np.sqrt(2))
-    assert schatten_norm(d, np.inf) == pytest.approx(1.0)
-    v = np.array([0.6, 0.8j])
-    for p in (1, 2, 3, np.inf):
-        assert schatten_norm(rank_one(v), p) == pytest.approx(1.0, abs=1e-12)
-    inst = counterexample_vectors(5)
-    assert schatten_norm(rank_one(inst.normalized.vectors[0]), 1) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_schatten_monotone_chain():
-    rng = make_rng(4)
-    for _ in range(20):
-        h = random_hermitian(5, rng)
-        n1, n2, ninf = (schatten_norm(h, p) for p in (1, 2, np.inf))
-        assert n1 >= n2 - 1e-12 >= ninf - 2e-12
-
-
-def test_schatten_rejects_p_below_1():
-    with pytest.raises(InvalidParameterError):
-        schatten_norm(np.eye(2), 0.5)
-
-
 def test_is_projection_examples():
     assert is_projection(np.eye(3), 1e-10)
     assert is_projection([[0.5, 0.5], [0.5, 0.5]], 1e-10)
@@ -182,7 +156,7 @@ def test_orthonormal_basis_signed_sum_hs_norm_is_k():
         assert len(basis) == k * k
         signs = np.where(rng.random(k * k) < 0.5, 1.0, -1.0)
         total = sum(s * b for s, b in zip(signs, basis))
-        assert schatten_norm(total, 2) == pytest.approx(k, abs=1e-10)
+        assert np.linalg.norm(total) == pytest.approx(k, abs=1e-10)
 
 
 def test_eigensolver_error_type_exists():
@@ -204,7 +178,7 @@ def test_solver_failure_becomes_eigensolver_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", nan_kernel)  # opnorm's kernel
     h = np.array([[0.0, 2.0], [2.0, 1.0]])
-    for f in (opnorm, eigensystem, lambda m: schatten_norm(m, 2)):
+    for f in (opnorm, eigensystem, eigenvalues):
         with pytest.raises(EigensolverError) as info:
             f(h)
         assert info.value.residual == pytest.approx(np.sqrt(8.0))

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedisc import (
+    DiagonalProjection,
     InvalidParameterError,
     compress,
     diagonal_delta,
-    diagonal_projection,
     frame_bound,
     frame_operator,
     is_projection,
@@ -129,7 +129,7 @@ def test_vectors_to_projection_rejects():
 
 
 def test_diagonal_projection_and_compress():
-    q = diagonal_projection(3, [0, 2])
+    q = DiagonalProjection(n=3, support=frozenset({0, 2}))
     assert np.allclose(projection_matrix(q), np.diag([1.0, 0.0, 1.0]))
     a = np.arange(9, dtype=float).reshape(3, 3)
     a = (a + a.T) / 2
@@ -140,7 +140,7 @@ def test_diagonal_projection_and_compress():
     assert np.allclose(compress(c, q), c)
     assert opnorm(c) <= opnorm(a) + 1e-12
     with pytest.raises(InvalidParameterError):
-        diagonal_projection(2, [5])
+        compress(a, DiagonalProjection(n=2, support=frozenset({0})))
 
 
 def test_compression_quadratic_identity():
@@ -152,7 +152,7 @@ def test_compression_quadratic_identity():
     trace = vectors_to_projection(vs, n_level)
     m = trace.m
     w = trace.w.vectors
-    q = projection_matrix(diagonal_projection(m, [0, 2]))
+    q = projection_matrix(DiagonalProjection(n=m, support=frozenset({0, 2})))
     for _ in range(20):
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         # the isometry u -> (<u, w_i>)_i carries C^k onto range(P)
