@@ -16,13 +16,11 @@ from .counterexample import (
     verify_counterexample,
 )
 from .engines import (
-    AnnealSchedule,
     BanaszczykContext,
     CoordinateProfile,
     SignSearchFailure,
     SignVector,
     ViolatingSet,
-    anneal_partition_search,
     banaszczyk_sign_search,
     beck_fiala_signs,
     certified_subset_bound,
@@ -31,6 +29,7 @@ from .engines import (
     exhaustive_sign_search,
     gaussian_median_radius,
     matroid_spanning_partition,
+    partition_floor,
 )
 from .errors import (
     BudgetExceededError,

@@ -174,26 +174,20 @@ def cmd_search(args) -> VerificationReport:
         extra = {"witness": signs_to_dict(witness), "exact": True, **counters}
     elif args.kind == "partition":
         vs = system_from_dict(data)
-        try:
-            cert = engines.exhaustive_partition_search(vs, args.r, args.n_bound, limit=args.limit,
-                                                       budget=budget, counters=counters)
-            extra = {"exact": True, **counters}
-        except BudgetExceededError:
-            if args.r < 2:  # one part, one partition: nothing to anneal
-                raise
-            steps = min(budget, engines.AnnealSchedule.steps)
-            cert = engines.anneal_partition_search(vs, args.r, args.n_bound, seed=seed,
-                                                   schedule=engines.AnnealSchedule(steps=steps))
-            extra = {"exact": False}
+        cert, exact = engines.exhaustive_partition_search(vs, args.r, args.n_bound, budget,
+                                                          counters)
         claims = [Claim("max_part_frame_bound", computed=float(np.max(cert.per_part_bound)),
                         bound=args.n_bound, tolerance=0.0, relation="le")]
-        extra.update(witness=partition_to_dict(cert.partition), slack=cert.slack)
+        extra = {"witness": partition_to_dict(cert.partition), "slack": cert.slack,
+                 "exact": exact, "lower_bound": engines.partition_floor(vs, args.r),
+                 **counters}
     elif args.kind == "pave":
         a = matrix_from_dict(data)
-        part, value = engines._paving_search(a, args.r, args.limit, budget, counters)
+        part, value, exact = engines._paving_search(a, args.r, budget, counters)
         claims = [Claim("paving_quality", computed=value, bound=opnorm(a),
                         tolerance=1e-12, relation="le")]
-        extra = {"witness": partition_to_dict(part), "exact": True, **counters}
+        extra = {"witness": partition_to_dict(part), "exact": exact,
+                 "lower_bound": engines._paving_floor(a, args.r), **counters}
     elif args.kind == "matroid":
         vs = system_from_dict(data)
         result = engines.matroid_spanning_partition(vs, args.r, budget, counters)
@@ -335,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--n-bound", type=float, default=2.0, dest="n_bound")
-    p.add_argument("--limit", type=_limit, default=2**24, help="exhaustive enumeration cap")
+    p.add_argument("--limit", type=_limit, default=2**24, help="sign-search pattern cap")
     common(p)
 
     p = sub.add_parser("net-check", help="certified bound on a subset's frame bound")

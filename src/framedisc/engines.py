@@ -3,8 +3,8 @@
 * Beck-Fiala iterative rounding on coordinate profiles (l-infinity
   discrepancy <= 2 for columns of l1 mass <= 1).
 * Exhaustive sign search (Gray-code enumeration with incremental operator
-  updates) and exhaustive / simulated-annealing partition search for the
-  min-max subset frame bound.
+  updates) and a budgeted partition search for the min-max subset frame
+  bound.
 * One blocked Gray-code walker serves the exhaustive sign search and the
   n <= 20 branch of the Banaszczyk sign search. It builds the signed sums
   of a block of consecutive patterns with one cumulative sum; a block
@@ -34,7 +34,7 @@
   diagonal (each vector on one coordinate, such as np.eye(n)) ever
   certified: the eigensolve of a diagonal sum is as cheap as a Cholesky
   factorization, so ruling sums out cannot pay.
-* One exact partition search serves both the partition search (parts
+* One partition search serves both the partition search (parts
   scored by their frame bound) and the paving search behind
   ``search --kind pave`` (parts scored by ||A[S, S]||). It is a depth-first
   branch and bound over restricted-growth prefixes, so each partition into
@@ -44,7 +44,12 @@
   largest partial part score exceeds the best leaf so far by more than
   PRUNE_MARGIN (1e-12) of it is pruned; the margin absorbs the few ulps by
   which a superset's computed score can fall below its subset's. The walk
-  counts the prefixes (nodes) it visits, and a budget caps them.
+  scores all children of a prefix before descending into them, lowest bound
+  first. It counts the prefixes (nodes) it scores, and a budget caps them:
+  a walk that runs out returns its best leaf so far as inexact.
+  partition_floor and _paving_floor bound every partition's value from
+  below: by ||S|| / r and max_i ||v_i||^2 for frames, by max_i |A_ii| and
+  the pinching bound for paving.
 * Matroid union augmentation deciding whether a vector family splits into
   r parts each spanning C^k, with a counting certificate on failure. One
   elimination per part, of its members followed by all n vectors and
@@ -157,10 +162,10 @@ among the first ``budget`` patterns.
 The partition and paving searches return the lexicographically smallest
 optimal assignment. Each distinct part is scored once, so a partition and
 its relabelings tie exactly, and the first of them, the restricted-growth
-string, is the one the walk visits. Leaves are reached in lexicographic
-order and accepted only on a strict improvement, and pruning drops only
-prefixes that no leaf below can strictly improve on, so the winner and
-its value are those of scoring every restricted-growth string.
+string, is the one the walk visits. A leaf is accepted when it is below
+the incumbent, or ties it with a lexicographically smaller assignment, and
+pruning never drops an ancestor of an optimal leaf, so the winner and its
+value are those of scoring every restricted-growth string.
 """
 
 from __future__ import annotations
@@ -173,8 +178,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
 from .frames import (Partition, PartitionCertificate, VectorSystem, _unit_ball_norms,
-                     partition, partition_certificate)
-from .linalg import _cholesky_factors, _opnorm, _solve, as_hermitian, rank_one
+                     frame_bound, partition, partition_certificate)
+from .linalg import _cholesky_factors, _opnorm, _solve, as_hermitian, eigenvalues
 from .reductions import paving_quality
 from .rng import make_rng
 
@@ -350,7 +355,7 @@ def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive and annealed searches
+# exhaustive and budgeted searches
 
 
 # Byte cap of each (B, k, k) block of signed sums the sign walker builds:
@@ -468,10 +473,12 @@ def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
 PRUNE_MARGIN = 1e-12
 
 
-def _min_max_partition(n: int, r: int, empty, grow, part_score, limit: int,
-                       budget: int | None = None, counters: dict | None = None) -> Partition:
-    """Lexicographically first assignment of 0..n-1 to r parts minimizing
-    max_j of its parts' scores; the empty part scores 0.
+def _min_max_partition(n: int, r: int, empty, grow, part_score, budget: int | None = None,
+                       counters: dict | None = None) -> tuple[Partition, bool]:
+    """(assignment, exact): the lexicographically first assignment of 0..n-1
+    to r parts minimizing max_j of its parts' scores (the empty part scores
+    0) and True; or, once ``budget`` nodes are scored, the best assignment
+    found and False, or BudgetExceededError if no leaf was reached.
 
     A part is scored from a state: the empty part's state is ``empty``,
     grow(state, i) is the state of the part with index i added, i above
@@ -489,83 +496,89 @@ def _min_max_partition(n: int, r: int, empty, grow, part_score, limit: int,
     An assignment's value depends only on its parts, so the lexicographically
     first optimal assignment is the first relabeling of its partition, a
     restricted-growth string (a_0 = 0, a_i <= max(a_<i) + 1). A depth-first
-    branch and bound walks their prefixes in lexicographic order. A prefix's
-    bound is the max score of its partial parts, which by monotonicity no
-    completion goes below; the prefix is dropped once that bound exceeds the
-    best leaf so far by more than PRUNE_MARGIN of it. A leaf is accepted
-    only on a strict improvement, so the walk returns what scoring every
-    restricted-growth string would. Scores are cached by the part's bitmask,
-    so each distinct part is scored once and a leaf's value is the same float
-    whichever path reached it. A part's state is grown only where the walk
-    scores the part or extends the prefix below it. The walk runs under
+    branch and bound scores every child a_i = j of a prefix (a node each),
+    then descends into them by (bound, j). A prefix's bound is the max score
+    of its partial parts, which by monotonicity no completion goes below; a
+    child is dropped once its bound exceeds the best leaf so far by more
+    than PRUNE_MARGIN of it. A leaf is accepted when it is below the best,
+    or ties it with a lexicographically smaller assignment. The best never
+    falls below the optimum, so every optimal leaf is reached, and the
+    winner is what scoring every restricted-growth string would give.
+    Scores are cached by the part's bitmask, so each distinct part is scored
+    once and a leaf's value is the same float whichever path reached it.
+    The walk keeps its own stack rather than recursing, and runs under
     np.errstate(all="ignore"), so that an eigensolve scoring a part fails
-    with _opnorm's EigensolverError alone.
-
-    Refuses up front when r^n exceeds ``limit``, and raises
-    BudgetExceededError when the walk would visit more than ``budget``
-    prefixes (nodes). ``counters``, if given, receives ``nodes_visited`` and
-    ``parts_scored``.
+    with _opnorm's EigensolverError alone. ``counters``, if given, receives
+    ``nodes_visited`` and ``parts_scored``.
     """
     if r < 1:
         raise InvalidParameterError(f"part count must be >= 1, got {r}")
-    if r**n > limit:
-        raise BudgetExceededError(
-            f"exhaustive partition search refuses r^n = {r}^{n} > limit = {limit}"
-        )
     scores = {0: 0.0}  # at most min(2^n, r^n) entries
-    masks = [0] * r  # bitmask of each part of the current prefix
-    states = [empty] * r  # the state of each part of the current prefix
-    current = [0.0] * r  # scores[masks[j]]
     assign = [0] * n
     best_val, best_assign = math.inf, None
     nodes = 0
+    stack = []  # per open prefix: (i, used, masks, current, states, children left)
 
-    def visit(i: int, used: int) -> None:
-        """Extend the prefix a_0..a_(i-1), which uses labels < used, by a_i."""
+    def expand(i: int, used: int, masks: list, current: list, states: list) -> None:
+        """Score the children a_i = j of a prefix using the labels below
+        ``used``; judge them if leaves, else push them in (bound, j) order."""
         nonlocal best_val, best_assign, nodes
+        children = []
         for j in range(min(used + 1, r)):
             if budget is not None and nodes >= budget:
                 raise BudgetExceededError(
-                    f"exhaustive partition search visits more than budget = {budget} nodes"
-                )
+                    f"the partition search reaches no leaf within budget = {budget} nodes")
             nodes += 1
-            old_mask, old_score, old_state = masks[j], current[j], states[j]
-            mask = masks[j] = old_mask | 1 << i
+            mask = masks[j] | 1 << i
             state = None
             score = scores.get(mask)
             if score is None:
-                state = grow(old_state, i)
+                state = grow(states[j], i)
                 score = scores[mask] = part_score(state)
-            current[j] = score
-            bound = max(current)
-            assign[i] = j
-            if i + 1 == n:
-                if bound < best_val:
-                    best_val, best_assign = bound, list(assign)
-            elif bound <= best_val + PRUNE_MARGIN * best_val:
-                states[j] = grow(old_state, i) if state is None else state
-                visit(i + 1, max(used, j + 1))
-            masks[j], current[j], states[j] = old_mask, old_score, old_state
+            old, current[j] = current[j], score
+            children.append((max(current), j, mask, score, state))
+            current[j] = old
+        children.sort(key=lambda child: child[:2])
+        if i + 1 < n:
+            stack.append((i, used, masks, current, states, iter(children)))
+            return
+        value, assign[i] = children[0][:2]
+        if value < best_val or value == best_val and assign < best_assign:
+            best_val, best_assign = value, list(assign)
 
     try:
         with np.errstate(all="ignore"):
-            visit(0, 0)
+            expand(0, 0, [0] * r, [0.0] * r, [empty] * r)
+            while stack:
+                i, used, masks, current, states, children = stack[-1]
+                child = next(children, None)
+                if child is None or child[0] > best_val + PRUNE_MARGIN * best_val:
+                    stack.pop()  # the children left are bounded at least as high
+                    continue
+                _, j, mask, score, state = child
+                masks, current, states = masks.copy(), current.copy(), states.copy()
+                masks[j], current[j] = mask, score
+                states[j] = grow(states[j], i) if state is None else state
+                assign[i] = j
+                expand(i + 1, max(used, j + 1), masks, current, states)
+    except BudgetExceededError:
+        if best_assign is None:
+            raise
     finally:
         if counters is not None:
             counters.update(nodes_visited=nodes, parts_scored=len(scores) - 1)
-    return partition(r, best_assign)
+    return partition(r, best_assign), not stack  # a walk cut short leaves prefixes open
 
 
 def exhaustive_partition_search(
-    vs: VectorSystem, r: int, N: float, limit: int = 2**24,
-    budget: int | None = None, counters: dict | None = None,
-) -> PartitionCertificate:
-    """Globally minimal max_j subset frame bound over all r^n assignments.
-
-    Lexicographically smallest optimal assignment wins ties. Refuses when
-    r^n exceeds the enumeration limit or the walk exceeds ``budget`` nodes
-    (see _min_max_partition, which also fills ``counters``). A part's frame
-    bound can only grow as vectors join it, since each adds a PSD term.
+    vs: VectorSystem, r: int, N: float, budget: int | None = None,
+    counters: dict | None = None,
+) -> tuple[PartitionCertificate, bool]:
+    """(certificate, exact) for the globally minimal max_j subset frame bound
+    over all assignments to r parts, as _min_max_partition finds it within
+    ``budget`` nodes (lexicographically smallest optimal assignment on
+    ties). A part's frame bound only grows as vectors join it, since each
+    adds a PSD term.
 
     The walk scores a part by the operator norm of its frame operator
     summed term by term, ((v_a v_a* + v_b v_b*) + ...) for a < b < ...,
@@ -575,81 +588,60 @@ def exhaustive_partition_search(
     lexicographically first partition that is optimal as computed here.
     """
     terms = list(vs.vectors[:, :, None] * vs.vectors.conj()[:, None, :])  # rank_one of each row
-    part = _min_max_partition(vs.n, r, np.zeros((vs.k, vs.k), dtype=np.complex128),
-                              lambda s, i: s + terms[i], _opnorm, limit, budget, counters)
-    return partition_certificate(vs, part, N)
+    part, exact = _min_max_partition(vs.n, r, np.zeros((vs.k, vs.k), dtype=np.complex128),
+                                     lambda s, i: s + terms[i], _opnorm, budget, counters)
+    return partition_certificate(vs, part, N), exact
 
 
-def _paving_search(a, r: int, limit: int, budget: int | None = None,
-                   counters: dict | None = None) -> tuple[Partition, float]:
-    """Exhaustive min over r^n partitions of max_j ||Q_j A Q_j||: the
-    lexicographically smallest optimal partition and its paving quality.
-    ||A[S, S]|| can only grow with S, by Cauchy interlacing, so the
-    branch and bound of _min_max_partition applies. A part's state is its
-    index list, and A[S, S] is an exact gather."""
+def partition_floor(vs: VectorSystem, r: int) -> float:
+    """A lower bound on max_j ||S_j|| over every partition of the system into
+    r parts, S_j the frame operator of part j: S = sum_j S_j gives
+    ||S|| <= r max_j ||S_j||, and S_j >= v_i v_i* for each member i.
+
+    Rounding, with t = sum_i ||v_i||^2: forming a frame operator errs by at
+    most 2 n eps t (n products per entry, and |V|^T |V| has norm <= t), and
+    the eigensolver's backward error is taken as 4 k eps t. So ||S|| and
+    each ||S_j|| are computed within (2 n + 4 k) eps t, and ||v_i||^2
+    within k eps t; the floor gives up 8 (n + k) eps t and is clipped at 0."""
+    norms = vs.norms_squared()
+    slack = 8 * (vs.n + vs.k) * float(np.finfo(float).eps) * float(np.sum(norms))
+    return max(0.0, max(frame_bound(vs) / r, float(np.max(norms))) - slack)
+
+
+def _paving_search(a, r: int, budget: int | None = None,
+                   counters: dict | None = None) -> tuple[Partition, float, bool]:
+    """(partition, paving quality, exact) for the minimum over partitions into
+    r parts of max_j ||Q_j A Q_j||, as _min_max_partition finds it within
+    ``budget`` nodes. ||A[S, S]|| can only grow with S, by Cauchy
+    interlacing. A part's state is its index list, and A[S, S] is an exact
+    gather."""
     a = as_hermitian(a)
-    part = _min_max_partition(a.shape[0], r, [], lambda idx, i: idx + [i],
-                              lambda idx: _opnorm(a[idx][:, idx]), limit, budget, counters)
-    return part, paving_quality(a, part)
+    part, exact = _min_max_partition(a.shape[0], r, [], lambda idx, i: idx + [i],
+                                     lambda idx: _opnorm(a[idx][:, idx]), budget, counters)
+    return part, paving_quality(a, part), exact
 
 
-@dataclass(frozen=True)
-class AnnealSchedule:
-    """Simulated annealing schedule: step count, initial temperature, and
-    per-step geometric cooling factor."""
+def _paving_floor(a, r: int) -> float:
+    """A lower bound on max_j ||Q_j A Q_j|| over every partition into r parts.
 
-    steps: int = 2000
-    t0: float = 0.5
-    cooling: float = 0.995
+    |A_ii| <= ||Q_j A Q_j|| for i in part j. With c = max(0, -lambda_min(A)),
+    B = A + c I is PSD, and pinching gives B <= r sum_j Q_j B Q_j: the sum is
+    the average of the r conjugates U^m B U^-m (m = 0..r-1) by
+    U = sum_j w^j Q_j, w = exp(2 pi i / r), which are PSD, and the m = 0 one
+    is B. Its top eigenvalue is max_j lambda_max(Q_j A Q_j) + c over the
+    nonempty parts, so lambda_max(A) + c <= r (max_j ||Q_j A Q_j|| + c);
+    the same holds for -A. For PSD A, c = 0 and the floor is ||A|| / r.
 
-
-def anneal_partition_search(
-    vs: VectorSystem, r: int, N: float, seed: int, schedule: AnnealSchedule | None = None
-) -> PartitionCertificate:
-    """Heuristic partition search; deterministic given (seed, schedule).
-
-    Single-index moves with Metropolis acceptance under geometric cooling;
-    the best assignment ever seen is returned, so the result is never worse
-    than the seeded initial random partition. Not claimed optimal.
-    """
-    if r < 2:
-        raise InvalidParameterError(f"annealing needs r >= 2, got {r}")
-    schedule = schedule or AnnealSchedule()
-    rng = make_rng(seed)
-    n = vs.n
-    mats = np.stack([rank_one(v) for v in vs.vectors])
-    assignment = rng.integers(0, r, size=n)
-    sums = np.stack([mats[assignment == j].sum(axis=0) if np.any(assignment == j)
-                     else np.zeros((vs.k, vs.k), dtype=np.complex128) for j in range(r)])
-
-    def value(ss):
-        return max(_opnorm(s) for s in ss)
-
-    with np.errstate(all="ignore"):  # _opnorm's single-matrix kernel, once
-        cur = value(sums)
-        best_val, best_assign = cur, assignment.copy()
-        temp = schedule.t0
-        for _ in range(schedule.steps):
-            i = int(rng.integers(0, n))
-            old = int(assignment[i])
-            new = int(rng.integers(0, r - 1))
-            if new >= old:
-                new += 1
-            sums[old] -= mats[i]
-            sums[new] += mats[i]
-            cand = value(sums)
-            delta = cand - cur
-            if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-12)):
-                assignment[i] = new
-                cur = cand
-                if cur < best_val:
-                    best_val, best_assign = cur, assignment.copy()
-            else:
-                sums[old] += mats[i]
-                sums[new] -= mats[i]
-            temp *= schedule.cooling
-    part = partition(r, best_assign)
-    return partition_certificate(vs, part, N)
+    Rounding: the eigensolver's backward error is taken as 4 m eps ||A||_F
+    for m x m A, which bounds the error of each computed ||Q_j A Q_j|| and of
+    the pinching floor (its eigenvalue weights total at most 1); the floor
+    gives up 8 m eps ||A||_F and is clipped at 0."""
+    a = as_hermitian(a)
+    w = eigenvalues(a)
+    lo, hi = float(w[0]), float(w[-1])
+    pinched = max(hi - (r - 1) * max(0.0, -lo), -lo - (r - 1) * max(0.0, hi)) / r
+    slack = 8 * a.shape[0] * float(np.finfo(float).eps) * float(np.linalg.norm(a))
+    return max(0.0, max(float(np.max(np.abs(a.diagonal()))), pinched) - slack)
 
 
 # ---------------------------------------------------------------------------

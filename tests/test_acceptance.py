@@ -262,7 +262,7 @@ def test_criterion_11_report_determinism(tmp_path):
          "--budget", "200"],
         ["search", "--kind", "signs", "--input", str(src), "--seed", "3"],
         ["search", "--kind", "partition", "--input", str(src), "--r", "2",
-         "--n-bound", "6", "--seed", "3", "--budget", "5", "--limit", "5"],
+         "--n-bound", "6", "--seed", "3", "--budget", "20", "--limit", "5"],
         ["search", "--kind", "banaszczyk", "--input", str(src), "--seed", "3",
          "--budget", "2000"],
         ["net-check", "--input", str(src), "--epsilon", "0.2", "--n-bound", "6",

@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from framedisc import (
-    AnnealSchedule,
-    anneal_partition_search,
     cli,
     counterexample_vectors,
     engines,
@@ -30,7 +28,7 @@ from framedisc.cli import (
 )
 from framedisc.reports import canonical_json
 from framedisc.rng import make_rng
-from framedisc.serialize import matrix_to_dict, system_from_dict, system_to_dict
+from framedisc.serialize import matrix_to_dict, system_to_dict
 
 
 def run(args):
@@ -356,36 +354,52 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert "internal error: ZeroDivisionError: boom" in capsys.readouterr().err
 
 
-def test_search_partition_exhaustive_and_anneal(tmp_path, capsys):
+def test_search_partition_exact_and_budgeted(tmp_path, capsys):
     src = tmp_path / "sys.json"
     write_system(src, vector_system(np.vstack([np.eye(2), np.eye(2)])))
-    assert run(["search", "--kind", "partition", "--input", str(src), "--r", "2",
-                "--n-bound", "2"]) == EXIT_PASS
-    report = json.loads(capsys.readouterr().out)
-    assert report["extra"]["exact"] is True
-    assert report["extra"]["slack"] == pytest.approx(1.0)
-    # force the annealing path with a tiny budget
-    assert run(["search", "--kind", "partition", "--input", str(src), "--r", "2",
-                "--n-bound", "2", "--budget", "3", "--limit", "3"]) == EXIT_PASS
-    report = json.loads(capsys.readouterr().out)
-    assert report["extra"]["exact"] is False
+    argv = ["search", "--kind", "partition", "--input", str(src), "--r", "2", "--n-bound", "2"]
+    assert run(argv) == EXIT_PASS
+    exact = json.loads(capsys.readouterr().out)["extra"]
+    assert exact["exact"] is True
+    assert exact["slack"] == pytest.approx(1.0)
+    # ||S|| / 2 = 1: the floor meets the optimum
+    assert 1.0 - 1e-13 <= exact["lower_bound"] <= 1.0
+    # the walk scores 11 nodes; its first leaf, [1, 1, 2, 2], needs 1 + 3 * 2
+    assert exact["nodes_visited"] == 11
+    assert run(argv + ["--budget", "10"]) == EXIT_PASS
+    budgeted = json.loads(capsys.readouterr().out)["extra"]
+    assert budgeted["exact"] is False
+    assert budgeted["witness"] == exact["witness"]
+    assert budgeted["lower_bound"] == exact["lower_bound"]
+    assert run(argv + ["--budget", "6"]) == EXIT_BUDGET
+    assert "no leaf within budget = 6" in capsys.readouterr().err
 
 
-def test_search_partition_anneal_steps_follow_budget(tmp_path, capsys):
+def test_search_partition_budget_caps_the_walk(tmp_path, capsys):
     g = make_rng(80).standard_normal((9, 3)) + 1j * make_rng(81).standard_normal((9, 3))
     g /= 2 * np.linalg.norm(g, axis=1, keepdims=True)
     vs = vector_system(g)
     src = tmp_path / "sys.json"
     write_system(src, vs)
-    # 3^9 > 10, so the search anneals, for at most 10 steps
-    assert run(["search", "--kind", "partition", "--input", str(src), "--r", "3",
-                "--n-bound", "2", "--seed", "5", "--budget", "10"]) == EXIT_PASS
+    # r = 3 and n = 9: the first leaf needs 1 + 2 + 7 * 3 = 24 nodes
+    argv = ["search", "--kind", "partition", "--input", str(src), "--r", "3",
+            "--n-bound", "2", "--budget", "30"]
+    assert run(argv + ["--seed", "5"]) == EXIT_PASS
     report = json.loads(capsys.readouterr().out)
-    assert report["extra"]["exact"] is False
-    short = anneal_partition_search(vs, 3, 2.0, seed=5, schedule=AnnealSchedule(steps=10))
-    full = anneal_partition_search(vs, 3, 2.0, seed=5)
-    assert report["extra"]["witness"]["assignment"] == [j + 1 for j in short.partition.assignment]
-    assert list(short.partition.assignment) != list(full.partition.assignment)
+    extra = report["extra"]
+    assert extra["exact"] is False
+    assert extra["nodes_visited"] == 30
+    counters = {}
+    cert, exact = engines.exhaustive_partition_search(vs, 3, 2.0, 30, counters)
+    assert not exact and counters["nodes_visited"] == 30
+    assert extra["witness"]["assignment"] == [j + 1 for j in cert.partition.assignment]
+    value = report["claims"][0]["computed"]
+    assert value == float(np.max(cert.per_part_bound))
+    assert extra["lower_bound"] == engines.partition_floor(vs, 3) <= value
+    # the seed plays no part in the walk
+    assert run(argv + ["--seed", "6"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["extra"] == extra
+    assert run(argv[:-1] + ["23"]) == EXIT_BUDGET
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -403,15 +417,26 @@ def test_search_pave_enforces_budget(tmp_path, capsys):
     src = tmp_path / "mat.json"
     a = np.ones((4, 4)) - np.eye(4)
     src.write_text(canonical_json(matrix_to_dict(a)) + "\n")
-    # ||A[S, S]|| = max(|S| - 1, 1) ties so often that the walk visits all
-    # 1 + 2 + 4 + 8 = 15 restricted-growth prefixes
-    assert run(["search", "--kind", "pave", "--input", str(src), "--budget", "14"]) == EXIT_BUDGET
-    capsys.readouterr()
-    assert run(["search", "--kind", "pave", "--input", str(src), "--budget", "15"]) == EXIT_PASS
+    argv = ["search", "--kind", "pave", "--input", str(src)]
+    # ||A[S, S]|| = |S| - 1 for |S| >= 2 ties so often that the walk scores
+    # 13 nodes: its first leaf [1, 2, 1, 2] after 1 + 3 * 2, then [1, 2, 2, 1]
+    # and [1, 1, 2, 2], which ties the incumbent and comes first
+    assert run(argv + ["--budget", "13"]) == EXIT_PASS
     report = json.loads(capsys.readouterr().out)
-    assert report["budget"] == 15
-    assert report["extra"]["nodes_visited"] == 15
+    assert report["budget"] == 13
+    assert report["extra"]["nodes_visited"] == 13
+    assert report["extra"]["exact"] is True
     assert report["extra"]["witness"]["assignment"] == [1, 1, 2, 2]
+    # J - I has eigenvalues 3 and -1, so the pinching floor is (3 - 1) / 2,
+    # the optimum
+    assert 1.0 - 1e-13 <= report["extra"]["lower_bound"] <= 1.0
+    assert run(argv + ["--budget", "12"]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert report["extra"]["exact"] is False
+    assert report["extra"]["witness"]["assignment"] == [1, 2, 1, 2]
+    assert report["claims"][0]["computed"] == pytest.approx(1.0)
+    assert run(argv + ["--budget", "6"]) == EXIT_BUDGET
+    assert "no leaf within budget = 6" in capsys.readouterr().err
 
 
 def _node_count_input(tmp_path, kind):
@@ -441,17 +466,15 @@ def test_search_partition_node_budget_boundary(tmp_path, capsys):
     assert run(argv + ["--budget", str(nodes)]) == EXIT_PASS
     report = json.loads(capsys.readouterr().out)
     assert report["extra"] == exact["extra"]
-    # one node short: the annealing fallback, for min(budget, 2000) steps
+    # one node short: the walk's incumbent, no longer certified optimal
     assert run(argv + ["--budget", str(nodes - 1)]) == EXIT_PASS
     report = json.loads(capsys.readouterr().out)
     assert report["extra"]["exact"] is False
-    assert "nodes_visited" not in report["extra"]
-    vs = system_from_dict(json.loads(src.read_text()))
-    steps = min(nodes - 1, AnnealSchedule.steps)
-    anneal = anneal_partition_search(vs, 3, 2.0, seed=3, schedule=AnnealSchedule(steps=steps))
-    assert report["extra"]["witness"]["assignment"] == \
-        [j + 1 for j in anneal.partition.assignment]
-    # r = 1 has one partition and n = 9 nodes, and nothing to anneal
+    assert report["extra"]["nodes_visited"] == nodes - 1
+    value = report["claims"][0]["computed"]
+    assert report["extra"]["lower_bound"] == exact["extra"]["lower_bound"] <= value
+    assert value >= exact["claims"][0]["computed"]
+    # r = 1 has one partition and n = 9 nodes
     one = ["search", "--kind", "partition", "--input", str(src), "--r", "1", "--n-bound", "9"]
     assert run(one + ["--budget", "9"]) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["extra"]["nodes_visited"] == 9
@@ -462,11 +485,19 @@ def test_search_pave_node_budget_boundary(tmp_path, capsys):
     src = _node_count_input(tmp_path, "pave")
     argv = ["search", "--kind", "pave", "--input", str(src), "--r", "3"]
     assert run(argv) == EXIT_PASS
-    nodes = json.loads(capsys.readouterr().out)["extra"]["nodes_visited"]
+    exact = json.loads(capsys.readouterr().out)
+    nodes = exact["extra"]["nodes_visited"]
     assert nodes < 4925
     assert run(argv + ["--budget", str(nodes)]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["extra"] == exact["extra"]
+    assert run(argv + ["--budget", str(nodes - 1)]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert report["extra"]["exact"] is False
+    assert report["extra"]["lower_bound"] <= report["claims"][0]["computed"]
+    # the first leaf needs 1 + 2 + 7 * 3 = 24 nodes
+    assert run(argv + ["--budget", "24"]) == EXIT_PASS
     capsys.readouterr()
-    assert run(argv + ["--budget", str(nodes - 1)]) == EXIT_BUDGET
+    assert run(argv + ["--budget", "23"]) == EXIT_BUDGET
     assert "budget" in capsys.readouterr().err
 
 

@@ -7,14 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framedisc import (
-    AnnealSchedule,
     BudgetExceededError,
     InvalidParameterError,
     Partition,
     SignSearchFailure,
     SignVector,
     ViolatingSet,
-    anneal_partition_search,
     banaszczyk_sign_search,
     beck_fiala_signs,
     certified_subset_bound,
@@ -108,7 +106,7 @@ def test_beck_fiala_rejects_non_finite_profiles(bad):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive / anneal searches
+# exhaustive searches
 
 
 def test_exhaustive_signs_two_equal_vectors():
@@ -162,11 +160,10 @@ def test_exhaustive_signs_budget_refusal():
 
 def test_exhaustive_partition_two_basis_copies():
     vs = vector_system(np.vstack([np.eye(2), np.eye(2)]))
-    cert = exhaustive_partition_search(vs, 2, 2.0)
+    cert, exact = exhaustive_partition_search(vs, 2, 2.0)
+    assert exact
     assert np.max(cert.per_part_bound) == pytest.approx(1.0, abs=1e-12)
     assert cert.slack == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(BudgetExceededError):
-        exhaustive_partition_search(vs, 2, 2.0, limit=8)
 
 
 def _quarter_norm_system(seed, n, k):
@@ -179,7 +176,7 @@ def test_exhaustive_partition_picks_lexicographic_optimum():
     # Mirror assignments have the same parts and must tie exactly, so the
     # witness is the first optimal assignment in lexicographic order.
     vs = _quarter_norm_system(1, 5, 2)
-    cert = exhaustive_partition_search(vs, 2, 2.0)
+    cert, _ = exhaustive_partition_search(vs, 2, 2.0)
     best_val, best = np.inf, None
     for assign in itertools.product(range(2), repeat=vs.n):
         parts = [[i for i in range(vs.n) if assign[i] == j] for j in range(2)]
@@ -193,7 +190,7 @@ def test_exhaustive_partition_picks_lexicographic_optimum():
 def test_exhaustive_partition_witness_starts_in_part_zero():
     for seed in range(10):
         for n, k in ((4, 2), (6, 3)):
-            cert = exhaustive_partition_search(_quarter_norm_system(seed, n, k), 2, 2.0)
+            cert, _ = exhaustive_partition_search(_quarter_norm_system(seed, n, k), 2, 2.0)
             assert cert.partition.assignment[0] == 0
 
 
@@ -210,7 +207,8 @@ def _product_reference(n, r, part_score):
 
 
 def _index_walk(n, r, part_score, **kwargs):
-    """The branch and bound with each part's index list as its state."""
+    """The branch and bound with each part's index list as its state:
+    (partition, exact)."""
     return engines._min_max_partition(n, r, [], lambda idx, i: idx + [i], part_score,
                                       **kwargs)
 
@@ -230,13 +228,13 @@ def test_restricted_growth_walk_matches_product_reference(r, n, seed):
 
     for score in (frame_score, tie_score):
         best, best_val = _product_reference(n, r, score)
-        part = _index_walk(n, r, score, limit=r**n)
+        part, _ = _index_walk(n, r, score)
         assert part.assignment.tolist() == best
         val = max((score(np.flatnonzero(part.assignment == j).tolist())
                    for j in range(r) if np.any(part.assignment == j)), default=0.0)
         assert val == best_val
     if seed == 1:
-        cert = exhaustive_partition_search(vs, r, 2.0)
+        cert, _ = exhaustive_partition_search(vs, r, 2.0)
         assert cert.partition.assignment.tolist() == [0, 1, 1, 0, 1]
 
 
@@ -246,33 +244,60 @@ def test_restricted_growth_counts_partitions():
     # parts: 2^(n-1) for r = 2, Bell numbers when r >= n, 1 for r = 1.
     def nodes(n, r):
         counters = {}
-        _index_walk(n, r, lambda idx: 0.0, limit=r**n, counters=counters)
+        _index_walk(n, r, lambda idx: 0.0, counters=counters)
         return counters["nodes_visited"]
 
     assert nodes(8, 2) - nodes(7, 2) == 2**7
     assert [nodes(n, n) - (nodes(n - 1, n) if n > 1 else 0) for n in range(1, 7)] == \
         [1, 2, 5, 15, 52, 203]
     assert nodes(5, 1) == 5
+    assert nodes(1100, 1) == 1100  # deeper than Python's recursion limit
     counters = {}
-    _index_walk(8, 2, lambda idx: 0.0, limit=2**8, counters=counters)
+    _index_walk(8, 2, lambda idx: 0.0, counters=counters)
     assert counters == {"nodes_visited": 2**8 - 1, "parts_scored": 2**8 - 1}
-    with pytest.raises(BudgetExceededError):
-        _index_walk(5, 2, lambda idx: 0.0, limit=31)
-    with pytest.raises(BudgetExceededError):
-        _index_walk(5, 2, lambda idx: 0.0, limit=32, budget=30)
-    _index_walk(5, 2, lambda idx: 0.0, limit=32, budget=31)
+    # n = 5, r = 2 has 31 nodes, and its first leaf comes after 1 + 4 * 2;
+    # a budget in between returns that walk's incumbent
+    assert _index_walk(5, 2, lambda idx: 0.0, budget=31)[1] is True
+    assert _index_walk(5, 2, lambda idx: 0.0, budget=30)[1] is False
+    assert _index_walk(5, 2, lambda idx: 0.0, budget=9)[1] is False
+    with pytest.raises(BudgetExceededError, match="no leaf within budget = 8"):
+        _index_walk(5, 2, lambda idx: 0.0, budget=8)
 
 
-def test_anneal_never_beats_exhaustive_and_is_deterministic():
-    rng = make_rng(43)
-    vs = vector_system(random_unit_rows(8, 2, rng))
-    exact = exhaustive_partition_search(vs, 2, 2.0)
-    a1 = anneal_partition_search(vs, 2, 2.0, seed=7)
-    a2 = anneal_partition_search(vs, 2, 2.0, seed=7)
-    assert np.array_equal(a1.partition.assignment, a2.partition.assignment)
-    assert np.max(a1.per_part_bound) >= np.max(exact.per_part_bound) - 1e-10
-    short = anneal_partition_search(vs, 2, 2.0, seed=7, schedule=AnnealSchedule(steps=10))
-    assert short.partition.r == 2
+def test_walk_descends_into_the_lowest_bound_first():
+    # Weights 3, 1, 1, 1: the children of [0] are [0, 0] (bound 4) and
+    # [0, 1] (bound 3), and so on down, so the walk's first leaf is the
+    # optimum [0, 1, 1, 1] (value 3), after one node per child:
+    # 1 + 2 + 2 + 2 = 7. Every other child is bounded by 4, so those 7 nodes
+    # are the whole walk. The lexicographic walk would reach [0, 0, 0, 0]
+    # (value 6) first.
+    w = [3.0, 1.0, 1.0, 1.0]
+
+    def walk(budget):
+        part, exact = _index_walk(4, 2, lambda idx: sum(w[i] for i in idx), budget=budget)
+        return part.assignment.tolist(), exact
+
+    assert walk(7) == walk(None) == ([0, 1, 1, 1], True)
+    with pytest.raises(BudgetExceededError):
+        walk(6)
+
+
+def test_floors_are_attained_on_tight_inputs():
+    # two copies of an orthonormal basis of C^2: ||S|| / 2 = max ||v_i||^2 = 1,
+    # and one copy per part attains it
+    vs = vector_system(np.vstack([np.eye(2), np.eye(2)]))
+    for r in (2, 4):
+        assert 1.0 - 1e-13 <= engines.partition_floor(vs, r) <= 1.0
+    # J - I on 4 coordinates has eigenvalues 3 and -1: the pinching floor is
+    # (3 - 1) / 2 = 1 for r = 2, attained by two pairs; the all-ones J is PSD,
+    # with floor ||J|| / 2 = 2, also attained by two pairs
+    ones = np.ones((4, 4))
+    for a, floor in ((ones - np.eye(4), 1.0), (ones, 2.0), (np.eye(4) - ones, 1.0)):
+        _, value, exact = engines._paving_search(a, 2)
+        assert exact and value == pytest.approx(floor, abs=1e-14)
+        assert floor - 1e-13 <= engines._paving_floor(a, 2) <= value
+    # a zero matrix has floor 0, not the negative slack
+    assert engines._paving_floor(np.zeros((3, 3)), 2) == 0.0
 
 
 def test_sign_partition_bridge_inequality():
@@ -282,7 +307,7 @@ def test_sign_partition_bridge_inequality():
     for trial in range(5):
         vs = vector_system(random_unit_rows(6, 2, rng))
         _, min_signed = exhaustive_sign_search(vs)
-        cert = exhaustive_partition_search(vs, 2, 2.0)
+        cert, _ = exhaustive_partition_search(vs, 2, 2.0)
         lhs = float(np.max(cert.per_part_bound))
         rhs = (frame_bound(vs) + min_signed) / 2.0
         assert lhs >= rhs / 2.0 - 1e-9  # weak triangle-inequality direction

@@ -1,14 +1,17 @@
 """The branch and bound behind exhaustive_partition_search and
 ``search --kind pave``, checked bitwise against a reference that scores
 every restricted-growth string, kept here, and the frame search's term by
-term score checked against a matrix-product score."""
+term score checked against a matrix-product score; and the incumbent and
+floor that a budgeted walk reports."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framedisc import exhaustive_partition_search, vector_system
+from framedisc import exhaustive_partition_search, subset_frame_bound, vector_system
 from framedisc import engines
+from framedisc.errors import BudgetExceededError
 from framedisc.linalg import _opnorm
 from framedisc.rng import make_rng
 
@@ -54,7 +57,8 @@ def reference_search(n, r, part_score):
 
 
 def index_walk(n, r, part_score, **kwargs):
-    """The branch and bound with each part's index list as its state."""
+    """The branch and bound with each part's index list as its state:
+    (partition, exact)."""
     return engines._min_max_partition(n, r, [], lambda idx, i: idx + [i], part_score,
                                       **kwargs)
 
@@ -117,7 +121,8 @@ def test_frame_search_matches_reference(seed, shape, kind):
     score = term_sum_score(v)
     best, best_val = reference_search(n, r, score)
     counters = {}
-    cert = exhaustive_partition_search(vector_system(v), r, 2.0, counters=counters)
+    cert, exact = exhaustive_partition_search(vector_system(v), r, 2.0, counters=counters)
+    assert exact
     assert cert.partition.assignment.tolist() == best
     assert value_of(cert.partition.assignment, r, score) == best_val
     assert 1 <= counters["parts_scored"] <= counters["nodes_visited"]
@@ -137,8 +142,8 @@ def test_term_sum_witness_is_optimal_under_the_matmul_score(seed, shape, kind):
     by_terms, by_matmul = term_sum_score(v), matmul_score(v)
     terms_counters, matmul_counters = {}, {}
     terms_part = exhaustive_partition_search(vector_system(v), r, 2.0,
-                                             counters=terms_counters).partition
-    matmul_part = index_walk(n, r, by_matmul, limit=r**n, counters=matmul_counters)
+                                             counters=terms_counters)[0].partition
+    matmul_part, _ = index_walk(n, r, by_matmul, counters=matmul_counters)
     tol = n * k * np.finfo(float).eps * float(np.sum(np.abs(v) ** 2))
     matmul_best = value_of(matmul_part.assignment, r, by_matmul)
     terms_best = value_of(terms_part.assignment, r, by_terms)
@@ -149,19 +154,25 @@ def test_term_sum_witness_is_optimal_under_the_matmul_score(seed, shape, kind):
         assert terms_counters == matmul_counters
 
 
+def zero_diagonal_matrix(seed, n, kind):
+    g = vectors(seed, n, n, kind)
+    a = (g + g.conj().T) / 2.0
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
 @SEEDED
 @given(seed=SEEDS, shape=SHAPES, kind=st.sampled_from(["generic", "dup", "zero"]))
 def test_paving_search_matches_reference(seed, shape, kind):
     r, n, _ = shape
-    g = vectors(seed, n, n, kind)
-    a = (g + g.conj().T) / 2.0
-    np.fill_diagonal(a, 0.0)
+    a = zero_diagonal_matrix(seed, n, kind)
 
     def score(idx):
         return _opnorm(a[np.ix_(idx, idx)])
 
     best, best_val = reference_search(n, r, score)
-    part, _ = engines._paving_search(a, r, limit=r**n)
+    part, _, exact = engines._paving_search(a, r)
+    assert exact
     assert part.assignment.tolist() == best
     assert value_of(part.assignment, r, score) == best_val
 
@@ -175,7 +186,7 @@ def test_tie_heavy_monotone_scores_match_reference(seed, shape, top):
     w = make_rng(seed).integers(0, top + 1, size=n)
     for score in (lambda idx: float(sum(w[idx])), lambda idx: float(max(w[idx], default=0))):
         best, best_val = reference_search(n, r, score)
-        part = index_walk(n, r, score, limit=r**n)
+        part, _ = index_walk(n, r, score)
         assert part.assignment.tolist() == best
         assert value_of(part.assignment, r, score) == best_val
 
@@ -187,3 +198,65 @@ def test_pruning_skips_most_of_the_tree():
     # the whole restricted-growth tree of r = 2, n = 12 has 2^12 - 1 nodes
     assert counters["nodes_visited"] < 2**12 - 1
     assert counters["parts_scored"] < 2**12 - 1
+
+
+def budget_range(search):
+    """(first, full): the least budget at which search(budget) reaches a leaf
+    rather than raising BudgetExceededError, and the nodes of the whole walk."""
+    full = search(None)[-1]
+    lo, hi = 0, full  # search(lo) raises, search(hi) does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            search(mid)
+            hi = mid
+        except BudgetExceededError:
+            lo = mid
+    return hi, full
+
+
+@SEEDED
+@given(seed=SEEDS, shape=SHAPES, kind=st.sampled_from(["generic", "dup", "zero"]),
+       cut=st.floats(0.0, 1.0))
+@example(**DUP_TIE, cut=0.5)
+def test_budgeted_walk_returns_a_floored_incumbent(seed, shape, kind, cut):
+    # Every budget from the first leaf's to the whole walk's returns its
+    # incumbent: its reported value is its witness's, it lies above the
+    # floor, and it is exact exactly when the budget covers the walk, where
+    # the witness is the reference's. One node less than the first leaf
+    # needs is a refusal.
+    r, n, k = shape
+    v = vectors(seed, n, k, kind)
+    vs = vector_system(v)
+    a = zero_diagonal_matrix(seed, n, kind)
+
+    def frame(budget):
+        counters = {}
+        cert, exact = exhaustive_partition_search(vs, r, 2.0, budget, counters)
+        value = float(np.max(cert.per_part_bound))
+        assert value == max(subset_frame_bound(vs, p) for p in cert.partition.parts())
+        return cert.partition, value, exact, counters["nodes_visited"]
+
+    def pave(budget):
+        counters = {}
+        part, value, exact = engines._paving_search(a, r, budget, counters)
+        assert value == max(_opnorm(np.where(np.outer(q, q), a, 0.0))  # Q_j A Q_j
+                            for q in (part.assignment == j for j in range(r)))
+        return part, value, exact, counters["nodes_visited"]
+
+    for search, floor, score in ((frame, engines.partition_floor(vs, r), term_sum_score(v)),
+                                 (pave, engines._paving_floor(a, r),
+                                  lambda idx: _opnorm(a[np.ix_(idx, idx)]))):
+        first, full = budget_range(search)
+        if first > 1:
+            with pytest.raises(BudgetExceededError, match="no leaf"):
+                search(first - 1)
+        for budget in sorted({first, first + round(cut * (full - first)), full - 1, full}):
+            if budget < first:
+                continue
+            part, value, exact, nodes = search(budget)
+            assert floor <= value
+            assert exact == (budget >= full)
+            assert nodes == budget
+            if exact:
+                assert part.assignment.tolist() == reference_search(n, r, score)[0]
