@@ -46,7 +46,7 @@ print("\n=== exhaustive sign search ===")
 vs = vector_system(unit_rows(10, 2))
 signs, value = exhaustive_sign_search(vs)
 print(f"10 unit vectors in C^2: min over 2^9 sign patterns of ||sum s_i A_i|| = {value:.6f}")
-print(f"witness signs: {list(signs.signs)}")
+print(f"witness signs: {signs.signs.tolist()}")
 
 print("\n=== partition search: the whole walk vs a node budget ===")
 vs = vector_system(unit_rows(14, 3))

@@ -116,7 +116,7 @@ def _check_level(n_bound: float) -> None:
 def cmd_reduce(args) -> VerificationReport:
     n_bound = args.n_bound
     _check_level(n_bound)
-    data = load_json(args.input)
+    data, raw = load_json(args.input)
     if args.direction == "proj2vec":
         p = matrix_from_dict(data)
         vs = reductions.projection_to_vectors(p, n_bound)
@@ -146,12 +146,12 @@ def cmd_reduce(args) -> VerificationReport:
         ]
     if args.out:  # a prefix: the report goes to <out>.report.<format> (see main)
         Path(args.out + ".object.json").write_text(payload)
-    return finish_report(f"reduce-{args.direction}", data, claims)
+    return finish_report(f"reduce-{args.direction}", raw, claims)
 
 
 def cmd_search(args) -> VerificationReport:
     _check_level(args.n_bound)
-    data = load_json(args.input)
+    data, raw = load_json(args.input)
     seed, budget = args.seed, args.budget
     extra: dict = {}
     counters: dict = {}
@@ -221,7 +221,7 @@ def cmd_search(args) -> VerificationReport:
                      "R_hat": ctx.R_hat, "M": ctx.M, "exhausted_budget": True, **counters}
     else:  # pragma: no cover - argparse restricts choices
         raise FrameDiscError(f"unknown search kind {args.kind!r}")
-    return finish_report(f"search-{args.kind}", data, claims, seed=seed,
+    return finish_report(f"search-{args.kind}", raw, claims, seed=seed,
                          budget=budget, extra=extra)
 
 
@@ -229,7 +229,7 @@ def cmd_net_check(args) -> VerificationReport:
     if not (args.epsilon > 0 and math.isfinite(args.epsilon)):  # also rejects NaN
         raise FrameDiscError(f"--epsilon must be positive and finite, got {args.epsilon}")
     _check_level(args.n_bound)
-    data = load_json(args.input)
+    data, raw = load_json(args.input)
     vs = system_from_dict(data)
     subset = [int(i) for i in args.subset.split(",")] if args.subset else range(1, vs.n + 1)
     repeated = [i for i, count in Counter(subset).items() if count > 1]
@@ -249,7 +249,7 @@ def cmd_net_check(args) -> VerificationReport:
     extra = {"net_max": net_max, "certified_sup_bound": certified,
              "eigenvalue_oracle": oracle, "mesh": mesh,
              "net_points": evaluations, "certified_net": True}
-    return finish_report("net-check", data, claims, seed=args.seed,
+    return finish_report("net-check", raw, claims, seed=args.seed,
                          budget=args.budget, extra=extra)
 
 

@@ -9,20 +9,23 @@ which round-trips binary64 exactly; re-running a command with the same
 seed and budget therefore reproduces the report byte for byte apart from
 the wall-time field.
 
-Bulk payloads (a matrix's entries, a system's vectors, a loaded JSON
-input) are lists whose items are lists of one width w holding only Python
-floats. Such a list is laid out from a template: the w-slot row, with the
-newlines and indentation the recursive emitter would write, repeated once
-per row. When the items' magnitudes sum to below 1e16, a first ``%``
-gives each slot the layout ``format_float`` would use for its item
-(``%.1f`` for an integer-valued float, ``%.17g`` otherwise) and a second
-fills them, so no Python call is made per item; other rows (huge or
-non-finite items, which raise) are filled with ``format_float`` of every
-item. Each slot receives the string the recursive path would have
-produced for that float, and the text between slots is the text it would
-have produced between them, so the bytes are identical. Any other shape
-(dicts, strings, ints, bools, mixed or ragged rows) takes the recursive
-path.
+The inputs digest of a command that reads an input file is the SHA-256 of
+the bytes it read, so ``sha256sum <input>`` reproduces it; a command that
+reads only parameters digests their canonical JSON (see `digest`).
+
+Bulk payloads (a matrix's entries, a system's vectors) are lists whose
+items are lists of one width w holding only Python floats. Such a list is
+laid out from a template: the w-slot row, with the newlines and
+indentation the recursive emitter would write, repeated once per row. When
+the items' magnitudes sum to below 1e16, a first ``%`` gives each slot the
+layout ``format_float`` would use for its item (``%.1f`` for an
+integer-valued float, ``%.17g`` otherwise) and a second fills them, so no
+Python call is made per item; other rows (huge or non-finite items, which
+raise) are filled with ``format_float`` of every item. Each slot receives
+the string the recursive path would have produced for that float, and the
+text between slots is the text it would have produced between them, so the
+bytes are identical. Any other shape (dicts, strings, ints, bools, mixed
+or ragged rows) takes the recursive path.
 """
 
 from __future__ import annotations
@@ -177,7 +180,11 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 
 def digest(inputs) -> str:
-    """SHA-256 of the canonical JSON of the inputs."""
+    """SHA-256 of the inputs: bytes (an input file as read) are hashed as
+    they are, anything else (a command's parameters) by its canonical
+    JSON."""
+    if isinstance(inputs, bytes):
+        return hashlib.sha256(inputs).hexdigest()
     return hashlib.sha256(canonical_json(inputs).encode()).hexdigest()
 
 

@@ -89,6 +89,15 @@ def signs_to_dict(s: SignVector) -> dict:
     return {"signs": [int(x) for x in s.signs]}
 
 
-def load_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _reject_constant(literal: str):
+    raise InvalidParameterError(f"input holds {literal}, which is not a JSON number")
+
+
+def load_json(path) -> tuple:
+    """Read the file once, in binary, and return (its parsed JSON, the
+    bytes read); reports digest those bytes. The literals NaN, Infinity and
+    -Infinity, which Python's json accepts but JSON does not, are refused
+    wherever they appear."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return json.loads(raw, parse_constant=_reject_constant), raw

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -26,7 +27,7 @@ from framedisc.cli import (
     EXIT_USAGE,
     main,
 )
-from framedisc.reports import canonical_json
+from framedisc.reports import canonical_json, digest
 from framedisc.rng import make_rng
 from framedisc.serialize import matrix_to_dict, system_to_dict
 
@@ -325,6 +326,18 @@ def test_search_non_integer_count_is_usage_error_naming_the_flag(tmp_path, capsy
     err = capsys.readouterr().err
     assert f"argument {flag}: needs an integer {flag}, got '{value}'" in err
     assert "invalid" not in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("text", ['{"k": 1, "vectors": [[[1.0, 0.0]]], "note": %s}',
+                                  '{"k": 1, "vectors": [[[%s, 0.0]]]}'],
+                         ids=["unused-key", "vectors"])
+def test_non_json_literals_are_usage_errors_naming_the_literal(tmp_path, capsys, literal,
+                                                               text):
+    src = tmp_path / "sys.json"
+    src.write_text(text % literal)
+    assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_USAGE
+    assert f"input holds {literal}, which is not a JSON number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload", [{"k": 2, "vectors": [[1, 0], [0, 1]]},
@@ -856,3 +869,40 @@ def test_every_report_command_writes_its_claims_as_the_one_csv_table(tmp_path):
             assert row[0] == c["name"] and row[4] == c["relation"], name
             assert [float(x) for x in row[1:4]] == [c["computed"], c["bound"], c["tolerance"]]
             assert row[5] == str(c["passed"]), name
+
+
+def test_inputs_digest_is_the_sha256_of_the_input_file(tmp_path):
+    """A command that reads --input digests the bytes it read, as sha256sum
+    does; a command that reads only parameters digests their canonical JSON."""
+    params = {"verify-weaver": {"k": 6, "mode": "exhaustive"},
+              "banaszczyk-radius": {"k": 2, "samples": 1000}}
+    for name, argv in report_commands(tmp_path).items():
+        out = f"{tmp_path / name}.json"
+        assert run(argv + ["--out", out]) in (EXIT_PASS, EXIT_CLAIM_FAILURE)
+        path = f"{out}.report.json" if argv[0] == "reduce" else out
+        got = json.loads(Path(path).read_text())["inputs_digest"]
+        if "--input" in argv:
+            src = Path(argv[argv.index("--input") + 1])
+            assert got == hashlib.sha256(src.read_bytes()).hexdigest(), name
+        else:
+            assert got == digest(params[name]), name
+
+
+def test_the_same_system_in_other_whitespace_changes_only_the_digest(tmp_path):
+    g = make_rng(82).standard_normal((5, 2)) + 1j * make_rng(83).standard_normal((5, 2))
+    g /= 2 * np.linalg.norm(g, axis=1, keepdims=True)
+    system = system_to_dict(vector_system(g))
+    reports, objects = [], []
+    for name, indent in (("flat", None), ("indented", 2)):
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps(system, indent=indent))
+        prefix = tmp_path / name
+        assert run(["reduce", "--direction", "vec2proj", "--input", str(src),
+                    "--n-bound", "2", "--out", str(prefix)]) == EXIT_PASS
+        text = strip_wall_time(Path(f"{prefix}.report.json").read_text())
+        assert json.loads(text)["inputs_digest"] == hashlib.sha256(src.read_bytes()).hexdigest()
+        reports.append(re.sub(r'"inputs_digest": "[0-9a-f]+"', "", text))
+        objects.append(Path(f"{prefix}.object.json").read_bytes())
+    assert (tmp_path / "flat.json").read_bytes() != (tmp_path / "indented.json").read_bytes()
+    assert reports[0] == reports[1]
+    assert objects[0] == objects[1]

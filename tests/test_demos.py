@@ -16,3 +16,4 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert "np." not in done.stdout  # numpy scalar reprs, e.g. np.int64(1)

@@ -23,6 +23,13 @@ complex input with n < k, and exhaustive `verify-weaver` at k = 12 and
 k = 14, pin the exhaustive sign search's minimum and witness. Their pins
 were taken from the walk that eigensolved every sign pattern; the
 `eigensolves` counter of the certified walk is dropped before hashing.
+
+A report of a command that reads `--input` (reduce, matroid, banaszczyk
+and signs above) also pins its `inputs_digest`, the SHA-256 of the input
+file's bytes, and so the bytes the inputs below are written with: the
+seeded systems as `json.dumps` writes them, and `v2p.object.json` as the
+emitter does. The other reports pin the digest of their parameters'
+canonical JSON.
 """
 
 import hashlib
@@ -43,31 +50,31 @@ PINNED = {
     "v2p.object.json":
         "1f8bf3f651fbe9142a56514e4d3e2dda7807434340d90b3809eb01ef79c0a1e1",
     "v2p.report.json":
-        "911a7b043d2c567c338abfa58779a65dff867fd22d88b2b3f5bdc2f85421f711",
+        "d95dd5a5347cd83384cfa538dcd16e76c5c3dc9f1663168dfc525465931d7d64",
     "p2v.object.json":
         "7ba85aed42eb8d08e5a8e862fbf26e73748c694e47e991a9241b65b3335c56ab",
     "p2v.report.json":
-        "f06d226aae0b657fb3f9ab1bd10e1fedab0d510f3c1ea3769f12e701c5a4e91a",
+        "afab6089945f12ec048141afe9255f2b9a6db6527569112f7246942d3ccdb955",
     "weaver_heur_k14.report.json":
         "48107328bd3390ca6c6b3f7abf2d7952d37e436c4378878241406d7bb7a4c514",
     "weaver_heur_k40.report.json":
         "ed5218973aab9150c386a43274ec876b1b9a83c0edc21397fa1708b91d145381",
     "matroid_feasible.report.json":
-        "071c6378803a2aedc78e3edf6e3c97cb7ec452aecd34e11aba6102846a89fe2c",
+        "0fab1c6e951a5243cb2c65624ed9a07734683d4f52ed3fd56f3a6ee6d5b773b0",
     "matroid_infeasible.report.json":
-        "6c7b2ee04a6f257b634204698b51aa11c982ba55eb00d9892526bd1e63ea8d32",
+        "31540c9a2e168a7454f7a1bf7f2d8cdc11d5aefaadeffdf363b456e0759be226",
     "radius_k4.report.json":
         "9c95961d146e4467fcf0eb8bfb4c1f9a042b4c13723d667c9aec8a235f26ba20",
     "radius_k3.report.json":
         "97edf6ac14757349b17340804e688a09a198a9c597d7cb01e8128b438d09e42b",
     "banaszczyk.report.json":
-        "80475742689e57fc63e307223767956702aba1f51562ca5d5039272af1a6d437",
+        "da477763c8758140ec6e8908f4ad84c99682593485c41fabc8d0f3542687df68",
     "signs_real.report.json":
-        "0ff305868ee952f081ae1298fa72d0f4045f9bd299b8c4c00162bab11b10c051",
+        "f485318f784d8329870af76c246f9ef7e80c3874552ae81477389b6ff32162a2",
     "signs_complex_n_ge_k.report.json":
-        "c457ef31880f330cd9a5d9195601882aef84c5b2f0ecc9fa3ab523cbc0013e86",
+        "295ae4cfb68c7abb5d418142fd8591cee364094ddf29913be8628fd39856381f",
     "signs_complex_n_lt_k.report.json":
-        "5fb1a9c280c450ad5944c2018f9e7d2cb9a02e19bdcbb9059fd32c7582d6858c",
+        "01c4f70d8826834242e3ffaf50f81b1c0aaa7f8f1fb19e3628ed4cdc8c8478a6",
     "weaver_exact_k12.report.json":
         "5f59b0c27ec0b3977fd47bad7d7aa881f25a2d17b24476b0892df8cb616b9bb1",
     "weaver_exact_k14.report.json":

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -86,6 +87,11 @@ def test_digest_stability():
     assert digest({"k": 5}) == digest({"k": 5})
     assert digest({"k": 5}) != digest({"k": 6})
     assert len(digest({})) == 64
+    # bytes (an input file as read) are hashed as they are
+    raw = b'{"k": 5}\n'
+    assert digest(raw) == digest(raw) == hashlib.sha256(raw).hexdigest()
+    assert digest(raw) != digest(b'{"k":5}\n')
+    assert digest(canonical_json({"k": 5}).encode()) == digest({"k": 5})
 
 
 def test_report_json_ends_with_newline():
