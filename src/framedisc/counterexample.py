@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .engines import banaszczyk_sign_search, exhaustive_sign_search
+from .errors import BudgetExceededError, InvalidParameterError
+from .engines import WALK_BLOCK_BYTES, exhaustive_sign_search
 from .frames import VectorSystem, frame_operator
-from .linalg import rank_one
+from .linalg import _opnorm
 from .reports import Claim, VerificationReport, finish_report
 from .rng import make_rng
 
@@ -94,6 +94,31 @@ def signed_norm_lower_bound(k: int) -> float:
     return 1.0 / (delta * math.sqrt(k - 1))
 
 
+def _orbit_minimum(inst: CounterexampleInstance, budget: int = 20000) -> tuple[float, int]:
+    """The exact min over sign patterns of ||sum_i s_i A_{v_i}||, and the
+    eigensolves it took: (k-1)//2 + 1.
+
+    Permuting the k-1 vectors permutes coordinates 1..k-1 and leaves the
+    family unchanged, so a pattern's norm depends only on its count c of
+    minus signs, and a global flip maps c to k-1-c. The minimum is the
+    least norm of the real sums with the first c signs negative,
+    c = 0..(k-1)//2, eigensolved in blocks of at most WALK_BLOCK_BYTES.
+    Refuses when the eigensolves exceed ``budget``."""
+    k = inst.k
+    counts = (k - 1) // 2 + 1
+    if counts > budget:
+        raise BudgetExceededError(
+            f"the orbit minimum needs {counts} eigensolves, over the budget {budget}")
+    v = inst.normalized.vectors.real
+    block = max(1, WALK_BLOCK_BYTES // (k * k * v.itemsize))
+    best = math.inf
+    for start in range(0, counts, block):
+        c = np.arange(start, min(start + block, counts))
+        signs = np.where(np.arange(k - 1) < c[:, None], -1.0, 1.0)
+        best = min(best, float(_opnorm((v.T * signs[:, None, :]) @ v).min()))
+    return best, counts
+
+
 def verify_counterexample(
     inst: CounterexampleInstance, mode: str = "exhaustive", seed: int = 0, budget: int = 20000
 ) -> VerificationReport:
@@ -102,9 +127,9 @@ def verify_counterexample(
     Exhaustive mode reports the exact minimum over the 2^(k-2) sign
     patterns of ||sum_i s_i A_{v_i}|| and asserts it is at least the
     closed-form floor; it refuses when 2^(k-2) exceeds the budget (k <= 16
-    under the default budget). Heuristic mode reports a seeded upper bound
-    instead; the floor claim still holds because it holds for every sign
-    pattern. Both modes' reports carry the sign search's ``eigensolves``.
+    under the default budget). Heuristic mode reports the same minimum,
+    exact by symmetry, from _orbit_minimum's (k-1)//2 + 1 eigensolves under
+    the same budget rule. Both modes' reports carry their ``eigensolves``.
 
     The closed-form subset claim checks all 2^(k-1) subsets for k <= 12 and
     256 seeded ones above: drawn as bitmasks up to k = 64, and as 0/1
@@ -116,11 +141,7 @@ def verify_counterexample(
     if mode == "exhaustive":
         _, min_norm = exhaustive_sign_search(inst.normalized, budget, counters)
     elif mode == "heuristic":
-        fifth = [rank_one(v) / 5.0 for v in inst.normalized.vectors]
-        result = banaszczyk_sign_search(fifth, M=0.0, budget=budget, seed=seed,
-                                        counters=counters)
-        # M = 0 is unattainable, so the search always returns its best value.
-        min_norm = 5.0 * result.best_value
+        min_norm, counters["eigensolves"] = _orbit_minimum(inst, budget)
     else:
         raise InvalidParameterError(f"mode must be 'exhaustive' or 'heuristic', got {mode!r}")
 

@@ -5,13 +5,11 @@
 * Exhaustive sign search (Gray-code enumeration with incremental operator
   updates) and a budgeted partition search for the min-max subset frame
   bound.
-* One blocked Gray-code walker serves the exhaustive sign search and the
-  n <= 20 branch of the Banaszczyk sign search. It builds the signed sums
-  of a block of consecutive patterns with one cumulative sum; a block
-  array holds at most WALK_BLOCK_BYTES (256 KB). The Banaszczyk branch
-  takes every sum's norm with one batched eigensolve per block. Real input
-  is walked in real arithmetic, and the sign search on n < k vectors walks
-  the n x n Gram form instead.
+* One blocked Gray-code walker serves the exhaustive sign search. It
+  builds the signed sums of a block of consecutive patterns with one
+  cumulative sum; a block array holds at most WALK_BLOCK_BYTES (256 KB).
+  Real input is walked in real arithmetic, and the sign search on n < k
+  vectors walks the n x n Gram form instead.
 * The exhaustive sign search eigensolves only the sums that can tie or
   beat the incumbent, the smallest norm eigensolved so far. The first
   block is eigensolved whole. In each later block a sum S is dropped when
@@ -95,47 +93,13 @@
   bracket missed the median, probability about 2 Phi(-z)) the pass reruns
   with every sample a candidate, which is the all-samples computation. Above
   RADIUS_CERTIFY_MAX_K every sample is a candidate from the start.
-* Above 20 matrices the Banaszczyk sign search flips single signs greedily
-  from seeded random starts, for exactly ``budget`` evaluations. A flip is
-  taken only when its norm is below val - margin, with val the current
-  norm and margin = eta sum_i ||B_i||_F (eta = WALK_ETA), so a gain of
-  rounding noise is never taken. Each B_i is written once as
-  sigma_i b_i b_i* (sigma_i = +-1, b_i its column at its largest diagonal
-  entry over the root of that entry), with r_i = ||B_i - sigma_i b_i b_i*||_F
-  taken against B_i as stored. Each state s (a restart's first sum, or the
-  sum after a taken flip) gets one eigh, s = U diag(w) U*, and one
-  (n, k) x (k, k) product gives c_ij = u_j* b_i. Up to r_i, flip i is the
-  rank-one update s + rho_i b_i b_i* with rho_i = -2 s_i sigma_i, and
-  det(s + rho_i b_i b_i* - x I) = prod_j (w_j - x) f_i(x) with
-  f_i(x) = 1 + rho_i sum_j |c_ij|^2 / (w_j - x). A rank-one update moves
-  the count of eigenvalues above x by at most one, up when rho_i > 0 and
-  down when rho_i < 0, and it moves exactly when f_i(x) < 0. So the count
-  of w_j above x and the sign of f_i(x) give the flip's count; without
-  that sign, interlacing still bounds it by the count of w_j above x and
-  that count -+ 1. A count of at least 1 at x = t, or of at most k - 1 at
-  x = -t, with t = val - margin / 2, proves the flip's norm at least t,
-  and the flip is rejected unsolved; it still counts as an evaluation.
-  This rejects the mirror ties of the Weaver family, where a flip at a
-  local optimum keeps the norm but moves it to the other end of the
-  spectrum. The screen uses a flip's count only when
-  (1) r_i <= margin / 16, and
-  (2) eigh's backward error, (||h U - U W|| + 2 theta max|w_j|) / (1 - theta)
-      with h the Hermitian matrix eigh reads from s's lower triangle and
-      theta = ||U* U - I||_F, each with an allowance for its own rounding,
-      is at most margin / 8: it bounds ||h - Q W Q*|| for the unitary polar
-      factor Q of U, so w and Q are an exact eigensystem nearby;
-  and the sign of f_i(x) only when also
-  (3) every |w_j - x| >= margin / 16, and
-  (4) |f_i(x)| exceeds the bound on its error from rounding and from
-      |c_ij - q_j* b_i| <= (theta + 2 gamma) ||b_i||, gamma = (k + 2) eps.
-  Then the exactly updated matrix has norm at least t and differs from the
-  Hermitian matrix eigvalsh would read from the flip by at most
-  margin / 8 + 2 sqrt(2) margin / 16 plus c k eps sum_i ||B_i||_F of
-  rounding in forming and eigensolving the flip, which is below margin / 2:
-  the flip's computed norm would fail the acceptance test too. A state
-  with val <= margin takes no flip, since no norm is below
-  val - margin <= 0. So the flips taken, the best value, its signs and the
-  evaluation count are bitwise those of eigensolving every flip.
+* The Banaszczyk sign search flips single signs greedily from seeded
+  random starts and returns the first state within M: a restart's start,
+  or the sum after a taken flip. Otherwise it stops after exactly
+  ``budget`` evaluations, each one eigensolve. A flip is taken only when
+  its norm is below val - margin, with val the current norm and
+  margin = eta sum_i ||B_i||_F (eta = WALK_ETA), so a gain of rounding
+  noise is never taken.
 * One branch and bound for every k brackets the subset frame bound, the
   sup of f(u) = u* S u = sum_{i in X} |<u, v_i>|^2 over unit u in C^k. Up
   to phase, u has Hopf coordinates theta in [0, pi/2]^(k-1) and phi in
@@ -156,9 +120,7 @@
   rest along their largest w_i h_i; then best <= sup f <= best + gap.
 
 Tie rules of the exact searches: the sign search fixes s_0 = +1 and returns
-the lexicographically smallest optimal sign vector; the exhaustive branch
-of the Banaszczyk search returns the first pattern in Gray order within M
-among the first ``budget`` patterns.
+the lexicographically smallest optimal sign vector.
 The partition and paving searches return the lexicographically smallest
 optimal assignment. Each distinct part is scored once, so a partition and
 its relabelings tie exactly, and the first of them, the restricted-growth
@@ -358,12 +320,14 @@ def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
 # exhaustive and budgeted searches
 
 
-# Byte cap of each (B, k, k) block of signed sums the sign walker builds:
-# large enough to amortise the per-call cost of the eigensolver, small
-# enough to keep the walk's peak memory flat.
+# Byte cap of each (B, k, k) block of signed sums the sign walker (and the
+# Weaver orbit minimum of counterexample.py) builds: large enough to amortise
+# the per-call cost of the eigensolver, small enough to keep peak memory flat.
 WALK_BLOCK_BYTES = 1 << 18
 # The sign search rules a pattern out once Cholesky proves its norm above
-# the incumbent plus this share of sum_i ||v_i||^2 (see the module docstring).
+# the incumbent plus this share of sum_i ||v_i||^2, and the greedy sign
+# search takes a flip only when it gains more than this share of
+# sum_i ||B_i||_F (see the module docstring).
 WALK_ETA = 1e-9
 
 
@@ -372,10 +336,9 @@ def _real_if_real(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.real) if np.iscomplexobj(a) and not a.imag.any() else a
 
 
-def _gray_blocks(mats: np.ndarray, count: int | None = None):
-    """Yield (signs, sums) blocks covering sum_i s_i M_i for the first
-    ``count`` (default all 2^(n-1)) sign patterns with s_0 = +1, in
-    Gray-code order.
+def _gray_blocks(mats: np.ndarray):
+    """Yield (signs, sums) blocks covering sum_i s_i M_i for all 2^(n-1)
+    sign patterns with s_0 = +1, in Gray-code order.
 
     Pattern t has gray(t) = t ^ (t >> 1), and s_{i+1} = -1 iff bit i of
     gray(t) is set, so consecutive patterns differ in one sign. A block's
@@ -386,7 +349,7 @@ def _gray_blocks(mats: np.ndarray, count: int | None = None):
     unless B = 1.
     """
     n, k = mats.shape[0], mats.shape[-1]
-    total = 2 ** (n - 1) if count is None else min(count, 2 ** (n - 1))
+    total = 2 ** (n - 1)
     size = max(1, WALK_BLOCK_BYTES // (k * k * mats.itemsize))
     bits = np.arange(n - 1, dtype=np.int64)
     last = None
@@ -974,167 +937,64 @@ def gaussian_median_radius(k: int, samples: int, seed: int) -> BanaszczykContext
                              eigensolves=solves)
 
 
-def _rank_one_screen(stacked: np.ndarray, margin: float):
-    """The flip screen of the greedy sign search (see the module docstring):
-    screen(s, val, signs) eigensolves the sum s = sum_i signs_i B_i once, by
-    eigh, and returns for each i whether flipping signs_i is proved to give
-    a sum of norm at least val - margin / 2.
-
-    Each B_i is written once as sigma_i b_i b_i* + E_i, with b_i its column
-    at its largest diagonal entry d divided by sqrt(|d|) (0 when d = 0) and
-    sigma_i the sign of d. r_i = ||E_i||_F is taken against B_i as stored,
-    so a matrix that is not Hermitian or not of rank one keeps a large r_i,
-    and its flips are never screened."""
-    n, k = stacked.shape[0], stacked.shape[-1]
-    d = np.diagonal(stacked, axis1=1, axis2=2).real
-    col = np.argmax(np.abs(d), axis=1)
-    top = d[np.arange(n), col]
-    sigma = np.where(top < 0, -1, 1)
-    scale = np.divide(1.0, np.sqrt(np.abs(top)), out=np.zeros(n), where=top != 0)
-    b = stacked[np.arange(n), :, col] * scale[:, None]
-    residual = np.linalg.norm(stacked - sigma[:, None, None] * b[:, :, None]
-                              * b.conj()[:, None, :], axis=(1, 2))
-    screened = residual <= margin / 16
-    b2 = np.linalg.norm(b, axis=1) ** 2
-    gamma = (k + 2) * np.finfo(float).eps  # one rounding allowance per k-term sum
-    eye, lower = np.eye(k), np.tri(k, dtype=bool)
-
-    def screen(s: np.ndarray, val: float, signs: np.ndarray) -> list:
-        w, u = _solve(np.linalg.eigh, s)
-        h = np.where(lower, s, s.conj().T)  # the Hermitian matrix eigh reads
-        if np.iscomplexobj(h):
-            np.fill_diagonal(h, h.diagonal().real)
-        # h differs from an exact Q diag(w) Q*, Q unitary with ||Q - u|| <= theta,
-        # by at most (||h u - u w|| + 2 theta max|w|) / (1 - theta)
-        theta = float(np.linalg.norm(u.conj().T @ u - eye)) + k * gamma
-        resid = (float(np.linalg.norm(h @ u - u * w))
-                 + 2 * gamma * math.sqrt(k) * float(np.linalg.norm(h)))
-        if not (theta < 0.5 and (resid + 2 * theta * max(-w[0], w[-1])) / (1 - theta)
-                <= margin / 8):
-            return [False] * n
-        # |c_ij - q_j* b_i| <= delta ||b_i|| and ||c_i|| <= a ||b_i||, so the
-        # error in f_i(x) is at most b2_i kappa / min_j |w_j - x| + gamma
-        delta = theta + 2 * gamma
-        a = 1 + theta + math.sqrt(k) * delta
-        kappa = 2 * (delta * (2 * math.sqrt(k) * a + k * delta) + gamma * a * a)
-        c = b.conj() @ u  # c_ij = u_j* b_i
-        c2 = c.real ** 2 + c.imag ** 2 if np.iscomplexobj(c) else c * c
-        step = -signs * sigma  # the sign of rho_i
-        t = val - margin / 2
-        gap = w - np.array([[t], [-t]])
-        g = np.abs(gap).min(axis=1)
-        f = 1 + 2 * step[:, None] * (c2 @ (1 / gap).T)
-        known = (np.abs(f) > b2[:, None] * (kappa / g) + gamma) & (g >= margin / 16)
-        # the flip has m + step eigenvalues above x where f < 0 and m where
-        # f > 0; where the sign of f is not known, either (interlacing)
-        m = np.count_nonzero(gap > 0, axis=1)
-        count = m + step[:, None] * (f < 0)
-        low = np.where(known[:, 0], count[:, 0], m[0] + np.minimum(step, 0))
-        high = np.where(known[:, 1], count[:, 1], m[1] + np.maximum(step, 0))
-        return (screened & ((low >= 1) | (high <= k - 1))).tolist()
-
-    return screen
-
-
 def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 0,
                            counters: dict | None = None):
     """Signs with ||sum_i s_i B_i|| <= M for Hilbert-Schmidt-small B_i.
 
-    For n <= 20 the first ``budget`` patterns of the Gray code (first sign
-    fixed), stopping at the first one within M; otherwise seeded random
-    restarts with greedy single flips for exactly ``budget`` evaluations, a
-    flip being taken when it lowers the norm by more than
-    margin = WALK_ETA sum_i ||B_i||_F. Both need budget >= 1. Existence is
-    guaranteed by Banaszczyk's theorem, but the finder only sees the
+    Seeded random restarts, each descending by greedy single flips; a flip
+    is taken when it lowers the norm by more than
+    margin = WALK_ETA sum_i ||B_i||_F. The search returns the first state
+    within M, a restart's start or the sum after a taken flip, and
+    otherwise stops after exactly ``budget`` >= 1 evaluations. Existence
+    is guaranteed by Banaszczyk's theorem, but the finder only sees the
     patterns its budget covers, so a SignSearchFailure carries the best
-    value found and the number of patterns evaluated.
-
-    The greedy branch eigensolves a flip only when the rank-one update of
-    the current sum's eigendecomposition cannot prove that the flip's norm
-    stays above val - margin / 2 (see the module docstring); the result is
-    bitwise that of eigensolving every flip. ``counters``, if given,
-    receives ``eigensolves``: the matrices eigensolved by eigvalsh or eigh.
+    value found and the number of patterns evaluated. ``counters``, if
+    given, receives ``eigensolves``: one per evaluation.
     """
     mats = [np.asarray(b, dtype=np.complex128) for b in matrices]
-    n = len(mats)
-    if n == 0:
+    if not mats:
         raise InvalidParameterError("need at least one matrix")
-    for b in mats:
-        hs = float(np.linalg.norm(b))
-        if not hs <= 0.2 + 1e-12:  # also rejects non-finite entries
-            raise InvalidParameterError(
-                f"Hilbert-Schmidt norm {hs:.12g} is not at most 1/5; scale inputs first"
-            )
+    stacked = np.stack(mats)
+    hs = np.linalg.norm(stacked, axis=(1, 2))
+    over = hs[~(hs <= 0.2 + 1e-12)]  # also catches non-finite entries
+    if over.size:
+        raise InvalidParameterError(
+            f"Hilbert-Schmidt norm {over[0]:.12g} is not at most 1/5; scale inputs first")
     if budget < 1:
         raise InvalidParameterError(f"sign search needs budget >= 1, got {budget}")
-    stacked = _real_if_real(np.stack(mats))
-    solves = 0
-    if n <= 20:
-        best_val = np.inf
-        for signs, sums in _gray_blocks(stacked, count=budget):
-            vals = _opnorm(sums)
-            solves += len(sums)
-            hit = np.flatnonzero(vals <= M)
-            if hit.size:
-                result = SignVector(signs=signs[hit[0]])
-                break
-            j = int(np.argmin(vals))
-            if vals[j] < best_val:
-                best_val, best_signs = vals[j], signs[j]
-        else:
-            result = SignSearchFailure(best_value=float(best_val),
-                                       best_signs=SignVector(signs=best_signs),
-                                       evaluations=min(budget, 2 ** (n - 1)))
-    else:
-        result, solves = _greedy_sign_search(stacked, M, budget, seed)
-    if counters is not None:
-        counters["eigensolves"] = solves
-    return result
-
-
-def _greedy_sign_search(stacked: np.ndarray, M: float, budget: int, seed: int):
-    """The n > 20 branch of banaszczyk_sign_search: (result, eigensolves)."""
-    n = stacked.shape[0]
+    stacked, n = _real_if_real(stacked), len(mats)
     rng = make_rng(seed)
-    margin = WALK_ETA * float(np.sum(np.linalg.norm(stacked, axis=(1, 2))))
-    screen = _rank_one_screen(stacked, margin)
-    best_val, best_signs, evals, solves = np.inf, None, 0, 0
+    margin = WALK_ETA * float(np.sum(hs))
+    best_val, best_signs, evals = np.inf, None, 0
     with np.errstate(all="ignore"):  # _opnorm's single-matrix kernel, once
-        while evals < budget:
+        while evals < budget:  # budget >= 1, so val is set below
             signs = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int64)
             s = np.tensordot(signs, stacked, axes=1)
             val = _opnorm(s)
             evals += 1
-            solves += 1
-            skip = None
             improved = True
-            while improved and evals < budget:
+            while val > M and improved and evals < budget:
                 improved = False
                 for i in range(min(n, budget - evals)):
-                    evals += 1
-                    if skip is None:  # a new state: screen every flip of it
-                        if val <= margin:  # no norm is below val - margin <= 0
-                            skip = [True] * n
-                        else:
-                            skip = screen(s, val, signs)
-                            solves += 1
-                    if skip[i]:
-                        continue
                     cand = s - 2 * signs[i] * stacked[i]
                     cval = _opnorm(cand)
-                    solves += 1
+                    evals += 1
                     if cval < val - margin:
                         s, val = cand, cval
                         signs[i] = -signs[i]
                         improved = True
-                        skip = None
+                        if val <= M:
+                            break
+            if val <= M:
+                break
             if val < best_val:
-                best_val, best_signs = val, signs.copy()
-            if best_val <= M:
-                return SignVector(signs=best_signs), solves
-    return SignSearchFailure(best_value=float(best_val),
-                             best_signs=SignVector(signs=best_signs),
-                             evaluations=evals), solves
+                best_val, best_signs = val, signs
+    if counters is not None:
+        counters["eigensolves"] = evals
+    if val <= M:
+        return SignVector(signs=signs)
+    return SignSearchFailure(best_value=float(best_val), best_signs=SignVector(signs=best_signs),
+                             evaluations=evals)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ systems, and write those, partitions and sign vectors.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -24,6 +25,17 @@ def _require_keys(d, kind: str, keys: tuple) -> None:
         raise InvalidParameterError(
             f"{kind} input needs keys {', '.join(map(repr, keys))}; got {got}"
         )
+
+
+def _integer(d: dict, key: str, kind: str) -> int:
+    """d[key] as an int: a non-bool int, or a finite float with an integer
+    value, as a writer that emits every number as a float gives."""
+    value = d[key]
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidParameterError(f"{kind} {key!r} must be an integer; got {value!r}")
 
 
 def _complex(z) -> complex:
@@ -57,7 +69,7 @@ def matrix_to_dict(m: np.ndarray) -> dict:
 
 def matrix_from_dict(d: dict, hermitian: bool = True) -> np.ndarray:
     _require_keys(d, "matrix", ("dim", "entries"))
-    n = int(d["dim"])
+    n = _integer(d, "dim", "matrix")
     flat = np.array(_complex_list(d["entries"]))
     if flat.size != n * n:
         raise InvalidParameterError(f"matrix dim {n} needs {n * n} entries, got {flat.size}")
@@ -71,7 +83,7 @@ def system_to_dict(vs: VectorSystem) -> dict:
 
 def system_from_dict(d: dict) -> VectorSystem:
     _require_keys(d, "vector-system", ("k", "vectors"))
-    k = int(d["k"])
+    k = _integer(d, "k", "vector-system")
     if not isinstance(d["vectors"], list):
         raise InvalidParameterError("vector-system 'vectors' must be a list of vectors")
     rows = [_complex_list(row) for row in d["vectors"]]
@@ -97,7 +109,12 @@ def load_json(path) -> tuple:
     """Read the file once, in binary, and return (its parsed JSON, the
     bytes read); reports digest those bytes. The literals NaN, Infinity and
     -Infinity, which Python's json accepts but JSON does not, are refused
-    wherever they appear."""
+    wherever they appear, and so is nesting too deep for the parser's
+    recursion."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return json.loads(raw, parse_constant=_reject_constant), raw
+    try:
+        return json.loads(raw, parse_constant=_reject_constant), raw
+    except RecursionError:
+        raise InvalidParameterError(
+            "input nests its arrays or objects too deeply to parse") from None

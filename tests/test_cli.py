@@ -128,17 +128,20 @@ def test_verify_weaver_heuristic_zero_budget_is_usage_error():
                 "--budget", "0"]) == EXIT_USAGE
 
 
-def test_verify_weaver_heuristic_small_k_walks_at_most_budget(tmp_path):
-    # k = 12 has 11 vectors, so the heuristic mode walks the Gray code; a
-    # budget of 1 sees only the all-plus pattern, not the exact minimum
-    exact, short = tmp_path / "exact.json", tmp_path / "short.json"
+def test_verify_weaver_heuristic_enforces_budget(tmp_path, capsys):
+    # k = 12 takes (k-1)//2 + 1 = 6 eigensolves, one per count of minus
+    # signs up to the middle, and reports the exhaustive minimum
+    exact, heuristic = tmp_path / "exact.json", tmp_path / "heuristic.json"
     assert run(["verify-weaver", "--k", "12", "--out", str(exact)]) == EXIT_PASS
-    assert run(["verify-weaver", "--k", "12", "--mode", "heuristic", "--budget", "1",
-                "--out", str(short)]) == EXIT_PASS
+    assert run(["verify-weaver", "--k", "12", "--mode", "heuristic",
+                "--budget", "5"]) == EXIT_BUDGET
+    assert "6 eigensolves, over the budget 5" in capsys.readouterr().err
+    assert run(["verify-weaver", "--k", "12", "--mode", "heuristic", "--budget", "6",
+                "--out", str(heuristic)]) == EXIT_PASS
+    report = json.loads(heuristic.read_text())
+    assert report["budget"] == 6 and report["extra"]["eigensolves"] == 6
     exact_min = json.loads(exact.read_text())["extra"]["min_signed_norm_or_bound"]
-    report = json.loads(short.read_text())
-    assert report["budget"] == 1
-    assert report["extra"]["min_signed_norm_or_bound"] > exact_min + 1.0
+    assert report["extra"]["min_signed_norm_or_bound"] == pytest.approx(exact_min, rel=1e-12)
     assert run(["verify-weaver", "--k", "12", "--mode", "heuristic",
                 "--budget", "0"]) == EXIT_USAGE
 
@@ -267,15 +270,12 @@ def test_sign_searches_report_their_eigensolves(tmp_path):
     exact, heuristic = tmp_path / "exact.json", tmp_path / "heuristic.json"
     assert run(["verify-weaver", "--k", "12", "--out", str(exact)]) == EXIT_PASS
     assert 0 < json.loads(exact.read_text())["extra"]["eigensolves"] < 2**10
-    # k = 12 walks the Gray code, k = 23 flips greedily
+    # heuristic mode eigensolves one sum per count of minus signs up to
+    # the middle
     for k in (12, 23):
         assert run(["verify-weaver", "--k", str(k), "--mode", "heuristic", "--budget", "50",
                     "--out", str(heuristic)]) == EXIT_PASS
-        counters = {}
-        fifth = [rank_one(v) / 5.0 for v in counterexample_vectors(k).normalized.vectors]
-        engines.banaszczyk_sign_search(fifth, M=0.0, budget=50, counters=counters)
-        assert json.loads(heuristic.read_text())["extra"]["eigensolves"] == counters["eigensolves"]
-        assert 0 < counters["eigensolves"] <= 100
+        assert json.loads(heuristic.read_text())["extra"]["eigensolves"] == (k - 1) // 2 + 1
 
 
 def test_search_signs_budget_refusal(tmp_path):
@@ -349,6 +349,35 @@ def test_malformed_wire_entries_are_usage_errors(tmp_path, capsys, payload):
     assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "[re, im]" in err or "list of vectors" in err
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("pave", '{"dim": 1e400, "entries": []}'),
+    ("pave", '{"dim": true, "entries": [[1, 0]]}'),
+    ("signs", '{"k": 1e400, "vectors": [[[1, 0]]]}'),
+    ("signs", '{"k": [2], "vectors": [[[1, 0], [0, 0]]]}'),
+    ("signs", '{"k": "2", "vectors": [[[1, 0], [0, 0]]]}'),
+    ("signs", '{"k": 2.7, "vectors": [[[1, 0], [0, 0]]]}'),
+], ids=["dim-overflow", "dim-bool", "k-overflow", "k-list", "k-string", "k-fraction"])
+def test_non_integer_sizes_are_usage_errors(tmp_path, capsys, kind, text):
+    # 1e400 parses to inf; a size must be an int or a float with an integer value
+    src = tmp_path / "in.json"
+    src.write_text(text)
+    assert run(["search", "--kind", kind, "--input", str(src)]) == EXIT_USAGE
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_integer_valued_float_size_is_accepted(tmp_path):
+    src = tmp_path / "in.json"
+    src.write_text('{"k": 2.0, "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}')
+    assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_PASS
+
+
+def test_deeply_nested_input_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text("[" * 200_000 + "]" * 200_000)
+    assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_USAGE
+    assert "nests its arrays or objects too deeply" in capsys.readouterr().err
 
 
 def test_malformed_matrix_entries_are_usage_errors(tmp_path, capsys):
@@ -575,7 +604,7 @@ def test_search_matroid_feasible_and_deficient(tmp_path, capsys):
 def test_search_banaszczyk(tmp_path, capsys):
     rng = make_rng(71)
     ctx = engines.gaussian_median_radius(2, samples=2000, seed=0)
-    for n in (6, 25):  # the Gray-code and the greedy branch
+    for n in (6, 25):
         g = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         src = tmp_path / "sys.json"

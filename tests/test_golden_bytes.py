@@ -10,13 +10,16 @@ on a feasible and an infeasible input are pinned the same way, so a change
 to how subsets are sampled or how the matroid search decides its exchanges
 shows up too. The matroid pins predate the search's `eliminations` and
 `exchange_queries` counters, so those two keys are dropped before hashing.
+The heuristic `verify-weaver` pins hold the family's orbit minimum: the
+least norm over the counts c = 0..(k-1)//2 of minus signs.
 
 `banaszczyk-radius` at k = 4 (250,000 samples, two chunks) and k = 3 (an
 odd 1,001 samples), and `search --kind banaszczyk` on a seeded input, pin
 the Gaussian median radius R_hat and M = 5 R_hat. Their pins were taken
 from the all-samples median, before the certified selection; the radius
 report's `eigensolves` counter came with the selection and is dropped
-before hashing.
+before hashing. The `search --kind banaszczyk` pin also holds the greedy
+sign search's witness, the first state it finds within M.
 
 `search --kind signs` on a real input, a complex input with n >= k and a
 complex input with n < k, and exhaustive `verify-weaver` at k = 12 and
@@ -56,9 +59,9 @@ PINNED = {
     "p2v.report.json":
         "afab6089945f12ec048141afe9255f2b9a6db6527569112f7246942d3ccdb955",
     "weaver_heur_k14.report.json":
-        "48107328bd3390ca6c6b3f7abf2d7952d37e436c4378878241406d7bb7a4c514",
+        "a1cc0ad6951ce7bd416367a4a084326b3ba2f058a8c22fb18dc4be050eec65c0",
     "weaver_heur_k40.report.json":
-        "ed5218973aab9150c386a43274ec876b1b9a83c0edc21397fa1708b91d145381",
+        "53625377bd609041a316828f79039e89d8d887ffb060a29907ee548611b58176",
     "matroid_feasible.report.json":
         "0fab1c6e951a5243cb2c65624ed9a07734683d4f52ed3fd56f3a6ee6d5b773b0",
     "matroid_infeasible.report.json":
@@ -68,7 +71,7 @@ PINNED = {
     "radius_k3.report.json":
         "97edf6ac14757349b17340804e688a09a198a9c597d7cb01e8128b438d09e42b",
     "banaszczyk.report.json":
-        "da477763c8758140ec6e8908f4ad84c99682593485c41fabc8d0f3542687df68",
+        "43fdb34a0dab6b9c0c2df32c331f2301538b05eaf6840cf33ae93357242541bc",
     "signs_real.report.json":
         "f485318f784d8329870af76c246f9ef7e80c3874552ae81477389b6ff32162a2",
     "signs_complex_n_ge_k.report.json":

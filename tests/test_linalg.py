@@ -228,18 +228,3 @@ def test_kernel_nonconvergence_raises_without_a_warning(monkeypatch, capfd):
         if residual is not None:
             assert info.value.residual == pytest.approx(residual), name
     assert capfd.readouterr().err == ""
-
-
-def test_greedy_screen_nonconvergence_raises_without_a_warning(monkeypatch, capfd):
-    # the n > 20 sign search screens each state's flips with one eigh
-    def failing_eigh(h):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    h = np.array([[0.0, 2.0], [2.0, 1.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(EigensolverError) as info:
-            engines.banaszczyk_sign_search([h / 20.0] * 21, M=0.0)
-    assert info.value.residual > 0
-    assert capfd.readouterr().err == ""

@@ -1,9 +1,9 @@
-"""The blocked Gray-code sign walker behind exhaustive_sign_search and the
-n <= 20 branch of banaszczyk_sign_search, checked against brute-force and
-one-pattern-at-a-time reference walks kept here; the Cholesky certificate
-that lets the sign search skip eigensolves, checked against a reference
-search that eigensolves every pattern; and the Rayleigh-quotient screen of
-the n > 20 greedy-flip branch, checked against the unscreened greedy loop."""
+"""The blocked Gray-code sign walker behind exhaustive_sign_search, checked
+against brute-force and one-pattern-at-a-time reference walks kept here;
+the Cholesky certificate that lets the sign search skip eigensolves,
+checked against a reference search that eigensolves every pattern; the
+Weaver family's orbit minimum behind heuristic verify_counterexample; and
+the greedy-flip Banaszczyk sign search, checked against a reference loop."""
 
 import itertools
 import warnings
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedisc import (
+    BudgetExceededError,
     InvalidParameterError,
     SignSearchFailure,
     SignVector,
@@ -23,8 +24,8 @@ from framedisc import (
     rank_one,
     vector_system,
 )
-from framedisc import engines
-from framedisc.counterexample import counterexample_vectors
+from framedisc import counterexample, engines
+from framedisc.counterexample import _orbit_minimum, counterexample_vectors, verify_counterexample
 from framedisc.linalg import _cholesky_factors, _opnorm
 from framedisc.rng import make_rng
 
@@ -148,27 +149,6 @@ def test_walk_block_holds_at_most_the_byte_cap():
     assert max(sizes) * mats[0].nbytes <= cap
 
 
-@SEEDED
-@given(seed=SEEDS, n=st.integers(1, 9), k=st.integers(1, 4), real=st.booleans(),
-       q=st.sampled_from([None, 0.0, 0.1, 0.5, 1.0]))
-def test_banaszczyk_exhaustive_branch_matches_sequential_walk(seed, n, k, real, q):
-    mats = [rank_one(x) / 5.0 for x in unit_rows(seed, n, k, real)]
-    stack = np.stack(mats)
-    ref_signs, ref_norms = sequential_walk(stack.real if real else stack)
-    M = -1.0 if q is None else float(np.quantile(ref_norms, q))
-    result = banaszczyk_sign_search(mats, M=M)
-    hits = np.flatnonzero(ref_norms <= M)
-    if hits.size:
-        assert isinstance(result, SignVector)
-        assert result.signs.tolist() == ref_signs[hits[0]].tolist()
-    else:
-        assert isinstance(result, SignSearchFailure)
-        first = int(np.argmin(ref_norms))
-        assert result.evaluations == 2 ** (n - 1)
-        assert result.best_signs.signs.tolist() == ref_signs[first].tolist()
-        assert result.best_value == ref_norms[first]
-
-
 CAPS = [1, 64, engines.WALK_BLOCK_BYTES, None]  # None: the whole walk in one block
 
 
@@ -274,49 +254,38 @@ def test_cholesky_helper_agrees_with_eigvalsh_near_the_norm(k, real):
         assert np.all(below & above) == (rel > 1)
 
 
-@pytest.mark.parametrize("k", range(6, 13))
+@pytest.mark.parametrize("k", range(5, 17))
 def test_weaver_minimum_matches_orbit_representatives(k):
     # the family is invariant under permuting its k - 1 vectors, so the
-    # signed norm depends only on the number c of minus signs
-    vs = counterexample_vectors(k).normalized
-    mats = [rank_one(v) for v in vs.vectors]
+    # signed norm depends only on the number c of minus signs; heuristic
+    # verify_counterexample evaluates c = 0..(k-1)//2, which holds the
+    # middle count (k-1)/2 when k is odd
+    inst = counterexample_vectors(k)
+    mats = [rank_one(v) for v in inst.normalized.vectors]
     orbit = min(opnorm(sum(s * m for s, m in zip([1] * (k - 1 - c) + [-1] * c, mats)))
                 for c in range(k - 1))
-    _, value = exhaustive_sign_search(vs)
+    _, value = exhaustive_sign_search(inst.normalized)
     assert value == pytest.approx(orbit, rel=1e-12)
+    extra = verify_counterexample(inst, mode="heuristic").extra
+    assert extra["min_signed_norm_or_bound"] == pytest.approx(value, rel=1e-12)
+    assert extra["eigensolves"] == (k - 1) // 2 + 1
 
 
-def blocked_walk_first(mats, count):
-    blocks = list(engines._gray_blocks(mats, count=count))
-    return (np.concatenate([s for s, _ in blocks]),
-            np.concatenate([_opnorm(sums) for _, sums in blocks]))
-
-
-@SEEDED
-@given(seed=SEEDS, n=st.integers(1, 9), k=st.integers(1, 4), real=st.booleans(),
-       budget=st.integers(1, 300), q=st.sampled_from([None, 0.0, 0.3, 1.0]))
-def test_banaszczyk_exhaustive_branch_walks_at_most_budget_patterns(seed, n, k, real,
-                                                                    budget, q):
-    mats = [rank_one(x) / 5.0 for x in unit_rows(seed, n, k, real)]
-    stack = np.stack(mats)
-    ref_signs, ref_norms = sequential_walk(stack.real if real else stack)
-    walked = min(budget, 2 ** (n - 1))
-    ref_signs, ref_norms = ref_signs[:walked], ref_norms[:walked]
-    truncated = blocked_walk_first(stack.real if real else stack, budget)
-    assert np.array_equal(truncated[0], ref_signs)
-    assert np.array_equal(truncated[1], ref_norms)  # bitwise
-    M = -1.0 if q is None else float(np.quantile(ref_norms, q))
-    result = banaszczyk_sign_search(mats, M=M, budget=budget)
-    hits = np.flatnonzero(ref_norms <= M)
-    if hits.size:
-        assert isinstance(result, SignVector)
-        assert result.signs.tolist() == ref_signs[hits[0]].tolist()
-    else:
-        assert isinstance(result, SignSearchFailure)
-        first = int(np.argmin(ref_norms))
-        assert result.evaluations == walked
-        assert result.best_signs.signs.tolist() == ref_signs[first].tolist()
-        assert result.best_value == ref_norms[first]
+@pytest.mark.parametrize("k", [21, 40, 101])
+def test_orbit_minimum_blocks_and_half_orbit(monkeypatch, k):
+    # blocks of any size give the same bits, and the counts past (k-1)//2
+    # (global flips of the ones evaluated) hold nothing smaller
+    inst = counterexample_vectors(k)
+    v = inst.normalized.vectors.real
+    direct = min(opnorm((v.T * np.r_[-np.ones(c), np.ones(k - 1 - c)]) @ v)
+                 for c in range(k - 1))
+    value, solves = _orbit_minimum(inst)
+    assert solves == (k - 1) // 2 + 1
+    assert value == pytest.approx(direct, rel=1e-12)
+    monkeypatch.setattr(counterexample, "WALK_BLOCK_BYTES", 1)
+    assert _orbit_minimum(inst) == (value, solves)
+    with pytest.raises(BudgetExceededError):
+        _orbit_minimum(inst, budget=solves - 1)
 
 
 @pytest.mark.parametrize("n", [3, 21])
@@ -327,20 +296,15 @@ def test_banaszczyk_rejects_budget_below_one_on_both_branches(n, budget):
         banaszczyk_sign_search(mats, M=1.0, budget=budget)
 
 
-def test_truncated_walk_keeps_block_boundaries(monkeypatch):
-    # a budget that ends inside the second block stops there
-    mats = np.stack([rank_one(x) for x in unit_rows(5, 10, 3, real=False)])
-    monkeypatch.setattr(engines, "WALK_BLOCK_BYTES", 64 * mats[0].nbytes)
-    sizes = [s.shape[0] for s, _ in engines._gray_blocks(mats, count=100)]
-    assert sizes == [64, 36]
-
-
-def unscreened_greedy_search(matrices, M, budget, seed, log=None):
-    """The n > 20 branch of banaszczyk_sign_search without its screen: every
-    single flip of every state eigensolved, a flip taken when it lowers the
-    norm by more than margin = WALK_ETA sum_i ||B_i||_F, and exactly
-    ``budget`` evaluations. ``log``, if given, receives (i, val, cval, taken)
-    for every flip."""
+def reference_greedy_search(matrices, M, budget, seed, log=None, starts=None):
+    """banaszczyk_sign_search one evaluation at a time: seeded random
+    restarts descending by single flips, a flip taken when it lowers the
+    norm by more than margin = WALK_ETA sum_i ||B_i||_F, every flip
+    eigensolved. The first state within M (a restart's start, or the sum
+    after a taken flip) is returned; otherwise the search stops after
+    exactly ``budget`` evaluations. ``log``, if given, receives
+    (i, val, cval, taken) for every flip, and ``starts`` the norm of every
+    restart's start."""
     stacked = engines._real_if_real(np.stack([np.asarray(b, dtype=np.complex128)
                                               for b in matrices]))
     n = len(stacked)
@@ -353,11 +317,13 @@ def unscreened_greedy_search(matrices, M, budget, seed, log=None):
             s = np.tensordot(signs, stacked, axes=1)
             val = _opnorm(s)
             evals += 1
+            if starts is not None:
+                starts.append(val)
             improved = True
-            while improved and evals < budget:
+            while improved and val > M:
                 improved = False
                 for i in range(n):
-                    if evals == budget:
+                    if evals == budget or val <= M:
                         break
                     cand = s - 2 * signs[i] * stacked[i]
                     cval = _opnorm(cand)
@@ -369,10 +335,10 @@ def unscreened_greedy_search(matrices, M, budget, seed, log=None):
                         s, val = cand, cval
                         signs[i] = -signs[i]
                         improved = True
+            if val <= M:
+                return SignVector(signs=signs)
             if val < best_val:
                 best_val, best_signs = val, signs.copy()
-            if best_val <= M:
-                return SignVector(signs=best_signs)
     return SignSearchFailure(best_value=float(best_val),
                              best_signs=SignVector(signs=best_signs),
                              evaluations=evals)
@@ -388,9 +354,9 @@ def outcome(result):
 def greedy_inputs(seed, kind, n, k):
     """n matrices of Hilbert-Schmidt norm at most 1/5: rank-one v v* / 5 or
     -v v* / 5, near-rank-one ones (0.9 v v* / 5 plus a Hermitian term of
-    Frobenius norm between margin / 32 and margin / 2, around the screen's
-    residual guard margin / 16), general Hermitian ones of full rank, square
-    ones that are not Hermitian, or the Weaver family at k = n + 1."""
+    Frobenius norm between margin / 32 and margin / 2), general Hermitian
+    ones of full rank, square ones that are not Hermitian, or the Weaver
+    family at k = n + 1 (for n >= 4; the family starts at k = 5)."""
     if kind == "weaver":
         return [rank_one(v) / 5.0 for v in counterexample_vectors(n + 1).normalized.vectors]
     if kind in ("rank-one real", "rank-one complex", "negative rank-one", "near-rank-one"):
@@ -417,77 +383,52 @@ GREEDY_KINDS = ["rank-one real", "rank-one complex", "negative rank-one", "near-
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(seed=SEEDS, n=st.integers(21, 45), k=st.integers(1, 6), budget=st.integers(1, 700),
-       reach=st.booleans())
+@given(seed=SEEDS, n=st.integers(1, 45), k=st.integers(1, 6), budget=st.integers(1, 700),
+       reach=st.sampled_from([None, 0.0, 0.5, 1.0]))
 def test_screened_greedy_search_matches_unscreened_search(seed, n, k, budget, reach):
-    # every example runs every kind; budgets run out mid-pass; a reachable M
-    # is the best value the unscreened search finds, and M = 0 is reached
-    # only by an exactly cancelling sum (k = 1 gives equal scalars)
+    # every example runs every kind; budgets run out mid-pass. M = 0 is
+    # reached only by an exactly cancelling sum (k = 1 gives equal scalars);
+    # a reachable M lies at the share ``reach`` from the best value the
+    # search finds at M = 0 up to the norm of its first start, so 1.0 stops
+    # at the first evaluation and 0.5 usually partway down a descent
     for kind in GREEDY_KINDS:
+        if kind == "weaver" and n < 4:
+            continue
         mats = greedy_inputs(seed, kind, n, k)
-        ref = unscreened_greedy_search(mats, 0.0, budget, seed)
+        starts = []
+        ref = reference_greedy_search(mats, 0.0, budget, seed, starts=starts)
         M = 0.0
-        if reach and isinstance(ref, SignSearchFailure):
-            M = ref.best_value
-            ref = unscreened_greedy_search(mats, M, budget, seed)
-        result = banaszczyk_sign_search(mats, M=M, budget=budget, seed=seed)
+        if reach is not None and isinstance(ref, SignSearchFailure):
+            M = ref.best_value + reach * (starts[0] - ref.best_value)
+            ref = reference_greedy_search(mats, M, budget, seed)
+        counters = {}
+        result = banaszczyk_sign_search(mats, M=M, budget=budget, seed=seed, counters=counters)
         assert outcome(result) == outcome(ref), kind
         if isinstance(ref, SignSearchFailure):
-            assert result.evaluations == budget
+            assert result.evaluations == budget == counters["eigensolves"]
+        else:
+            assert 1 <= counters["eigensolves"] <= budget
 
 
-def test_screen_skips_most_eigensolves_of_the_weaver_search(monkeypatch):
-    mats = greedy_inputs(0, "weaver", 39, None)
-    ref = unscreened_greedy_search(mats, 0.0, 1500, 0)
-    calls, eighs = [], []
-    eigh = np.linalg.eigh
-
-    def counted(h):
-        calls.append(h.shape)
-        return _opnorm(h)
-
-    def counted_eigh(h):
-        eighs.append(h.shape)
-        return eigh(h)
-
-    monkeypatch.setattr(engines, "_opnorm", counted)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    counters = {}
-    result = banaszczyk_sign_search(mats, M=0.0, budget=1500, seed=0, counters=counters)
-    assert outcome(result) == outcome(ref)
-    assert result.evaluations == 1500 and len(calls) <= 150
-    assert counters["eigensolves"] == len(calls) + len(eighs)
-
-
-def test_screen_margin_absorbs_eigensolver_error(monkeypatch):
+def test_screen_margin_absorbs_eigensolver_error():
     # flipping the matrix at index 20 lowers the norm by 1.5 margin, the one
-    # at index 21 by margin / 4: the first flip is taken, the second refused,
-    # also when eigh's values and vectors are off by about margin / 4; at
-    # 2 margin only the measured backward error keeps the screen sound
+    # at index 21 by margin / 4: the first flip is taken, the second refused
     big, small = np.diag([0.19, 0.0]), np.diag([0.0, 0.17])
     margin = engines.WALK_ETA * (10 * 0.19 + 10 * 0.17)
     mats = [big] * 10 + [small] * 10 + [np.diag([0.75 * margin, 0.0]),
                                         np.diag([margin / 8, 0.0])]
     margin = engines.WALK_ETA * sum(np.linalg.norm(m) for m in mats)
-    eigh = np.linalg.eigh
-
-    def perturbed(h):
-        w, u = eigh(h)
-        return w + np.sign(w) * shift * margin, u + shift * margin
-
-    monkeypatch.setattr(np.linalg, "eigh", perturbed)
-    for shift in (0.25, 2.0):
-        seen = {(20, 1.5): set(), (21, 0.25): set()}
-        for seed in range(20):
-            log = []
-            ref = unscreened_greedy_search(mats, 0.0, 300, seed, log)
-            assert outcome(banaszczyk_sign_search(mats, M=0.0, budget=300, seed=seed)) == (
-                outcome(ref))
-            for i, val, cval, taken in log:
-                for j, gain in seen:
-                    if i == j and abs(val - cval - gain * margin) < margin / 100:
-                        seen[j, gain].add(taken)
-        assert seen == {(20, 1.5): {True}, (21, 0.25): {False}}
+    seen = {(20, 1.5): set(), (21, 0.25): set()}
+    for seed in range(20):
+        log = []
+        ref = reference_greedy_search(mats, 0.0, 300, seed, log)
+        assert outcome(banaszczyk_sign_search(mats, M=0.0, budget=300, seed=seed)) == (
+            outcome(ref))
+        for i, val, cval, taken in log:
+            for j, gain in seen:
+                if i == j and abs(val - cval - gain * margin) < margin / 100:
+                    seen[j, gain].add(taken)
+    assert seen == {(20, 1.5): {True}, (21, 0.25): {False}}
 
 
 def test_a_state_within_the_margin_of_zero_takes_no_flip():
@@ -501,7 +442,7 @@ def test_a_state_within_the_margin_of_zero_takes_no_flip():
     gains = []
     for seed in range(10):
         log = []
-        ref = unscreened_greedy_search(mats, 0.0, 200, seed, log)
+        ref = reference_greedy_search(mats, 0.0, 200, seed, log)
         assert outcome(banaszczyk_sign_search(mats, M=0.0, budget=200, seed=seed)) == outcome(
             ref)
         gains += [(val - cval) / margin for _, val, cval, taken in log if taken and val < 2 * margin]
