@@ -312,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-weaver", help="verify the family's closed forms and floor")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=["exhaustive", "heuristic"], default="exhaustive")
+    p.add_argument("--mode", choices=["exhaustive", "heuristic"], default="exhaustive",
+                   help="both report the orbit minimum; exhaustive also proves that none of "
+                        "the 2^(k-2) sign patterns lies below it (refused past --budget)")
     common(p)
 
     p = sub.add_parser("reduce", help="projection <-> vector-system bridge")

@@ -15,6 +15,12 @@ minimized near c = (k-1)/2, which forces every signed sum of the normalized
 rank-one operators to have operator norm at least 1/(delta*sqrt(k-1)),
 about sqrt(k)/2. That growth makes the family a witness that no constant
 can bound the signed operator discrepancy of trace-norm-one PSD matrices.
+
+The exact minimum over sign patterns comes from the family's symmetry:
+one sum per count of minus signs (_orbit_minimum). The exhaustive check
+walks every pattern and proves each one's norm above that minimum less a
+margin with a pair of Cholesky factorizations, so only a pattern that
+would contradict the symmetry is ever eigensolved.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
-from .engines import WALK_BLOCK_BYTES, exhaustive_sign_search
+from .engines import WALK_BLOCK_BYTES, WALK_ETA, _require_walk_budget, sign_patterns_below
 from .frames import VectorSystem, frame_operator
 from .linalg import _opnorm
 from .reports import Claim, VerificationReport, finish_report
@@ -122,14 +128,20 @@ def _orbit_minimum(inst: CounterexampleInstance, budget: int = 20000) -> tuple[f
 def verify_counterexample(
     inst: CounterexampleInstance, mode: str = "exhaustive", seed: int = 0, budget: int = 20000
 ) -> VerificationReport:
-    """Check the family's three headline claims.
+    """Check the family's headline claims.
 
-    Exhaustive mode reports the exact minimum over the 2^(k-2) sign
-    patterns of ||sum_i s_i A_{v_i}|| and asserts it is at least the
-    closed-form floor; it refuses when 2^(k-2) exceeds the budget (k <= 16
-    under the default budget). Heuristic mode reports the same minimum,
-    exact by symmetry, from _orbit_minimum's (k-1)//2 + 1 eigensolves under
-    the same budget rule. Both modes' reports carry their ``eigensolves``.
+    Both modes report the exact minimum m over the 2^(k-2) sign patterns of
+    ||sum_i s_i A_{v_i}|| from _orbit_minimum's (k-1)//2 + 1 eigensolves,
+    and assert it is at least the closed-form floor. Heuristic mode takes
+    the symmetry on trust and only refuses when the orbit exceeds the
+    budget. Exhaustive mode checks it: it refuses when 2^(k-2) exceeds the
+    budget (k <= 16 under the default budget), walks every pattern, and
+    rules out each one whose sum a Cholesky pair proves above
+    t = m - WALK_ETA sum_i ||v_i||^2 (see engines.sign_patterns_below). Its
+    claim ``no_pattern_below_orbit_minimum`` asserts that none survives;
+    a survivor is eigensolved, and the reported minimum is the least of m
+    and the survivors' norms. Its report carries ``patterns_certified``,
+    and both modes' carry their ``eigensolves``.
 
     The closed-form subset claim checks all 2^(k-1) subsets for k <= 12 and
     256 seeded ones above: drawn as bitmasks up to k = 64, and as 0/1
@@ -138,8 +150,16 @@ def verify_counterexample(
     k = inst.k
     lb = signed_norm_lower_bound(k)
     counters: dict = {}
+    claims = []
     if mode == "exhaustive":
-        _, min_norm = exhaustive_sign_search(inst.normalized, budget, counters)
+        _require_walk_budget(k - 1, budget)  # before the orbit's eigensolves
+        min_norm, orbit_solves = _orbit_minimum(inst, budget)
+        margin = WALK_ETA * float(np.sum(inst.normalized.norms_squared()))
+        _, norms = sign_patterns_below(inst.normalized, min_norm - margin, budget, counters)
+        min_norm = min(min_norm, float(norms.min(initial=math.inf)))
+        counters["eigensolves"] += orbit_solves
+        claims.append(Claim("no_pattern_below_orbit_minimum", computed=float(norms.size),
+                            bound=0.0, tolerance=0.0, relation="le"))
     elif mode == "heuristic":
         min_norm, counters["eigensolves"] = _orbit_minimum(inst, budget)
     else:
@@ -163,7 +183,7 @@ def verify_counterexample(
     e_k = np.zeros(k)
     e_k[-1] = 1.0
     image_err = float(np.linalg.norm(frame_operator(inst.primed) @ e_k - e_k))
-    claims = [
+    claims += [
         Claim("primed_frame_fixes_e_k", computed=image_err, bound=0.0,
               tolerance=1e-10, relation="abs"),
         Claim("closed_form_subset_distance_agreement", computed=subset_dev,

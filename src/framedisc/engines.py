@@ -5,11 +5,19 @@
 * Exhaustive sign search (Gray-code enumeration with incremental operator
   updates) and a budgeted partition search for the min-max subset frame
   bound.
-* One blocked Gray-code walker serves the exhaustive sign search. It
-  builds the signed sums of a block of consecutive patterns with one
-  cumulative sum; a block array holds at most WALK_BLOCK_BYTES (256 KB).
-  Real input is walked in real arithmetic, and the sign search on n < k
-  vectors walks the n x n Gram form instead.
+* One blocked Gray-code walker serves the exhaustive sign search and the
+  certificate walk sign_patterns_below. It builds the signed sums of a
+  block of consecutive patterns with one cumulative sum; a block array
+  holds at most WALK_BLOCK_BYTES (256 KB). Both walks share one prologue
+  (_walk_terms): real input is walked in real arithmetic, and n < k
+  vectors in the n x n Gram form. Both screen sums with one Cholesky pair
+  (_walk_screen; its backward-error argument is in the next item). The
+  certificate walk screens every sum against a given threshold t and
+  eigensolves only the survivors: every pattern of norm below
+  t - eta sum_i ||v_i||^2 survives, and every survivor's norm is below
+  t + eta sum_i ||v_i||^2. Exhaustive verify-weaver runs it at the Weaver
+  orbit minimum less eta sum_i ||v_i||^2, so a survivor would be a pattern
+  below that minimum.
 * The exhaustive sign search eigensolves only the sums that can tie or
   beat the incumbent, the smallest norm eigensolved so far. The first
   block is eigensolved whole. In each later block a sum S is dropped when
@@ -325,8 +333,9 @@ def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
 # the per-call cost of the eigensolver, small enough to keep peak memory flat.
 WALK_BLOCK_BYTES = 1 << 18
 # The sign search rules a pattern out once Cholesky proves its norm above
-# the incumbent plus this share of sum_i ||v_i||^2, and the greedy sign
-# search takes a flip only when it gains more than this share of
+# the incumbent plus this share of sum_i ||v_i||^2, exhaustive verify-weaver
+# screens every pattern at the orbit minimum less this share, and the greedy
+# sign search takes a flip only when it gains more than this share of
 # sum_i ||B_i||_F (see the module docstring).
 WALK_ETA = 1e-9
 
@@ -334,6 +343,13 @@ WALK_ETA = 1e-9
 def _real_if_real(a: np.ndarray) -> np.ndarray:
     """a as float64 when no entry has an imaginary part, else a unchanged."""
     return np.ascontiguousarray(a.real) if np.iscomplexobj(a) and not a.imag.any() else a
+
+
+def _block_rows(mats: np.ndarray) -> int:
+    """Sums per block of the walk over mats (n, k, k): as many as fit in
+    WALK_BLOCK_BYTES, at least one, at most the 2^(n-1) patterns."""
+    k = mats.shape[-1]
+    return min(2 ** (len(mats) - 1), max(1, WALK_BLOCK_BYTES // (k * k * mats.itemsize)))
 
 
 def _gray_blocks(mats: np.ndarray):
@@ -348,9 +364,9 @@ def _gray_blocks(mats: np.ndarray):
     ``sums`` is (B, k, k), with B * k * k * itemsize <= WALK_BLOCK_BYTES
     unless B = 1.
     """
-    n, k = mats.shape[0], mats.shape[-1]
+    n = mats.shape[0]
     total = 2 ** (n - 1)
-    size = max(1, WALK_BLOCK_BYTES // (k * k * mats.itemsize))
+    size = _block_rows(mats)
     bits = np.arange(n - 1, dtype=np.int64)
     last = None
     for start in range(0, total, size):
@@ -370,6 +386,66 @@ def _gray_blocks(mats: np.ndarray):
         yield signs, sums
 
 
+def _require_walk_budget(n: int, budget: int) -> None:
+    """Refuse a walk of n signs: its 2^(n-1) patterns against ``budget``."""
+    if 2 ** (n - 1) > budget:
+        raise BudgetExceededError(
+            f"the sign walk needs 2^{n - 1} patterns, over the budget {budget}")
+
+
+def _walk_terms(vs: VectorSystem, budget: int) -> tuple[np.ndarray, float, int]:
+    """The prologue of both sign walks: (the terms M_i whose signed sums
+    the walk builds, the Cholesky screen's margin, eigensolves taken).
+
+    Refuses past ``budget``. Real vectors give real terms, and when n < k
+    the terms are g_i g_i* for the columns g_i of G^(1/2), G the n x n Gram
+    matrix, since ||sum_i s_i v_i v_i*|| = ||G^(1/2) S G^(1/2)||; that
+    square root is the one eigensolve taken here. sum_i ||v_i||^2 bounds
+    every ||sum_i s_i M_i||, and with it the backward errors of both
+    Cholesky and the eigensolver, so the margin is WALK_ETA times it."""
+    _require_walk_budget(vs.n, budget)
+    vecs = _real_if_real(vs.vectors)
+    solves = 0
+    if vs.n < vs.k:
+        w, u = _solve(np.linalg.eigh, vecs.conj() @ vecs.T)
+        vecs = ((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T).T
+        solves = 1
+    mats = vecs[:, :, None] * vecs.conj()[:, None, :]  # rank_one of each row
+    return mats, WALK_ETA * float(np.sum(np.abs(vecs) ** 2)), solves
+
+
+def _plus_t_eye(a: np.ndarray, t: float) -> np.ndarray:
+    """a + t I for a C-contiguous stack a (B, k, k) that the caller owns,
+    in place: only the diagonal is written."""
+    k = a.shape[-1]
+    a.reshape(-1, k * k)[:, ::k + 1] += t
+    return a
+
+
+def _walk_screen(mats: np.ndarray):
+    """The Cholesky-pair screen of the blocks that _gray_blocks(mats)
+    yields: not_above(sums, t) returns the indices of the sums whose norm no
+    Cholesky failure proves above t, those where both t I - S and then
+    t I + S factor.
+
+    t I -+ S is a negation or copy of S plus a diagonal add, written with
+    the factors into two block-sized arrays made once per walk. Fresh
+    block-sized temporaries would come, block after block, from memory
+    that glibc's allocator returns to the system when they are freed, and
+    each block would fault its pages in again (about 4,700 minor faults in
+    a Weaver k = 15 walk)."""
+    work = np.empty((_block_rows(mats),) + mats.shape[1:], mats.dtype)
+    factors = np.empty_like(work)
+
+    def not_above(sums: np.ndarray, t: float) -> np.ndarray:
+        a = _plus_t_eye(np.negative(sums, out=work[:len(sums)]), t)
+        keep = np.flatnonzero(_cholesky_factors(a, factors[:len(sums)]))
+        a = _plus_t_eye(np.take(sums, keep, axis=0, out=work[:keep.size]), t)
+        return keep[_cholesky_factors(a, factors[:keep.size])]
+
+    return not_above
+
+
 def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
                            counters: dict | None = None) -> tuple[SignVector, float]:
     """Global minimum over sign patterns of ||sum_i s_i A_{v_i}||.
@@ -377,10 +453,8 @@ def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
     The first sign is fixed +1 (global flip symmetry), so the walk covers
     2^(n-1) patterns; it refuses when that exceeds ``budget`` (the default
     reaches n = 24). Enumeration walks a Gray code in blocks (see
-    _gray_blocks). Ties go to the lexicographically smallest sign vector.
-    Real vectors are walked in real arithmetic, and when n < k the walk runs
-    on the columns g_i of G^(1/2), G the n x n Gram matrix, since
-    ||sum_i s_i v_i v_i*|| = ||G^(1/2) S G^(1/2)||.
+    _gray_blocks) over the terms of _walk_terms. Ties go to the
+    lexicographically smallest sign vector.
 
     Only the patterns that a Cholesky certificate cannot rule out are
     eigensolved (see the module docstring); the minimum and its witness
@@ -388,31 +462,16 @@ def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
     receives ``eigensolves``: the matrices eigensolved, the Gram square
     root's included.
     """
-    n = vs.n
-    if 2 ** (n - 1) > budget:
-        raise BudgetExceededError(
-            f"exhaustive sign search needs 2^{n - 1} evaluations, over the budget {budget}"
-        )
-    vecs = _real_if_real(vs.vectors)
-    solves = 0
-    if n < vs.k:
-        w, u = _solve(np.linalg.eigh, vecs.conj() @ vecs.T)
-        vecs = ((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T).T
-        solves = 1
-    mats = vecs[:, :, None] * vecs.conj()[:, None, :]  # rank_one of each row
-    # sum_i ||v_i||^2 bounds every ||sum_i s_i M_i||, and with it the
-    # backward errors of both Cholesky and the eigensolver
-    margin = WALK_ETA * float(np.sum(np.abs(vecs) ** 2))
-    eye = np.eye(mats.shape[-1])
+    mats, margin, solves = _walk_terms(vs, budget)
     # when every M_i is diagonal so is every sum, and its eigensolve costs no
     # more than a Cholesky factorization: such walks are never certified
     dense = np.count_nonzero(mats) > np.count_nonzero(np.diagonal(mats, axis1=1, axis2=2))
+    not_above = _walk_screen(mats)
     best_val, best_signs, certify = np.inf, None, False
     for signs, sums in _gray_blocks(mats):
-        patterns, t = len(sums), best_val + margin
+        patterns = len(sums)
         if certify:
-            keep = np.flatnonzero(_cholesky_factors(t * eye - sums))
-            keep = keep[_cholesky_factors(sums[keep] + t * eye)]
+            keep = not_above(sums, best_val + margin)
             signs, sums = signs[keep], sums[keep]
         if len(sums):
             vals = _opnorm(sums)
@@ -428,6 +487,36 @@ def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
     if counters is not None:
         counters["eigensolves"] = solves
     return SignVector(signs=np.array(best_signs, dtype=np.int64)), float(best_val)
+
+
+def sign_patterns_below(vs: VectorSystem, t: float, budget: int = 2**23,
+                        counters: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The sign patterns (s_0 = +1) whose sum S = sum_i s_i A_{v_i} no
+    Cholesky failure proves above t, as an (m, n) array, and their
+    eigensolved norms.
+
+    Walks the 2^(n-1) patterns as exhaustive_sign_search does, refusing past
+    ``budget``, and screens every sum with the Cholesky pair at t. With
+    margin = WALK_ETA sum_i ||v_i||^2 (module docstring), every pattern of
+    norm below t - margin is returned and every returned pattern's norm is
+    below t + margin; only the returned patterns are eigensolved.
+    ``counters``, if given, receives ``patterns_certified``, the patterns
+    ruled out, and ``eigensolves``, the returned patterns plus the Gram
+    square root's.
+    """
+    mats, _, solves = _walk_terms(vs, budget)
+    not_above = _walk_screen(mats)
+    kept_signs, kept_norms = [np.zeros((0, vs.n), dtype=np.int64)], [np.zeros(0)]
+    for signs, sums in _gray_blocks(mats):
+        keep = not_above(sums, t)
+        if keep.size:
+            kept_signs.append(signs[keep])
+            kept_norms.append(_opnorm(sums[keep]))
+    signs, norms = np.concatenate(kept_signs), np.concatenate(kept_norms)
+    if counters is not None:
+        counters["patterns_certified"] = 2 ** (vs.n - 1) - len(norms)
+        counters["eigensolves"] = solves + len(norms)
+    return signs, norms
 
 
 # A prefix is pruned once its score exceeds the incumbent by more than this

@@ -108,16 +108,17 @@ def _solve(solver, h: np.ndarray):
         raise _nonconvergence(h, exc) from exc
 
 
-def _cholesky_factors(a: np.ndarray) -> np.ndarray:
+def _cholesky_factors(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Where LAPACK's Cholesky factorization of each matrix of a stack
     (..., k, k), read from its lower triangle, runs to the end: a bool array
     (...). It calls numpy.linalg._umath_linalg.cholesky_lo, the batched
     kernel behind np.linalg.cholesky, which writes NaN over a matrix whose
     factorization fails; with invalid operations ignored it does so without
-    raising for the whole stack. That module is private to numpy, so a test
-    pins this behaviour."""
+    raising for the whole stack. The factors go to ``out`` if given (an
+    array of a's shape and dtype, not overlapping a). That module is private
+    to numpy, so a test pins this behaviour."""
     with np.errstate(invalid="ignore"):
-        return ~np.isnan(_umath_linalg.cholesky_lo(a)[..., -1, -1])
+        return ~np.isnan(_umath_linalg.cholesky_lo(a, out=out)[..., -1, -1])
 
 
 def eigensystem(h) -> Eigensystem:

@@ -28,14 +28,16 @@ def _require_keys(d, kind: str, keys: tuple) -> None:
 
 
 def _integer(d: dict, key: str, kind: str) -> int:
-    """d[key] as an int: a non-bool int, or a finite float with an integer
-    value, as a writer that emits every number as a float gives."""
+    """d[key] as a nonnegative int: a non-bool int, or a finite float with an
+    integer value, as a writer that emits every number as a float gives."""
     value = d[key]
     if isinstance(value, float) and math.isfinite(value) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InvalidParameterError(f"{kind} {key!r} must be an integer; got {value!r}")
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParameterError(f"{kind} {key!r} must be an integer; got {value!r}")
+    if value < 0:
+        raise InvalidParameterError(f"{kind} {key!r} must be >= 0; got {value}")
+    return value
 
 
 def _complex(z) -> complex:

@@ -11,6 +11,7 @@ import pytest
 
 from framedisc import (
     cli,
+    counterexample,
     counterexample_vectors,
     engines,
     opnorm,
@@ -144,6 +145,28 @@ def test_verify_weaver_heuristic_enforces_budget(tmp_path, capsys):
     assert report["extra"]["min_signed_norm_or_bound"] == pytest.approx(exact_min, rel=1e-12)
     assert run(["verify-weaver", "--k", "12", "--mode", "heuristic",
                 "--budget", "0"]) == EXIT_USAGE
+
+
+def test_exhaustive_weaver_fails_when_a_pattern_lies_below_the_orbit_minimum(
+        tmp_path, monkeypatch):
+    # an orbit minimum 1e-6 too high leaves every pattern that attains the
+    # true minimum below the threshold: they survive the certificate, are
+    # eigensolved, and the claim that none survives fails
+    heuristic, exact = tmp_path / "heuristic.json", tmp_path / "exact.json"
+    assert run(["verify-weaver", "--k", "8", "--mode", "heuristic",
+                "--out", str(heuristic)]) == EXIT_PASS
+    orbit = counterexample._orbit_minimum
+    monkeypatch.setattr(counterexample, "_orbit_minimum",
+                        lambda inst, budget: (orbit(inst, budget)[0] * (1 + 1e-6),
+                                              orbit(inst, budget)[1]))
+    assert run(["verify-weaver", "--k", "8", "--out", str(exact)]) == EXIT_CLAIM_FAILURE
+    report = json.loads(exact.read_text())
+    claim = next(c for c in report["claims"] if c["name"] == "no_pattern_below_orbit_minimum")
+    assert claim["passed"] is False and claim["computed"] > 0
+    assert report["extra"]["eigensolves"] == 4 + 1 + claim["computed"]
+    assert report["extra"]["patterns_certified"] == 2**6 - claim["computed"]
+    expected = json.loads(heuristic.read_text())["extra"]["min_signed_norm_or_bound"]
+    assert report["extra"]["min_signed_norm_or_bound"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_verify_weaver_budget_refusal():
@@ -365,6 +388,19 @@ def test_non_integer_sizes_are_usage_errors(tmp_path, capsys, kind, text):
     src.write_text(text)
     assert run(["search", "--kind", kind, "--input", str(src)]) == EXIT_USAGE
     assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, text, key", [
+    ("pave", '{"dim": -1, "entries": [[1, 0]]}', "dim"),
+    ("pave", '{"dim": -2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}', "dim"),
+    ("signs", '{"k": -1, "vectors": [[[1, 0]]]}', "k"),
+], ids=["dim-minus-one", "dim-minus-two", "k-minus-one"])
+def test_negative_sizes_are_usage_errors(tmp_path, capsys, kind, text, key):
+    # dim = -2 with 4 entries passes a dim * dim size check
+    src = tmp_path / "in.json"
+    src.write_text(text)
+    assert run(["search", "--kind", kind, "--input", str(src)]) == EXIT_USAGE
+    assert f"{key!r} must be >= 0" in capsys.readouterr().err
 
 
 def test_integer_valued_float_size_is_accepted(tmp_path):

@@ -22,10 +22,15 @@ before hashing. The `search --kind banaszczyk` pin also holds the greedy
 sign search's witness, the first state it finds within M.
 
 `search --kind signs` on a real input, a complex input with n >= k and a
-complex input with n < k, and exhaustive `verify-weaver` at k = 12 and
-k = 14, pin the exhaustive sign search's minimum and witness. Their pins
-were taken from the walk that eigensolved every sign pattern; the
-`eigensolves` counter of the certified walk is dropped before hashing.
+complex input with n < k pin the exhaustive sign search's minimum and
+witness. Their pins were taken from the walk that eigensolved every sign
+pattern; the `eigensolves` counter of the certified walk is dropped before
+hashing. Exhaustive `verify-weaver` at k = 12 and k = 14 pins the orbit
+minimum's bits, as heuristic mode reports them, with the certificate that
+no sign pattern lies below it: `patterns_certified` = 2^(k-2) and no
+survivor. These two pins were retaken when the exhaustive mode stopped
+searching for the minimum itself; it had reported the walk's bits, a few
+ulps away.
 
 A report of a command that reads `--input` (reduce, matroid, banaszczyk
 and signs above) also pins its `inputs_digest`, the SHA-256 of the input
@@ -79,9 +84,9 @@ PINNED = {
     "signs_complex_n_lt_k.report.json":
         "01c4f70d8826834242e3ffaf50f81b1c0aaa7f8f1fb19e3628ed4cdc8c8478a6",
     "weaver_exact_k12.report.json":
-        "5f59b0c27ec0b3977fd47bad7d7aa881f25a2d17b24476b0892df8cb616b9bb1",
+        "6e4bf42c335f86ae4ec6d99ceea56ca7ff342217a440209bb836513b060fbf13",
     "weaver_exact_k14.report.json":
-        "568b63a956f7f53b34f222812e1bb10d5a2370a16a325ca68afde372d461083b",
+        "c830591e2a89b94258ad3d3856ce74dfd3ac722ff96d854f79e5376370cd0800",
 }
 
 

@@ -2,8 +2,10 @@
 against brute-force and one-pattern-at-a-time reference walks kept here;
 the Cholesky certificate that lets the sign search skip eigensolves,
 checked against a reference search that eigensolves every pattern; the
-Weaver family's orbit minimum behind heuristic verify_counterexample; and
-the greedy-flip Banaszczyk sign search, checked against a reference loop."""
+same certificate as a classifier of sign patterns against a threshold; the
+Weaver family's orbit minimum behind verify_counterexample, and the
+exhaustive mode's check that no pattern lies below it; and the greedy-flip
+Banaszczyk sign search, checked against a reference loop."""
 
 import itertools
 import warnings
@@ -26,6 +28,7 @@ from framedisc import (
 )
 from framedisc import counterexample, engines
 from framedisc.counterexample import _orbit_minimum, counterexample_vectors, verify_counterexample
+from framedisc.engines import WALK_ETA, sign_patterns_below
 from framedisc.linalg import _cholesky_factors, _opnorm
 from framedisc.rng import make_rng
 
@@ -181,6 +184,43 @@ def test_weaver_search_matches_all_patterns_search(k):
         assert counters["eigensolves"] < 2 ** (k - 2) // 4
 
 
+@SEEDED
+@given(seed=SEEDS, n=st.integers(1, 10), k=st.integers(1, 6), real=st.booleans(),
+       copies=st.sampled_from([1, 2, 3]), q=st.floats(0, 1),
+       above=st.sampled_from([0.0, 1e-7, 1e-3]), cap=st.sampled_from(CAPS))
+def test_certificate_classifies_patterns_against_the_threshold(seed, n, k, real, copies, q,
+                                                               above, cap):
+    # t sits at or just above a pattern's own norm (q picks which), where
+    # near-ties crowd; copies > 1 repeats vectors, so many norms are
+    # rounding residues
+    v = np.repeat(unit_rows(seed, n, k, real), copies, axis=0)[:max(n, 2 * copies)]
+    vs = vector_system(v)
+    ref = dict(brute_force(v))
+    t = float(np.quantile(list(ref.values()), q, method="lower")) * (1 + above)
+    margin = WALK_ETA * float(np.sum(vs.norms_squared()))
+    counters = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engines, "WALK_BLOCK_BYTES",
+                   2 ** vs.n * vs.k * vs.k * 16 if cap is None else cap)
+        signs, norms = sign_patterns_below(vs, t, counters=counters)
+    kept = {tuple(s) for s in signs.tolist()}
+    assert len(kept) == len(signs) == len(norms) and all(s[0] == 1 for s in kept)
+    assert {s for s, val in ref.items() if val < t - margin} <= kept
+    assert all(ref[s] < t + margin for s in kept)
+    for s, val in zip(signs.tolist(), norms):
+        assert val == pytest.approx(ref[tuple(s)], rel=1e-12, abs=margin)
+    assert counters["patterns_certified"] == 2 ** (vs.n - 1) - len(kept)
+    assert counters["eigensolves"] == len(kept) + (vs.n < vs.k)
+
+
+def test_certificate_refuses_past_the_budget():
+    # every norm is at most sum_i ||v_i||^2 = 6, so t = 7 keeps every pattern
+    vs = vector_system(unit_rows(5, 6, 3, real=False))
+    assert len(sign_patterns_below(vs, 7.0, budget=32)[0]) == 32
+    with pytest.raises(BudgetExceededError):
+        sign_patterns_below(vs, 7.0, budget=31)
+
+
 ROTATION = np.linalg.qr(make_rng(11).standard_normal((5, 5)))[0]
 
 
@@ -269,6 +309,22 @@ def test_weaver_minimum_matches_orbit_representatives(k):
     extra = verify_counterexample(inst, mode="heuristic").extra
     assert extra["min_signed_norm_or_bound"] == pytest.approx(value, rel=1e-12)
     assert extra["eigensolves"] == (k - 1) // 2 + 1
+
+
+@pytest.mark.parametrize("k", range(5, 17))
+def test_exhaustive_mode_certifies_every_pattern_above_the_orbit_minimum(k):
+    # with no survivor the two modes report the orbit minimum's own bits;
+    # the walk runs on the Gram form (n = k - 1 < k), whose square root is
+    # one eigensolve
+    inst = counterexample_vectors(k)
+    exhaustive = verify_counterexample(inst, mode="exhaustive", budget=2**14)
+    heuristic = verify_counterexample(inst, mode="heuristic", budget=2**14)
+    claim = next(c for c in exhaustive.claims if c.name == "no_pattern_below_orbit_minimum")
+    assert exhaustive.passed and claim.computed == 0.0
+    assert exhaustive.extra["patterns_certified"] == 2 ** (k - 2)
+    assert exhaustive.extra["eigensolves"] == (k - 1) // 2 + 2
+    assert (exhaustive.extra["min_signed_norm_or_bound"].hex()
+            == heuristic.extra["min_signed_norm_or_bound"].hex())
 
 
 @pytest.mark.parametrize("k", [21, 40, 101])
