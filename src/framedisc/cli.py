@@ -164,8 +164,10 @@ def cmd_search(args) -> VerificationReport:
             raise BudgetExceededError(
                 f"the sign search walks 2^{vs.n - 1} patterns, over {flag} {cap}") from None
         # The walk's value against the witness's explicit k x k signed sum.
-        # Each of the 2^(n-1) running-sum steps (and the Gram square root
-        # when n < k) may round by eps * sum_i ||v_i||^2.
+        # The walk's sum H + L takes at most 2^(n-1-b) + n additions (H's
+        # first sum and Gray steps, the b terms of L, the join), plus the
+        # Gram square root when n < k, each of which may round by
+        # eps * sum_i ||v_i||^2; 2^(n-1) + n + k bounds their count.
         scale = float(np.sum(vs.norms_squared()))
         steps = 2 ** (vs.n - 1) + vs.n + vs.k
         explicit = opnorm((vs.vectors.T * witness.signs) @ vs.vectors.conj())  # sum s_i v_i v_i*

@@ -19,7 +19,8 @@ can bound the signed operator discrepancy of trace-norm-one PSD matrices.
 The exact minimum over sign patterns comes from the family's symmetry:
 one sum per count of minus signs (_orbit_minimum). The exhaustive check
 walks every pattern and proves each one's norm above that minimum less a
-margin with a pair of Cholesky factorizations, so only a pattern that
+margin with a Cholesky factorization that fails, of t I - S or t I + S,
+tried first on the side the trace of S points to, so only a pattern that
 would contradict the symmetry is ever eigensolved.
 """
 

@@ -5,28 +5,36 @@
 * Exhaustive sign search (Gray-code enumeration with incremental operator
   updates) and a budgeted partition search for the min-max subset frame
   bound.
-* One blocked Gray-code walker serves the exhaustive sign search and the
-  certificate walk sign_patterns_below. It builds the signed sums of a
-  block of consecutive patterns with one cumulative sum; a block array
-  holds at most WALK_BLOCK_BYTES (256 KB). Both walks share one prologue
+* One blocked Gray-code walker (_sign_blocks) serves the exhaustive sign
+  search and the certificate walk sign_patterns_below. It splits the n
+  signs: the signed sums L of the last b terms are tabulated once, by
+  doubling, in a (2^b, k, k) table of at most WALK_BLOCK_BYTES (256 KB),
+  b as large as fits and at most n - 1; the first n - b signs (s_0 = +1)
+  are walked in Gray order with one k x k step each, and each step's sum H
+  makes a block of the 2^b sums H + L. Both walks share one prologue
   (_walk_terms): real input is walked in real arithmetic, and n < k
   vectors in the n x n Gram form. Both screen sums with one Cholesky pair
-  (_walk_screen; its backward-error argument is in the next item). The
-  certificate walk screens every sum against a given threshold t and
-  eigensolves only the survivors: every pattern of norm below
-  t - eta sum_i ||v_i||^2 survives, and every survivor's norm is below
-  t + eta sum_i ||v_i||^2. Exhaustive verify-weaver runs it at the Weaver
-  orbit minimum less eta sum_i ||v_i||^2, so a survivor would be a pattern
-  below that minimum.
+  (_walk_screen; its backward-error argument is in the next item), which
+  tries each sum S first on t I - S when tr S >= 0 and on t I + S
+  otherwise, the side of the extreme eigenvalue more likely past t, and
+  the other side only if that factors. The certificate walk screens every
+  sum against a given threshold t and eigensolves only the survivors:
+  every pattern of norm below t - eta sum_i ||v_i||^2 survives, and every
+  survivor's norm is below t + eta sum_i ||v_i||^2. Exhaustive
+  verify-weaver runs it at the Weaver orbit minimum less
+  eta sum_i ||v_i||^2, so a survivor would be a pattern below that
+  minimum.
 * The exhaustive sign search eigensolves only the sums that can tie or
   beat the incumbent, the smallest norm eigensolved so far. The first
   block is eigensolved whole. In each later block a sum S is dropped when
-  a batched LAPACK Cholesky factorization of t I - S, or then of t I + S,
-  fails, with t = incumbent + eta sum_i ||v_i||^2 and eta = WALK_ETA
+  a batched LAPACK Cholesky factorization of t I - S or of t I + S fails,
+  with t = incumbent + eta sum_i ||v_i||^2 and eta = WALK_ETA
   (1e-9); the survivors are eigensolved as before. A failed factorization
   puts an eigenvalue of S outside (-t, t) up to Cholesky's backward error
   c k eps (t + ||S||) <= 2 c k eps sum_i ||v_i||^2, and eigvalsh is off by
-  at most c k eps ||S||; both are far below eta sum_i ||v_i||^2, so a
+  at most c k eps ||S||. The screen factors (t I -+ H) -+ L rather than
+  t I -+ S with S = H + L as eigensolved, which moves each entry by a few
+  eps sum_i ||v_i||^2 more. All of it is far below eta sum_i ||v_i||^2, so a
   dropped sum's computed norm exceeds the incumbent, which is at least the
   final minimum: it can neither win nor tie. A batched eigensolve gives
   each matrix the bits it gets alone, so the minimum and its
@@ -328,9 +336,10 @@ def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
 # exhaustive and budgeted searches
 
 
-# Byte cap of each (B, k, k) block of signed sums the sign walker (and the
-# Weaver orbit minimum of counterexample.py) builds: large enough to amortise
-# the per-call cost of the eigensolver, small enough to keep peak memory flat.
+# Byte cap of the (2^b, k, k) table of low-sign sums the sign walker builds
+# (and of each block of the Weaver orbit minimum of counterexample.py): large
+# enough to amortise the per-call cost of Cholesky and the eigensolver, small
+# enough to keep peak memory flat.
 WALK_BLOCK_BYTES = 1 << 18
 # The sign search rules a pattern out once Cholesky proves its norm above
 # the incumbent plus this share of sum_i ||v_i||^2, exhaustive verify-weaver
@@ -345,45 +354,61 @@ def _real_if_real(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.real) if np.iscomplexobj(a) and not a.imag.any() else a
 
 
-def _block_rows(mats: np.ndarray) -> int:
-    """Sums per block of the walk over mats (n, k, k): as many as fit in
-    WALK_BLOCK_BYTES, at least one, at most the 2^(n-1) patterns."""
-    k = mats.shape[-1]
-    return min(2 ** (len(mats) - 1), max(1, WALK_BLOCK_BYTES // (k * k * mats.itemsize)))
+def _low_bits(mats: np.ndarray) -> int:
+    """b, the number of low signs the walk over mats (n, k, k) tabulates:
+    the largest b <= n - 1 whose 2^b sums fit in WALK_BLOCK_BYTES, or 0."""
+    return min(len(mats) - 1, max(1, WALK_BLOCK_BYTES // mats[0].nbytes).bit_length() - 1)
 
 
-def _gray_blocks(mats: np.ndarray):
-    """Yield (signs, sums) blocks covering sum_i s_i M_i for all 2^(n-1)
-    sign patterns with s_0 = +1, in Gray-code order.
+def _gray_sums(mats: np.ndarray):
+    """Yield (signs, sum_i s_i M_i) for the 2^(n-1) sign patterns of mats
+    (n, k, k) with s_0 = +1, in Gray-code order, each a new pair of arrays.
 
     Pattern t has gray(t) = t ^ (t >> 1), and s_{i+1} = -1 iff bit i of
-    gray(t) is set, so consecutive patterns differ in one sign. A block's
-    sums are the running sum (np.cumsum in place, seeded with the previous
-    block's last sum) of its -+2 M_i steps, which adds the same numbers in
-    the same order as a one-pattern-at-a-time walk. ``signs`` is (B, n) and
-    ``sums`` is (B, k, k), with B * k * k * itemsize <= WALK_BLOCK_BYTES
-    unless B = 1.
-    """
-    n = mats.shape[0]
-    total = 2 ** (n - 1)
-    size = _block_rows(mats)
-    bits = np.arange(n - 1, dtype=np.int64)
-    last = None
-    for start in range(0, total, size):
-        t = np.arange(start, min(start + size, total), dtype=np.int64)
-        signs = np.ones((t.size, n), dtype=np.int64)
-        signs[:, 1:] -= 2 * ((t ^ (t >> 1))[:, None] >> bits & 1)
-        # step t > 0 flips sign i, where bit i - 1 is the lowest set bit of t
-        flip = np.frexp(t & -t)[1]
-        sums = np.take(mats, flip, axis=0)
-        sums *= 2 * signs[np.arange(t.size), flip][:, None, None]
-        if last is None:
-            sums[0] = np.sum(mats, axis=0)
-        else:
-            sums[0] += last
-        np.cumsum(sums, axis=0, out=sums)
-        last = sums[-1].copy()
-        yield signs, sums
+    gray(t) is set, so pattern t > 0 flips sign i, where bit i - 1 is the
+    lowest set bit of t, and its sum is the previous one -+ 2 M_i."""
+    signs = np.ones(len(mats), dtype=np.int64)
+    total = np.sum(mats, axis=0)
+    twice = 2 * mats  # exact
+    yield signs, total
+    for t in range(1, 2 ** (len(mats) - 1)):
+        i = (t & -t).bit_length()
+        total = total - twice[i] if signs[i] > 0 else total + twice[i]
+        signs = signs.copy()
+        signs[i] = -signs[i]
+        yield signs, total
+
+
+def _sign_blocks(mats: np.ndarray):
+    """The walk over sum_i s_i M_i for all 2^(n-1) sign patterns with
+    s_0 = +1, as (low, table, blocks).
+
+    The last b = _low_bits(mats) signs are tabulated once: ``table``
+    (2^b, k, k) holds the signed sums of M_{n-b}, ..., M_{n-1}, built by
+    doubling (each M_i in turn added to, then subtracted from, the rows so
+    far, so each row is summed left to right), and ``low`` (2^b, b) their
+    signs; both are sorted by the sum's trace, which _walk_screen uses.
+    ``blocks`` is _gray_sums over M_0, ..., M_{n-b-1}: each of its
+    2^(n-1-b) pairs (high, H) is a block of 2^b patterns, with signs high
+    followed by low[r] and sums H + table[r]. The walk adds one k x k step
+    per block, not per pattern, so a sum carries the rounding of at most
+    2^(n-1-b) + n additions."""
+    n, b = len(mats), _low_bits(mats)
+    low = np.ones((2 ** b, b), dtype=np.int64)
+    table = np.zeros((2 ** b,) + mats.shape[1:], mats.dtype)
+    for j, m in enumerate(mats[n - b:]):
+        rows = 2 ** j
+        np.subtract(table[:rows], m, out=table[rows:2 * rows])
+        table[:rows] += m
+        low[rows:2 * rows] = low[:rows]
+        low[rows:2 * rows, j] = -1
+    order = np.argsort(np.trace(table, axis1=1, axis2=2).real)
+    return low[order], table[order], _gray_sums(mats[:n - b])
+
+
+def _block_signs(high: np.ndarray, low: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (len(rows), n) sign rows of a block's patterns ``rows``."""
+    return np.hstack((np.broadcast_to(high, (len(rows), high.size)), low[rows]))
 
 
 def _require_walk_budget(n: int, budget: int) -> None:
@@ -414,36 +439,44 @@ def _walk_terms(vs: VectorSystem, budget: int) -> tuple[np.ndarray, float, int]:
     return mats, WALK_ETA * float(np.sum(np.abs(vecs) ** 2)), solves
 
 
-def _plus_t_eye(a: np.ndarray, t: float) -> np.ndarray:
-    """a + t I for a C-contiguous stack a (B, k, k) that the caller owns,
-    in place: only the diagonal is written."""
-    k = a.shape[-1]
-    a.reshape(-1, k * k)[:, ::k + 1] += t
-    return a
+def _walk_screen(table: np.ndarray):
+    """The screen of the blocks of _sign_blocks with ``table``: screen(H, t)
+    returns (rows, sums), the indices r of the sums S = H + table[r] whose
+    norm no Cholesky failure proves above t, those where both t I - S and
+    t I + S factor, and those sums; with t None, every row and sum.
 
+    Each sum is tried first on the side its trace points to, t I - S when
+    tr S >= 0, and on the other side only if that factors; whether both
+    factor does not depend on the order. The table is sorted by trace, so
+    the first tries are two slices, (t I + H) + table[:c] and
+    (t I - H) - table[c:]. The matrices and their factors are written into
+    two table-sized arrays made once per walk. Fresh table-sized
+    temporaries would come, block after block, from memory that glibc's
+    allocator returns to the system when they are freed, and each block
+    would fault their pages in again."""
+    work = np.empty_like(table)
+    factors = np.empty_like(table)
+    traces = np.trace(table, axis1=1, axis2=2).real
+    every = np.arange(len(table))
+    eye = np.eye(table.shape[-1])
 
-def _walk_screen(mats: np.ndarray):
-    """The Cholesky-pair screen of the blocks that _gray_blocks(mats)
-    yields: not_above(sums, t) returns the indices of the sums whose norm no
-    Cholesky failure proves above t, those where both t I - S and then
-    t I + S factor.
+    def screen(h: np.ndarray, t: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        if t is None:
+            return every, np.add(table, h, out=work)
+        plus, minus = t * eye + h, t * eye - h
+        c = int(np.searchsorted(traces, -np.trace(h).real))
+        np.add(plus, table[:c], out=work[:c])
+        np.subtract(minus, table[c:], out=work[c:])
+        rows = np.flatnonzero(_cholesky_factors(work, factors))
+        a = int(np.searchsorted(rows, c))  # rows[:a] tried t I + S first
+        second = np.take(table, rows, axis=0, out=work[:rows.size])
+        np.subtract(minus, second[:a], out=second[:a])
+        np.add(plus, second[a:], out=second[a:])
+        rows = rows[_cholesky_factors(second, factors[:rows.size])]
+        sums = np.take(table, rows, axis=0, out=work[:rows.size])
+        return rows, np.add(sums, h, out=sums)
 
-    t I -+ S is a negation or copy of S plus a diagonal add, written with
-    the factors into two block-sized arrays made once per walk. Fresh
-    block-sized temporaries would come, block after block, from memory
-    that glibc's allocator returns to the system when they are freed, and
-    each block would fault its pages in again (about 4,700 minor faults in
-    a Weaver k = 15 walk)."""
-    work = np.empty((_block_rows(mats),) + mats.shape[1:], mats.dtype)
-    factors = np.empty_like(work)
-
-    def not_above(sums: np.ndarray, t: float) -> np.ndarray:
-        a = _plus_t_eye(np.negative(sums, out=work[:len(sums)]), t)
-        keep = np.flatnonzero(_cholesky_factors(a, factors[:len(sums)]))
-        a = _plus_t_eye(np.take(sums, keep, axis=0, out=work[:keep.size]), t)
-        return keep[_cholesky_factors(a, factors[:keep.size])]
-
-    return not_above
+    return screen
 
 
 def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
@@ -452,9 +485,9 @@ def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
 
     The first sign is fixed +1 (global flip symmetry), so the walk covers
     2^(n-1) patterns; it refuses when that exceeds ``budget`` (the default
-    reaches n = 24). Enumeration walks a Gray code in blocks (see
-    _gray_blocks) over the terms of _walk_terms. Ties go to the
-    lexicographically smallest sign vector.
+    reaches n = 24). Enumeration walks the blocks of _sign_blocks over the
+    terms of _walk_terms. Ties go to the lexicographically smallest sign
+    vector.
 
     Only the patterns that a Cholesky certificate cannot rule out are
     eigensolved (see the module docstring); the minimum and its witness
@@ -466,24 +499,22 @@ def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
     # when every M_i is diagonal so is every sum, and its eigensolve costs no
     # more than a Cholesky factorization: such walks are never certified
     dense = np.count_nonzero(mats) > np.count_nonzero(np.diagonal(mats, axis1=1, axis2=2))
-    not_above = _walk_screen(mats)
+    low, table, blocks = _sign_blocks(mats)
+    screen = _walk_screen(table)
     best_val, best_signs, certify = np.inf, None, False
-    for signs, sums in _gray_blocks(mats):
-        patterns = len(sums)
-        if certify:
-            keep = not_above(sums, best_val + margin)
-            signs, sums = signs[keep], sums[keep]
-        if len(sums):
+    for high, h in blocks:
+        rows, sums = screen(h, best_val + margin if certify else None)
+        if rows.size:
             vals = _opnorm(sums)
-            solves += len(sums)
+            solves += rows.size
             val = vals.min()
             if val <= best_val:
-                key = min(map(tuple, signs[vals == val].tolist()))
+                key = min(map(tuple, _block_signs(high, low, rows[vals == val]).tolist()))
                 if val < best_val or key < best_signs:
                     best_val, best_signs = val, key
             # near-ties of the incumbent are not ruled out, so certifying
             # pays only while they are at most half of a block
-            certify = dense and 2 * np.count_nonzero(vals < best_val + margin) <= patterns
+            certify = dense and 2 * np.count_nonzero(vals < best_val + margin) <= len(table)
     if counters is not None:
         counters["eigensolves"] = solves
     return SignVector(signs=np.array(best_signs, dtype=np.int64)), float(best_val)
@@ -505,13 +536,14 @@ def sign_patterns_below(vs: VectorSystem, t: float, budget: int = 2**23,
     square root's.
     """
     mats, _, solves = _walk_terms(vs, budget)
-    not_above = _walk_screen(mats)
+    low, table, blocks = _sign_blocks(mats)
+    screen = _walk_screen(table)
     kept_signs, kept_norms = [np.zeros((0, vs.n), dtype=np.int64)], [np.zeros(0)]
-    for signs, sums in _gray_blocks(mats):
-        keep = not_above(sums, t)
-        if keep.size:
-            kept_signs.append(signs[keep])
-            kept_norms.append(_opnorm(sums[keep]))
+    for high, h in blocks:
+        rows, sums = screen(h, t)
+        if rows.size:
+            kept_signs.append(_block_signs(high, low, rows))
+            kept_norms.append(_opnorm(sums))
     signs, norms = np.concatenate(kept_signs), np.concatenate(kept_norms)
     if counters is not None:
         counters["patterns_certified"] = 2 ** (vs.n - 1) - len(norms)

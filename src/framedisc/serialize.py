@@ -49,6 +49,9 @@ def _complex(z) -> complex:
         raise InvalidParameterError(
             f"complex entries travel as [re, im] pairs of numbers; got {z!r}"
         ) from None
+    except OverflowError:  # an integer literal past the float range
+        raise InvalidParameterError(
+            "a complex entry holds an integer too large for a float") from None
 
 
 def _complex_list(entries) -> list:
@@ -89,10 +92,15 @@ def system_from_dict(d: dict) -> VectorSystem:
     if not isinstance(d["vectors"], list):
         raise InvalidParameterError("vector-system 'vectors' must be a list of vectors")
     rows = [_complex_list(row) for row in d["vectors"]]
-    vs = vector_system(np.array(rows, dtype=np.complex128).reshape(len(rows), k))
-    if vs.k != k:
-        raise InvalidParameterError(f"declared k = {k} but vectors have length {vs.k}")
-    return vs
+    try:
+        vectors = np.array(rows, dtype=np.complex128).reshape(len(rows), k)
+    except ValueError:  # ragged rows, or rows of another length than k
+        i = next((i for i, row in enumerate(rows) if len(row) != k), None)
+        if i is None:
+            raise
+        raise InvalidParameterError(
+            f"declared k = {k} but vector {i} has length {len(rows[i])}") from None
+    return vector_system(vectors)
 
 
 def partition_to_dict(p: Partition) -> dict:

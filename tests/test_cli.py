@@ -374,6 +374,32 @@ def test_malformed_wire_entries_are_usage_errors(tmp_path, capsys, payload):
     assert "[re, im]" in err or "list of vectors" in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["search", "--kind", "signs"], '{"k": 1, "vectors": [[[1%s, 0]]]}'),
+    (["net-check", "--epsilon", "0.1", "--n-bound", "2"], '{"k": 1, "vectors": [[[0, 1%s]]]}'),
+    (["reduce", "--direction", "proj2vec", "--n-bound", "2"], '{"dim": 1, "entries": [[1%s, 0]]}'),
+], ids=["search", "net-check", "reduce-proj2vec"])
+def test_integer_entries_past_the_float_range_are_usage_errors(tmp_path, capsys, argv, text):
+    # json parses an integer literal exactly, and 10^400 has no float
+    src = tmp_path / "in.json"
+    src.write_text(text % ("0" * 400))
+    assert run(argv + ["--input", str(src), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "integer too large for a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vectors, row, length", [
+    ([[[1, 0], [0, 0]], [[0, 0]]], 1, 1),
+    ([[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[1, 0]]], 1, 3),
+    ([[[1, 0]], [[0, 1]]], 0, 1),
+    ([[[1, 0], [0, 0], [0, 1]]], 0, 3),
+], ids=["ragged-short", "ragged-long", "all-short", "all-long"])
+def test_vectors_of_the_wrong_length_are_named(tmp_path, capsys, vectors, row, length):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"k": 2, "vectors": vectors}))
+    assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_USAGE
+    assert f"declared k = 2 but vector {row} has length {length}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind, text", [
     ("pave", '{"dim": 1e400, "entries": []}'),
     ("pave", '{"dim": true, "entries": [[1, 0]]}'),

@@ -23,9 +23,12 @@ sign search's witness, the first state it finds within M.
 
 `search --kind signs` on a real input, a complex input with n >= k and a
 complex input with n < k pin the exhaustive sign search's minimum and
-witness. Their pins were taken from the walk that eigensolved every sign
-pattern; the `eigensolves` counter of the certified walk is dropped before
-hashing. Exhaustive `verify-weaver` at k = 12 and k = 14 pins the orbit
+witness; the `eigensolves` counter of the certified walk is dropped before
+hashing. Their pins were retaken when the walk began to add each sum as
+H + L, a Gray-code sum H over the first signs plus a tabulated sum L over
+the last ones, instead of a running sum over every pattern: the witnesses
+stayed and each minimum moved by an ulp or two, onto or nearer the norm of
+the witness's explicit signed sum. Exhaustive `verify-weaver` at k = 12 and k = 14 pins the orbit
 minimum's bits, as heuristic mode reports them, with the certificate that
 no sign pattern lies below it: `patterns_certified` = 2^(k-2) and no
 survivor. These two pins were retaken when the exhaustive mode stopped
@@ -78,11 +81,11 @@ PINNED = {
     "banaszczyk.report.json":
         "43fdb34a0dab6b9c0c2df32c331f2301538b05eaf6840cf33ae93357242541bc",
     "signs_real.report.json":
-        "f485318f784d8329870af76c246f9ef7e80c3874552ae81477389b6ff32162a2",
+        "65cfdd10639a666a73514b1b6be0e08dc15ff247ffcc776081d0b53c7e0c7a98",
     "signs_complex_n_ge_k.report.json":
-        "295ae4cfb68c7abb5d418142fd8591cee364094ddf29913be8628fd39856381f",
+        "3f4e3034c7bd1bdd2a4b91cf6e63f9149d0ae07251e6b50aad633d4e24021529",
     "signs_complex_n_lt_k.report.json":
-        "01c4f70d8826834242e3ffaf50f81b1c0aaa7f8f1fb19e3628ed4cdc8c8478a6",
+        "2ca362ddb5f5c58896012980e845c96f00791de0c80cbc110e0928c127525f69",
     "weaver_exact_k12.report.json":
         "6e4bf42c335f86ae4ec6d99ceea56ca7ff342217a440209bb836513b060fbf13",
     "weaver_exact_k14.report.json":

@@ -1,7 +1,8 @@
 """The blocked Gray-code sign walker behind exhaustive_sign_search, checked
 against brute-force and one-pattern-at-a-time reference walks kept here;
 the Cholesky certificate that lets the sign search skip eigensolves,
-checked against a reference search that eigensolves every pattern; the
+checked against a reference search that eigensolves every pattern, and its
+trace-first screen against one that tries both sides of every sum; the
 same certificate as a classifier of sign patterns against a threshold; the
 Weaver family's orbit minimum behind verify_counterexample, and the
 exhaustive mode's check that no pattern lies below it; and the greedy-flip
@@ -55,25 +56,37 @@ def brute_force(v):
     return out
 
 
-def sequential_walk(mats):
-    """The walk one pattern per eigensolve: Gray order, s_0 = +1, each step
-    flipping one sign and updating the sum by -+2 M_i."""
-    signs = np.ones(len(mats), dtype=np.int64)
-    s = np.sum(mats, axis=0)
-    rows, norms = [signs.copy()], [np.max(np.abs(np.linalg.eigvalsh(s)))]
-    for step in range(1, 2 ** (len(mats) - 1)):
-        i = (step & -step).bit_length()
-        s = s - 2 * signs[i] * mats[i]
-        signs[i] = -signs[i]
-        rows.append(signs.copy())
-        norms.append(np.max(np.abs(np.linalg.eigvalsh(s))))
-    return np.array(rows), np.array(norms)
+def sequential_walk(mats, b):
+    """{signs: norm} for the walk one pattern per eigensolve: the first n - b
+    signs in Gray order (s_0 = +1), each step flipping one sign and updating
+    H by -+2 M_i, and under each of them every pattern of the last b signs,
+    whose sum L is added up left to right from zero; a pattern's norm is
+    that of H + L."""
+    n = len(mats)
+    signs = np.ones(n - b, dtype=np.int64)
+    h = np.sum(mats[:n - b], axis=0)
+    out = {}
+    for step in range(2 ** (n - b - 1)):
+        if step:
+            i = (step & -step).bit_length()
+            h = h - 2 * signs[i] * mats[i]
+            signs[i] = -signs[i]
+        for low in itertools.product((1, -1), repeat=b):
+            total = np.zeros_like(h)
+            for s, m in zip(low, mats[n - b:]):
+                total = total + m if s > 0 else total - m
+            out[tuple(signs.tolist()) + low] = np.max(np.abs(np.linalg.eigvalsh(h + total)))
+    return out
 
 
 def blocked_walk(mats):
-    blocks = list(engines._gray_blocks(mats))
-    return (np.concatenate([s for s, _ in blocks]),
-            np.concatenate([_opnorm(sums) for _, sums in blocks]))
+    """{signs: norm} over the blocks of _sign_blocks, each eigensolved whole."""
+    low, table, blocks = engines._sign_blocks(mats)
+    out = {}
+    for high, h in blocks:
+        signs = engines._block_signs(high, low, np.arange(len(table)))
+        out.update(zip(map(tuple, signs.tolist()), _opnorm(table + h)))
+    return out
 
 
 def all_patterns_search(vs):
@@ -84,12 +97,14 @@ def all_patterns_search(vs):
         w, u = np.linalg.eigh(vecs.conj() @ vecs.T)
         vecs = ((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T).T
     mats = vecs[:, :, None] * vecs.conj()[:, None, :]
+    low, table, blocks = engines._sign_blocks(mats)
     best_val, best_signs = np.inf, None
-    for signs, sums in engines._gray_blocks(mats):
-        vals = _opnorm(sums)
+    for high, h in blocks:
+        vals = _opnorm(table + h)
         val = vals.min()
         if val <= best_val:
-            key = min(map(tuple, signs[vals == val].tolist()))
+            ties = engines._block_signs(high, low, np.flatnonzero(vals == val))
+            key = min(map(tuple, ties.tolist()))
             if val < best_val or key < best_signs:
                 best_val, best_signs = val, key
     return list(best_signs), float(best_val)
@@ -121,18 +136,25 @@ def test_walk_matches_brute_force(seed, shape, real):
 
 @pytest.mark.parametrize("n, k", [(9, 4), (6, 6), (1, 1)])
 def test_block_size_does_not_change_complex_walk(monkeypatch, n, k):
+    # the table holds the last b signs; every pattern's norm carries the
+    # bits of its own H + L, whatever b the byte cap gives
     v = unit_rows(7, n, k, real=False)
     mats = np.stack([rank_one(x) for x in v])
-    ref_signs, ref_norms = sequential_walk(mats)
     results = []
-    for cap in (engines.WALK_BLOCK_BYTES, 1, 2 ** (n - 1) * mats[0].nbytes):
+    for cap in (engines.WALK_BLOCK_BYTES, 1, 64, 2 ** (n - 1) * mats[0].nbytes):
         monkeypatch.setattr(engines, "WALK_BLOCK_BYTES", cap)
-        signs, norms = blocked_walk(mats)
-        assert np.array_equal(signs, ref_signs)
-        assert np.array_equal(norms, ref_norms)  # bitwise
+        ref = sequential_walk(mats, engines._low_bits(mats))
+        walk = blocked_walk(mats)
+        assert len(ref) == 2 ** (n - 1) and walk.keys() == ref.keys()
+        assert all(walk[s].hex() == ref[s].hex() for s in ref)  # bitwise
         sv, value = exhaustive_sign_search(vector_system(v))
+        assert hexed((sv.signs, value)) == hexed(all_patterns_search(vector_system(v)))
         results.append((sv.signs.tolist(), value))
-    assert results[1] == results[0] and results[2] == results[0]
+    # a different b adds the same terms in another order: the same witness,
+    # a value a few ulps away
+    for signs, value in results:
+        assert signs == results[0][0]
+        assert value == pytest.approx(results[0][1], rel=1e-14)
 
 
 @pytest.mark.parametrize("cap", [1, 64, engines.WALK_BLOCK_BYTES])
@@ -147,9 +169,12 @@ def test_exact_ties_go_to_the_lexicographically_smallest_signs(monkeypatch, cap)
 def test_walk_block_holds_at_most_the_byte_cap():
     mats = np.stack([rank_one(x) for x in unit_rows(3, 12, 5, real=False)])
     cap = engines.WALK_BLOCK_BYTES
-    sizes = [s.shape[0] for s, _ in engines._gray_blocks(mats)]
-    assert sum(sizes) == 2**11 and len(sizes) > 1
-    assert max(sizes) * mats[0].nbytes <= cap
+    low, table, blocks = engines._sign_blocks(mats)
+    highs = [high.tolist() for high, _ in blocks]
+    assert len(highs) > 1 and len(highs) * len(table) == 2**11
+    assert table.nbytes <= cap < 2 * table.nbytes
+    assert low.shape == (len(table), 12 - len(highs[0]))
+    assert len({tuple(h) for h in highs}) == len(highs) and all(h[0] == 1 for h in highs)
 
 
 CAPS = [1, 64, engines.WALK_BLOCK_BYTES, None]  # None: the whole walk in one block
@@ -219,6 +244,58 @@ def test_certificate_refuses_past_the_budget():
     assert len(sign_patterns_below(vs, 7.0, budget=32)[0]) == 32
     with pytest.raises(BudgetExceededError):
         sign_patterns_below(vs, 7.0, budget=31)
+
+
+def both_sides_screen(h, table, t):
+    """The rows r of the sums S = H + table[r] where both t I - S and
+    t I + S factor, both sides tried on every sum, each formed as the walk's
+    screen forms it."""
+    eye = np.eye(table.shape[-1])
+    return np.flatnonzero(_cholesky_factors((t * eye - h) - table)
+                          & _cholesky_factors((t * eye + h) + table))
+
+
+def screen_matches_both_sides(vs, thresholds):
+    mats, _, _ = engines._walk_terms(vs, 2**23)
+    _, table, blocks = engines._sign_blocks(mats)
+    screen = engines._walk_screen(table)
+    for _, h in blocks:
+        for t in thresholds:
+            rows, sums = screen(h, t)
+            assert np.array_equal(rows, both_sides_screen(h, table, t))
+            assert np.array_equal(sums, table[rows] + h)
+        rows, sums = screen(h)
+        assert np.array_equal(rows, np.arange(len(table)))
+        assert np.array_equal(sums, table + h)
+
+
+@SEEDED
+@given(seed=SEEDS, n=st.integers(1, 10), k=st.integers(1, 6), real=st.booleans(),
+       copies=st.sampled_from([1, 2, 3]), q=st.floats(0, 1),
+       above=st.sampled_from([0.0, 1e-7, 1e-3]), cap=st.sampled_from(CAPS))
+def test_trace_first_screen_keeps_what_both_sides_keep(seed, n, k, real, copies, q, above,
+                                                       cap):
+    # the screen tries each sum first on the side its trace points to and
+    # the other side only if that factors; n < k takes the Gram path, real
+    # input the real path, and copies > 1 repeats vectors, so that many
+    # sums tie and many traces are equal
+    v = np.repeat(unit_rows(seed, n, k, real), copies, axis=0)[:max(n, 2 * copies)]
+    vs = vector_system(v)
+    norms = [val for _, val in brute_force(v)]
+    t = float(np.quantile(norms, q, method="lower")) * (1 + above)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engines, "WALK_BLOCK_BYTES",
+                   2 ** vs.n * vs.k * vs.k * 16 if cap is None else cap)
+        screen_matches_both_sides(vs, [t])
+
+
+@pytest.mark.parametrize("k", [9, 13])
+def test_trace_first_screen_keeps_what_both_sides_keep_on_weaver(k):
+    # around the orbit minimum, where sums of both trace signs survive one
+    # side and fail the other
+    inst = counterexample_vectors(k)
+    value, _ = _orbit_minimum(inst)
+    screen_matches_both_sides(inst.normalized, [value * 0.999, value, value * 1.05, value * 2])
 
 
 ROTATION = np.linalg.qr(make_rng(11).standard_normal((5, 5)))[0]
