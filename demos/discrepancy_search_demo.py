@@ -79,6 +79,6 @@ print("\n=== Gaussian balancing inside radius 5R ===")
 ctx = gaussian_median_radius(2, samples=100_000, seed=0)
 print(f"k = 2: empirical median operator norm R = {ctx.R_hat:.4f}, ball radius M = 5R = {ctx.M:.4f}")
 mats = [rank_one(v) / 5.0 for v in unit_rows(12, 2)]
-found = banaszczyk_sign_search(mats, M=ctx.M, seed=0)
+found, _ = banaszczyk_sign_search(mats, M=ctx.M, seed=0)
 signed = sum(s * m for s, m in zip(found.signs, mats))
 print(f"12 matrices of HS norm 1/5: found signs with ||sum s_i B_i|| = {opnorm(signed):.4f} <= M")

@@ -18,7 +18,6 @@ from .counterexample import (
 from .engines import (
     BanaszczykContext,
     CoordinateProfile,
-    SignSearchFailure,
     SignVector,
     ViolatingSet,
     banaszczyk_sign_search,

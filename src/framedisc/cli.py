@@ -170,7 +170,8 @@ def cmd_search(args) -> VerificationReport:
         # eps * sum_i ||v_i||^2; 2^(n-1) + n + k bounds their count.
         scale = float(np.sum(vs.norms_squared()))
         steps = 2 ** (vs.n - 1) + vs.n + vs.k
-        explicit = opnorm((vs.vectors.T * witness.signs) @ vs.vectors.conj())  # sum s_i v_i v_i*
+        signed = (vs.vectors.T * witness.signs) @ vs.vectors.conj()  # sum s_i v_i v_i*
+        explicit = opnorm((signed + signed.conj().T) / 2)  # rounding may pass as_hermitian
         claims = [Claim("min_signed_opnorm", computed=value, bound=explicit,
                         tolerance=steps * float(np.finfo(float).eps) * scale, relation="abs")]
         extra = {"witness": signs_to_dict(witness), "exact": True, **counters}
@@ -205,22 +206,19 @@ def cmd_search(args) -> VerificationReport:
                      **counters}
     elif args.kind == "banaszczyk":
         vs = system_from_dict(data)
-        ctx = engines.gaussian_median_radius(vs.k, samples=max(budget, 1000), seed=seed)
+        # a fixed sample count, so that --budget caps only the search
+        ctx = engines.gaussian_median_radius(vs.k, samples=20000, seed=seed)
         mats = [rank_one(v) / 5.0 for v in vs.vectors]
-        result = engines.banaszczyk_sign_search(mats, M=ctx.M, budget=budget, seed=seed,
-                                                counters=counters)
+        witness, value = engines.banaszczyk_sign_search(mats, M=ctx.M, budget=budget,
+                                                        seed=seed, counters=counters)
         counters["eigensolves"] += ctx.eigensolves  # the radius's and the search's
-        if isinstance(result, engines.SignVector):
-            signed = np.tensordot(result.signs, np.stack(mats), axes=1)
-            claims = [Claim("signed_opnorm_le_M", computed=opnorm(signed),
-                            bound=ctx.M, tolerance=1e-9, relation="le")]
-            extra = {"witness": signs_to_dict(result), "R_hat": ctx.R_hat, "M": ctx.M,
-                     **counters}
-        else:
-            claims = [Claim("signed_opnorm_le_M", computed=result.best_value,
-                            bound=ctx.M, tolerance=1e-9, relation="le")]
-            extra = {"witness": signs_to_dict(result.best_signs),
-                     "R_hat": ctx.R_hat, "M": ctx.M, "exhausted_budget": True, **counters}
+        signed = np.tensordot(witness.signs, np.stack(mats), axes=1)
+        claims = [Claim("signed_opnorm_le_M", computed=opnorm(signed),
+                        bound=ctx.M, tolerance=1e-9, relation="le")]
+        extra = {"witness": signs_to_dict(witness), "R_hat": ctx.R_hat, "M": ctx.M,
+                 **counters}
+        if value > ctx.M:
+            extra["exhausted_budget"] = True
     else:  # pragma: no cover - argparse restricts choices
         raise FrameDiscError(f"unknown search kind {args.kind!r}")
     return finish_report(f"search-{args.kind}", raw, claims, seed=seed,
@@ -234,6 +232,9 @@ def cmd_net_check(args) -> VerificationReport:
     data, raw = load_json(args.input)
     vs = system_from_dict(data)
     subset = [int(i) for i in args.subset.split(",")] if args.subset else range(1, vs.n + 1)
+    outside = [i for i in subset if not 1 <= i <= vs.n]
+    if outside:
+        raise FrameDiscError(f"--subset index {outside[0]} is out of range 1..{vs.n}")
     repeated = [i for i, count in Counter(subset).items() if count > 1]
     if repeated:
         raise FrameDiscError(f"--subset repeats index {repeated[0]}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
-from .engines import WALK_BLOCK_BYTES, WALK_ETA, _require_walk_budget, sign_patterns_below
+from .engines import WALK_BLOCK_BYTES, WALK_ETA, sign_patterns_below
 from .frames import VectorSystem, frame_operator
 from .linalg import _opnorm
 from .reports import Claim, VerificationReport, finish_report
@@ -153,7 +153,10 @@ def verify_counterexample(
     counters: dict = {}
     claims = []
     if mode == "exhaustive":
-        _require_walk_budget(k - 1, budget)  # before the orbit's eigensolves
+        # refused here, before the orbit's eigensolves, as well as in the walk
+        if 2 ** (k - 2) > budget:
+            raise BudgetExceededError(
+                f"the sign walk needs 2^{k - 2} patterns, over the budget {budget}")
         min_norm, orbit_solves = _orbit_minimum(inst, budget)
         margin = WALK_ETA * float(np.sum(inst.normalized.norms_squared()))
         _, norms = sign_patterns_below(inst.normalized, min_norm - margin, budget, counters)

@@ -11,11 +11,12 @@
   doubling, in a (2^b, k, k) table of at most WALK_BLOCK_BYTES (256 KB),
   b as large as fits and at most n - 1; the first n - b signs (s_0 = +1)
   are walked in Gray order with one k x k step each, and each step's sum H
-  makes a block of the 2^b sums H + L. Both walks share one prologue
-  (_walk_terms): real input is walked in real arithmetic, and n < k
-  vectors in the n x n Gram form. Both screen sums with one Cholesky pair
-  (_walk_screen; its backward-error argument is in the next item), which
-  tries each sum S first on t I - S when tr S >= 0 and on t I + S
+  makes a block of the 2^b sums H + L. Both walks run one loop
+  (_screened_blocks) after one prologue (_walk_terms): real input is
+  walked in real arithmetic, and n < k vectors in the n x n Gram form.
+  The loop screens each block with one Cholesky pair at a threshold its
+  caller sets (_walk_screen; its backward-error argument is in the next
+  item), trying each sum S first on t I - S when tr S >= 0 and on t I + S
   otherwise, the side of the extreme eigenvalue more likely past t, and
   the other side only if that factors. The certificate walk screens every
   sum against a given threshold t and eigensolves only the survivors:
@@ -41,13 +42,10 @@
   lexicographically smallest witness are bitwise those of eigensolving
   every sum. The margin scales with sum_i ||v_i||^2 rather than with the
   incumbent, which can be a rounding residue (duplicated vectors give
-  minima of 1e-16). Near-ties of the incumbent survive, so a block is
-  certified only when at most half of the previous block's eigensolved
-  sums lay below the new threshold; when almost every pattern ties the
-  walk eigensolves every block, as before. Nor is a walk whose M_i are all
-  diagonal (each vector on one coordinate, such as np.eye(n)) ever
-  certified: the eigensolve of a diagonal sum is as cheap as a Cholesky
-  factorization, so ruling sums out cannot pay.
+  minima of 1e-16). A nonzero sum_i ||v_i||^2 outside [tiny / eta, max / 4]
+  is refused: below, the margin underflows; above, an entry of 2 M_i or of
+  t I -+ S could overflow, and a factorization failing on overflow proves
+  nothing. All-zero vectors get the margin tiny, the least normal float.
 * One partition search serves both the partition search (parts
   scored by their frame bound) and the paving search behind
   ``search --kind pave`` (parts scored by ||A[S, S]||). It is a depth-first
@@ -217,16 +215,6 @@ class ViolatingSet:
 
     def deficiency(self) -> int:
         return self.r * (self.k - self.complement_rank) - len(self.indices)
-
-
-@dataclass(frozen=True)
-class SignSearchFailure:
-    """Budgeted sign search ended without certifying the target; carries
-    the best value and witness found."""
-
-    best_value: float
-    best_signs: SignVector
-    evaluations: int
 
 
 # ---------------------------------------------------------------------------
@@ -411,32 +399,37 @@ def _block_signs(high: np.ndarray, low: np.ndarray, rows: np.ndarray) -> np.ndar
     return np.hstack((np.broadcast_to(high, (len(rows), high.size)), low[rows]))
 
 
-def _require_walk_budget(n: int, budget: int) -> None:
-    """Refuse a walk of n signs: its 2^(n-1) patterns against ``budget``."""
-    if 2 ** (n - 1) > budget:
-        raise BudgetExceededError(
-            f"the sign walk needs 2^{n - 1} patterns, over the budget {budget}")
-
-
 def _walk_terms(vs: VectorSystem, budget: int) -> tuple[np.ndarray, float, int]:
     """The prologue of both sign walks: (the terms M_i whose signed sums
     the walk builds, the Cholesky screen's margin, eigensolves taken).
 
-    Refuses past ``budget``. Real vectors give real terms, and when n < k
-    the terms are g_i g_i* for the columns g_i of G^(1/2), G the n x n Gram
-    matrix, since ||sum_i s_i v_i v_i*|| = ||G^(1/2) S G^(1/2)||; that
-    square root is the one eigensolve taken here. sum_i ||v_i||^2 bounds
-    every ||sum_i s_i M_i||, and with it the backward errors of both
-    Cholesky and the eigensolver, so the margin is WALK_ETA times it."""
-    _require_walk_budget(vs.n, budget)
+    Refuses past ``budget`` and out of its range of scales (module
+    docstring). Real vectors give real terms, and when n < k the terms are
+    g_i g_i* for the columns g_i of G^(1/2), G the n x n Gram matrix, since
+    ||sum_i s_i v_i v_i*|| = ||G^(1/2) S G^(1/2)||; that square root is the
+    one eigensolve taken here. sum_i ||v_i||^2 bounds every
+    ||sum_i s_i M_i||, and with it the backward errors of both Cholesky and
+    the eigensolver, so the margin is WALK_ETA times it."""
+    if 2 ** (vs.n - 1) > budget:
+        raise BudgetExceededError(
+            f"the sign walk needs 2^{vs.n - 1} patterns, over the budget {budget}")
     vecs = _real_if_real(vs.vectors)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.abs(vecs) ** 2))
+    tiny = np.finfo(float).tiny
+    lo, hi = tiny / WALK_ETA, np.finfo(float).max / 4
+    if total and not lo <= total <= hi:
+        raise InvalidParameterError(
+            f"the sign walk needs sum_i ||v_i||^2 zero or in [{lo:.3g}, {hi:.3g}]; "
+            f"these vectors, of largest entry modulus {np.max(np.abs(vecs)):.3g}, "
+            f"give {total:.3g}: rescale them")
     solves = 0
     if vs.n < vs.k:
         w, u = _solve(np.linalg.eigh, vecs.conj() @ vecs.T)
         vecs = ((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T).T
-        solves = 1
+        total, solves = float(np.sum(np.abs(vecs) ** 2)), 1
     mats = vecs[:, :, None] * vecs.conj()[:, None, :]  # rank_one of each row
-    return mats, WALK_ETA * float(np.sum(np.abs(vecs) ** 2)), solves
+    return mats, max(WALK_ETA * total, tiny), solves
 
 
 def _walk_screen(table: np.ndarray):
@@ -479,42 +472,46 @@ def _walk_screen(table: np.ndarray):
     return screen
 
 
+def _screened_blocks(mats: np.ndarray, threshold):
+    """The one loop of both sign walks over mats (n, k, k): for each block
+    of _sign_blocks(mats), the screen at t = threshold() (None keeps the
+    block whole) and a batched eigensolve of the sums it keeps. Yields
+    (signs, norms), the (m, n) sign rows of those sums and their norms,
+    for each block that keeps any."""
+    low, table, blocks = _sign_blocks(mats)
+    screen = _walk_screen(table)
+    for high, h in blocks:
+        rows, sums = screen(h, threshold())
+        if rows.size:
+            yield _block_signs(high, low, rows), _opnorm(sums)
+
+
 def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
                            counters: dict | None = None) -> tuple[SignVector, float]:
     """Global minimum over sign patterns of ||sum_i s_i A_{v_i}||.
 
     The first sign is fixed +1 (global flip symmetry), so the walk covers
     2^(n-1) patterns; it refuses when that exceeds ``budget`` (the default
-    reaches n = 24). Enumeration walks the blocks of _sign_blocks over the
-    terms of _walk_terms. Ties go to the lexicographically smallest sign
-    vector.
+    reaches n = 24). Enumeration is _screened_blocks over the terms of
+    _walk_terms. Ties go to the lexicographically smallest sign vector.
 
-    Only the patterns that a Cholesky certificate cannot rule out are
-    eigensolved (see the module docstring); the minimum and its witness
-    are those of eigensolving every pattern. ``counters``, if given,
-    receives ``eigensolves``: the matrices eigensolved, the Gram square
-    root's included.
+    The first block is eigensolved whole; each later one only where the
+    Cholesky pair at the incumbent plus the margin keeps a sum (see the
+    module docstring). The minimum and its witness are those of
+    eigensolving every pattern. ``counters``, if given, receives
+    ``eigensolves``: the matrices eigensolved, the Gram square root's
+    included.
     """
     mats, margin, solves = _walk_terms(vs, budget)
-    # when every M_i is diagonal so is every sum, and its eigensolve costs no
-    # more than a Cholesky factorization: such walks are never certified
-    dense = np.count_nonzero(mats) > np.count_nonzero(np.diagonal(mats, axis1=1, axis2=2))
-    low, table, blocks = _sign_blocks(mats)
-    screen = _walk_screen(table)
-    best_val, best_signs, certify = np.inf, None, False
-    for high, h in blocks:
-        rows, sums = screen(h, best_val + margin if certify else None)
-        if rows.size:
-            vals = _opnorm(sums)
-            solves += rows.size
-            val = vals.min()
-            if val <= best_val:
-                key = min(map(tuple, _block_signs(high, low, rows[vals == val]).tolist()))
-                if val < best_val or key < best_signs:
-                    best_val, best_signs = val, key
-            # near-ties of the incumbent are not ruled out, so certifying
-            # pays only while they are at most half of a block
-            certify = dense and 2 * np.count_nonzero(vals < best_val + margin) <= len(table)
+    best_val, best_signs = np.inf, None
+    for signs, vals in _screened_blocks(
+            mats, lambda: None if best_signs is None else best_val + margin):
+        solves += len(vals)
+        val = vals.min()
+        if val <= best_val:
+            key = min(map(tuple, signs[vals == val].tolist()))
+            if val < best_val or key < best_signs:
+                best_val, best_signs = val, key
     if counters is not None:
         counters["eigensolves"] = solves
     return SignVector(signs=np.array(best_signs, dtype=np.int64)), float(best_val)
@@ -536,15 +533,9 @@ def sign_patterns_below(vs: VectorSystem, t: float, budget: int = 2**23,
     square root's.
     """
     mats, _, solves = _walk_terms(vs, budget)
-    low, table, blocks = _sign_blocks(mats)
-    screen = _walk_screen(table)
-    kept_signs, kept_norms = [np.zeros((0, vs.n), dtype=np.int64)], [np.zeros(0)]
-    for high, h in blocks:
-        rows, sums = screen(h, t)
-        if rows.size:
-            kept_signs.append(_block_signs(high, low, rows))
-            kept_norms.append(_opnorm(sums))
-    signs, norms = np.concatenate(kept_signs), np.concatenate(kept_norms)
+    kept = list(_screened_blocks(mats, lambda: t))
+    signs = np.concatenate([np.zeros((0, vs.n), dtype=np.int64)] + [s for s, _ in kept])
+    norms = np.concatenate([np.zeros(0)] + [v for _, v in kept])
     if counters is not None:
         counters["patterns_certified"] = 2 ** (vs.n - 1) - len(norms)
         counters["eigensolves"] = solves + len(norms)
@@ -1059,18 +1050,19 @@ def gaussian_median_radius(k: int, samples: int, seed: int) -> BanaszczykContext
 
 
 def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 0,
-                           counters: dict | None = None):
-    """Signs with ||sum_i s_i B_i|| <= M for Hilbert-Schmidt-small B_i.
+                           counters: dict | None = None) -> tuple[SignVector, float]:
+    """(signs, ||sum_i s_i B_i||), seeking a norm <= M for
+    Hilbert-Schmidt-small B_i.
 
     Seeded random restarts, each descending by greedy single flips; a flip
     is taken when it lowers the norm by more than
     margin = WALK_ETA sum_i ||B_i||_F. The search returns the first state
     within M, a restart's start or the sum after a taken flip, and
-    otherwise stops after exactly ``budget`` >= 1 evaluations. Existence
-    is guaranteed by Banaszczyk's theorem, but the finder only sees the
-    patterns its budget covers, so a SignSearchFailure carries the best
-    value found and the number of patterns evaluated. ``counters``, if
-    given, receives ``eigensolves``: one per evaluation.
+    otherwise stops after exactly ``budget`` >= 1 evaluations and returns
+    the best restart's end state. Existence is guaranteed by Banaszczyk's
+    theorem, but the finder only sees the patterns its budget covers, so
+    the value can exceed M. ``counters``, if given, receives
+    ``eigensolves``: one per evaluation.
     """
     mats = [np.asarray(b, dtype=np.complex128) for b in matrices]
     if not mats:
@@ -1106,16 +1098,13 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
                         improved = True
                         if val <= M:
                             break
+            if val < best_val:  # a state within M is below every earlier one
+                best_val, best_signs = val, signs
             if val <= M:
                 break
-            if val < best_val:
-                best_val, best_signs = val, signs
     if counters is not None:
         counters["eigensolves"] = evals
-    if val <= M:
-        return SignVector(signs=signs)
-    return SignSearchFailure(best_value=float(best_val), best_signs=SignVector(signs=best_signs),
-                             evaluations=evals)
+    return SignVector(signs=best_signs), float(best_val)
 
 
 # ---------------------------------------------------------------------------

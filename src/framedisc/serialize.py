@@ -28,8 +28,9 @@ def _require_keys(d, kind: str, keys: tuple) -> None:
 
 
 def _integer(d: dict, key: str, kind: str) -> int:
-    """d[key] as a nonnegative int: a non-bool int, or a finite float with an
-    integer value, as a writer that emits every number as a float gives."""
+    """d[key] as an array dimension, from 0 to 2^63 - 1: a non-bool int, or
+    a finite float with an integer value, as a writer that emits every
+    number as a float gives."""
     value = d[key]
     if isinstance(value, float) and math.isfinite(value) and value.is_integer():
         value = int(value)
@@ -37,6 +38,9 @@ def _integer(d: dict, key: str, kind: str) -> int:
         raise InvalidParameterError(f"{kind} {key!r} must be an integer; got {value!r}")
     if value < 0:
         raise InvalidParameterError(f"{kind} {key!r} must be >= 0; got {value}")
+    if value > np.iinfo(np.intp).max:
+        raise InvalidParameterError(f"{kind} {key!r} must be at most {np.iinfo(np.intp).max}, "
+                                    f"the largest array dimension; got {value}")
     return value
 
 

@@ -206,12 +206,11 @@ def test_criterion_9_banaszczyk_radius_and_signs():
             g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
             g /= np.linalg.norm(g, axis=1, keepdims=True)
             mats = [rank_one(v) / 5.0 for v in g]
-            result = banaszczyk_sign_search(mats, M=5.0 * ctx.R_hat, seed=900)
+            result, _ = banaszczyk_sign_search(mats, M=5.0 * ctx.R_hat, seed=900)
             trials += 1
-            if hasattr(result, "signs"):
-                signed = sum(s * m for s, m in zip(result.signs, mats))
-                if opnorm(signed) <= 5.0 * ctx.R_hat + 1e-12:
-                    sign_ok += 1
+            signed = sum(s * m for s, m in zip(result.signs, mats))
+            if opnorm(signed) <= 5.0 * ctx.R_hat + 1e-12:
+                sign_ok += 1
     ok = radius_dev <= 0.01 and sign_ok == trials
     report_line(9, ok, f"Gaussian median radius |R_hat - 0.67449| = {radius_dev:.2e} "
                        f"(tol 0.01, 1e6 samples); exhaustive signs within 5*R_hat in "

@@ -429,6 +429,15 @@ def test_negative_sizes_are_usage_errors(tmp_path, capsys, kind, text, key):
     assert f"{key!r} must be >= 0" in capsys.readouterr().err
 
 
+def test_a_size_past_the_largest_array_dimension_is_named(tmp_path, capsys):
+    # 1e22 is an integer-valued float, but past 2^63 - 1 no array can have it
+    src = tmp_path / "in.json"
+    src.write_text('{"k": 1e22, "vectors": []}')
+    assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'k' must be at most 9223372036854775807, the largest array dimension" in err
+
+
 def test_integer_valued_float_size_is_accepted(tmp_path):
     src = tmp_path / "in.json"
     src.write_text('{"k": 2.0, "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}')
@@ -665,7 +674,8 @@ def test_search_matroid_feasible_and_deficient(tmp_path, capsys):
 
 def test_search_banaszczyk(tmp_path, capsys):
     rng = make_rng(71)
-    ctx = engines.gaussian_median_radius(2, samples=2000, seed=0)
+    # the radius takes 20,000 samples whatever the budget
+    ctx = engines.gaussian_median_radius(2, samples=20000, seed=0)
     for n in (6, 25):
         g = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -678,7 +688,10 @@ def test_search_banaszczyk(tmp_path, capsys):
         assert report["extra"]["R_hat"] > 0
         counters = {}
         mats = [rank_one(v) / 5.0 for v in vector_system(g).vectors]
-        engines.banaszczyk_sign_search(mats, M=ctx.M, budget=2000, seed=0, counters=counters)
+        witness, _ = engines.banaszczyk_sign_search(mats, M=ctx.M, budget=2000, seed=0,
+                                                    counters=counters)
+        assert report["extra"]["M"] == ctx.M
+        assert report["extra"]["witness"]["signs"] == witness.signs.tolist()
         # the radius's eigensolves and the search's
         assert report["extra"]["eigensolves"] == ctx.eigensolves + counters["eigensolves"]
         assert counters["eigensolves"] >= 1
@@ -789,6 +802,16 @@ def test_net_check_rejects_a_repeated_subset_index(tmp_path, capsys):
         assert run(argv + ["--subset", subset]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"--subset repeats index {subset[0]}" in err, subset
+
+
+@pytest.mark.parametrize("subset, index", [("0", 0), ("5", 5), ("1,2", 2), ("-1", -1)])
+def test_net_check_names_an_index_out_of_range_in_one_based_terms(tmp_path, capsys, subset,
+                                                                  index):
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(np.array([[0.6, 0.0]])))
+    assert run(["net-check", "--input", str(src), "--epsilon", "0.1", "--n-bound", "2",
+                "--subset", subset]) == EXIT_USAGE
+    assert f"--subset index {index} is out of range 1..1" in capsys.readouterr().err
 
 
 def test_net_check_certifies_k3_with_the_default_budget(tmp_path, capsys):
@@ -997,3 +1020,69 @@ def test_the_same_system_in_other_whitespace_changes_only_the_digest(tmp_path):
     assert (tmp_path / "flat.json").read_bytes() != (tmp_path / "indented.json").read_bytes()
     assert reports[0] == reports[1]
     assert objects[0] == objects[1]
+
+
+def unit_system(seed, n, k):
+    g = make_rng(seed).standard_normal((n, k)) + 1j * make_rng(seed + 1).standard_normal((n, k))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n, k, scale, largest", [
+    (6, 3, 1e154, "e+153"),  # each ||v_i||^2 = 1e308, their sum overflows
+    (2, 3, 1e160, "e+159"),  # the n < k path
+    (2, 3, 1e-160, "e-161"),  # the sum is subnormal, and the margin 0
+    (14, 6, 2.0 ** 511, "e+153"),
+], ids=["six-1e154", "two-1e160", "two-1e-160", "fourteen-2^511"])
+def test_sign_walk_refuses_vectors_out_of_its_range_of_scales(tmp_path, capsys, n, k, scale,
+                                                              largest):
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(unit_system(n, n, k) * scale))
+    assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: the sign walk needs sum_i ||v_i||^2 zero or in")
+    assert "largest entry modulus" in err and largest in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+@pytest.mark.parametrize("n", [2, 6])
+def test_sign_search_passes_at_scales_inside_the_walk_range(tmp_path, capsys, scale, n):
+    v = unit_system(n, n, 3)
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(v * scale))
+    assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    _, value = engines.exhaustive_sign_search(vector_system(v))
+    assert report["claims"][0]["computed"] == pytest.approx(value * scale**2, rel=1e-12)
+
+
+def test_sign_search_on_zero_vectors_keeps_every_tie(tmp_path, capsys):
+    # every sum is 0, so the lexicographically smallest pattern wins; the
+    # walk takes 16 blocks, and the margin must keep the later ones' ties
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(np.zeros((12, 40))))
+    assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert report["extra"]["witness"]["signs"] == [1] + [-1] * 11
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to a refusal
+@pytest.mark.parametrize("scale", [1e100, 1e-100, 1e160, 1e-160, 1e300, 1e-300])
+def test_no_command_fails_internally_at_extreme_scales(tmp_path, scale):
+    v = unit_system(5, 6, 3)
+    a = make_rng(7).standard_normal((5, 5))
+    a = (a + a.T) / 2
+    np.fill_diagonal(a, 0.0)
+    system, pair, net_system, matrix = (tmp_path / name
+                                        for name in ("s.json", "p.json", "n.json", "m.json"))
+    write_system(system, vector_system(v * scale))
+    write_system(pair, vector_system(v[:2] * scale))  # the sign walk's n < k path
+    write_system(net_system, vector_system(v[:, :2] * scale))
+    matrix.write_text(canonical_json(matrix_to_dict(a * scale)) + "\n")
+    commands = [["search", "--kind", kind, "--input", str(system)]
+                for kind in ("signs", "partition", "matroid", "banaszczyk")]
+    commands.append(["search", "--kind", "signs", "--input", str(pair)])
+    commands += [["search", "--kind", "pave", "--input", str(matrix)],
+                 ["net-check", "--input", str(net_system), "--epsilon", "0.1",
+                  "--n-bound", "4"]]
+    for argv in commands:
+        assert run(argv) != EXIT_INTERNAL, argv

@@ -10,7 +10,6 @@ from framedisc import (
     BudgetExceededError,
     InvalidParameterError,
     Partition,
-    SignSearchFailure,
     SignVector,
     ViolatingSet,
     banaszczyk_sign_search,
@@ -579,8 +578,8 @@ def test_banaszczyk_search_small_exhaustive():
     vs = vector_system(random_unit_rows(8, 2, rng))
     mats = [rank_one(v) / 5.0 for v in vs.vectors]
     ctx = gaussian_median_radius(2, samples=20_000, seed=0)
-    result = banaszczyk_sign_search(mats, M=ctx.M, budget=1000, seed=0)
-    assert isinstance(result, SignVector)
+    result, value = banaszczyk_sign_search(mats, M=ctx.M, budget=1000, seed=0)
+    assert isinstance(result, SignVector) and value <= ctx.M
     signed = sum(s * m for s, m in zip(result.signs, mats))
     assert opnorm(signed) <= ctx.M + 1e-12
 
@@ -589,11 +588,10 @@ def test_banaszczyk_search_unattainable_target_reports_best():
     rng = make_rng(47)
     vs = vector_system(random_unit_rows(5, 2, rng, max_norm=0.999))
     mats = [rank_one(v) / 5.0 for v in vs.vectors]
-    result = banaszczyk_sign_search(mats, M=0.0, budget=1000, seed=0)
-    assert isinstance(result, SignSearchFailure)
-    assert result.best_value > 0
-    signed = sum(s * m for s, m in zip(result.best_signs.signs, mats))
-    assert opnorm(signed) == pytest.approx(result.best_value, abs=1e-12)
+    result, value = banaszczyk_sign_search(mats, M=0.0, budget=1000, seed=0)
+    assert isinstance(result, SignVector) and value > 0
+    signed = sum(s * m for s, m in zip(result.signs, mats))
+    assert opnorm(signed) == pytest.approx(value, abs=1e-12)
 
 
 def test_banaszczyk_search_large_heuristic_path():
@@ -601,9 +599,9 @@ def test_banaszczyk_search_large_heuristic_path():
     vs = vector_system(random_unit_rows(25, 2, rng))
     mats = [rank_one(v) / 5.0 for v in vs.vectors]
     ctx = gaussian_median_radius(2, samples=20_000, seed=0)
-    result = banaszczyk_sign_search(mats, M=ctx.M, budget=2000, seed=1)
-    assert isinstance(result, SignVector)
-    again = banaszczyk_sign_search(mats, M=ctx.M, budget=2000, seed=1)
+    result, value = banaszczyk_sign_search(mats, M=ctx.M, budget=2000, seed=1)
+    assert value <= ctx.M
+    again, _ = banaszczyk_sign_search(mats, M=ctx.M, budget=2000, seed=1)
     assert np.array_equal(result.signs, again.signs)
 
 
