@@ -29,7 +29,6 @@ from .engines import (
     gaussian_median_radius,
     matroid_spanning_partition,
     partition_floor,
-    sign_patterns_below,
 )
 from .errors import (
     BudgetExceededError,

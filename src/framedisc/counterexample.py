@@ -16,12 +16,30 @@ rank-one operators to have operator norm at least 1/(delta*sqrt(k-1)),
 about sqrt(k)/2. That growth makes the family a witness that no constant
 can bound the signed operator discrepancy of trace-norm-one PSD matrices.
 
-The exact minimum over sign patterns comes from the family's symmetry:
+The exact minimum m over sign patterns comes from the family's symmetry:
 one sum per count of minus signs (_orbit_minimum). The exhaustive check
-walks every pattern and proves each one's norm above that minimum less a
-margin with a Cholesky factorization that fails, of t I - S or t I + S,
-tried first on the side the trace of S points to, so only a pattern that
-would contradict the symmetry is ever eigensolved.
+proves every one of the 2^(k-2) patterns (s_0 = +1) at or above
+t = m - WALK_ETA sum_i ||v_i||^2 with an explicit Rayleigh witness. A
+pattern s with c minus signs leaves span{1_P, 1_M, e_k} invariant (P, M
+its plus and minus coordinates among the first k-1), and its extreme
+eigenvector lies in that span, so one eigh of the orbit representatives
+gives a unit vector x_s for every pattern: p_c + q_c s_j on coordinate
+j < k-1 and e_c on e_k (_orbit_witness; c > (k-1)/2 takes the witness
+of the global flip). Then ||S_s|| >= |q_s|, q_s = sum_i s_i <x_s, v_i>^2,
+computed from the vectors' entries as p_c r + q_c V's + e_c w, with r the
+row sums of the first k-1 columns V' of V and w its last column; V's comes
+blockwise from engines._sign_blocks (_uncertified_patterns). A pattern
+with |q_s| > t is certified; the rest have their explicit k x k sums
+eigensolved, and those of norm below t survive. Nothing here uses a closed
+form in c, so the check does not take the symmetry on trust: a witness
+that fits badly only sends its pattern to the eigensolver.
+
+Rounding: each <x_s, v_i> is a sum of at most k + 4 terms (V's is formed
+per block as a product H + L with the low-sign table, not as a running
+Gray sum), off by at most c k eps sum_j |v_ij| <= c k^(3/2) eps ||v_i||;
+squaring, summing and the witness's norm (1 up to k eps) bring the
+quotient's error to at most c k^(3/2) eps sum_i ||v_i||^2, far below the
+margin 1e-9 sum_i ||v_i||^2 at every k an exhaustive walk can reach.
 """
 
 from __future__ import annotations
@@ -32,9 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
-from .engines import WALK_BLOCK_BYTES, WALK_ETA, sign_patterns_below
+from .engines import WALK_BLOCK_BYTES, WALK_ETA, _block_signs, _sign_blocks
 from .frames import VectorSystem, frame_operator
-from .linalg import _opnorm
+from .linalg import _opnorm, _solve
 from .reports import Claim, VerificationReport, finish_report
 from .rng import make_rng
 
@@ -101,6 +119,22 @@ def signed_norm_lower_bound(k: int) -> float:
     return 1.0 / (delta * math.sqrt(k - 1))
 
 
+def _signed_sums(v: np.ndarray, signs: np.ndarray):
+    """Yield the sums sum_i s_i v_i v_i^T of real vectors v (k-1, k) for the
+    sign rows of ``signs`` (m, k-1), in stacks of at most WALK_BLOCK_BYTES."""
+    k = v.shape[1]
+    block = max(1, WALK_BLOCK_BYTES // (k * k * v.itemsize))
+    for start in range(0, len(signs), block):
+        yield (v.T * signs[start:start + block, None, :]) @ v
+
+
+def _orbit_signs(k: int) -> np.ndarray:
+    """The orbit representatives' sign rows: the first c of the k-1 signs
+    negative, c = 0..(k-1)//2."""
+    c = np.arange((k - 1) // 2 + 1)
+    return np.where(np.arange(k - 1) < c[:, None], -1.0, 1.0)
+
+
 def _orbit_minimum(inst: CounterexampleInstance, budget: int = 20000) -> tuple[float, int]:
     """The exact min over sign patterns of ||sum_i s_i A_{v_i}||, and the
     eigensolves it took: (k-1)//2 + 1.
@@ -111,19 +145,79 @@ def _orbit_minimum(inst: CounterexampleInstance, budget: int = 20000) -> tuple[f
     least norm of the real sums with the first c signs negative,
     c = 0..(k-1)//2, eigensolved in blocks of at most WALK_BLOCK_BYTES.
     Refuses when the eigensolves exceed ``budget``."""
-    k = inst.k
-    counts = (k - 1) // 2 + 1
+    counts = (inst.k - 1) // 2 + 1
     if counts > budget:
         raise BudgetExceededError(
             f"the orbit minimum needs {counts} eigensolves, over the budget {budget}")
     v = inst.normalized.vectors.real
-    block = max(1, WALK_BLOCK_BYTES // (k * k * v.itemsize))
-    best = math.inf
-    for start in range(0, counts, block):
-        c = np.arange(start, min(start + block, counts))
-        signs = np.where(np.arange(k - 1) < c[:, None], -1.0, 1.0)
-        best = min(best, float(_opnorm((v.T * signs[:, None, :]) @ v).min()))
-    return best, counts
+    return min(float(_opnorm(s).min()) for s in _signed_sums(v, _orbit_signs(inst.k))), counts
+
+
+def _orbit_witness(inst: CounterexampleInstance) -> np.ndarray:
+    """The witness table (k, 3): row c holds (p_c, q_c, e_c), the unit
+    vector x_s = p_c + q_c s_j on coordinate j < k-1 and e_c on e_k for a
+    pattern s with c minus signs (module docstring).
+
+    Rows c <= (k-1)//2 come from one eigh of the orbit representatives:
+    the eigenvector of the eigenvalue of largest modulus, averaged over the
+    minus and the plus coordinates (which moves it only by rounding when it
+    lies in span{1_P, 1_M, e_k}) and renormalized. Row c > (k-1)/2 is the
+    global flip of row k-1-c, (p, -q, e): S_s = -S_{-s}, and x_s is the
+    witness of -s."""
+    k = inst.k
+    v = inst.normalized.vectors.real
+    signs = _orbit_signs(k)
+    x = []
+    for sums in _signed_sums(v, signs):
+        w, u = _solve(np.linalg.eigh, sums)
+        extreme = np.where(abs(w[:, -1]) >= abs(w[:, 0]), -1, 0)
+        x.append(u[np.arange(len(w)), :, extreme])
+    x = np.concatenate(x)
+    c = np.arange(len(signs))
+    minus = signs < 0
+    a = np.sum(x[:, :-1] * minus, axis=1) / np.maximum(c, 1)
+    b = np.sum(x[:, :-1] * ~minus, axis=1) / (k - 1 - c)
+    e = x[:, -1]
+    norm = np.sqrt(c * a * a + (k - 1 - c) * b * b + e * e)
+    half = np.column_stack([(a + b) / 2, (b - a) / 2, e]) / norm[:, None]
+    flips = half[k - 1 - np.arange(len(half), k)] * [1.0, -1.0, 1.0]
+    return np.vstack([half, flips])
+
+
+def _uncertified_patterns(v: np.ndarray, witness: np.ndarray,
+                          t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sign patterns (s_0 = +1) of real vectors v (k-1, k) whose witness
+    quotient |q_s| is not above t (a NaN included), as an (m, k-1) array,
+    and the norms of their explicit sums, eigensolved.
+
+    ``witness`` is a (k, 3) table as _orbit_witness makes. The patterns are
+    walked in the blocks of engines._sign_blocks over the columns of V',
+    the first k-1 columns of V: a block's high signs h and its table of
+    low-sign sums L give V's = V'_high h + L, and with it every q_s of the
+    block at once (module docstring)."""
+    n = len(v)
+    head, tail = v[:, :n], v[:, n]
+    base = witness[:, :1] * head.sum(axis=1) + witness[:, 2:] * tail  # p_c r + e_c w
+    low, table, blocks = _sign_blocks(np.ascontiguousarray(head.T))
+    split = n - low.shape[1]
+    low_minus, low_signs = np.count_nonzero(low < 0, axis=1), low.astype(float)
+    kept = [np.zeros((0, n), dtype=np.int64)]
+    # two table-sized buffers per walk: fresh ones per block would fault
+    # their pages in again (see engines._walk_screen)
+    z, gathered = np.empty_like(table), np.empty_like(table)
+    for high, _ in blocks:
+        c = low_minus + np.count_nonzero(high < 0)
+        np.add(table, head[:, :split] @ high, out=z)  # V's
+        z *= witness[c, 1:2]
+        # c is in range; the default mode="raise" would buffer ``out``
+        z += np.take(base, c, axis=0, out=gathered, mode="clip")
+        z *= z
+        quotient = z[:, :split] @ high + np.einsum("ij,ij->i", z[:, split:], low_signs)
+        rows = np.flatnonzero(~(np.abs(quotient) > t))  # NaN certifies nothing
+        if rows.size:
+            kept.append(_block_signs(high, low, rows))
+    signs = np.concatenate(kept)
+    return signs, np.concatenate([np.zeros(0)] + [_opnorm(s) for s in _signed_sums(v, signs)])
 
 
 def verify_counterexample(
@@ -136,13 +230,15 @@ def verify_counterexample(
     and assert it is at least the closed-form floor. Heuristic mode takes
     the symmetry on trust and only refuses when the orbit exceeds the
     budget. Exhaustive mode checks it: it refuses when 2^(k-2) exceeds the
-    budget (k <= 16 under the default budget), walks every pattern, and
-    rules out each one whose sum a Cholesky pair proves above
-    t = m - WALK_ETA sum_i ||v_i||^2 (see engines.sign_patterns_below). Its
-    claim ``no_pattern_below_orbit_minimum`` asserts that none survives;
-    a survivor is eigensolved, and the reported minimum is the least of m
-    and the survivors' norms. Its report carries ``patterns_certified``,
-    and both modes' carry their ``eigensolves``.
+    budget (k <= 16 under the default budget), and proves each pattern's
+    norm above t = m - WALK_ETA sum_i ||v_i||^2 by its Rayleigh witness or,
+    failing that, by eigensolving its sum (module docstring). Its claim
+    ``no_pattern_below_orbit_minimum`` asserts that no pattern's norm is
+    below t, and the reported minimum is the least of m and those norms.
+    Its report carries ``patterns_certified``, the patterns proven at or
+    above t, and ``eigensolves``: the orbit's eigvalsh, the witness's eigh
+    of the same (k-1)//2 + 1 sums, and one per pattern no witness
+    certifies. Heuristic mode's ``eigensolves`` is the orbit's alone.
 
     The closed-form subset claim checks all 2^(k-1) subsets for k <= 12 and
     256 seeded ones above: drawn as bitmasks up to k = 64, and as 0/1
@@ -153,16 +249,18 @@ def verify_counterexample(
     counters: dict = {}
     claims = []
     if mode == "exhaustive":
-        # refused here, before the orbit's eigensolves, as well as in the walk
+        # refused here, before the orbit's eigensolves
         if 2 ** (k - 2) > budget:
             raise BudgetExceededError(
                 f"the sign walk needs 2^{k - 2} patterns, over the budget {budget}")
         min_norm, orbit_solves = _orbit_minimum(inst, budget)
-        margin = WALK_ETA * float(np.sum(inst.normalized.norms_squared()))
-        _, norms = sign_patterns_below(inst.normalized, min_norm - margin, budget, counters)
-        min_norm = min(min_norm, float(norms.min(initial=math.inf)))
-        counters["eigensolves"] += orbit_solves
-        claims.append(Claim("no_pattern_below_orbit_minimum", computed=float(norms.size),
+        t = min_norm - WALK_ETA * float(np.sum(inst.normalized.norms_squared()))
+        _, norms = _uncertified_patterns(inst.normalized.vectors.real, _orbit_witness(inst), t)
+        below = norms[norms < t]
+        min_norm = min(min_norm, float(below.min(initial=math.inf)))
+        counters = {"patterns_certified": 2 ** (k - 2) - below.size,
+                    "eigensolves": 2 * orbit_solves + norms.size}
+        claims.append(Claim("no_pattern_below_orbit_minimum", computed=float(below.size),
                             bound=0.0, tolerance=0.0, relation="le"))
     elif mode == "heuristic":
         min_norm, counters["eigensolves"] = _orbit_minimum(inst, budget)

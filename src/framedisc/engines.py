@@ -5,26 +5,21 @@
 * Exhaustive sign search (Gray-code enumeration with incremental operator
   updates) and a budgeted partition search for the min-max subset frame
   bound.
-* One blocked Gray-code walker (_sign_blocks) serves the exhaustive sign
-  search and the certificate walk sign_patterns_below. It splits the n
-  signs: the signed sums L of the last b terms are tabulated once, by
-  doubling, in a (2^b, k, k) table of at most WALK_BLOCK_BYTES (256 KB),
-  b as large as fits and at most n - 1; the first n - b signs (s_0 = +1)
-  are walked in Gray order with one k x k step each, and each step's sum H
-  makes a block of the 2^b sums H + L. Both walks run one loop
-  (_screened_blocks) after one prologue (_walk_terms): real input is
-  walked in real arithmetic, and n < k vectors in the n x n Gram form.
-  The loop screens each block with one Cholesky pair at a threshold its
-  caller sets (_walk_screen; its backward-error argument is in the next
+* One blocked Gray-code walker (_sign_blocks) enumerates the signed sums
+  sum_i s_i T_i of n terms of any shape: the k x k terms of the exhaustive
+  sign search, and the vector columns behind the Weaver witness check of
+  counterexample.py. It splits the n signs: the signed sums L of the last
+  b terms are tabulated once, by doubling, in a table of at most
+  WALK_BLOCK_BYTES (256 KB), b as large as fits and at most n - 1; the
+  first n - b signs (s_0 = +1) are walked in Gray order with one step
+  each, and each step's sum H makes a block of the 2^b sums H + L. The
+  sign search runs one loop (_screened_blocks) after one prologue
+  (_walk_terms): real input is walked in real arithmetic, and n < k
+  vectors in the n x n Gram form. The loop screens each block with one
+  Cholesky pair (_walk_screen; its backward-error argument is in the next
   item), trying each sum S first on t I - S when tr S >= 0 and on t I + S
   otherwise, the side of the extreme eigenvalue more likely past t, and
-  the other side only if that factors. The certificate walk screens every
-  sum against a given threshold t and eigensolves only the survivors:
-  every pattern of norm below t - eta sum_i ||v_i||^2 survives, and every
-  survivor's norm is below t + eta sum_i ||v_i||^2. Exhaustive
-  verify-weaver runs it at the Weaver orbit minimum less
-  eta sum_i ||v_i||^2, so a survivor would be a pattern below that
-  minimum.
+  the other side only if that factors.
 * The exhaustive sign search eigensolves only the sums that can tie or
   beat the incumbent, the smallest norm eigensolved so far. The first
   block is eigensolved whole. In each later block a sum S is dropped when
@@ -324,15 +319,15 @@ def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
 # exhaustive and budgeted searches
 
 
-# Byte cap of the (2^b, k, k) table of low-sign sums the sign walker builds
-# (and of each block of the Weaver orbit minimum of counterexample.py): large
-# enough to amortise the per-call cost of Cholesky and the eigensolver, small
-# enough to keep peak memory flat.
+# Byte cap of the table of low-sign sums the sign walker builds, and of each
+# stack of k x k sums counterexample.py forms: large enough to amortise the
+# per-call cost of Cholesky and the eigensolver, small enough to keep peak
+# memory flat.
 WALK_BLOCK_BYTES = 1 << 18
 # The sign search rules a pattern out once Cholesky proves its norm above
 # the incumbent plus this share of sum_i ||v_i||^2, exhaustive verify-weaver
-# screens every pattern at the orbit minimum less this share, and the greedy
-# sign search takes a flip only when it gains more than this share of
+# certifies every pattern against the orbit minimum less this share, and the
+# greedy sign search takes a flip only when it gains more than this share of
 # sum_i ||B_i||_F (see the module docstring).
 WALK_ETA = 1e-9
 
@@ -342,24 +337,24 @@ def _real_if_real(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.real) if np.iscomplexobj(a) and not a.imag.any() else a
 
 
-def _low_bits(mats: np.ndarray) -> int:
-    """b, the number of low signs the walk over mats (n, k, k) tabulates:
+def _low_bits(terms: np.ndarray) -> int:
+    """b, the number of low signs the walk over terms (n, ...) tabulates:
     the largest b <= n - 1 whose 2^b sums fit in WALK_BLOCK_BYTES, or 0."""
-    return min(len(mats) - 1, max(1, WALK_BLOCK_BYTES // mats[0].nbytes).bit_length() - 1)
+    return min(len(terms) - 1, max(1, WALK_BLOCK_BYTES // terms[0].nbytes).bit_length() - 1)
 
 
-def _gray_sums(mats: np.ndarray):
-    """Yield (signs, sum_i s_i M_i) for the 2^(n-1) sign patterns of mats
-    (n, k, k) with s_0 = +1, in Gray-code order, each a new pair of arrays.
+def _gray_sums(terms: np.ndarray):
+    """Yield (signs, sum_i s_i T_i) for the 2^(n-1) sign patterns of terms
+    (n, ...) with s_0 = +1, in Gray-code order, each a new pair of arrays.
 
     Pattern t has gray(t) = t ^ (t >> 1), and s_{i+1} = -1 iff bit i of
     gray(t) is set, so pattern t > 0 flips sign i, where bit i - 1 is the
-    lowest set bit of t, and its sum is the previous one -+ 2 M_i."""
-    signs = np.ones(len(mats), dtype=np.int64)
-    total = np.sum(mats, axis=0)
-    twice = 2 * mats  # exact
+    lowest set bit of t, and its sum is the previous one -+ 2 T_i."""
+    signs = np.ones(len(terms), dtype=np.int64)
+    total = np.sum(terms, axis=0)
+    twice = 2 * terms  # exact
     yield signs, total
-    for t in range(1, 2 ** (len(mats) - 1)):
+    for t in range(1, 2 ** (len(terms) - 1)):
         i = (t & -t).bit_length()
         total = total - twice[i] if signs[i] > 0 else total + twice[i]
         signs = signs.copy()
@@ -367,31 +362,31 @@ def _gray_sums(mats: np.ndarray):
         yield signs, total
 
 
-def _sign_blocks(mats: np.ndarray):
-    """The walk over sum_i s_i M_i for all 2^(n-1) sign patterns with
-    s_0 = +1, as (low, table, blocks).
+def _sign_blocks(terms: np.ndarray):
+    """The walk over sum_i s_i T_i for all 2^(n-1) sign patterns with
+    s_0 = +1, as (low, table, blocks), for terms (n, ...) of any shape: the
+    k x k matrices of the sign search, or the vector columns of the Weaver
+    witness check (counterexample.py).
 
-    The last b = _low_bits(mats) signs are tabulated once: ``table``
-    (2^b, k, k) holds the signed sums of M_{n-b}, ..., M_{n-1}, built by
-    doubling (each M_i in turn added to, then subtracted from, the rows so
+    The last b = _low_bits(terms) signs are tabulated once: ``table``
+    (2^b, ...) holds the signed sums of T_{n-b}, ..., T_{n-1}, built by
+    doubling (each T_i in turn added to, then subtracted from, the rows so
     far, so each row is summed left to right), and ``low`` (2^b, b) their
-    signs; both are sorted by the sum's trace, which _walk_screen uses.
-    ``blocks`` is _gray_sums over M_0, ..., M_{n-b-1}: each of its
+    signs. ``blocks`` is _gray_sums over T_0, ..., T_{n-b-1}: each of its
     2^(n-1-b) pairs (high, H) is a block of 2^b patterns, with signs high
-    followed by low[r] and sums H + table[r]. The walk adds one k x k step
-    per block, not per pattern, so a sum carries the rounding of at most
+    followed by low[r] and sums H + table[r]. The walk adds one step per
+    block, not per pattern, so a sum carries the rounding of at most
     2^(n-1-b) + n additions."""
-    n, b = len(mats), _low_bits(mats)
+    n, b = len(terms), _low_bits(terms)
     low = np.ones((2 ** b, b), dtype=np.int64)
-    table = np.zeros((2 ** b,) + mats.shape[1:], mats.dtype)
-    for j, m in enumerate(mats[n - b:]):
+    table = np.zeros((2 ** b,) + terms.shape[1:], terms.dtype)
+    for j, m in enumerate(terms[n - b:]):
         rows = 2 ** j
         np.subtract(table[:rows], m, out=table[rows:2 * rows])
         table[:rows] += m
         low[rows:2 * rows] = low[:rows]
         low[rows:2 * rows, j] = -1
-    order = np.argsort(np.trace(table, axis1=1, axis2=2).real)
-    return low[order], table[order], _gray_sums(mats[:n - b])
+    return low, table, _gray_sums(terms[:n - b])
 
 
 def _block_signs(high: np.ndarray, low: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -400,7 +395,7 @@ def _block_signs(high: np.ndarray, low: np.ndarray, rows: np.ndarray) -> np.ndar
 
 
 def _walk_terms(vs: VectorSystem, budget: int) -> tuple[np.ndarray, float, int]:
-    """The prologue of both sign walks: (the terms M_i whose signed sums
+    """The prologue of the sign search: (the terms M_i whose signed sums
     the walk builds, the Cholesky screen's margin, eigensolves taken).
 
     Refuses past ``budget`` and out of its range of scales (module
@@ -433,14 +428,15 @@ def _walk_terms(vs: VectorSystem, budget: int) -> tuple[np.ndarray, float, int]:
 
 
 def _walk_screen(table: np.ndarray):
-    """The screen of the blocks of _sign_blocks with ``table``: screen(H, t)
-    returns (rows, sums), the indices r of the sums S = H + table[r] whose
-    norm no Cholesky failure proves above t, those where both t I - S and
-    t I + S factor, and those sums; with t None, every row and sum.
+    """The screen of the blocks of _sign_blocks with ``table``, sorted by
+    trace: screen(H, t) returns (rows, sums), the indices r of the sums
+    S = H + table[r] whose norm no Cholesky failure proves above t, those
+    where both t I - S and t I + S factor, and those sums; with t None,
+    every row and sum.
 
     Each sum is tried first on the side its trace points to, t I - S when
     tr S >= 0, and on the other side only if that factors; whether both
-    factor does not depend on the order. The table is sorted by trace, so
+    factor does not depend on the order. With the table sorted by trace,
     the first tries are two slices, (t I + H) + table[:c] and
     (t I - H) - table[c:]. The matrices and their factors are written into
     two table-sized arrays made once per walk. Fresh table-sized
@@ -473,12 +469,15 @@ def _walk_screen(table: np.ndarray):
 
 
 def _screened_blocks(mats: np.ndarray, threshold):
-    """The one loop of both sign walks over mats (n, k, k): for each block
-    of _sign_blocks(mats), the screen at t = threshold() (None keeps the
-    block whole) and a batched eigensolve of the sums it keeps. Yields
+    """The loop of the sign search over mats (n, k, k): for each block of
+    _sign_blocks(mats), the screen at t = threshold() (None keeps the block
+    whole) and a batched eigensolve of the sums it keeps. Yields
     (signs, norms), the (m, n) sign rows of those sums and their norms,
-    for each block that keeps any."""
+    for each block that keeps any. The table is sorted by trace first, as
+    _walk_screen needs."""
     low, table, blocks = _sign_blocks(mats)
+    order = np.argsort(np.trace(table, axis1=1, axis2=2).real)
+    low, table = low[order], table[order]
     screen = _walk_screen(table)
     for high, h in blocks:
         rows, sums = screen(h, threshold())
@@ -515,31 +514,6 @@ def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
     if counters is not None:
         counters["eigensolves"] = solves
     return SignVector(signs=np.array(best_signs, dtype=np.int64)), float(best_val)
-
-
-def sign_patterns_below(vs: VectorSystem, t: float, budget: int = 2**23,
-                        counters: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The sign patterns (s_0 = +1) whose sum S = sum_i s_i A_{v_i} no
-    Cholesky failure proves above t, as an (m, n) array, and their
-    eigensolved norms.
-
-    Walks the 2^(n-1) patterns as exhaustive_sign_search does, refusing past
-    ``budget``, and screens every sum with the Cholesky pair at t. With
-    margin = WALK_ETA sum_i ||v_i||^2 (module docstring), every pattern of
-    norm below t - margin is returned and every returned pattern's norm is
-    below t + margin; only the returned patterns are eigensolved.
-    ``counters``, if given, receives ``patterns_certified``, the patterns
-    ruled out, and ``eigensolves``, the returned patterns plus the Gram
-    square root's.
-    """
-    mats, _, solves = _walk_terms(vs, budget)
-    kept = list(_screened_blocks(mats, lambda: t))
-    signs = np.concatenate([np.zeros((0, vs.n), dtype=np.int64)] + [s for s, _ in kept])
-    norms = np.concatenate([np.zeros(0)] + [v for _, v in kept])
-    if counters is not None:
-        counters["patterns_certified"] = 2 ** (vs.n - 1) - len(norms)
-        counters["eigensolves"] = solves + len(norms)
-    return signs, norms
 
 
 # A prefix is pruned once its score exceeds the incumbent by more than this
@@ -723,9 +697,21 @@ def _paving_floor(a, r: int) -> float:
 # matroid spanning partition
 
 
-def _rank_tol(vs: VectorSystem) -> float:
-    norms = np.sqrt(vs.norms_squared())
-    return 1e-10 * float(max(np.max(norms), 1e-30))
+def _rank_columns(vs: VectorSystem) -> tuple[np.ndarray, np.ndarray, float]:
+    """(columns, norms, tol) of the matroid's rank tests: the vectors as
+    the columns of a k x n array, scaled by the power of two that brings
+    their largest real or imaginary part into [0.5, 1), the columns' norms,
+    and the rank tolerance 1e-10 times the largest norm (1e-40 for all-zero
+    vectors). A power of two scales each entry, norm and elimination step
+    exactly while they stay normal floats, so no rank decision moves; it
+    keeps the norms from overflowing at large scales, where an infinite
+    tolerance would judge every vector dependent, and from sinking below
+    that floor at small ones."""
+    parts = np.ascontiguousarray(vs.vectors, dtype=np.complex128).view(np.float64)
+    _, e = np.frexp(np.max(np.abs(parts)))
+    cols = np.ldexp(parts, -e).view(np.complex128).T
+    norms = np.sqrt(np.sum(np.abs(cols) ** 2, axis=0))
+    return cols, norms, 1e-10 * float(max(np.max(norms), 1e-30))
 
 
 def matroid_spanning_partition(vs: VectorSystem, r: int, budget: int | None = None,
@@ -758,9 +744,7 @@ def matroid_spanning_partition(vs: VectorSystem, r: int, budget: int | None = No
     if r < 2:
         raise InvalidParameterError(f"need r >= 2, got {r}")
     n, k = vs.n, vs.k
-    tol = _rank_tol(vs)
-    cols = vs.vectors.T  # column i is vector i
-    norms = np.sqrt(vs.norms_squared())
+    cols, norms, tol = _rank_columns(vs)  # column i is vector i
     tally = counters if counters is not None else {}
     tally.update(exchange_queries=0, eliminations=0)
 

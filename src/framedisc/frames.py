@@ -130,7 +130,10 @@ def subset_frame_bound(vs: VectorSystem, X) -> float:
     if idx[0] < 0 or idx[-1] >= vs.n:
         raise InvalidParameterError(f"subset indices out of range 0..{vs.n - 1}")
     sub = vs.vectors[idx]
-    w = eigenvalues(sub.T @ sub.conj())
+    s = sub.T @ sub.conj()
+    # symmetrized as frame_operator does: the product's rounding grows with
+    # the vectors' scale, past any absolute Hermitian tolerance
+    w = eigenvalues((s + s.conj().T) / 2.0)
     return float(max(w[-1], 0.0))
 
 

@@ -150,8 +150,8 @@ def test_verify_weaver_heuristic_enforces_budget(tmp_path, capsys):
 def test_exhaustive_weaver_fails_when_a_pattern_lies_below_the_orbit_minimum(
         tmp_path, monkeypatch):
     # an orbit minimum 1e-6 too high leaves every pattern that attains the
-    # true minimum below the threshold: they survive the certificate, are
-    # eigensolved, and the claim that none survives fails
+    # true minimum below the threshold: no witness certifies them, they are
+    # eigensolved, and the claim that none lies below fails
     heuristic, exact = tmp_path / "heuristic.json", tmp_path / "exact.json"
     assert run(["verify-weaver", "--k", "8", "--mode", "heuristic",
                 "--out", str(heuristic)]) == EXIT_PASS
@@ -163,7 +163,9 @@ def test_exhaustive_weaver_fails_when_a_pattern_lies_below_the_orbit_minimum(
     report = json.loads(exact.read_text())
     claim = next(c for c in report["claims"] if c["name"] == "no_pattern_below_orbit_minimum")
     assert claim["passed"] is False and claim["computed"] > 0
-    assert report["extra"]["eigensolves"] == 4 + 1 + claim["computed"]
+    # the orbit's eigvalsh and the witness's eigh of its 4 sums, then one
+    # eigensolve per uncertified pattern, all of them below the threshold
+    assert report["extra"]["eigensolves"] == 2 * 4 + claim["computed"]
     assert report["extra"]["patterns_certified"] == 2**6 - claim["computed"]
     expected = json.loads(heuristic.read_text())["extra"]["min_signed_norm_or_bound"]
     assert report["extra"]["min_signed_norm_or_bound"] == pytest.approx(expected, rel=1e-12)
@@ -1086,3 +1088,24 @@ def test_no_command_fails_internally_at_extreme_scales(tmp_path, scale):
                   "--n-bound", "4"]]
     for argv in commands:
         assert run(argv) != EXIT_INTERNAL, argv
+
+
+def test_partition_search_runs_on_vectors_at_large_scale(tmp_path, capsys):
+    # per-part frame bounds of vectors x 1e100 are sums of 1e200-sized
+    # products; they used to fail the absolute Hermitian tolerance (exit 2)
+    rng = make_rng(71)
+    g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    extras = []
+    for scale in (1.0, 1e100):
+        src = tmp_path / "sys.json"
+        write_system(src, vector_system(g * scale))
+        code = run(["search", "--kind", "partition", "--input", str(src), "--r", "2",
+                    "--n-bound", "2"])
+        assert code == (EXIT_PASS if scale == 1.0 else EXIT_CLAIM_FAILURE)
+        report = json.loads(capsys.readouterr().out)
+        bound = next(c["computed"] for c in report["claims"]
+                     if c["name"] == "max_part_frame_bound")
+        extras.append((report["extra"]["witness"], bound / scale ** 2))
+    assert extras[1][0] == extras[0][0]
+    assert extras[1][1] == pytest.approx(extras[0][1], rel=1e-12)

@@ -83,6 +83,21 @@ def test_subset_frame_bound_examples_and_monotonicity():
         assert subset_frame_bound(rvs, x) <= subset_frame_bound(rvs, full) + 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e100, 1e150])
+def test_subset_frame_bound_accepts_every_scale(scale):
+    # the product sub^T conj(sub) is symmetrized, as frame_operator's is:
+    # its rounding asymmetry grows with the vectors' squared scale, and an
+    # absolute Hermitian tolerance refused valid input (already at 1e3);
+    # the bound keeps the bits of symmetrizing the product first
+    rng = make_rng(24)
+    vs = vector_system(random_system(7, 3, rng).vectors * scale)
+    for x in ([0, 1, 2], [3, 4, 5, 6], range(7)):
+        sub = vs.vectors[sorted(x)]
+        s = sub.T @ sub.conj()
+        want = np.linalg.eigvalsh((s + s.conj().T) / 2)[-1]
+        assert subset_frame_bound(vs, x).hex() == float(want).hex()
+
+
 def test_subset_frame_bound_rejects_out_of_range():
     vs = vector_system(np.eye(2))
     with pytest.raises(InvalidParameterError):

@@ -7,6 +7,7 @@ it replaced, also kept here."""
 
 import json
 import re
+import warnings
 from collections import deque
 
 import numpy as np
@@ -30,9 +31,7 @@ def reference_partition(vs, r):
     """Matroid union augmentation with one elimination of [members | v_z]
     per exchange query: (result, queries)."""
     n, k = vs.n, vs.k
-    tol = engines._rank_tol(vs)
-    cols = vs.vectors.T
-    norms = np.sqrt(vs.norms_squared())
+    cols, norms, tol = engines._rank_columns(vs)
     queries = 0
 
     def rank(idxs):
@@ -262,3 +261,39 @@ def test_search_matroid_budget_boundary(tmp_path, capsys):
     assert main(argv + ["--budget", str(used - 1)]) == EXIT_BUDGET
     assert "exchange queries" in capsys.readouterr().err
     assert main(argv + ["--budget", "0"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1.7e308, 1e-160, 1e-300, 1e-310])
+def test_search_matroid_decides_the_same_at_any_scale(tmp_path, capsys, scale):
+    # the rank tests run on the vectors scaled by a power of two, so their
+    # norms and tolerance neither overflow (an infinite tolerance judged
+    # every vector dependent and returned an empty violating set) nor sink
+    # below the tolerance's floor; the decision is the unit-scale one
+    rng = make_rng(63)
+    v = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    reports = []
+    for factor in (1.0, scale):
+        src = tmp_path / "sys.json"
+        src.write_text(json.dumps(system_to_dict(vector_system(v * factor))) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["search", "--kind", "matroid", "--input", str(src), "--r", "2"]) == (
+                EXIT_PASS)
+        out, err = capsys.readouterr()
+        assert "Warning" not in err
+        reports.append(json.loads(out)["extra"])
+    assert reports[0]["feasible"] is True
+    assert reports[1] == reports[0]
+
+
+def test_rank_columns_scale_by_a_power_of_two():
+    # exact scaling: the columns, norms and tolerance of a unit-scale input
+    # and of the same input times 2^40 are the same bits
+    v = matroid_input(5, "general", 9, 4)
+    cols, norms, tol = engines._rank_columns(vector_system(v))
+    big = engines._rank_columns(vector_system(v * 2.0 ** 40))
+    assert np.array_equal(cols, big[0]) and np.array_equal(norms, big[1]) and tol == big[2]
+    assert 0.5 <= np.max(np.abs(np.ascontiguousarray(cols).view(np.float64))) < 1.0
+    zero = engines._rank_columns(vector_system(np.zeros((3, 2))))
+    assert zero[2] == 1e-10 * 1e-30 and not zero[0].any()

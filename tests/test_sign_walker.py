@@ -5,8 +5,9 @@ checked against a reference search that eigensolves every pattern, and its
 trace-first screen against one that tries both sides of every sum; the
 same certificate as a classifier of sign patterns against a threshold; the
 Weaver family's orbit minimum behind verify_counterexample, and the
-exhaustive mode's check that no pattern lies below it; and the greedy-flip
-Banaszczyk sign search, checked against a reference loop."""
+exhaustive mode's Rayleigh witness check that no pattern lies below it,
+checked against eigensolving every pattern of perturbed families; and the
+greedy-flip Banaszczyk sign search, checked against a reference loop."""
 
 import itertools
 import warnings
@@ -27,8 +28,9 @@ from framedisc import (
     vector_system,
 )
 from framedisc import counterexample, engines
-from framedisc.counterexample import _orbit_minimum, counterexample_vectors, verify_counterexample
-from framedisc.engines import WALK_ETA, sign_patterns_below
+from framedisc.counterexample import (_orbit_minimum, _orbit_witness, _uncertified_patterns,
+                                      counterexample_vectors, verify_counterexample)
+from framedisc.engines import WALK_ETA
 from framedisc.linalg import _cholesky_factors, _opnorm
 from framedisc.rng import make_rng
 
@@ -208,6 +210,15 @@ def test_weaver_search_matches_all_patterns_search(k):
         assert counters["eigensolves"] < 2 ** (k - 2) // 4
 
 
+def screened_patterns(vs, t):
+    """(signs, norms) of the patterns the sign search's loop keeps with
+    its screen held at t, eigensolved."""
+    mats, _, _ = engines._walk_terms(vs, 2**23)
+    kept = list(engines._screened_blocks(mats, lambda: t))
+    signs = np.concatenate([np.zeros((0, vs.n), dtype=np.int64)] + [s for s, _ in kept])
+    return signs, np.concatenate([np.zeros(0)] + [v for _, v in kept])
+
+
 @SEEDED
 @given(seed=SEEDS, n=st.integers(1, 10), k=st.integers(1, 6), real=st.booleans(),
        copies=st.sampled_from([1, 2, 3]), q=st.floats(0, 1),
@@ -222,19 +233,16 @@ def test_certificate_classifies_patterns_against_the_threshold(seed, n, k, real,
     ref = dict(brute_force(v))
     t = float(np.quantile(list(ref.values()), q, method="lower")) * (1 + above)
     margin = WALK_ETA * float(np.sum(vs.norms_squared()))
-    counters = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engines, "WALK_BLOCK_BYTES",
                    2 ** vs.n * vs.k * vs.k * 16 if cap is None else cap)
-        signs, norms = sign_patterns_below(vs, t, counters=counters)
+        signs, norms = screened_patterns(vs, t)
     kept = {tuple(s) for s in signs.tolist()}
     assert len(kept) == len(signs) == len(norms) and all(s[0] == 1 for s in kept)
     assert {s for s, val in ref.items() if val < t - margin} <= kept
     assert all(ref[s] < t + margin for s in kept)
     for s, val in zip(signs.tolist(), norms):
         assert val == pytest.approx(ref[tuple(s)], rel=1e-12, abs=margin)
-    assert counters["patterns_certified"] == 2 ** (vs.n - 1) - len(kept)
-    assert counters["eigensolves"] == len(kept) + (vs.n < vs.k)
 
 
 @SEEDED
@@ -243,11 +251,11 @@ def test_certificate_classifies_patterns_against_the_threshold(seed, n, k, real,
        cap=st.sampled_from(CAPS))
 def test_search_takes_the_least_pattern_the_certificate_keeps(seed, n, k, real, copies,
                                                               weaver, cap):
-    # the two drivers of one loop: every pattern within the margin of the
-    # minimum survives the certificate at value + 2 margin, so its least
-    # norm, and the smallest signs among its ties, are the search's result;
-    # n < k takes the Gram path, real input the real path, copies > 1
-    # repeats vectors, and ``weaver`` takes the family at that k instead
+    # every pattern within the margin of the minimum survives the screen
+    # held at value + 2 margin, so its least norm, and the smallest signs
+    # among its ties, are the search's result; n < k takes the Gram path,
+    # real input the real path, copies > 1 repeats vectors, and ``weaver``
+    # takes the family at that k instead
     if weaver is None:
         vs = vector_system(np.repeat(unit_rows(seed, n, k, real), copies,
                                      axis=0)[:max(n, 2 * copies)])
@@ -258,18 +266,18 @@ def test_search_takes_the_least_pattern_the_certificate_keeps(seed, n, k, real, 
         mp.setattr(engines, "WALK_BLOCK_BYTES",
                    2 ** vs.n * vs.k * vs.k * 16 if cap is None else cap)
         sv, value = exhaustive_sign_search(vs)
-        signs, norms = sign_patterns_below(vs, value + 2 * margin)
+        signs, norms = screened_patterns(vs, value + 2 * margin)
     least = norms.min()
     assert least.hex() == value.hex()
     assert min(map(tuple, signs[norms == least].tolist())) == tuple(sv.signs.tolist())
 
 
 def test_certificate_refuses_past_the_budget():
-    # every norm is at most sum_i ||v_i||^2 = 6, so t = 7 keeps every pattern
-    vs = vector_system(unit_rows(5, 6, 3, real=False))
-    assert len(sign_patterns_below(vs, 7.0, budget=32)[0]) == 32
+    # the witness check of k = 7 covers 2^5 = 32 patterns
+    inst = counterexample_vectors(7)
+    assert verify_counterexample(inst, budget=32).extra["patterns_certified"] == 32
     with pytest.raises(BudgetExceededError):
-        sign_patterns_below(vs, 7.0, budget=31)
+        verify_counterexample(inst, budget=31)
 
 
 def both_sides_screen(h, table, t):
@@ -284,6 +292,7 @@ def both_sides_screen(h, table, t):
 def screen_matches_both_sides(vs, thresholds):
     mats, _, _ = engines._walk_terms(vs, 2**23)
     _, table, blocks = engines._sign_blocks(mats)
+    table = table[np.argsort(np.trace(table, axis1=1, axis2=2).real)]
     screen = engines._walk_screen(table)
     for _, h in blocks:
         for t in thresholds:
@@ -418,17 +427,82 @@ def test_weaver_minimum_matches_orbit_representatives(k):
 @pytest.mark.parametrize("k", range(5, 17))
 def test_exhaustive_mode_certifies_every_pattern_above_the_orbit_minimum(k):
     # with no survivor the two modes report the orbit minimum's own bits;
-    # the walk runs on the Gram form (n = k - 1 < k), whose square root is
-    # one eigensolve
+    # the witness takes one eigh of each orbit representative, and every
+    # pattern passes its witness, so no sum is eigensolved
     inst = counterexample_vectors(k)
     exhaustive = verify_counterexample(inst, mode="exhaustive", budget=2**14)
     heuristic = verify_counterexample(inst, mode="heuristic", budget=2**14)
     claim = next(c for c in exhaustive.claims if c.name == "no_pattern_below_orbit_minimum")
     assert exhaustive.passed and claim.computed == 0.0
     assert exhaustive.extra["patterns_certified"] == 2 ** (k - 2)
-    assert exhaustive.extra["eigensolves"] == (k - 1) // 2 + 2
+    assert exhaustive.extra["eigensolves"] == 2 * ((k - 1) // 2 + 1)
     assert (exhaustive.extra["min_signed_norm_or_bound"].hex()
             == heuristic.extra["min_signed_norm_or_bound"].hex())
+
+
+def every_pattern(n):
+    """The 2^(n-1) sign rows with s_0 = +1, as floats."""
+    return np.array([(1,) + tail for tail in itertools.product((1, -1), repeat=n - 1)],
+                    dtype=float)
+
+
+def perturbed_weaver(k, seed):
+    """The normalized family at k with its vector ``seed % (k-1)`` moved by
+    a seeded step of norm 0.05 and rescaled to norm 1: permuting the vectors
+    no longer maps the family to itself, so a pattern's norm depends on
+    more than its count of minus signs."""
+    v = counterexample_vectors(k).normalized.vectors.real.copy()
+    i = seed % (k - 1)
+    step = make_rng(seed).standard_normal(k)
+    v[i] += 0.05 * step / np.linalg.norm(step)
+    v[i] /= np.linalg.norm(v[i])
+    return v
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k", range(6, 10))
+def test_witness_check_matches_eigensolving_every_pattern(k, seed):
+    # on a family the orbit argument no longer covers, the witness is a
+    # poor fit for some patterns; each threshold must still give the same
+    # survivors (norm below t), with the same norms, as eigensolving every
+    # pattern's explicit sum
+    v = perturbed_weaver(k, seed)
+    witness = _orbit_witness(counterexample_vectors(k))
+    signs = every_pattern(k - 1)
+    norms = _opnorm((v.T * signs[:, None, :]) @ v)
+    levels = np.unique(norms)
+    gaps = (levels[1:] + levels[:-1]) / 2  # never on a norm
+    thresholds = [levels[0] / 2, *np.quantile(gaps, [0.0, 0.1, 0.5, 0.9, 1.0], method="lower"),
+                  levels[-1] * 2]
+    for t in thresholds:
+        kept, solved = _uncertified_patterns(v, witness, t)
+        below = solved < t
+        expected = {tuple(s): val for s, val in zip(signs.tolist(), norms) if val < t}
+        assert {tuple(s): val for s, val in zip(kept[below].tolist(), solved[below])} == expected
+        assert solved.min(initial=np.inf) >= norms.min()
+        # every pattern whose witness quotient passes t is above it
+        uncertified = {tuple(s) for s in kept.tolist()}
+        assert all(val > t for s, val in zip(map(tuple, signs.tolist()), norms)
+                   if s not in uncertified)
+
+
+@pytest.mark.parametrize("k", range(5, 17))
+def test_witness_leaves_exactly_the_minimizing_orbits_above_the_minimum(k):
+    # with t just above the minimum m, a pattern's witness quotient, its
+    # orbit's norm, passes t unless the orbit attains m: the patterns left
+    # are those whose count of minus signs, or its flip, is a minimizing one
+    inst = counterexample_vectors(k)
+    m, _ = _orbit_minimum(inst)
+    v = inst.normalized.vectors.real
+    reps = [opnorm(sum(s * rank_one(x) for s, x in zip([-1] * c + [1] * (k - 1 - c), v)))
+            for c in range((k - 1) // 2 + 1)]
+    counts = {c for c, val in enumerate(reps) if val <= m * (1 + 1e-12)}
+    counts |= {k - 1 - c for c in counts}
+    kept, solved = _uncertified_patterns(v, _orbit_witness(inst), m + 1e-6)
+    signs = every_pattern(k - 1)
+    expected = {tuple(s) for s in signs.astype(int).tolist() if s.count(-1) in counts}
+    assert {tuple(s) for s in kept.tolist()} == expected
+    assert np.all(np.abs(solved - m) <= 1e-12 * m)
 
 
 @pytest.mark.parametrize("k", [21, 40, 101])
