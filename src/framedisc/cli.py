@@ -129,6 +129,7 @@ def cmd_reduce(args) -> VerificationReport:
         ]
     else:
         vs = system_from_dict(data)
+        engines._scale(vs, "reduce --direction vec2proj")
         trace = reductions.vectors_to_projection(vs, n_bound)
         payload = canonical_json(matrix_to_dict(trace.P)) + "\n"
         proj_residual = float(np.linalg.norm(trace.P @ trace.P - trace.P))
@@ -155,8 +156,10 @@ def cmd_search(args) -> VerificationReport:
     seed, budget = args.seed, args.budget
     extra: dict = {}
     counters: dict = {}
+    vs = None if args.kind == "pave" else system_from_dict(data)
+    if args.kind in ("partition", "banaszczyk"):  # the sign walk refuses by its own range
+        engines._scale(vs, f"search --kind {args.kind}")
     if args.kind == "signs":
-        vs = system_from_dict(data)
         flag, cap = ("--limit", args.limit) if args.limit < budget else ("--budget", budget)
         try:
             witness, value = engines.exhaustive_sign_search(vs, cap, counters)
@@ -176,7 +179,6 @@ def cmd_search(args) -> VerificationReport:
                         tolerance=steps * float(np.finfo(float).eps) * scale, relation="abs")]
         extra = {"witness": signs_to_dict(witness), "exact": True, **counters}
     elif args.kind == "partition":
-        vs = system_from_dict(data)
         cert, exact = engines.exhaustive_partition_search(vs, args.r, args.n_bound, budget,
                                                           counters)
         claims = [Claim("max_part_frame_bound", computed=float(np.max(cert.per_part_bound)),
@@ -192,7 +194,6 @@ def cmd_search(args) -> VerificationReport:
         extra = {"witness": partition_to_dict(part), "exact": exact,
                  "lower_bound": engines._paving_floor(a, args.r), **counters}
     elif args.kind == "matroid":
-        vs = system_from_dict(data)
         result = engines.matroid_spanning_partition(vs, args.r, budget, counters)
         if isinstance(result, frames.Partition):
             claims = [Claim("spanning_parts", computed=float(args.r), bound=float(args.r),
@@ -205,7 +206,6 @@ def cmd_search(args) -> VerificationReport:
                      "complement_rank": result.complement_rank, "feasible": False,
                      **counters}
     elif args.kind == "banaszczyk":
-        vs = system_from_dict(data)
         # a fixed sample count, so that --budget caps only the search
         ctx = engines.gaussian_median_radius(vs.k, samples=20000, seed=seed)
         mats = [rank_one(v) / 5.0 for v in vs.vectors]
@@ -231,6 +231,7 @@ def cmd_net_check(args) -> VerificationReport:
     _check_level(args.n_bound)
     data, raw = load_json(args.input)
     vs = system_from_dict(data)
+    engines._scale(vs, "net-check")
     subset = [int(i) for i in args.subset.split(",")] if args.subset else range(1, vs.n + 1)
     outside = [i for i in subset if not 1 <= i <= vs.n]
     if outside:

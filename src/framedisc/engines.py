@@ -394,6 +394,20 @@ def _block_signs(high: np.ndarray, low: np.ndarray, rows: np.ndarray) -> np.ndar
     return np.hstack((np.broadcast_to(high, (len(rows), high.size)), low[rows]))
 
 
+def _scale(vs: VectorSystem, needs: str, lo: float = 0.0) -> float:
+    """sum_i ||v_i||^2, refused before any other arithmetic unless zero or in
+    [lo, max / 4]: past max / 4, a sum of the v_i v_i*, or twice one, could overflow."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.abs(vs.vectors) ** 2))
+    hi = np.finfo(float).max / 4
+    if total and not lo <= total <= hi:
+        raise InvalidParameterError(
+            f"{needs} needs sum_i ||v_i||^2 zero or in [{lo:.3g}, {hi:.3g}]; these vectors, "
+            f"of largest entry modulus {np.max(np.abs(vs.vectors)):.3g}, give {total:.3g}: "
+            "rescale them")
+    return total
+
+
 def _walk_terms(vs: VectorSystem, budget: int) -> tuple[np.ndarray, float, int]:
     """The prologue of the sign search: (the terms M_i whose signed sums
     the walk builds, the Cholesky screen's margin, eigensolves taken).
@@ -408,17 +422,9 @@ def _walk_terms(vs: VectorSystem, budget: int) -> tuple[np.ndarray, float, int]:
     if 2 ** (vs.n - 1) > budget:
         raise BudgetExceededError(
             f"the sign walk needs 2^{vs.n - 1} patterns, over the budget {budget}")
-    vecs = _real_if_real(vs.vectors)
-    with np.errstate(over="ignore"):
-        total = float(np.sum(np.abs(vecs) ** 2))
     tiny = np.finfo(float).tiny
-    lo, hi = tiny / WALK_ETA, np.finfo(float).max / 4
-    if total and not lo <= total <= hi:
-        raise InvalidParameterError(
-            f"the sign walk needs sum_i ||v_i||^2 zero or in [{lo:.3g}, {hi:.3g}]; "
-            f"these vectors, of largest entry modulus {np.max(np.abs(vecs)):.3g}, "
-            f"give {total:.3g}: rescale them")
-    solves = 0
+    total, solves = _scale(vs, "the sign walk", tiny / WALK_ETA), 0
+    vecs = _real_if_real(vs.vectors)
     if vs.n < vs.k:
         w, u = _solve(np.linalg.eigh, vecs.conj() @ vecs.T)
         vecs = ((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T).T

@@ -13,19 +13,13 @@ The inputs digest of a command that reads an input file is the SHA-256 of
 the bytes it read, so ``sha256sum <input>`` reproduces it; a command that
 reads only parameters digests their canonical JSON (see `digest`).
 
-Bulk payloads (a matrix's entries, a system's vectors) are lists whose
-items are lists of one width w holding only Python floats. Such a list is
-laid out from a template: the w-slot row, with the newlines and
-indentation the recursive emitter would write, repeated once per row. When
-the items' magnitudes sum to below 1e16, a first ``%`` gives each slot the
-layout ``format_float`` would use for its item (``%.1f`` for an
-integer-valued float, ``%.17g`` otherwise) and a second fills them, so no
-Python call is made per item; other rows (huge or non-finite items, which
-raise) are filled with ``format_float`` of every item. Each slot receives
-the string the recursive path would have produced for that float, and the
-text between slots is the text it would have produced between them, so the
-bytes are identical. Any other shape (dicts, strings, ints, bools, mixed
-or ragged rows) takes the recursive path.
+Bulk payloads (a matrix's entries, a system's vectors) reach the emitter
+as float64 or complex128 arrays, complex as a trailing [re, im] axis. The
+text around an array's items, as the recursive path would lay out
+``arr.tolist()``, comes from its shape. Each distinct magnitude is
+formatted once, as ``format_float`` would, its negation is that text after
+a minus sign, and each item takes the string of its magnitude and sign
+bit: the recursive path's bytes. Lists and other arrays take that path.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -117,16 +110,35 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-# format_float's layout of a finite float below 1e16 in magnitude: "%.17g",
-# or "%.1f" when it is integer-valued (indexed by float.is_integer)
-_SLOTS = ("%.17g", "%.1f")
+# format_float's layouts of a finite magnitude, one per line: "%.1f" (as "%.01f",
+# of the other's width) if integer-valued and below 1e16, else "%.17g"
+_SLOTS = (b"%.01f\n", b"%.17g\n")
 
 
-def _float_rows(obj) -> bool:
-    """True iff obj holds only lists of one nonzero width whose items are
-    all exactly float (not bool, int or a numpy scalar)."""
-    return (set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1
-            and set(map(type, chain.from_iterable(obj))) == {float})
+def _separators(shape: tuple, pad: str) -> list:
+    """The text before, between and after the items of a nonempty array of
+    this shape, as the recursive path lays out its nested lists."""
+    if not shape:
+        return ["", ""]
+    inner = _separators(shape[1:], pad + "  ")
+    mid, last = inner[1:-1], inner[-1]
+    head, between = [f"[\n{pad}  {inner[0]}", *mid], [f"{last},\n{pad}  {inner[0]}", *mid]
+    return head + between * (shape[0] - 1) + [f"{last}\n{pad}]"]
+
+
+def _array_json(x: np.ndarray, pad: str) -> str:
+    """A nonempty float64 array laid out as canonical_json(x.tolist())."""
+    u, inv = np.unique(np.abs(x), return_inverse=True)
+    if not math.isfinite(u[-1]):  # np.unique sorts nan and inf last
+        raise InvalidParameterError(f"cannot serialize non-finite float {u[-1]}")
+    integral = (u == np.trunc(u)) & (u < 1e16)
+    text = np.where(integral, *_SLOTS).tobytes().decode() % tuple(u.tolist())
+    # the magnitudes' strings, then their negations (and a last "-", unused)
+    strings = np.array((text + "-" + text.replace("\n", "\n-")).split("\n"), dtype=object)
+    out = np.empty(2 * x.size + 1, dtype=object)
+    out[0::2] = _separators(x.shape, pad)
+    out[1::2] = strings[inv.ravel() + u.size * np.signbit(x).ravel()]
+    return "".join(out.tolist())
 
 
 def canonical_json(obj, indent: int = 0) -> str:
@@ -154,16 +166,6 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if _float_rows(obj):
-            # what the recursive path below lays out, as one template
-            row = "[\n" + ",\n".join([f"{pad}    %s"] * len(obj[0])) + f"\n{pad}  ]"
-            rows = "[\n" + ",\n".join([f"{pad}  {row}"] * len(obj)) + f"\n{pad}]"
-            flat = list(chain.from_iterable(obj))
-            # a sum of magnitudes is at least each one, and nan or inf if any is
-            if sum(map(abs, flat)) < 1e16:
-                slots = map(_SLOTS.__getitem__, map(float.is_integer, flat))
-                return (rows % tuple(slots)) % tuple(flat)
-            return rows % tuple(map(format_float, flat))  # a non-finite item raises
         items = [f"{pad}  {canonical_json(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, np.integer):
@@ -173,6 +175,9 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, np.complexfloating):
         return canonical_json([float(obj.real), float(obj.imag)], indent)
     if isinstance(obj, np.ndarray):
+        obj = np.stack([obj.real, obj.imag], -1) if obj.dtype == np.complex128 else obj
+        if obj.dtype == np.float64 and obj.size:
+            return _array_json(obj, pad)
         return canonical_json(obj.tolist(), indent)
     if isinstance(obj, complex):
         return canonical_json([obj.real, obj.imag], indent)

@@ -3,7 +3,9 @@
 Complex scalars travel as [re, im] pairs. Matrices are row-major flat entry
 lists with an explicit dimension. Partitions are 1-based on the wire
 (parts 1..r) and 0-based in memory. Commands read matrices and vector
-systems, and write those, partitions and sign vectors.
+systems, and write those, partitions and sign vectors. The writers put
+complex128 arrays in their dicts, which the emitter lays out as those
+lists; the readers accept only parsed JSON lists.
 """
 
 from __future__ import annotations
@@ -66,14 +68,9 @@ def _complex_list(entries) -> list:
     return [_complex(z) for z in entries]
 
 
-def _pairs(arr: np.ndarray) -> list:
-    """arr's complex entries as nested lists of [re, im] Python floats."""
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
-
-
 def matrix_to_dict(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
-    return {"dim": int(m.shape[0]), "entries": _pairs(m.ravel())}
+    return {"dim": int(m.shape[0]), "entries": m.ravel()}
 
 
 def matrix_from_dict(d: dict, hermitian: bool = True) -> np.ndarray:
@@ -87,7 +84,7 @@ def matrix_from_dict(d: dict, hermitian: bool = True) -> np.ndarray:
 
 
 def system_to_dict(vs: VectorSystem) -> dict:
-    return {"k": vs.k, "vectors": _pairs(vs.vectors)}
+    return {"k": vs.k, "vectors": vs.vectors}
 
 
 def system_from_dict(d: dict) -> VectorSystem:

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1007,7 +1008,7 @@ def test_inputs_digest_is_the_sha256_of_the_input_file(tmp_path):
 def test_the_same_system_in_other_whitespace_changes_only_the_digest(tmp_path):
     g = make_rng(82).standard_normal((5, 2)) + 1j * make_rng(83).standard_normal((5, 2))
     g /= 2 * np.linalg.norm(g, axis=1, keepdims=True)
-    system = system_to_dict(vector_system(g))
+    system = json.loads(canonical_json(system_to_dict(vector_system(g))))
     reports, objects = [], []
     for name, indent in (("flat", None), ("indented", 2)):
         src = tmp_path / f"{name}.json"
@@ -1088,6 +1089,31 @@ def test_no_command_fails_internally_at_extreme_scales(tmp_path, scale):
                   "--n-bound", "4"]]
     for argv in commands:
         assert run(argv) != EXIT_INTERNAL, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--kind", "partition"],
+    ["search", "--kind", "banaszczyk"],
+    ["net-check", "--epsilon", "0.1", "--n-bound", "4"],
+    ["reduce", "--direction", "vec2proj", "--n-bound", "4"],
+], ids=["partition", "banaszczyk", "net-check", "vec2proj"])
+@pytest.mark.parametrize("scale", [1e160, 2.0 ** 511])
+def test_commands_refuse_vectors_past_their_scale_before_any_warning(tmp_path, capsys, argv,
+                                                                      scale):
+    # sum_i ||v_i||^2 = 6 scale^2 is past max / 4: the command names the
+    # scale and exits 2, with no numpy RuntimeWarning on the way (raised
+    # here as an error, it would exit 4); the matroid search, whose rank
+    # tests scale the vectors by a power of two, still decides
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(unit_system(5, 6, 3) * scale))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--input", str(src)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert run(["search", "--kind", "matroid", "--input", str(src)]) == EXIT_PASS
+    command = " ".join(argv[:3] if argv[0] != "net-check" else argv[:1])
+    assert err.startswith(f"error: {command} needs sum_i ||v_i||^2 zero or in [0, 4.49e+307]")
+    assert "largest entry modulus" in err and "Warning" not in err
 
 
 def test_partition_search_runs_on_vectors_at_large_scale(tmp_path, capsys):

@@ -1,22 +1,24 @@
 """The canonical JSON emitter against a plain recursive reference.
 
 `reference_json` is the one-call-per-value emitter that `canonical_json`
-must reproduce byte for byte; the row-template path for lists of
-equal-width float rows is checked against it on generated and hand-picked
-inputs, and the wire-pair conversion against its element-wise form.
+must reproduce byte for byte; the array path for float64 and complex128
+arrays is checked against it on generated and hand-picked inputs, and the
+wire dicts' arrays against their element-wise [re, im] form.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from framedisc import InvalidParameterError, reports, vector_system
 from framedisc.reports import canonical_json, format_float
 from framedisc.rng import make_rng
-from framedisc.serialize import _pairs, matrix_to_dict, system_to_dict
+from framedisc.serialize import matrix_to_dict, system_to_dict
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -114,6 +116,7 @@ CASES = {
     "rows of rows": [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]],
     "real numpy matrix": np.arange(12.0).reshape(4, 3) / 7.0,
     "complex numpy vector": np.array([1 + 2j, -0.0 - 1j]),
+    "transposed complex matrix": (np.arange(6.0).reshape(2, 3) - 2.5 + 1j).T,
     "numpy int matrix": np.arange(6).reshape(2, 3),
 }
 
@@ -132,11 +135,6 @@ SPECIAL_FLOATS = st.one_of(
     st.floats(-1e6, 1e6),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-MODERATE_FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -3.0, 0.1]),
-    st.integers(-10**9, 10**9).map(float),
-    st.floats(-1e9, 1e9),
-)
 
 
 def float_rows(items):
@@ -152,9 +150,31 @@ def test_float_rows_match_per_item_path(rows, indent):
     assert canonical_json(rows, indent) == reference_json(rows, indent)
 
 
+@st.composite
+def wire_arrays(draw):
+    """float64 or complex128 arrays of ndim 1 to 3, some with an axis of
+    length 0, whose items take a few magnitudes, each with either sign."""
+    shape = draw(array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5))
+    is_complex = draw(st.booleans())
+    pool = draw(st.lists(SPECIAL_FLOATS.map(abs), min_size=1, max_size=6))
+    size = math.prod(shape) * (2 if is_complex else 1)
+    items = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                          min_size=size, max_size=size))
+    flat = np.array([-m if negative else m for m, negative in items], dtype=np.float64)
+    # a complex item is its two floats' bits: the view keeps each -0.0
+    return (flat.view(np.complex128) if is_complex else flat).reshape(shape)
+
+
 @SEEDED
-@given(rows=float_rows(MODERATE_FLOATS))
-def test_moderate_float_rows_make_no_call_per_item(rows):
+@given(arr=wire_arrays(), indent=st.sampled_from([0, 4]))
+def test_arrays_match_reference_of_their_lists(arr, indent):
+    assert canonical_json(arr, indent) == reference_json(arr.tolist(), indent)
+    assert canonical_json({"v": arr}, indent) == reference_json({"v": arr.tolist()}, indent)
+
+
+@SEEDED
+@given(arr=wire_arrays())
+def test_arrays_make_no_call_per_item(arr):
     calls = []
 
     def counted(x):
@@ -163,8 +183,17 @@ def test_moderate_float_rows_make_no_call_per_item(rows):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reports, "format_float", counted)
-        assert canonical_json(rows) == reference_json(rows)
+        assert canonical_json(arr) == reference_json(arr.tolist())
     assert calls == []
+
+
+@settings(SEEDED, max_examples=100)
+@given(arr=wire_arrays().filter(lambda a: a.size),
+       bad=st.sampled_from([math.inf, -math.inf, math.nan, 1.8e308]), at=st.integers(0, 200))
+def test_non_finite_in_an_array_raises(arr, bad, at):
+    arr.flat[at % arr.size] = bad
+    with pytest.raises(InvalidParameterError):
+        canonical_json(arr)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -192,10 +221,12 @@ def test_pairs_match_elementwise_form(seed):
     real = rng.standard_normal(5)
     real[0] = -0.0
     vs = vector_system(m[:4, :3])
-    for got, ref in [(_pairs(m[0]), elementwise_pairs(m[0])),
-                     (_pairs(real), elementwise_pairs(real)),
+    for arr, ref in [(m[0], elementwise_pairs(m[0])),
+                     (real.astype(np.complex128), elementwise_pairs(real)),
                      (matrix_to_dict(m)["entries"], elementwise_pairs(m.ravel())),
                      (system_to_dict(vs)["vectors"], [elementwise_pairs(r) for r in vs.vectors])]:
+        got = json.loads(canonical_json(arr))  # the wire text
         assert got == ref
         assert canonical_json(got) == reference_json(ref)
+        assert canonical_json(arr) == reference_json(ref)
     assert "-0.0" in canonical_json(system_to_dict(vs))

@@ -35,6 +35,12 @@ survivor. These two pins were retaken when the exhaustive mode stopped
 searching for the minimum itself; it had reported the walk's bits, a few
 ulps away.
 
+A mid-size `reduce --direction vec2proj` (60 seeded vectors in C^8 at
+N = 4) pins a 79 x 79 projection: 12,482 floats that take 4,553 distinct
+magnitudes, so the emitter's one string per distinct magnitude is checked
+where thousands of them repeat, with either sign. Its pins were taken from
+the emitter that formatted every float.
+
 A report of a command that reads `--input` (reduce, matroid, banaszczyk
 and signs above) also pins its `inputs_digest`, the SHA-256 of the input
 file's bytes, and so the bytes the inputs below are written with: the
@@ -62,6 +68,10 @@ PINNED = {
         "1f8bf3f651fbe9142a56514e4d3e2dda7807434340d90b3809eb01ef79c0a1e1",
     "v2p.report.json":
         "d95dd5a5347cd83384cfa538dcd16e76c5c3dc9f1663168dfc525465931d7d64",
+    "v2p_mid.object.json":
+        "1cdbfd8cd29e0f47338363d15640ebc7cb1a759983c173e5a2be87b3477d0a59",
+    "v2p_mid.report.json":
+        "39dd9016cd54faf45cbfdeecf4498daa01690b4f11b44643572d4474203c9f4c",
     "p2v.object.json":
         "7ba85aed42eb8d08e5a8e862fbf26e73748c694e47e991a9241b65b3335c56ab",
     "p2v.report.json":
@@ -133,6 +143,10 @@ def digests(tmp_path_factory) -> dict:
     assert main(["gen-weaver", "--k", "6", "--out", str(tmp_path)]) == EXIT_PASS
     assert main(["reduce", "--direction", "vec2proj", "--input", str(src),
                  "--n-bound", "2", "--out", str(tmp_path / "v2p")]) == EXIT_PASS
+    mid = tmp_path / "mid.json"
+    mid.write_text(json.dumps(seeded_system(20261025, 60, 8, 3.5)))
+    assert main(["reduce", "--direction", "vec2proj", "--input", str(mid),
+                 "--n-bound", "4", "--out", str(tmp_path / "v2p_mid")]) == EXIT_PASS
     assert main(["reduce", "--direction", "proj2vec", "--input",
                  str(tmp_path / "v2p.object.json"), "--n-bound", "2",
                  "--out", str(tmp_path / "p2v")]) == EXIT_PASS

@@ -275,7 +275,7 @@ def test_search_matroid_decides_the_same_at_any_scale(tmp_path, capsys, scale):
     reports = []
     for factor in (1.0, scale):
         src = tmp_path / "sys.json"
-        src.write_text(json.dumps(system_to_dict(vector_system(v * factor))) + "\n")
+        src.write_text(canonical_json(system_to_dict(vector_system(v * factor))) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["search", "--kind", "matroid", "--input", str(src), "--r", "2"]) == (
