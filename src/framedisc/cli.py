@@ -119,6 +119,9 @@ def cmd_reduce(args) -> VerificationReport:
     data, raw = load_json(args.input)
     if args.direction == "proj2vec":
         p = matrix_from_dict(data)
+        # the projection test squares P
+        engines._scale(p, "reduce --direction proj2vec", hi=math.sqrt(engines.SCALE_MAX),
+                       what="||P||_F^2")
         vs = reductions.projection_to_vectors(p, n_bound)
         payload = canonical_json(system_to_dict(vs)) + "\n"
         claims = [
@@ -188,6 +191,7 @@ def cmd_search(args) -> VerificationReport:
                  **counters}
     elif args.kind == "pave":
         a = matrix_from_dict(data)
+        engines._scale(a, "search --kind pave", what="||A||_F^2")
         part, value, exact = engines._paving_search(a, args.r, budget, counters)
         claims = [Claim("paving_quality", computed=value, bound=opnorm(a),
                         tolerance=1e-12, relation="le")]

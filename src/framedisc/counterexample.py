@@ -16,42 +16,54 @@ rank-one operators to have operator norm at least 1/(delta*sqrt(k-1)),
 about sqrt(k)/2. That growth makes the family a witness that no constant
 can bound the signed operator discrepancy of trace-norm-one PSD matrices.
 
-The exact minimum m over sign patterns comes from the family's symmetry:
-one sum per count of minus signs (_orbit_minimum). The exhaustive check
-proves every one of the 2^(k-2) patterns (s_0 = +1) at or above
-t = m - WALK_ETA sum_i ||v_i||^2 with an explicit Rayleigh witness. A
-pattern s with c minus signs leaves span{1_P, 1_M, e_k} invariant (P, M
-its plus and minus coordinates among the first k-1), and its extreme
-eigenvector lies in that span, so one eigh of the orbit representatives
-gives a unit vector x_s for every pattern: p_c + q_c s_j on coordinate
-j < k-1 and e_c on e_k (_orbit_witness; c > (k-1)/2 takes the witness
-of the global flip). Then ||S_s|| >= |q_s|, q_s = sum_i s_i <x_s, v_i>^2,
-computed from the vectors' entries as p_c r + q_c V's + e_c w, with r the
-row sums of the first k-1 columns V' of V and w its last column; V's comes
-blockwise from engines._sign_blocks (_uncertified_patterns). A pattern
-with |q_s| > t is certified; the rest have their explicit k x k sums
-eigensolved, and those of norm below t survive. Nothing here uses a closed
-form in c, so the check does not take the symmetry on trust: a witness
-that fits badly only sends its pattern to the eigensolver.
+The exact minimum m over sign patterns comes in closed 3 x 3 form. A
+pattern s with c minus signs (P, M its plus and minus coordinates among the
+first k-1, p = k-1-c) leaves span{1_P/sqrt(p), 1_M/sqrt(c), e_k} invariant,
+and there S_s = sum_i s_i v_i v_i^T acts as
 
-Rounding: each <x_s, v_i> is a sum of at most k + 4 terms (V's is formed
-per block as a product H + L with the low-sign table, not as a running
-Gray sum), off by at most c k eps sum_j |v_ij| <= c k^(3/2) eps ||v_i||;
-squaring, summing and the witness's norm (1 up to k eps) bring the
-quotient's error to at most c k^(3/2) eps sum_i ||v_i||^2, far below the
-margin 1e-9 sum_i ||v_i||^2 at every k an exhaustive walk can reach.
+    T_c = (p a_P a_P^T - c a_M a_M^T) / delta,
+    a_P = (c alpha/sqrt(p), -alpha sqrt(c), beta),
+    a_M = (-alpha sqrt(p), p alpha/sqrt(c), beta),
+
+the coordinates of each v'_i in that basis (the 1_M one is 0 for c = 0).
+On the complement, never empty for k >= 5, it acts as +w on vectors summing
+to 0 over P and -w on those over M, w = (k-1)/(2k-3). So
+||S_s|| = max(||T_c||, w), a global flip maps c to k-1-c, and m is the
+least over c = 0..(k-1)//2: one batched 3 x 3 eigvalsh, O(k) time and
+memory with no vector built (_orbit_minimum). For odd k it is the floor.
+
+The exhaustive check proves each of the 2^(k-2) patterns (s_0 = +1) at or
+above t = m - WALK_ETA sum_i ||v_i||^2 with a Rayleigh witness: the extreme
+eigenvector y of T_c is the unit vector x_s = p_c + q_c s_j on coordinate
+j < k-1 and e_c on e_k, p_c + q_c = y_1/sqrt(p), p_c - q_c = y_2/sqrt(c),
+e_c = y_3 (_orbit_witness). Then ||S_s|| >= |q_s|, q_s = sum_i s_i
+<x_s, v_i>^2, computed from the vectors' entries as p_c r + q_c V's + e_c w
+(r the row sums of the first k-1 columns V' of V, w its last column, V's
+blockwise from engines._sign_blocks: _uncertified_patterns). A pattern with
+|q_s| > t is certified; the rest have their k x k sums eigensolved. No
+closed form in c enters, so a witness that fits badly only sends its
+pattern to the eigensolver. Each <x_s, v_i> is a sum of at most k + 4
+terms (V's = H + L per block, not a running Gray sum), so the quotient is
+off by at most c k^(3/2) eps sum_i ||v_i||^2, far below the margin
+1e-9 sum_i ||v_i||^2 at every k an exhaustive walk can reach.
+
+Only gen-weaver and the exhaustive check read the vectors, which an
+instance builds on first use; the other claims take O(k) per subset from
+(k, alpha, beta). Heuristic verify-weaver at k = 10^6 runs in 4 to 5 s and
+60 MB peak RSS on a 2-vCPU host.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
 from .engines import WALK_BLOCK_BYTES, WALK_ETA, _block_signs, _sign_blocks
-from .frames import VectorSystem, frame_operator
+from .frames import VectorSystem
 from .linalg import _opnorm, _solve
 from .reports import Claim, VerificationReport, finish_report
 from .rng import make_rng
@@ -64,42 +76,51 @@ class CounterexampleInstance:
     beta: float
     delta: float
     N: float
-    primed: VectorSystem
-    normalized: VectorSystem
+
+    @cached_property
+    def primed(self) -> VectorSystem:
+        """The k-1 vectors v'_i, built on first use."""
+        k = self.k
+        primed = np.full((k - 1, k), -self.alpha)
+        np.fill_diagonal(primed, (k - 2) * self.alpha)
+        primed[:, k - 1] = self.beta
+        return VectorSystem(k=k, vectors=primed.astype(np.complex128))
+
+    @cached_property
+    def normalized(self) -> VectorSystem:
+        """The unit vectors v_i = v'_i / sqrt(delta), built on first use."""
+        return VectorSystem(k=self.k, vectors=self.primed.vectors / math.sqrt(self.delta))
 
 
 def counterexample_vectors(k: int) -> CounterexampleInstance:
-    """Build the k-1 primed vectors and their unit-norm rescaling."""
+    """The family at k: its constants now, its vectors on first use."""
     if int(k) != k or k < 5:
         raise InvalidParameterError(f"the family needs integer k >= 5, got {k}")
     k = int(k)
-    alpha = (k - 1) ** -1.5
-    beta = (k - 1) ** -0.5
     delta = (2 * k - 3) / (k - 1) ** 2
-    primed = np.full((k - 1, k), -alpha)
-    np.fill_diagonal(primed, (k - 2) * alpha)
-    primed[:, k - 1] = beta
-    primed_vs = VectorSystem(k=k, vectors=primed.astype(np.complex128))
-    normalized_vs = VectorSystem(k=k, vectors=primed_vs.vectors / math.sqrt(delta))
-    return CounterexampleInstance(
-        k=k, alpha=alpha, beta=beta, delta=delta, N=1.0 / delta,
-        primed=primed_vs, normalized=normalized_vs,
-    )
+    return CounterexampleInstance(k=k, alpha=(k - 1) ** -1.5, beta=(k - 1) ** -0.5,
+                                  delta=delta, N=1.0 / delta)
+
+
+def _image_distances(inst: CounterexampleInstance, bits: np.ndarray, target: float):
+    """||sum_{i in X} <e_k, v'_i> v'_i - target e_k|| for each subset X, a row
+    of the 0/1 matrix ``bits`` (M x (k-1)), summed entrywise from (k, alpha,
+    beta) as beta((k-1) alpha 1_X - alpha |X| 1 + beta |X| e_k): O(k) per
+    subset, never the closed form in |X|."""
+    k, alpha, beta = inst.k, inst.alpha, inst.beta
+    c = bits @ np.ones(k - 1)  # exact: a sum of at most k - 1 ones
+    head = (k - 1) * alpha * bits
+    head -= alpha * c[:, None]
+    head *= beta
+    return np.sqrt(np.einsum("ij,ij->i", head, head) + (beta * beta * c - target) ** 2)
 
 
 def _subset_center_distances(inst: CounterexampleInstance, bits: np.ndarray):
-    """Direct and closed-form distances of sum_{i in X} A_{v'_i} e_k from
-    e_k/2 for every subset X at once: row t of the 0/1 matrix ``bits``
-    (M x (k-1)) marks the members of subset t. Returns two length-M arrays."""
-    k = inst.k
-    v = inst.primed.vectors
-    # A_v e_k = <e_k, v> v with <u,v> = sum u conj(v), so <e_k, v> = conj(v_k)
-    totals = bits @ (v[:, -1:].conj() * v)
-    totals[:, -1] -= 0.5
-    direct = np.linalg.norm(totals, axis=1)
-    c = bits.sum(axis=1)
+    """Direct and closed-form distances from e_k/2 for the subsets of
+    _image_distances (float rows): two length-M arrays."""
+    k, c = inst.k, bits @ np.ones(inst.k - 1)
     closed = np.sqrt(c * (k - 1 - c) / (k - 1) ** 3 + (c / (k - 1) - 0.5) ** 2)
-    return direct, closed
+    return _image_distances(inst, bits, 0.5), closed
 
 
 def subset_center_distance(inst: CounterexampleInstance, X) -> tuple[float, float]:
@@ -111,6 +132,20 @@ def subset_center_distance(inst: CounterexampleInstance, X) -> tuple[float, floa
     bits = np.bincount(np.asarray(idx, dtype=np.int64), minlength=inst.k - 1)
     direct, closed = _subset_center_distances(inst, bits[None, :].astype(float))
     return float(direct[0]), float(closed[0])
+
+
+def _subset_blocks(k: int, seed: int):
+    """The subsets the closed-form claim checks, as blocks of 0/1 rows of at
+    most 128 KB (or one row): all 2^(k-1) for k <= 12, and 256 seeded ones
+    above, drawn as bitmasks up to k = 64 and as indicator rows beyond (a
+    bitmask no longer fits in an int64), in blocks that split one draw."""
+    block = max(1, (1 << 17) // (8 * k))
+    if k > 64:
+        rng = make_rng(seed)
+        return (rng.integers(0, 2, size=(min(block, 256 - s), k - 1)) for s in range(0, 256, block))
+    masks = (np.arange(2 ** (k - 1), dtype=np.int64) if k <= 12
+             else make_rng(seed).integers(0, 2 ** (k - 1), size=256))
+    return (masks[s:s + block, None] >> np.arange(k - 1) & 1 for s in range(0, len(masks), block))
 
 
 def signed_norm_lower_bound(k: int) -> float:
@@ -128,91 +163,80 @@ def _signed_sums(v: np.ndarray, signs: np.ndarray):
         yield (v.T * signs[start:start + block, None, :]) @ v
 
 
-def _orbit_signs(k: int) -> np.ndarray:
-    """The orbit representatives' sign rows: the first c of the k-1 signs
-    negative, c = 0..(k-1)//2."""
-    c = np.arange((k - 1) // 2 + 1)
-    return np.where(np.arange(k - 1) < c[:, None], -1.0, 1.0)
+def _orbit_sums(inst: CounterexampleInstance, c: np.ndarray) -> np.ndarray:
+    """T_c for each count c of minus signs, a stack (len(c), 3, 3)."""
+    alpha, c = inst.alpha, c.astype(float)
+    p = inst.k - 1 - c
+    root_p, root_c = np.sqrt(p), np.sqrt(c)
+    beta = np.full_like(c, inst.beta)
+    a_p = np.stack([c * alpha / root_p, -alpha * root_c, beta], axis=-1)
+    a_m = np.stack([-alpha * root_p, np.divide(p * alpha, root_c, out=np.zeros_like(c),
+                                               where=c > 0), beta], axis=-1)
+    return (p[:, None, None] * a_p[:, :, None] * a_p[:, None, :]
+            - c[:, None, None] * a_m[:, :, None] * a_m[:, None, :]) / inst.delta
 
 
 def _orbit_minimum(inst: CounterexampleInstance, budget: int = 20000) -> tuple[float, int]:
-    """The exact min over sign patterns of ||sum_i s_i A_{v_i}||, and the
-    eigensolves it took: (k-1)//2 + 1.
-
-    Permuting the k-1 vectors permutes coordinates 1..k-1 and leaves the
-    family unchanged, so a pattern's norm depends only on its count c of
-    minus signs, and a global flip maps c to k-1-c. The minimum is the
-    least norm of the real sums with the first c signs negative,
-    c = 0..(k-1)//2, eigensolved in blocks of at most WALK_BLOCK_BYTES.
-    Refuses when the eigensolves exceed ``budget``."""
-    counts = (inst.k - 1) // 2 + 1
+    """(m, (k-1)//2 + 1): the least of max(||T_c||, w) over c = 0..(k-1)//2
+    (module docstring), the T_c eigensolved in stacks of at most
+    WALK_BLOCK_BYTES, and the eigensolves taken, refused past ``budget``."""
+    k = inst.k
+    counts = (k - 1) // 2 + 1
     if counts > budget:
         raise BudgetExceededError(
             f"the orbit minimum needs {counts} eigensolves, over the budget {budget}")
-    v = inst.normalized.vectors.real
-    return min(float(_opnorm(s).min()) for s in _signed_sums(v, _orbit_signs(inst.k))), counts
+    block = max(1, WALK_BLOCK_BYTES // 72)
+    least = min(float(_opnorm(_orbit_sums(inst, np.arange(s, min(s + block, counts)))).min())
+                for s in range(0, counts, block))
+    return max(least, (k - 1) / (2 * k - 3)), counts
 
 
 def _orbit_witness(inst: CounterexampleInstance) -> np.ndarray:
-    """The witness table (k, 3): row c holds (p_c, q_c, e_c), the unit
-    vector x_s = p_c + q_c s_j on coordinate j < k-1 and e_c on e_k for a
-    pattern s with c minus signs (module docstring).
-
-    Rows c <= (k-1)//2 come from one eigh of the orbit representatives:
-    the eigenvector of the eigenvalue of largest modulus, averaged over the
-    minus and the plus coordinates (which moves it only by rounding when it
-    lies in span{1_P, 1_M, e_k}) and renormalized. Row c > (k-1)/2 is the
-    global flip of row k-1-c, (p, -q, e): S_s = -S_{-s}, and x_s is the
-    witness of -s."""
+    """The witness table (k, 3): row c holds (p_c, q_c, e_c) of a pattern
+    with c minus signs, read from the eigenvector of T_c's eigenvalue of
+    largest modulus (module docstring). Row c > (k-1)/2 is the global flip
+    (p, -q, e) of row k-1-c: S_s = -S_{-s}, and x_s is the witness of -s."""
     k = inst.k
-    v = inst.normalized.vectors.real
-    signs = _orbit_signs(k)
-    x = []
-    for sums in _signed_sums(v, signs):
-        w, u = _solve(np.linalg.eigh, sums)
-        extreme = np.where(abs(w[:, -1]) >= abs(w[:, 0]), -1, 0)
-        x.append(u[np.arange(len(w)), :, extreme])
-    x = np.concatenate(x)
-    c = np.arange(len(signs))
-    minus = signs < 0
-    a = np.sum(x[:, :-1] * minus, axis=1) / np.maximum(c, 1)
-    b = np.sum(x[:, :-1] * ~minus, axis=1) / (k - 1 - c)
-    e = x[:, -1]
-    norm = np.sqrt(c * a * a + (k - 1 - c) * b * b + e * e)
-    half = np.column_stack([(a + b) / 2, (b - a) / 2, e]) / norm[:, None]
+    c = np.arange((k - 1) // 2 + 1)
+    w, u = _solve(np.linalg.eigh, _orbit_sums(inst, c))
+    y = u[c, :, np.where(abs(w[:, -1]) >= abs(w[:, 0]), -1, 0)]
+    plus = y[:, 0] / np.sqrt(k - 1 - c)
+    minus = np.divide(y[:, 1], np.sqrt(c), out=np.zeros(len(c)), where=c > 0)
+    half = np.column_stack([(plus + minus) / 2, (plus - minus) / 2, y[:, 2]])
     flips = half[k - 1 - np.arange(len(half), k)] * [1.0, -1.0, 1.0]
     return np.vstack([half, flips])
 
 
 def _uncertified_patterns(v: np.ndarray, witness: np.ndarray,
                           t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The sign patterns (s_0 = +1) of real vectors v (k-1, k) whose witness
-    quotient |q_s| is not above t (a NaN included), as an (m, k-1) array,
-    and the norms of their explicit sums, eigensolved.
-
-    ``witness`` is a (k, 3) table as _orbit_witness makes. The patterns are
-    walked in the blocks of engines._sign_blocks over the columns of V',
-    the first k-1 columns of V: a block's high signs h and its table of
-    low-sign sums L give V's = V'_high h + L, and with it every q_s of the
-    block at once (module docstring)."""
+    """The sign patterns (s_0 = +1) of real vectors v (k-1, k) whose quotient
+    |q_s| under the ``witness`` table of _orbit_witness is not above t (a
+    NaN included), as an (m, k-1) array, and their explicit sums' norms.
+    Each block of engines._sign_blocks over the columns of V' gives
+    V's = V'_high h + L, and with it every q_s of the block at once."""
     n = len(v)
     head, tail = v[:, :n], v[:, n]
     base = witness[:, :1] * head.sum(axis=1) + witness[:, 2:] * tail  # p_c r + e_c w
     low, table, blocks = _sign_blocks(np.ascontiguousarray(head.T))
-    split = n - low.shape[1]
-    low_minus, low_signs = np.count_nonzero(low < 0, axis=1), low.astype(float)
+    b = low.shape[1]
+    split = n - b
+    # rows sorted by their count j of low minus signs (b signs summing to
+    # b - 2j): run j takes one base row
+    minus = (b - np.einsum("ij->i", low)) // 2
+    order = np.argsort(minus, kind="stable")
+    low, table, minus = low[order], table[order], minus[order]
+    edges = np.searchsorted(minus, np.arange(b + 2))
+    runs = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     kept = [np.zeros((0, n), dtype=np.int64)]
-    # two table-sized buffers per walk: fresh ones per block would fault
-    # their pages in again (see engines._walk_screen)
-    z, gathered = np.empty_like(table), np.empty_like(table)
+    z = np.empty_like(table)  # one per walk: see engines._walk_screen
     for high, _ in blocks:
-        c = low_minus + np.count_nonzero(high < 0)
+        high_minus = np.count_nonzero(high < 0)
         np.add(table, head[:, :split] @ high, out=z)  # V's
-        z *= witness[c, 1:2]
-        # c is in range; the default mode="raise" would buffer ``out``
-        z += np.take(base, c, axis=0, out=gathered, mode="clip")
+        z *= witness[minus + high_minus, 1:2]
+        for j, rows in enumerate(runs):
+            z[rows] += base[high_minus + j]
         z *= z
-        quotient = z[:, :split] @ high + np.einsum("ij,ij->i", z[:, split:], low_signs)
+        quotient = z[:, :split] @ high + np.einsum("ij,ij->i", z[:, split:], low)
         rows = np.flatnonzero(~(np.abs(quotient) > t))  # NaN certifies nothing
         if rows.size:
             kept.append(_block_signs(high, low, rows))
@@ -225,66 +249,42 @@ def verify_counterexample(
 ) -> VerificationReport:
     """Check the family's headline claims.
 
-    Both modes report the exact minimum m over the 2^(k-2) sign patterns of
-    ||sum_i s_i A_{v_i}|| from _orbit_minimum's (k-1)//2 + 1 eigensolves,
-    and assert it is at least the closed-form floor. Heuristic mode takes
-    the symmetry on trust and only refuses when the orbit exceeds the
-    budget. Exhaustive mode checks it: it refuses when 2^(k-2) exceeds the
-    budget (k <= 16 under the default budget), and proves each pattern's
-    norm above t = m - WALK_ETA sum_i ||v_i||^2 by its Rayleigh witness or,
-    failing that, by eigensolving its sum (module docstring). Its claim
-    ``no_pattern_below_orbit_minimum`` asserts that no pattern's norm is
-    below t, and the reported minimum is the least of m and those norms.
-    Its report carries ``patterns_certified``, the patterns proven at or
-    above t, and ``eigensolves``: the orbit's eigvalsh, the witness's eigh
-    of the same (k-1)//2 + 1 sums, and one per pattern no witness
-    certifies. Heuristic mode's ``eigensolves`` is the orbit's alone.
-
-    The closed-form subset claim checks all 2^(k-1) subsets for k <= 12 and
-    256 seeded ones above: drawn as bitmasks up to k = 64, and as 0/1
-    indicator rows beyond, where a bitmask no longer fits in an int64.
+    Both modes report the exact minimum m from _orbit_minimum and assert it
+    is at least the floor, and for odd k equal to it within 16 ulps.
+    Heuristic mode takes the symmetry on trust. Exhaustive mode refuses
+    when 2^(k-2) exceeds the budget (k <= 16 by default), proves each
+    pattern above t = m - WALK_ETA sum_i ||v_i||^2 by its witness or by
+    eigensolving its sum, asserts ``no_pattern_below_orbit_minimum`` and
+    reports the least of m and the norms below t. Counters:
+    ``patterns_certified``, the patterns proven at or above t;
+    ``eigensolves``, the k x k sums eigensolved (0 in heuristic mode); and
+    ``orbit_eigensolves``, the 3 x 3 ones, (k-1)//2 + 1 for m and as many
+    again for the witnesses. The subset claim checks _subset_blocks.
     """
     k = inst.k
     lb = signed_norm_lower_bound(k)
-    counters: dict = {}
     claims = []
+    if mode not in ("exhaustive", "heuristic"):
+        raise InvalidParameterError(f"mode must be 'exhaustive' or 'heuristic', got {mode!r}")
+    if mode == "exhaustive" and 2 ** (k - 2) > budget:  # before the orbit's eigensolves
+        raise BudgetExceededError(
+            f"the sign walk needs 2^{k - 2} patterns, over the budget {budget}")
+    orbit_min, orbit_solves = _orbit_minimum(inst, budget)
+    min_norm, counters = orbit_min, {"eigensolves": 0, "orbit_eigensolves": orbit_solves}
     if mode == "exhaustive":
-        # refused here, before the orbit's eigensolves
-        if 2 ** (k - 2) > budget:
-            raise BudgetExceededError(
-                f"the sign walk needs 2^{k - 2} patterns, over the budget {budget}")
-        min_norm, orbit_solves = _orbit_minimum(inst, budget)
-        t = min_norm - WALK_ETA * float(np.sum(inst.normalized.norms_squared()))
+        t = orbit_min - WALK_ETA * float(np.sum(inst.normalized.norms_squared()))
         _, norms = _uncertified_patterns(inst.normalized.vectors.real, _orbit_witness(inst), t)
         below = norms[norms < t]
-        min_norm = min(min_norm, float(below.min(initial=math.inf)))
+        min_norm = min(orbit_min, float(below.min(initial=math.inf)))
         counters = {"patterns_certified": 2 ** (k - 2) - below.size,
-                    "eigensolves": 2 * orbit_solves + norms.size}
+                    "eigensolves": norms.size, "orbit_eigensolves": 2 * orbit_solves}
         claims.append(Claim("no_pattern_below_orbit_minimum", computed=float(below.size),
                             bound=0.0, tolerance=0.0, relation="le"))
-    elif mode == "heuristic":
-        min_norm, counters["eigensolves"] = _orbit_minimum(inst, budget)
-    else:
-        raise InvalidParameterError(f"mode must be 'exhaustive' or 'heuristic', got {mode!r}")
 
-    if k <= 64:
-        if k <= 12:
-            masks = np.arange(2 ** (k - 1), dtype=np.int64)
-        else:
-            masks = make_rng(seed).integers(0, 2 ** (k - 1), size=256)
-        subsets = masks[:, None] >> np.arange(k - 1) & 1
-    else:  # 2^(k-1) is past int64: draw each subset's indicator row instead
-        subsets = make_rng(seed).integers(0, 2, size=(256, k - 1))
-    subset_dev = 0.0
-    block = max(1, 1024 // k)  # subsets per product: each temporary stays <= 16 KB
-    for start in range(0, subsets.shape[0], block):
-        bits = subsets[start:start + block].astype(float)
-        direct, closed = _subset_center_distances(inst, bits)
-        subset_dev = max(subset_dev, float(np.max(np.abs(direct - closed))))
-
-    e_k = np.zeros(k)
-    e_k[-1] = 1.0
-    image_err = float(np.linalg.norm(frame_operator(inst.primed) @ e_k - e_k))
+    subset_dev = max(float(np.max(np.abs(direct - closed)))
+                     for direct, closed in (_subset_center_distances(inst, bits.astype(float))
+                                            for bits in _subset_blocks(k, seed)))
+    image_err = float(_image_distances(inst, np.ones((1, k - 1)), 1.0)[0])
     claims += [
         Claim("primed_frame_fixes_e_k", computed=image_err, bound=0.0,
               tolerance=1e-10, relation="abs"),
@@ -293,11 +293,9 @@ def verify_counterexample(
         Claim("signed_norm_floor", computed=float(min_norm), bound=lb,
               tolerance=1e-9, relation="ge"),
     ]
-    return finish_report(
-        "verify-counterexample",
-        {"k": k, "mode": mode},
-        claims,
-        seed=seed,
-        budget=budget,
-        extra={"min_signed_norm_or_bound": float(min_norm), "lower_bound": lb, **counters},
-    )
+    if k % 2:
+        claims.append(Claim("orbit_minimum_equals_floor", computed=orbit_min, bound=lb,
+                            tolerance=16 * math.ulp(lb), relation="abs"))
+    return finish_report("verify-counterexample", {"k": k, "mode": mode}, claims, seed=seed,
+                         budget=budget, extra={"min_signed_norm_or_bound": float(min_norm),
+                                               "lower_bound": lb, **counters})

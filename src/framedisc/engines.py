@@ -394,16 +394,23 @@ def _block_signs(high: np.ndarray, low: np.ndarray, rows: np.ndarray) -> np.ndar
     return np.hstack((np.broadcast_to(high, (len(rows), high.size)), low[rows]))
 
 
-def _scale(vs: VectorSystem, needs: str, lo: float = 0.0) -> float:
-    """sum_i ||v_i||^2, refused before any other arithmetic unless zero or in
-    [lo, max / 4]: past max / 4, a sum of the v_i v_i*, or twice one, could overflow."""
+# _scale's default cap: past it, a sum of the v_i v_i*, or twice one, could
+# overflow. A command that squares a matrix input passes its square root.
+SCALE_MAX = float(np.finfo(float).max) / 4
+
+
+def _scale(x, needs: str, lo: float = 0.0, hi: float = SCALE_MAX,
+           what: str = "sum_i ||v_i||^2") -> float:
+    """The sum of the squared entry moduli of x, a VectorSystem
+    (sum_i ||v_i||^2) or an array of matrix entries (``what`` names the
+    sum), refused before any other arithmetic unless zero or in [lo, hi]."""
+    entries = x.vectors if isinstance(x, VectorSystem) else x
     with np.errstate(over="ignore"):
-        total = float(np.sum(np.abs(vs.vectors) ** 2))
-    hi = np.finfo(float).max / 4
+        total = float(np.sum(np.abs(entries) ** 2))
     if total and not lo <= total <= hi:
         raise InvalidParameterError(
-            f"{needs} needs sum_i ||v_i||^2 zero or in [{lo:.3g}, {hi:.3g}]; these vectors, "
-            f"of largest entry modulus {np.max(np.abs(vs.vectors)):.3g}, give {total:.3g}: "
+            f"{needs} needs {what} zero or in [{lo:.3g}, {hi:.3g}]; these entries, "
+            f"of largest entry modulus {np.max(np.abs(entries)):.3g}, give {total:.3g}: "
             "rescale them")
     return total
 
@@ -1058,6 +1065,7 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
     if not mats:
         raise InvalidParameterError("need at least one matrix")
     stacked = np.stack(mats)
+    _scale(stacked, "the Banaszczyk sign search", what="sum_i ||B_i||_F^2")
     hs = np.linalg.norm(stacked, axis=(1, 2))
     over = hs[~(hs <= 0.2 + 1e-12)]  # also catches non-finite entries
     if over.size:

@@ -131,8 +131,9 @@ def test_verify_weaver_heuristic_zero_budget_is_usage_error():
 
 
 def test_verify_weaver_heuristic_enforces_budget(tmp_path, capsys):
-    # k = 12 takes (k-1)//2 + 1 = 6 eigensolves, one per count of minus
-    # signs up to the middle, and reports the exhaustive minimum
+    # k = 12 takes (k-1)//2 + 1 = 6 3 x 3 eigensolves, one per count of
+    # minus signs up to the middle, no k x k one, and reports the exhaustive
+    # minimum
     exact, heuristic = tmp_path / "exact.json", tmp_path / "heuristic.json"
     assert run(["verify-weaver", "--k", "12", "--out", str(exact)]) == EXIT_PASS
     assert run(["verify-weaver", "--k", "12", "--mode", "heuristic",
@@ -141,7 +142,8 @@ def test_verify_weaver_heuristic_enforces_budget(tmp_path, capsys):
     assert run(["verify-weaver", "--k", "12", "--mode", "heuristic", "--budget", "6",
                 "--out", str(heuristic)]) == EXIT_PASS
     report = json.loads(heuristic.read_text())
-    assert report["budget"] == 6 and report["extra"]["eigensolves"] == 6
+    assert report["budget"] == 6 and report["extra"]["orbit_eigensolves"] == 6
+    assert report["extra"]["eigensolves"] == 0
     exact_min = json.loads(exact.read_text())["extra"]["min_signed_norm_or_bound"]
     assert report["extra"]["min_signed_norm_or_bound"] == pytest.approx(exact_min, rel=1e-12)
     assert run(["verify-weaver", "--k", "12", "--mode", "heuristic",
@@ -164,9 +166,11 @@ def test_exhaustive_weaver_fails_when_a_pattern_lies_below_the_orbit_minimum(
     report = json.loads(exact.read_text())
     claim = next(c for c in report["claims"] if c["name"] == "no_pattern_below_orbit_minimum")
     assert claim["passed"] is False and claim["computed"] > 0
-    # the orbit's eigvalsh and the witness's eigh of its 4 sums, then one
-    # eigensolve per uncertified pattern, all of them below the threshold
-    assert report["extra"]["eigensolves"] == 2 * 4 + claim["computed"]
+    # one eigensolve per uncertified pattern, all of them below the
+    # threshold; the orbit's eigvalsh and the witness's eigh of its four
+    # 3 x 3 sums count apart
+    assert report["extra"]["eigensolves"] == claim["computed"]
+    assert report["extra"]["orbit_eigensolves"] == 2 * 4
     assert report["extra"]["patterns_certified"] == 2**6 - claim["computed"]
     expected = json.loads(heuristic.read_text())["extra"]["min_signed_norm_or_bound"]
     assert report["extra"]["min_signed_norm_or_bound"] == pytest.approx(expected, rel=1e-12)
@@ -295,13 +299,15 @@ def test_sign_searches_report_their_eigensolves(tmp_path):
     assert 0 < counters["eigensolves"] < 2**13
     exact, heuristic = tmp_path / "exact.json", tmp_path / "heuristic.json"
     assert run(["verify-weaver", "--k", "12", "--out", str(exact)]) == EXIT_PASS
-    assert 0 < json.loads(exact.read_text())["extra"]["eigensolves"] < 2**10
-    # heuristic mode eigensolves one sum per count of minus signs up to
-    # the middle
+    # every pattern passes its witness, so no k x k sum is eigensolved
+    assert json.loads(exact.read_text())["extra"]["eigensolves"] == 0
+    # heuristic mode eigensolves one 3 x 3 sum per count of minus signs up
+    # to the middle, and no k x k sum
     for k in (12, 23):
         assert run(["verify-weaver", "--k", str(k), "--mode", "heuristic", "--budget", "50",
                     "--out", str(heuristic)]) == EXIT_PASS
-        assert json.loads(heuristic.read_text())["extra"]["eigensolves"] == (k - 1) // 2 + 1
+        extra = json.loads(heuristic.read_text())["extra"]
+        assert extra["orbit_eigensolves"] == (k - 1) // 2 + 1 and extra["eigensolves"] == 0
 
 
 def test_search_signs_budget_refusal(tmp_path):
@@ -1114,6 +1120,44 @@ def test_commands_refuse_vectors_past_their_scale_before_any_warning(tmp_path, c
     command = " ".join(argv[:3] if argv[0] != "net-check" else argv[:1])
     assert err.startswith(f"error: {command} needs sum_i ||v_i||^2 zero or in [0, 4.49e+307]")
     assert "largest entry modulus" in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("argv, scale, needs", [
+    (["search", "--kind", "pave"], 1e154, "search --kind pave needs ||A||_F^2"),
+    (["search", "--kind", "pave"], 1e160, "search --kind pave needs ||A||_F^2"),
+    (["reduce", "--direction", "proj2vec", "--n-bound", "2"], 1e154,
+     "reduce --direction proj2vec needs ||P||_F^2"),
+    (["reduce", "--direction", "proj2vec", "--n-bound", "2"], 1e100,
+     "reduce --direction proj2vec needs ||P||_F^2"),
+    (["search", "--kind", "banaszczyk"], 1e100,
+     "the Banaszczyk sign search needs sum_i ||B_i||_F^2"),
+], ids=["pave-1e154", "pave-1e160", "proj2vec-1e154", "proj2vec-1e100", "banaszczyk-1e100"])
+def test_commands_refuse_matrices_past_their_scale_before_any_warning(tmp_path, capsys, argv,
+                                                                      scale, needs):
+    # a zero-diagonal matrix whose squared entries overflow, and unit
+    # vectors whose rank-one matrices B_i = v_i v_i* / 5 do: each command
+    # names the scale and exits 2, with no numpy RuntimeWarning on the way
+    # (raised here as an error, it would exit 4); the projection test
+    # squares P, so proj2vec refuses from ||P||_F^2 past sqrt(max / 4)
+    a = make_rng(7).standard_normal((5, 5))
+    a = (a + a.T) / 2
+    np.fill_diagonal(a, 0.0)
+    src = tmp_path / "in.json"
+    if "banaszczyk" in argv:
+        write_system(src, vector_system(unit_system(5, 6, 3) * scale))
+    else:
+        src.write_text(canonical_json(matrix_to_dict(a * scale)) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--input", str(src)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {needs} zero or in [0, ")
+    assert "largest entry modulus" in err and "Warning" not in err
+    if argv[2] == "pave":  # below the refusal the search runs, warning-free
+        src.write_text(canonical_json(matrix_to_dict(a * 1e100)) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--input", str(src)]) == EXIT_PASS
 
 
 def test_partition_search_runs_on_vectors_at_large_scale(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from framedisc import (
     subset_center_distance,
     verify_counterexample,
 )
+from framedisc import counterexample
+from framedisc.counterexample import _orbit_minimum, _orbit_sums, _subset_blocks
+from framedisc.linalg import _opnorm
 from framedisc.rng import make_rng
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -153,3 +157,94 @@ def test_normalized_rank_ones_have_trace_one_and_sqrt_k_floor():
     for m in mats[:3]:
         assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
     assert 0.4 <= signed_norm_lower_bound(30) / math.sqrt(30) <= 0.6
+
+
+def dense_orbit_norms(k, counts):
+    """||S_c|| for the explicit k x k sums with the first c of the k - 1
+    normalized vectors negative, one per c in ``counts``."""
+    v = counterexample_vectors(k).normalized.vectors.real
+    signs = np.where(np.arange(k - 1) < np.asarray(counts)[:, None], -1.0, 1.0)
+    return _opnorm((v.T * signs[:, None, :]) @ v)
+
+
+def closed_orbit_norms(k, counts):
+    """max(||T_c||, w) from the 3 x 3 sums."""
+    t = _orbit_sums(counterexample_vectors(k), np.asarray(counts))
+    return np.maximum(_opnorm(t), (k - 1) / (2 * k - 3))
+
+
+def test_orbit_sums_match_dense_sums_at_every_count():
+    # c = k - 1 (no plus sign) is the global flip of c = 0
+    for k in range(5, 61):
+        counts = np.arange(k - 1)
+        assert np.allclose(closed_orbit_norms(k, counts), dense_orbit_norms(k, counts),
+                           rtol=1e-12, atol=0.0), k
+
+
+@pytest.mark.parametrize("k", [97, 160, 233, 301])
+def test_orbit_sums_match_dense_sums_at_sampled_counts(k):
+    half = (k - 1) // 2
+    counts = [0, 1, 2, half // 2, half - 1, half, half + 1, k - 3, k - 2]
+    assert np.allclose(closed_orbit_norms(k, counts), dense_orbit_norms(k, counts),
+                       rtol=1e-12, atol=0.0)
+
+
+def orbit_floor_claim(report):
+    return next(c for c in report.claims if c.name == "orbit_minimum_equals_floor")
+
+
+def test_odd_k_orbit_minimum_equals_the_floor():
+    for k in [*range(5, 80, 2), 1001, 4097, 20001]:
+        report = verify_counterexample(counterexample_vectors(k), mode="heuristic", budget=k)
+        claim = orbit_floor_claim(report)
+        assert report.passed and claim.passed, k
+        assert claim.bound == signed_norm_lower_bound(k)
+        assert claim.tolerance == 16 * math.ulp(claim.bound)
+    even = verify_counterexample(counterexample_vectors(12), mode="heuristic")
+    assert "orbit_minimum_equals_floor" not in [c.name for c in even.claims]
+
+
+@pytest.mark.parametrize("mode", ["heuristic", "exhaustive"])
+def test_a_perturbed_odd_k_minimum_fails_the_floor_claim(monkeypatch, mode):
+    # 17 ulps up: still above the floor, but no longer equal to it
+    def perturbed(inst, budget):
+        m, solves = orbit(inst, budget)
+        return m + 17 * math.ulp(signed_norm_lower_bound(inst.k)), solves
+
+    orbit = _orbit_minimum
+    monkeypatch.setattr(counterexample, "_orbit_minimum", perturbed)
+    report = verify_counterexample(counterexample_vectors(9), mode=mode)
+    assert not orbit_floor_claim(report).passed and not report.passed
+    assert [c.name for c in report.claims if not c.passed] == ["orbit_minimum_equals_floor"]
+
+
+def test_heuristic_mode_builds_no_vector_and_stays_small():
+    # the k - 1 vectors at k = 10^5 would take 160 GB as complex128; the
+    # orbit minimum and the subset claims take O(k) memory
+    inst = counterexample_vectors(10**5)
+    tracemalloc.start()
+    try:
+        report = verify_counterexample(inst, mode="heuristic", budget=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.extra["orbit_eigensolves"] == 50000
+    assert report.extra["eigensolves"] == 0
+    assert peak < 8 * 2**20
+    assert "primed" not in vars(inst) and "normalized" not in vars(inst)
+
+
+@pytest.mark.parametrize("k", [65, 200])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_subsets_drawn_in_blocks_are_one_draw_of_all(k, seed):
+    blocks = list(_subset_blocks(k, seed))
+    assert len(blocks) > 1
+    assert np.array_equal(np.concatenate(blocks),
+                          make_rng(seed).integers(0, 2, size=(256, k - 1)))
+
+
+def test_orbit_minimum_counts_the_complement(monkeypatch):
+    # on the complement of its 3-dimensional span a sum acts as +-w, so a
+    # norm is never below w = (k-1)/(2k-3), however small T_c is
+    monkeypatch.setattr(counterexample, "_orbit_sums", lambda inst, c: np.zeros((len(c), 3, 3)))
+    assert _orbit_minimum(counterexample_vectors(9)) == (8 / 15, 5)

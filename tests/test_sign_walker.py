@@ -421,21 +421,22 @@ def test_weaver_minimum_matches_orbit_representatives(k):
     assert value == pytest.approx(orbit, rel=1e-12)
     extra = verify_counterexample(inst, mode="heuristic").extra
     assert extra["min_signed_norm_or_bound"] == pytest.approx(value, rel=1e-12)
-    assert extra["eigensolves"] == (k - 1) // 2 + 1
+    assert extra["orbit_eigensolves"] == (k - 1) // 2 + 1 and extra["eigensolves"] == 0
 
 
 @pytest.mark.parametrize("k", range(5, 17))
 def test_exhaustive_mode_certifies_every_pattern_above_the_orbit_minimum(k):
     # with no survivor the two modes report the orbit minimum's own bits;
-    # the witness takes one eigh of each orbit representative, and every
-    # pattern passes its witness, so no sum is eigensolved
+    # the witness takes one eigh of each 3 x 3 T_c, and every pattern
+    # passes its witness, so no k x k sum is eigensolved
     inst = counterexample_vectors(k)
     exhaustive = verify_counterexample(inst, mode="exhaustive", budget=2**14)
     heuristic = verify_counterexample(inst, mode="heuristic", budget=2**14)
     claim = next(c for c in exhaustive.claims if c.name == "no_pattern_below_orbit_minimum")
     assert exhaustive.passed and claim.computed == 0.0
     assert exhaustive.extra["patterns_certified"] == 2 ** (k - 2)
-    assert exhaustive.extra["eigensolves"] == 2 * ((k - 1) // 2 + 1)
+    assert exhaustive.extra["eigensolves"] == 0
+    assert exhaustive.extra["orbit_eigensolves"] == 2 * ((k - 1) // 2 + 1)
     assert (exhaustive.extra["min_signed_norm_or_bound"].hex()
             == heuristic.extra["min_signed_norm_or_bound"].hex())
 
