@@ -37,7 +37,7 @@ for c in range(5):
 print("\nexhaustive signed minimum vs the proven floor:")
 for k in (5, 8, 11):
     fam = counterexample_vectors(k)
-    _, min_norm = exhaustive_sign_search(fam.normalized)
+    min_norm = exhaustive_sign_search(fam.normalized).value
     floor = signed_norm_lower_bound(k)
     print(f"  k = {k:2d}: min over signs = {min_norm:.10f} >= floor {floor:.10f}")
 

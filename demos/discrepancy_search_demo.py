@@ -38,39 +38,39 @@ def unit_rows(n, k):
 print("=== Beck-Fiala rounding ===")
 vs = vector_system(unit_rows(20, 8))
 prof = coordinate_profile(vs)
-sv = beck_fiala_signs(prof)
+signs = beck_fiala_signs(prof)
 print(f"20 unit vectors in C^8: l-inf discrepancy of the signed profile = "
-      f"{np.max(np.abs(prof.a.T @ sv.signs)):.4f} (guarantee: 2)")
+      f"{np.max(np.abs(prof.T @ signs)):.4f} (guarantee: 2)")
 
 print("\n=== exhaustive sign search ===")
 vs = vector_system(unit_rows(10, 2))
-signs, value = exhaustive_sign_search(vs)
-print(f"10 unit vectors in C^2: min over 2^9 sign patterns of ||sum s_i A_i|| = {value:.6f}")
-print(f"witness signs: {signs.signs.tolist()}")
+found = exhaustive_sign_search(vs)
+print(f"10 unit vectors in C^2: min over 2^9 sign patterns of ||sum s_i A_i|| = "
+      f"{found.value:.6f}")
+print(f"witness signs: {found.witness.tolist()}")
 
 print("\n=== partition search: the whole walk vs a node budget ===")
 vs = vector_system(unit_rows(14, 3))
-counters = {}
-whole, exact = exhaustive_partition_search(vs, 3, 2.0, counters=counters)
+whole = exhaustive_partition_search(vs, 3)
 print(f"14 unit vectors in C^3, r = 3: floor max(||S||/r, max ||v_i||^2) = "
       f"{partition_floor(vs, 3):.6f}")
-print(f"whole walk   min-max part bound = {np.max(whole.per_part_bound):.6f} "
-      f"(exact: {exact}, {counters['nodes_visited']} nodes)")
-early, exact = exhaustive_partition_search(vs, 3, 2.0, budget=300)
-print(f"300 nodes    min-max part bound = {np.max(early.per_part_bound):.6f} "
-      f"(exact: {exact}: the best partition found so far; the optimum lies between the "
-      f"floor and it)")
+print(f"whole walk   min-max part bound = {whole.value:.6f} "
+      f"(exact: {whole.exact}, {whole.counters['nodes_visited']} nodes)")
+early = exhaustive_partition_search(vs, 3, budget=300)
+print(f"300 nodes    min-max part bound = {early.value:.6f} "
+      f"(exact: {early.exact}: the best partition found so far; the optimum lies between "
+      f"the floor and it)")
 
 print("\n=== matroid spanning partition ===")
 three_bases = np.vstack([np.linalg.qr(rng.standard_normal((3, 3))
                                       + 1j * rng.standard_normal((3, 3)))[0] for _ in range(3)])
-result = matroid_spanning_partition(vector_system(three_bases), 3)
+result = matroid_spanning_partition(vector_system(three_bases), 3).witness
 assert isinstance(result, Partition)
 print(f"9 vectors from 3 rotated bases of C^3 split into 3 spanning parts: "
       f"{[sorted(map(int, p)) for p in result.parts()]}")
 
 deficient = vector_system(np.array([[1, 0], [1, 0], [1, 0], [0, 1]], dtype=float))
-cert = matroid_spanning_partition(deficient, 2)
+cert = matroid_spanning_partition(deficient, 2).witness
 print(f"deficient family: violating set X (0-based) = {cert.indices}, complement rank d = "
       f"{cert.complement_rank}; r(k-d) = {cert.r * (cert.k - cert.complement_rank)} > |X| = "
       f"{len(cert.indices)}")
@@ -79,6 +79,6 @@ print("\n=== Gaussian balancing inside radius 5R ===")
 ctx = gaussian_median_radius(2, samples=100_000, seed=0)
 print(f"k = 2: empirical median operator norm R = {ctx.R_hat:.4f}, ball radius M = 5R = {ctx.M:.4f}")
 mats = [rank_one(v) / 5.0 for v in unit_rows(12, 2)]
-found, _ = banaszczyk_sign_search(mats, M=ctx.M, seed=0)
-signed = sum(s * m for s, m in zip(found.signs, mats))
+found = banaszczyk_sign_search(mats, M=ctx.M, seed=0)
+signed = sum(s * m for s, m in zip(found.witness, mats))
 print(f"12 matrices of HS norm 1/5: found signs with ||sum s_i B_i|| = {opnorm(signed):.4f} <= M")

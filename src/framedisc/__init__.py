@@ -17,8 +17,7 @@ from .counterexample import (
 )
 from .engines import (
     BanaszczykContext,
-    CoordinateProfile,
-    SignVector,
+    Outcome,
     ViolatingSet,
     banaszczyk_sign_search,
     beck_fiala_signs,
@@ -53,7 +52,6 @@ from .frames import (
     vector_system,
 )
 from .linalg import (
-    Eigensystem,
     as_hermitian,
     diagonal_delta,
     eigensystem,
@@ -62,10 +60,7 @@ from .linalg import (
     rank_one,
 )
 from .reductions import (
-    DiagonalProjection,
     ReductionTrace,
-    compress,
-    partition_to_diagonal_projections,
     paving_quality,
     projection_to_vectors,
     random_projection,

@@ -157,15 +157,13 @@ def cmd_search(args) -> VerificationReport:
     _check_level(args.n_bound)
     data, raw = load_json(args.input)
     seed, budget = args.seed, args.budget
-    extra: dict = {}
-    counters: dict = {}
     vs = None if args.kind == "pave" else system_from_dict(data)
     if args.kind in ("partition", "banaszczyk"):  # the sign walk refuses by its own range
         engines._scale(vs, f"search --kind {args.kind}")
     if args.kind == "signs":
         flag, cap = ("--limit", args.limit) if args.limit < budget else ("--budget", budget)
         try:
-            witness, value = engines.exhaustive_sign_search(vs, cap, counters)
+            outcome = engines.exhaustive_sign_search(vs, cap)
         except BudgetExceededError:
             raise BudgetExceededError(
                 f"the sign search walks 2^{vs.n - 1} patterns, over {flag} {cap}") from None
@@ -176,55 +174,55 @@ def cmd_search(args) -> VerificationReport:
         # eps * sum_i ||v_i||^2; 2^(n-1) + n + k bounds their count.
         scale = float(np.sum(vs.norms_squared()))
         steps = 2 ** (vs.n - 1) + vs.n + vs.k
-        signed = (vs.vectors.T * witness.signs) @ vs.vectors.conj()  # sum s_i v_i v_i*
+        signed = (vs.vectors.T * outcome.witness) @ vs.vectors.conj()  # sum s_i v_i v_i*
         explicit = opnorm((signed + signed.conj().T) / 2)  # rounding may pass as_hermitian
-        claims = [Claim("min_signed_opnorm", computed=value, bound=explicit,
+        claims = [Claim("min_signed_opnorm", computed=outcome.value, bound=explicit,
                         tolerance=steps * float(np.finfo(float).eps) * scale, relation="abs")]
-        extra = {"witness": signs_to_dict(witness), "exact": True, **counters}
+        extra = {"witness": signs_to_dict(outcome.witness)}
     elif args.kind == "partition":
-        cert, exact = engines.exhaustive_partition_search(vs, args.r, args.n_bound, budget,
-                                                          counters)
+        outcome = engines.exhaustive_partition_search(vs, args.r, budget)
+        # the claim re-derives each part's frame bound from its vectors
+        cert = frames.partition_certificate(vs, outcome.witness, args.n_bound)
         claims = [Claim("max_part_frame_bound", computed=float(np.max(cert.per_part_bound)),
                         bound=args.n_bound, tolerance=0.0, relation="le")]
-        extra = {"witness": partition_to_dict(cert.partition), "slack": cert.slack,
-                 "exact": exact, "lower_bound": engines.partition_floor(vs, args.r),
-                 **counters}
+        extra = {"witness": partition_to_dict(outcome.witness), "slack": cert.slack,
+                 "lower_bound": engines.partition_floor(vs, args.r)}
     elif args.kind == "pave":
         a = matrix_from_dict(data)
         engines._scale(a, "search --kind pave", what="||A||_F^2")
-        part, value, exact = engines._paving_search(a, args.r, budget, counters)
-        claims = [Claim("paving_quality", computed=value, bound=opnorm(a),
-                        tolerance=1e-12, relation="le")]
-        extra = {"witness": partition_to_dict(part), "exact": exact,
-                 "lower_bound": engines._paving_floor(a, args.r), **counters}
+        outcome = engines._paving_search(a, args.r, budget)
+        claims = [Claim("paving_quality", computed=reductions.paving_quality(a, outcome.witness),
+                        bound=opnorm(a), tolerance=1e-12, relation="le")]
+        extra = {"witness": partition_to_dict(outcome.witness),
+                 "lower_bound": engines._paving_floor(a, args.r)}
     elif args.kind == "matroid":
-        result = engines.matroid_spanning_partition(vs, args.r, budget, counters)
-        if isinstance(result, frames.Partition):
-            claims = [Claim("spanning_parts", computed=float(args.r), bound=float(args.r),
+        outcome = engines.matroid_spanning_partition(vs, args.r, budget)
+        if isinstance(outcome.witness, frames.Partition):
+            claims = [Claim("spanning_parts", computed=outcome.value, bound=float(args.r),
                             tolerance=0.0, relation="abs")]
-            extra = {"witness": partition_to_dict(result), "feasible": True, **counters}
+            extra = {"witness": partition_to_dict(outcome.witness), "feasible": True}
         else:
-            claims = [Claim("violation_deficiency", computed=float(result.deficiency()),
+            claims = [Claim("violation_deficiency", computed=outcome.value,
                             bound=1.0, tolerance=0.0, relation="ge")]
-            extra = {"violating_set": [i + 1 for i in result.indices],
-                     "complement_rank": result.complement_rank, "feasible": False,
-                     **counters}
+            extra = {"violating_set": [i + 1 for i in outcome.witness.indices],
+                     "complement_rank": outcome.witness.complement_rank, "feasible": False}
     elif args.kind == "banaszczyk":
+        mats = np.stack([rank_one(v) / 5.0 for v in vs.vectors])
+        engines._balancing_terms(mats)  # refuse the input before drawing the radius
         # a fixed sample count, so that --budget caps only the search
         ctx = engines.gaussian_median_radius(vs.k, samples=20000, seed=seed)
-        mats = [rank_one(v) / 5.0 for v in vs.vectors]
-        witness, value = engines.banaszczyk_sign_search(mats, M=ctx.M, budget=budget,
-                                                        seed=seed, counters=counters)
-        counters["eigensolves"] += ctx.eigensolves  # the radius's and the search's
-        signed = np.tensordot(witness.signs, np.stack(mats), axes=1)
+        outcome = engines.banaszczyk_sign_search(mats, M=ctx.M, budget=budget, seed=seed)
+        signed = np.tensordot(outcome.witness, mats, axes=1)
         claims = [Claim("signed_opnorm_le_M", computed=opnorm(signed),
                         bound=ctx.M, tolerance=1e-9, relation="le")]
-        extra = {"witness": signs_to_dict(witness), "R_hat": ctx.R_hat, "M": ctx.M,
-                 **counters}
-        if value > ctx.M:
+        extra = {"witness": signs_to_dict(outcome.witness), "R_hat": ctx.R_hat, "M": ctx.M}
+        if outcome.value > ctx.M:
             extra["exhausted_budget"] = True
     else:  # pragma: no cover - argparse restricts choices
         raise FrameDiscError(f"unknown search kind {args.kind!r}")
+    extra.update(exact=outcome.exact, **outcome.counters)
+    if args.kind == "banaszczyk":
+        extra["eigensolves"] += ctx.eigensolves  # the radius's and the search's
     return finish_report(f"search-{args.kind}", raw, claims, seed=seed,
                          budget=budget, extra=extra)
 
@@ -265,7 +263,7 @@ def cmd_banaszczyk_radius(args) -> VerificationReport:
     ctx = engines.gaussian_median_radius(args.k, samples=args.samples, seed=args.seed)
     claims = [Claim("median_radius_positive", computed=ctx.R_hat, bound=0.0,
                     tolerance=0.0, relation="ge")]
-    extra = {"k": ctx.k, "R_hat": ctx.R_hat, "M": ctx.M, "samples": ctx.samples,
+    extra = {"k": args.k, "R_hat": ctx.R_hat, "M": ctx.M, "samples": args.samples,
              "eigensolves": ctx.eigensolves}
     return finish_report("banaszczyk-radius", {"k": args.k, "samples": args.samples},
                          claims, seed=args.seed, extra=extra)

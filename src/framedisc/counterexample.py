@@ -260,6 +260,13 @@ def verify_counterexample(
     ``eigensolves``, the k x k sums eigensolved (0 in heuristic mode); and
     ``orbit_eigensolves``, the 3 x 3 ones, (k-1)//2 + 1 for m and as many
     again for the witnesses. The subset claim checks _subset_blocks.
+
+    ``primed_frame_fixes_e_k`` asserts sum_i <e_k, v'_i> v'_i = e_k. In
+    exhaustive mode it is computed from the vectors v'_i. Heuristic mode
+    builds no vector and sums it entrywise from (k, alpha, beta) in O(k),
+    as _image_distances does: its first k-1 entries, ((k-1) alpha -
+    alpha (k-1)) beta, cancel exactly, so it checks only that beta^2 (k-1)
+    rounds to 1.
     """
     k = inst.k
     lb = signed_norm_lower_bound(k)
@@ -284,7 +291,13 @@ def verify_counterexample(
     subset_dev = max(float(np.max(np.abs(direct - closed)))
                      for direct, closed in (_subset_center_distances(inst, bits.astype(float))
                                             for bits in _subset_blocks(k, seed)))
-    image_err = float(_image_distances(inst, np.ones((1, k - 1)), 1.0)[0])
+    if mode == "exhaustive":  # the vectors are built: sum_i <e_k, v'_i> v'_i from them
+        v = inst.primed.vectors
+        image = (v[:, k - 1:].conj() * v).sum(axis=0)
+        image[k - 1] -= 1.0
+        image_err = float(np.linalg.norm(image))
+    else:
+        image_err = float(_image_distances(inst, np.ones((1, k - 1)), 1.0)[0])
     claims += [
         Claim("primed_frame_fixes_e_k", computed=image_err, bound=0.0,
               tolerance=1e-10, relation="abs"),

@@ -128,6 +128,11 @@
   every open centre, drops the boxes bounded by best + gap and halves the
   rest along their largest w_i h_i; then best <= sup f <= best + gap.
 
+Every search returns one Outcome: its witness, the witness's value as the
+search computed it, whether the search ran to completion (the Banaszczyk
+greedy never does, and a partition walk cut short by its budget does not),
+and the counters that the report carries.
+
 Tie rules of the exact searches: the sign search fixes s_0 = +1 and returns
 the lexicographically smallest optimal sign vector.
 The partition and paving searches return the lexicographically smallest
@@ -148,10 +153,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
-from .frames import (Partition, PartitionCertificate, VectorSystem, _unit_ball_norms,
-                     frame_bound, partition, partition_certificate)
+from .frames import VectorSystem, _unit_ball_norms, frame_bound, partition
 from .linalg import _cholesky_factors, _opnorm, _solve, as_hermitian, eigenvalues
-from .reductions import paving_quality
 from .rng import make_rng
 
 
@@ -160,41 +163,27 @@ from .rng import make_rng
 
 
 @dataclass(frozen=True)
-class SignVector:
-    """n signs, each +1 or -1."""
+class Outcome:
+    """What a search found: its ``witness`` (an int64 sign array, a
+    Partition or a ViolatingSet), the witness's ``value`` as the search
+    computed it, whether the search ran to completion (``exact``) rather
+    than stopping at an incumbent, and the ``counters`` of its work that a
+    report carries."""
 
-    signs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.signs.size
-
-
-@dataclass(frozen=True)
-class CoordinateProfile:
-    """Rows a_i in R^k with a_i[j] = |<e_j, v_i>|^2; each row has l1 mass <= 1."""
-
-    a: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.a.shape[1]
+    witness: object
+    value: float
+    exact: bool
+    counters: dict
 
 
 @dataclass(frozen=True)
 class BanaszczykContext:
     """Empirical median radius of the Gaussian operator-norm distribution
-    on self-adjoint k x k matrices, and the balancing radius M = 5 R."""
+    on self-adjoint k x k matrices, the balancing radius M = 5 R, and the
+    eigensolves taken."""
 
-    k: int
     R_hat: float
     M: float
-    samples: int
-    seed: int
     eigensolves: int
 
 
@@ -216,10 +205,11 @@ class ViolatingSet:
 # Beck-Fiala
 
 
-def coordinate_profile(vs: VectorSystem) -> CoordinateProfile:
-    """Entrywise squared moduli of the system's vectors."""
+def coordinate_profile(vs: VectorSystem) -> np.ndarray:
+    """The (n, k) coordinate profile: row i holds a_i[j] = |<e_j, v_i>|^2,
+    of l1 mass ||v_i||^2 <= 1."""
     _unit_ball_norms(vs)
-    return CoordinateProfile(a=np.abs(vs.vectors) ** 2)
+    return np.abs(vs.vectors) ** 2
 
 
 def _row_reduce(m: np.ndarray, tol: float, ncols: int | None = None) -> tuple[np.ndarray, list]:
@@ -259,15 +249,18 @@ def _row_reduce(m: np.ndarray, tol: float, ncols: int | None = None) -> tuple[np
     return m, pivots
 
 
-def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
-    """Signs with || sum_i s_i a_i ||_inf <= 2 for rows of l1 mass <= 1.
+def beck_fiala_signs(a) -> np.ndarray:
+    """Signs (an int64 array) with || sum_i s_i a_i ||_inf <= 2 for the rows
+    a_i of an (n, k) profile, each of l1 mass <= 1.
 
     Classical iterative rounding: fractional signs start at 0; coordinates
     whose floating l1 mass exceeds 1 are held constant by moving along a
     nullspace direction of the active constraint block until some variable
     hits +-1 and freezes.
     """
-    a = profile.a
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise InvalidParameterError(f"coordinate profile must be (n, k), got shape {a.shape}")
     if not np.all(np.isfinite(a)):  # NaN would pass both checks below
         raise InvalidParameterError("coordinate profile entries must be finite")
     if np.any(a < -1e-15):
@@ -275,7 +268,7 @@ def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
     if np.any(a.sum(axis=1) > 1 + 1e-12):
         raise InvalidParameterError("coordinate profile rows must have l1 mass <= 1")
     c = a.T  # constraint rows are coordinates, columns are sign variables
-    n = profile.n
+    n = a.shape[0]
     x = np.zeros(n)
     floating = np.ones(n, dtype=bool)
     for _ in range(n + 1):
@@ -312,7 +305,7 @@ def beck_fiala_signs(profile: CoordinateProfile) -> SignVector:
     disc = float(np.max(np.abs(c @ signs)))
     if disc > 2 + 1e-9:
         raise RuntimeError(f"Beck-Fiala bound violated: discrepancy {disc:.12g} > 2")
-    return SignVector(signs=signs)
+    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +491,7 @@ def _screened_blocks(mats: np.ndarray, threshold):
             yield _block_signs(high, low, rows), _opnorm(sums)
 
 
-def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
-                           counters: dict | None = None) -> tuple[SignVector, float]:
+def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23) -> Outcome:
     """Global minimum over sign patterns of ||sum_i s_i A_{v_i}||.
 
     The first sign is fixed +1 (global flip symmetry), so the walk covers
@@ -510,8 +502,8 @@ def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
     The first block is eigensolved whole; each later one only where the
     Cholesky pair at the incumbent plus the margin keeps a sum (see the
     module docstring). The minimum and its witness are those of
-    eigensolving every pattern. ``counters``, if given, receives
-    ``eigensolves``: the matrices eigensolved, the Gram square root's
+    eigensolving every pattern. The outcome is exact; its counter
+    ``eigensolves`` counts the matrices eigensolved, the Gram square root's
     included.
     """
     mats, margin, solves = _walk_terms(vs, budget)
@@ -524,9 +516,8 @@ def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
             key = min(map(tuple, signs[vals == val].tolist()))
             if val < best_val or key < best_signs:
                 best_val, best_signs = val, key
-    if counters is not None:
-        counters["eigensolves"] = solves
-    return SignVector(signs=np.array(best_signs, dtype=np.int64)), float(best_val)
+    return Outcome(np.array(best_signs, dtype=np.int64), float(best_val), True,
+                   {"eigensolves": solves})
 
 
 # A prefix is pruned once its score exceeds the incumbent by more than this
@@ -535,12 +526,13 @@ def exhaustive_sign_search(vs: VectorSystem, budget: int = 2**23,
 PRUNE_MARGIN = 1e-12
 
 
-def _min_max_partition(n: int, r: int, empty, grow, part_score, budget: int | None = None,
-                       counters: dict | None = None) -> tuple[Partition, bool]:
-    """(assignment, exact): the lexicographically first assignment of 0..n-1
-    to r parts minimizing max_j of its parts' scores (the empty part scores
-    0) and True; or, once ``budget`` nodes are scored, the best assignment
-    found and False, or BudgetExceededError if no leaf was reached.
+def _min_max_partition(n: int, r: int, empty, grow, part_score,
+                       budget: int | None = None) -> Outcome:
+    """The lexicographically first assignment of 0..n-1 to r parts
+    minimizing max_j of its parts' scores (the empty part scores 0), as a
+    Partition with that value, exact; or, once ``budget`` nodes are scored,
+    the best assignment found, inexact, or BudgetExceededError if no leaf
+    was reached.
 
     A part is scored from a state: the empty part's state is ``empty``,
     grow(state, i) is the state of the part with index i added, i above
@@ -570,8 +562,8 @@ def _min_max_partition(n: int, r: int, empty, grow, part_score, budget: int | No
     once and a leaf's value is the same float whichever path reached it.
     The walk keeps its own stack rather than recursing, and runs under
     np.errstate(all="ignore"), so that an eigensolve scoring a part fails
-    with _opnorm's EigensolverError alone. ``counters``, if given, receives
-    ``nodes_visited`` and ``parts_scored``.
+    with _opnorm's EigensolverError alone. Counters: ``nodes_visited`` and
+    ``parts_scored``.
     """
     if r < 1:
         raise InvalidParameterError(f"part count must be >= 1, got {r}")
@@ -626,21 +618,17 @@ def _min_max_partition(n: int, r: int, empty, grow, part_score, budget: int | No
     except BudgetExceededError:
         if best_assign is None:
             raise
-    finally:
-        if counters is not None:
-            counters.update(nodes_visited=nodes, parts_scored=len(scores) - 1)
-    return partition(r, best_assign), not stack  # a walk cut short leaves prefixes open
+    # a walk cut short leaves prefixes open
+    return Outcome(partition(r, best_assign), best_val, not stack,
+                   {"nodes_visited": nodes, "parts_scored": len(scores) - 1})
 
 
-def exhaustive_partition_search(
-    vs: VectorSystem, r: int, N: float, budget: int | None = None,
-    counters: dict | None = None,
-) -> tuple[PartitionCertificate, bool]:
-    """(certificate, exact) for the globally minimal max_j subset frame bound
-    over all assignments to r parts, as _min_max_partition finds it within
-    ``budget`` nodes (lexicographically smallest optimal assignment on
-    ties). A part's frame bound only grows as vectors join it, since each
-    adds a PSD term.
+def exhaustive_partition_search(vs: VectorSystem, r: int,
+                                budget: int | None = None) -> Outcome:
+    """The partition into r parts of least max_j subset frame bound and that
+    value, as _min_max_partition finds it within ``budget`` nodes
+    (lexicographically smallest optimal assignment on ties). A part's frame
+    bound only grows as vectors join it, since each adds a PSD term.
 
     The walk scores a part by the operator norm of its frame operator
     summed term by term, ((v_a v_a* + v_b v_b*) + ...) for a < b < ...,
@@ -650,9 +638,8 @@ def exhaustive_partition_search(
     lexicographically first partition that is optimal as computed here.
     """
     terms = list(vs.vectors[:, :, None] * vs.vectors.conj()[:, None, :])  # rank_one of each row
-    part, exact = _min_max_partition(vs.n, r, np.zeros((vs.k, vs.k), dtype=np.complex128),
-                                     lambda s, i: s + terms[i], _opnorm, budget, counters)
-    return partition_certificate(vs, part, N), exact
+    return _min_max_partition(vs.n, r, np.zeros((vs.k, vs.k), dtype=np.complex128),
+                              lambda s, i: s + terms[i], _opnorm, budget)
 
 
 def partition_floor(vs: VectorSystem, r: int) -> float:
@@ -670,17 +657,14 @@ def partition_floor(vs: VectorSystem, r: int) -> float:
     return max(0.0, max(frame_bound(vs) / r, float(np.max(norms))) - slack)
 
 
-def _paving_search(a, r: int, budget: int | None = None,
-                   counters: dict | None = None) -> tuple[Partition, float, bool]:
-    """(partition, paving quality, exact) for the minimum over partitions into
-    r parts of max_j ||Q_j A Q_j||, as _min_max_partition finds it within
-    ``budget`` nodes. ||A[S, S]|| can only grow with S, by Cauchy
-    interlacing. A part's state is its index list, and A[S, S] is an exact
-    gather."""
+def _paving_search(a, r: int, budget: int | None = None) -> Outcome:
+    """The partition into r parts of least max_j ||Q_j A Q_j|| and that
+    value, as _min_max_partition finds it within ``budget`` nodes.
+    ||A[S, S]|| can only grow with S, by Cauchy interlacing. A part's state
+    is its index list, and A[S, S] is an exact gather."""
     a = as_hermitian(a)
-    part, exact = _min_max_partition(a.shape[0], r, [], lambda idx, i: idx + [i],
-                                     lambda idx: _opnorm(a[idx][:, idx]), budget, counters)
-    return part, paving_quality(a, part), exact
+    return _min_max_partition(a.shape[0], r, [], lambda idx, i: idx + [i],
+                              lambda idx: _opnorm(a[idx][:, idx]), budget)
 
 
 def _paving_floor(a, r: int) -> float:
@@ -727,9 +711,9 @@ def _rank_columns(vs: VectorSystem) -> tuple[np.ndarray, np.ndarray, float]:
     return cols, norms, 1e-10 * float(max(np.max(norms), 1e-30))
 
 
-def matroid_spanning_partition(vs: VectorSystem, r: int, budget: int | None = None,
-                               counters: dict | None = None):
-    """Partition into r parts each spanning C^k, or a ViolatingSet.
+def matroid_spanning_partition(vs: VectorSystem, r: int, budget: int | None = None) -> Outcome:
+    """A partition into r parts each spanning C^k, of value r, or a
+    ViolatingSet, of value its deficiency; the decision is exact.
 
     Matroid union augmentation (Edmonds) over r copies of the linear matroid
     of the vectors: each element is inserted via an augmenting exchange path
@@ -750,16 +734,14 @@ def matroid_spanning_partition(vs: VectorSystem, r: int, budget: int | None = No
     one table of the reachable set decides the closure for every element.
 
     Raises BudgetExceededError when the searches would examine more than
-    ``budget`` (element, part) pairs. ``counters``, if given, receives
-    ``exchange_queries`` (the pairs examined) and ``eliminations`` (the
-    _row_reduce calls).
+    ``budget`` (element, part) pairs. Counters: ``exchange_queries`` (the
+    pairs examined) and ``eliminations`` (the _row_reduce calls).
     """
     if r < 2:
         raise InvalidParameterError(f"need r >= 2, got {r}")
     n, k = vs.n, vs.k
     cols, norms, tol = _rank_columns(vs)  # column i is vector i
-    tally = counters if counters is not None else {}
-    tally.update(exchange_queries=0, eliminations=0)
+    tally = {"exchange_queries": 0, "eliminations": 0}
 
     def eliminate(idxs, ncols=None):
         tally["eliminations"] += 1
@@ -833,7 +815,7 @@ def matroid_spanning_partition(vs: VectorSystem, r: int, budget: int | None = No
             assignment[elem] = j
         if any(len(eliminate(sorted(part_set))[1]) != k for part_set in parts):
             raise RuntimeError("internal error: assembled part does not span C^k")
-        return partition(r, assignment)
+        return Outcome(partition(r, assignment), float(r), True, tally)
 
     reach, _, sink, _ = search(unplaced)
     if sink is not None:
@@ -847,7 +829,7 @@ def matroid_spanning_partition(vs: VectorSystem, r: int, budget: int | None = No
     violation = ViolatingSet(indices=x_set, complement_rank=d, r=r, k=k)
     if violation.deficiency() <= 0:
         raise RuntimeError("internal error: certificate does not violate the count")
-    return violation
+    return Outcome(violation, float(violation.deficiency()), True, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -878,10 +860,12 @@ RADIUS_NARROW_MIN = 256
 
 
 def _selfadjoint_draws(k: int, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of ``count`` standard Gaussian self-adjoint k x k matrices,
-    in the one order they are drawn: diag (count, k) ~ N(0, 1), then the
-    real and the imaginary part (each N(0, 1/2)) of entry (a, b) for each
-    pair a < b in row-major order, as off (k(k-1)/2, 2, count)."""
+    """The entries of ``count`` samples of the standard Gaussian on the real
+    space of self-adjoint k x k matrices (whose Hilbert-Schmidt norm is the
+    Euclidean norm of the Gaussian), in the one order they are drawn:
+    diag (count, k) ~ N(0, 1), then the real and the imaginary part (each
+    N(0, 1/2)) of entry (a, b) for each pair a < b in row-major order, as
+    off (k(k-1)/2, 2, count)."""
     diag = rng.standard_normal((count, k))
     off = rng.standard_normal((k * (k - 1) // 2, 2, count)) / np.sqrt(2)
     return diag, off
@@ -898,13 +882,6 @@ def _selfadjoint_matrices(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         h[:, a, b] = re + 1j * im
         h[:, b, a] = re - 1j * im
     return h
-
-
-def sample_selfadjoint_gaussian(k: int, count: int, rng) -> np.ndarray:
-    """Standard Gaussian on the real space of self-adjoint k x k matrices:
-    diagonal entries N(0,1); off-diagonal real and imaginary parts N(0, 1/2),
-    so the Hilbert-Schmidt norm is the Euclidean norm of the Gaussian."""
-    return _selfadjoint_matrices(*_selfadjoint_draws(k, count, rng))
 
 
 def _cholesky_succeeds(t: float, sign: int, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -995,7 +972,7 @@ def _median_pass(k: int, samples: int, seed: int, certify: bool):
     chunk = max(1, 2_000_000 // (k * k))
     if not certify:
         sizes = [min(chunk, samples - d) for d in range(0, samples, chunk)]
-        norms = [_opnorm(sample_selfadjoint_gaussian(k, c, rng)) for c in sizes]
+        norms = [_opnorm(_selfadjoint_matrices(*_selfadjoint_draws(k, c, rng))) for c in sizes]
         return float(np.median(np.concatenate(norms))), samples
     pilot = int((RADIUS_Z * samples / 2) ** (2 / 3))
     dgs, ods, below, done = [], [], 0, 0
@@ -1042,25 +1019,13 @@ def gaussian_median_radius(k: int, samples: int, seed: int) -> BanaszczykContext
         if r_hat is None:
             r_hat, more = _median_pass(k, samples, seed, certify=False)
             solves += more
-    return BanaszczykContext(k=k, R_hat=r_hat, M=5.0 * r_hat, samples=samples, seed=seed,
-                             eigensolves=solves)
+    return BanaszczykContext(R_hat=r_hat, M=5.0 * r_hat, eigensolves=solves)
 
 
-def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 0,
-                           counters: dict | None = None) -> tuple[SignVector, float]:
-    """(signs, ||sum_i s_i B_i||), seeking a norm <= M for
-    Hilbert-Schmidt-small B_i.
-
-    Seeded random restarts, each descending by greedy single flips; a flip
-    is taken when it lowers the norm by more than
-    margin = WALK_ETA sum_i ||B_i||_F. The search returns the first state
-    within M, a restart's start or the sum after a taken flip, and
-    otherwise stops after exactly ``budget`` >= 1 evaluations and returns
-    the best restart's end state. Existence is guaranteed by Banaszczyk's
-    theorem, but the finder only sees the patterns its budget covers, so
-    the value can exceed M. ``counters``, if given, receives
-    ``eigensolves``: one per evaluation.
-    """
+def _balancing_terms(matrices) -> tuple[np.ndarray, np.ndarray]:
+    """The stack of the B_i and their Hilbert-Schmidt norms, refused unless
+    there is at least one, each norm is at most 1/5 and sum_i ||B_i||_F^2
+    is in _scale's range."""
     mats = [np.asarray(b, dtype=np.complex128) for b in matrices]
     if not mats:
         raise InvalidParameterError("need at least one matrix")
@@ -1071,9 +1036,28 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
     if over.size:
         raise InvalidParameterError(
             f"Hilbert-Schmidt norm {over[0]:.12g} is not at most 1/5; scale inputs first")
+    return stacked, hs
+
+
+def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 0) -> Outcome:
+    """Signs and ||sum_i s_i B_i||, seeking a norm <= M for
+    Hilbert-Schmidt-small B_i (checked by _balancing_terms).
+
+    Seeded random restarts, each descending by greedy single flips; a flip
+    is taken when it lowers the norm by more than
+    margin = WALK_ETA sum_i ||B_i||_F. The search returns the first state
+    within M, a restart's start or the sum after a taken flip, and
+    otherwise stops after exactly ``budget`` >= 1 evaluations and returns
+    the best restart's end state. Existence is guaranteed by Banaszczyk's
+    theorem, but the finder only sees the patterns its budget covers, so
+    the value can exceed M. The outcome is never exact: a greedy search
+    proves no minimum. Its counter ``eigensolves`` counts one per
+    evaluation.
+    """
+    stacked, hs = _balancing_terms(matrices)
     if budget < 1:
         raise InvalidParameterError(f"sign search needs budget >= 1, got {budget}")
-    stacked, n = _real_if_real(stacked), len(mats)
+    stacked, n = _real_if_real(stacked), len(stacked)
     rng = make_rng(seed)
     margin = WALK_ETA * float(np.sum(hs))
     best_val, best_signs, evals = np.inf, None, 0
@@ -1100,9 +1084,7 @@ def banaszczyk_sign_search(matrices, M: float, budget: int = 20000, seed: int = 
                 best_val, best_signs = val, signs
             if val <= M:
                 break
-    if counters is not None:
-        counters["eigensolves"] = evals
-    return SignVector(signs=best_signs), float(best_val)
+    return Outcome(best_signs, float(best_val), False, {"eigensolves": evals})
 
 
 # ---------------------------------------------------------------------------

@@ -166,19 +166,19 @@ def complete_to_tight(vs: VectorSystem, N: float, cap: float) -> tuple[VectorSys
     if fb > N + 1e-10:
         raise InfeasibleError(f"frame bound {fb:.12g} exceeds target N = {N:.12g}")
     residual = as_hermitian(N * np.eye(vs.k) - frame_operator(vs), atol=1e-9)
-    eig = eigensystem(residual)
+    values, f = eigensystem(residual)
     added = []
     for t in range(vs.k):
-        b = float(eig.eigenvalues[t])
+        b = float(values[t])
         if b <= 1e-12:
             continue
         # back off one ulp-scale so b == j*cap splits into exactly j pieces
         pieces = max(1, math.ceil(b / cap - 1e-9))
-        w = math.sqrt(b / pieces) * eig.eigenvectors[:, t]
+        w = math.sqrt(b / pieces) * f[:, t]
         added.extend([w] * pieces)
     added_arr = np.array(added, dtype=np.complex128).reshape(len(added), vs.k)
     out = VectorSystem(k=vs.k, vectors=np.vstack([vs.vectors, added_arr]))
-    trace = TightPadTrace(B=residual, b=eig.eigenvalues, f=eig.eigenvectors, added=added_arr)
+    trace = TightPadTrace(B=residual, b=values, f=f, added=added_arr)
     return out, trace
 
 
@@ -235,15 +235,15 @@ def tight_pad_unit(vs: VectorSystem, N: int) -> tuple[VectorSystem, TightPadTrac
         raise InfeasibleError(
             f"residual trace {tr:.12g} deviates from (N-1)m = {(N - 1) * m}"
         )
-    eig = eigensystem(residual)
-    b = np.clip(eig.eigenvalues, 0.0, None)
+    w, f = eigensystem(residual)
+    b = np.clip(w, 0.0, None)
     coef = np.sqrt(b / ((N - 1) * m))
     s_idx = np.arange(m)[:, None]
     t_idx = np.arange(m)[None, :]
     phases = np.exp(2j * np.pi * s_idx * t_idx / m)
     # u_s = sum_t coef[t] * phase[s, t] * f_t; rows of `padding` are the u_s
-    padding = (phases * coef[None, :]) @ eig.eigenvectors.T
+    padding = (phases * coef[None, :]) @ f.T
     added = np.tile(padding, (N - 1, 1))
     out = VectorSystem(k=m, vectors=np.vstack([vs.vectors, added]))
-    trace = TightPadTrace(B=residual, b=eig.eigenvalues, f=eig.eigenvectors, added=added)
+    trace = TightPadTrace(B=residual, b=w, f=f, added=added)
     return out, trace

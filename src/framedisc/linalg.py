@@ -14,8 +14,6 @@ functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.linalg import _umath_linalg
 
@@ -61,23 +59,6 @@ def rank_one(v) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-@dataclass(frozen=True)
-class Eigensystem:
-    """Full eigensystem of a Hermitian matrix.
-
-    eigenvalues are real and ascending; eigenvectors[:, t] is the unit
-    eigenvector for eigenvalues[t], with a deterministic phase convention
-    (first entry of modulus > 1e-12 is real nonnegative).
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-
 def _phase_normalized_rows(m: np.ndarray) -> np.ndarray:
     """Each row of m times the phase that makes its first entry of modulus
     > 1e-12 real nonnegative (rows with no such entry are kept). np.hypot
@@ -121,10 +102,12 @@ def _cholesky_factors(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
         return ~np.isnan(_umath_linalg.cholesky_lo(a, out=out)[..., -1, -1])
 
 
-def eigensystem(h) -> Eigensystem:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
+def eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of a Hermitian matrix: the real eigenvalues w, ascending, and
+    v[:, t] the unit eigenvector of w[t], with a deterministic phase (its
+    first entry of modulus > 1e-12 is real nonnegative)."""
     w, v = _solve(np.linalg.eigh, as_hermitian(h))
-    return Eigensystem(eigenvalues=w, eigenvectors=_phase_normalized_rows(v.T).T)
+    return w, _phase_normalized_rows(v.T).T
 
 
 def eigenvalues(h) -> np.ndarray:

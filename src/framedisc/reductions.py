@@ -7,8 +7,9 @@ Parseval-type family, and its Gram matrix is an orthogonal projection whose
 diagonal is at most 1/N; subtracting the diagonal leaves a zero-diagonal
 matrix A = P - D with ||A|| <= 1 + 1/N, the paving-problem test matrix.
 
-Diagonal projections, compressions Q A Q, and the paving quality
-max_j ||Q_j A Q_j|| live here too.
+The paving quality max_j ||Q_j A Q_j|| lives here too: the Q_j are the
+diagonal projections onto the parts of a Partition, so Q_j A Q_j is A with
+the rows and columns outside part j zeroed.
 """
 
 from __future__ import annotations
@@ -20,14 +21,6 @@ import numpy as np
 from .errors import InvalidParameterError
 from .frames import Partition, VectorSystem, _unit_ball_norms, complete_to_tight, frame_bound
 from .linalg import as_hermitian, diagonal_delta, eigensystem, is_projection, opnorm
-
-
-@dataclass(frozen=True)
-class DiagonalProjection:
-    """0/1 diagonal matrix selecting a coordinate subset (0-based support)."""
-
-    n: int
-    support: frozenset
 
 
 @dataclass(frozen=True)
@@ -58,20 +51,17 @@ def projection_to_vectors(P, N: float) -> VectorSystem:
         raise InvalidParameterError(
             f"delta(P) = {delta:.12g} exceeds 1/N = {1.0 / N:.12g}"
         )
-    eig = eigensystem(P)
-    keep = np.flatnonzero(eig.eigenvalues >= 0.5)
+    w, f = eigensystem(P)
+    keep = np.flatnonzero(w >= 0.5)
     if keep.size == 0:
         raise InvalidParameterError("projection has rank 0; no range basis exists")
     # Deterministic basis order: descending eigenvalue, lexicographic on the
     # phase-normalized vector for ties.
     cols = sorted(
         keep,
-        key=lambda t: (
-            -eig.eigenvalues[t],
-            tuple(zip(eig.eigenvectors[:, t].real, eig.eigenvectors[:, t].imag)),
-        ),
+        key=lambda t: (-w[t], tuple(zip(f[:, t].real, f[:, t].imag))),
     )
-    F = eig.eigenvectors[:, cols]  # n x k, orthonormal columns spanning range(P)
+    F = f[:, cols]  # n x k, orthonormal columns spanning range(P)
     # <P e_i, f_t> = conj(F[i, t]) since f_t is in range(P)
     vectors = np.sqrt(N) * F.conj()
     return VectorSystem(k=F.shape[1], vectors=vectors)
@@ -98,35 +88,21 @@ def vectors_to_projection(vs: VectorSystem, N: float) -> ReductionTrace:
     return ReductionTrace(m=W.shape[0], w=completed, P=P, D=D, A=A)
 
 
-def partition_to_diagonal_projections(part: Partition) -> list[DiagonalProjection]:
-    """Diagonal projections Q_j with disjoint supports summing to the identity."""
-    n = part.n
-    return [DiagonalProjection(n=n, support=frozenset(int(i) for i in p)) for p in part.parts()]
-
-
-def compress(A, Q: DiagonalProjection) -> np.ndarray:
-    """Q A Q: rows and columns outside the support zeroed."""
-    A = as_hermitian(A)
-    if A.shape[0] != Q.n:
-        raise InvalidParameterError(f"dimension mismatch: matrix {A.shape[0]}, projection {Q.n}")
-    mask = np.zeros(Q.n, dtype=bool)
-    mask[sorted(Q.support)] = True
-    out = np.zeros_like(A)
-    out[np.ix_(mask, mask)] = A[np.ix_(mask, mask)]
-    return out
-
-
 def paving_quality(A, part: Partition) -> float:
-    """max_j ||Q_j A Q_j|| over the partition's diagonal projections."""
+    """max_j ||Q_j A Q_j|| over the diagonal projections Q_j onto the parts,
+    each Q_j A Q_j the n x n matrix A with the rows and columns outside
+    part j zeroed; empty parts are skipped."""
     A = as_hermitian(A)
     if A.shape[0] != part.n:
         raise InvalidParameterError(
             f"dimension mismatch: matrix {A.shape[0]}, partition over {part.n}"
         )
     best = 0.0
-    for q in partition_to_diagonal_projections(part):
-        if q.support:
-            best = max(best, opnorm(compress(A, q)))
+    for idx in part.parts():
+        if idx.size:
+            qaq = np.zeros_like(A)
+            qaq[np.ix_(idx, idx)] = A[np.ix_(idx, idx)]
+            best = max(best, opnorm(qaq))
     return best
 
 

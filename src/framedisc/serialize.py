@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError
-from .engines import SignVector
 from .frames import Partition, VectorSystem, vector_system
 from .linalg import as_hermitian
 
@@ -108,8 +107,8 @@ def partition_to_dict(p: Partition) -> dict:
     return {"r": p.r, "assignment": [int(a) + 1 for a in p.assignment]}
 
 
-def signs_to_dict(s: SignVector) -> dict:
-    return {"signs": [int(x) for x in s.signs]}
+def signs_to_dict(signs: np.ndarray) -> dict:
+    return {"signs": [int(x) for x in signs]}
 
 
 def _reject_constant(literal: str):

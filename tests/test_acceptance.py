@@ -78,7 +78,7 @@ def test_criterion_3_signed_lower_bound():
     margins = []
     for k in range(5, 16):
         inst = counterexample_vectors(k)
-        _, min_norm = exhaustive_sign_search(inst.normalized)
+        min_norm = exhaustive_sign_search(inst.normalized).value
         margins.append(min_norm - signed_norm_lower_bound(k))
     elapsed = time.perf_counter() - started
     worst = min(margins)
@@ -106,8 +106,8 @@ def test_criterion_5_beck_fiala_property_suite():
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         g *= rng.random((n, 1)) ** 0.5
         prof = coordinate_profile(vector_system(g))
-        sv = beck_fiala_signs(prof)
-        worst = max(worst, float(np.max(np.abs(prof.a.T @ sv.signs))))
+        signs = beck_fiala_signs(prof)
+        worst = max(worst, float(np.max(np.abs(prof.T @ signs))))
     elapsed = time.perf_counter() - started
     ok = worst <= 2.0 and elapsed < 30.0
     report_line(5, ok, f"Beck-Fiala on 1000 seeded profiles (n,k <= 50): "
@@ -127,7 +127,7 @@ def test_criterion_6_matroid_partition():
             q, _ = np.linalg.qr(g)
             blocks.append(q)
         vs = vector_system(np.vstack(blocks)[rng.permutation(r * k)])
-        result = matroid_spanning_partition(vs, r)
+        result = matroid_spanning_partition(vs, r).witness
         assert isinstance(result, Partition)
         if all(np.linalg.matrix_rank(vs.vectors[p]) == k for p in result.parts()):
             feasible_ok += 1
@@ -142,7 +142,7 @@ def test_criterion_6_matroid_partition():
         tail = np.zeros((1, k), dtype=complex)
         tail[0, k - 1] = 1.0
         vs = vector_system(np.vstack([head, tail]))
-        result = matroid_spanning_partition(vs, r)
+        result = matroid_spanning_partition(vs, r).witness
         assert isinstance(result, ViolatingSet)
         if result.r * (result.k - result.complement_rank) > len(result.indices):
             deficient_ok += 1
@@ -206,9 +206,9 @@ def test_criterion_9_banaszczyk_radius_and_signs():
             g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
             g /= np.linalg.norm(g, axis=1, keepdims=True)
             mats = [rank_one(v) / 5.0 for v in g]
-            result, _ = banaszczyk_sign_search(mats, M=5.0 * ctx.R_hat, seed=900)
+            signs = banaszczyk_sign_search(mats, M=5.0 * ctx.R_hat, seed=900).witness
             trials += 1
-            signed = sum(s * m for s, m in zip(result.signs, mats))
+            signed = sum(s * m for s, m in zip(signs, mats))
             if opnorm(signed) <= 5.0 * ctx.R_hat + 1e-12:
                 sign_ok += 1
     ok = radius_dev <= 0.01 and sign_ok == trials

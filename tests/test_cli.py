@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -17,6 +18,7 @@ from framedisc import (
     engines,
     opnorm,
     partition,
+    partition_certificate,
     paving_quality,
     rank_one,
     vector_system,
@@ -282,8 +284,8 @@ def test_search_signs_claim_rechecks_the_witness(tmp_path, capsys, monkeypatch, 
     # a walk value that is off by more than rounding fails the claim
     walk = engines.exhaustive_sign_search
     monkeypatch.setattr(engines, "exhaustive_sign_search",
-                        lambda vs, limit, counters: (walk(vs, limit)[0],
-                                                     walk(vs, limit)[1] * (1 + 1e-8)))
+                        lambda vs, cap: dataclasses.replace(
+                            walk(vs, cap), value=walk(vs, cap).value * (1 + 1e-8)))
     assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_CLAIM_FAILURE
 
 
@@ -293,10 +295,8 @@ def test_sign_searches_report_their_eigensolves(tmp_path):
     src, out = tmp_path / "sys.json", tmp_path / "signs.json"
     write_system(src, vs)
     assert run(["search", "--kind", "signs", "--input", str(src), "--out", str(out)]) == EXIT_PASS
-    counters = {}
-    engines.exhaustive_sign_search(vs, counters=counters)
-    assert json.loads(out.read_text())["extra"]["eigensolves"] == counters["eigensolves"]
-    assert 0 < counters["eigensolves"] < 2**13
+    # the certified walk eigensolves fewer than all 2^13 patterns
+    assert 0 < json.loads(out.read_text())["extra"]["eigensolves"] < 2**13
     exact, heuristic = tmp_path / "exact.json", tmp_path / "heuristic.json"
     assert run(["verify-weaver", "--k", "12", "--out", str(exact)]) == EXIT_PASS
     # every pattern passes its witness, so no k x k sum is eigensolved
@@ -511,12 +511,10 @@ def test_search_partition_budget_caps_the_walk(tmp_path, capsys):
     extra = report["extra"]
     assert extra["exact"] is False
     assert extra["nodes_visited"] == 30
-    counters = {}
-    cert, exact = engines.exhaustive_partition_search(vs, 3, 2.0, 30, counters)
-    assert not exact and counters["nodes_visited"] == 30
-    assert extra["witness"]["assignment"] == [j + 1 for j in cert.partition.assignment]
+    out = engines.exhaustive_partition_search(vs, 3, 30)
+    assert extra["witness"]["assignment"] == [j + 1 for j in out.witness.assignment]
     value = report["claims"][0]["computed"]
-    assert value == float(np.max(cert.per_part_bound))
+    assert value == float(np.max(partition_certificate(vs, out.witness, 2.0).per_part_bound))
     assert extra["lower_bound"] == engines.partition_floor(vs, 3) <= value
     # the seed plays no part in the walk
     assert run(argv + ["--seed", "6"]) == EXIT_PASS
@@ -695,15 +693,71 @@ def test_search_banaszczyk(tmp_path, capsys):
         report = json.loads(capsys.readouterr().out)
         assert report["claims"][0]["computed"] <= report["extra"]["M"] + 1e-9
         assert report["extra"]["R_hat"] > 0
-        counters = {}
         mats = [rank_one(v) / 5.0 for v in vector_system(g).vectors]
-        witness, _ = engines.banaszczyk_sign_search(mats, M=ctx.M, budget=2000, seed=0,
-                                                    counters=counters)
+        out = engines.banaszczyk_sign_search(mats, M=ctx.M, budget=2000, seed=0)
         assert report["extra"]["M"] == ctx.M
-        assert report["extra"]["witness"]["signs"] == witness.signs.tolist()
-        # the radius's eigensolves and the search's
-        assert report["extra"]["eigensolves"] == ctx.eigensolves + counters["eigensolves"]
-        assert counters["eigensolves"] >= 1
+        assert report["extra"]["witness"]["signs"] == out.witness.tolist()
+
+
+@pytest.mark.parametrize("kind, exact", [("signs", True), ("partition", True), ("pave", True),
+                                         ("matroid", True), ("banaszczyk", False)])
+def test_search_reports_exact_and_the_engine_counters(tmp_path, kind, exact):
+    # each kind's report carries its Outcome's exact flag and counters, as a
+    # direct engine call on the same input gives them; the Banaszczyk report
+    # adds the radius's eigensolves to the search's
+    rng = make_rng(88)
+    src, out = tmp_path / "in.json", tmp_path / "report.json"
+    if kind == "pave":
+        g = rng.standard_normal((7, 7))
+        a = (g + g.T) / 2
+        np.fill_diagonal(a, 0.0)
+        src.write_text(canonical_json(matrix_to_dict(a)) + "\n")
+    else:
+        g = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+        vs = vector_system(g / (2 * np.linalg.norm(g, axis=1, keepdims=True)))
+        write_system(src, vs)
+    assert run(["search", "--kind", kind, "--input", str(src), "--r", "2",
+                "--out", str(out)]) == EXIT_PASS
+    extra = json.loads(out.read_text())["extra"]
+    budget = 20000  # the CLI's default
+    if kind == "signs":
+        outcome = engines.exhaustive_sign_search(vs, budget)
+    elif kind == "partition":
+        outcome = engines.exhaustive_partition_search(vs, 2, budget)
+    elif kind == "pave":
+        outcome = engines._paving_search(a, 2, budget)
+    elif kind == "matroid":
+        outcome = engines.matroid_spanning_partition(vs, 2, budget)
+    else:
+        ctx = engines.gaussian_median_radius(3, samples=20000, seed=0)
+        outcome = engines.banaszczyk_sign_search([rank_one(v) / 5.0 for v in vs.vectors],
+                                                 M=ctx.M, budget=budget, seed=0)
+    counters = dict(outcome.counters)
+    if kind == "banaszczyk":
+        counters["eigensolves"] += ctx.eigensolves
+    assert extra["exact"] is outcome.exact is exact
+    assert counters and {key: extra[key] for key in counters} == counters
+    assert all(value >= 1 for value in counters.values())
+
+
+@pytest.mark.parametrize("scale, norm, message", [
+    (1e100, 1.0, "error: the Banaszczyk sign search needs sum_i ||B_i||_F^2 zero or in "
+                 "[0, 4.49e+307]; these entries, of largest entry modulus 2e+199, give inf: "
+                 "rescale them"),
+    (1.0, 2.0, "error: Hilbert-Schmidt norm 0.8 is not at most 1/5; scale inputs first"),
+], ids=["x1e100", "norm-2"])
+def test_search_banaszczyk_refuses_before_drawing_the_radius(tmp_path, capsys, monkeypatch,
+                                                             scale, norm, message):
+    def no_radius(*args, **kwargs):
+        raise AssertionError("the radius was drawn for an input the search refuses")
+
+    monkeypatch.setattr(engines, "gaussian_median_radius", no_radius)
+    v = np.eye(3)[[0, 1, 2, 0, 1]] * scale
+    v[-1] *= norm
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(v))
+    assert run(["search", "--kind", "banaszczyk", "--input", str(src)]) == EXIT_USAGE
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_search_banaszczyk_zero_budget_is_usage_error(tmp_path):
@@ -1060,7 +1114,7 @@ def test_sign_search_passes_at_scales_inside_the_walk_range(tmp_path, capsys, sc
     write_system(src, vector_system(v * scale))
     assert run(["search", "--kind", "signs", "--input", str(src)]) == EXIT_PASS
     report = json.loads(capsys.readouterr().out)
-    _, value = engines.exhaustive_sign_search(vector_system(v))
+    value = engines.exhaustive_sign_search(vector_system(v)).value
     assert report["claims"][0]["computed"] == pytest.approx(value * scale**2, rel=1e-12)
 
 

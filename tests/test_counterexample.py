@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from framedisc import (
     BudgetExceededError,
     InvalidParameterError,
+    VectorSystem,
     counterexample_vectors,
     frame_bound,
     frame_operator,
@@ -104,6 +105,24 @@ def test_verify_counterexample_heuristic():
     assert report.passed
     # heuristic reports an upper bound, still above the proven floor
     assert report.extra["min_signed_norm_or_bound"] >= report.extra["lower_bound"] - 1e-9
+
+
+def test_a_perturbed_primed_vector_fails_the_e_k_claim_in_exhaustive_mode():
+    # exhaustive mode sums <e_k, v'_i> v'_i from the vectors themselves;
+    # heuristic mode sums it from (k, alpha, beta), so it cannot see them
+    def e_k_claim(report):
+        return next(c for c in report.claims if c.name == "primed_frame_fixes_e_k")
+
+    clean = e_k_claim(verify_counterexample(counterexample_vectors(9)))
+    assert clean.passed and clean.computed < 1e-15
+    inst = counterexample_vectors(9)
+    v = inst.primed.vectors.copy()
+    v[2, 0] += 1e-6
+    vars(inst)["primed"] = VectorSystem(k=9, vectors=v)  # a cached_property's slot
+    claim = e_k_claim(verify_counterexample(inst))
+    assert not claim.passed
+    assert claim.computed == pytest.approx(inst.beta * 1e-6, rel=1e-6)
+    assert e_k_claim(verify_counterexample(inst, mode="heuristic")).passed
 
 
 def _loop_subset_deviation(inst, masks):

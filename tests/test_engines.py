@@ -10,7 +10,6 @@ from framedisc import (
     BudgetExceededError,
     InvalidParameterError,
     Partition,
-    SignVector,
     ViolatingSet,
     banaszczyk_sign_search,
     beck_fiala_signs,
@@ -22,6 +21,7 @@ from framedisc import (
     gaussian_median_radius,
     matroid_spanning_partition,
     opnorm,
+    partition_certificate,
     rank_one,
     subset_frame_bound,
     vector_system,
@@ -45,15 +45,15 @@ def random_unit_rows(n, k, rng, max_norm=1.0):
 def test_coordinate_profile_values():
     vs = vector_system([[0.6, 0.8j], [1.0, 0.0]])
     prof = coordinate_profile(vs)
-    assert np.allclose(prof.a, [[0.36, 0.64], [1.0, 0.0]])
+    assert np.allclose(prof, [[0.36, 0.64], [1.0, 0.0]])
     with pytest.raises(InvalidParameterError):
         coordinate_profile(vector_system([[2.0, 0.0]]))
 
 
 def test_beck_fiala_trivial_pair():
     vs = vector_system([[1.0, 0.0], [1.0, 0.0]])
-    sv = beck_fiala_signs(coordinate_profile(vs))
-    disc = np.abs(coordinate_profile(vs).a.T @ sv.signs)
+    signs = beck_fiala_signs(coordinate_profile(vs))
+    disc = np.abs(coordinate_profile(vs).T @ signs)
     assert np.max(disc) <= 1e-12  # the two rows cancel exactly
 
 
@@ -64,9 +64,9 @@ def test_beck_fiala_bound_random():
         k = int(rng.integers(1, 20))
         vs = vector_system(random_unit_rows(n, k, rng))
         prof = coordinate_profile(vs)
-        sv = beck_fiala_signs(prof)
-        assert np.all(np.abs(sv.signs) == 1)
-        disc = float(np.max(np.abs(prof.a.T @ sv.signs)))
+        signs = beck_fiala_signs(prof)
+        assert signs.dtype == np.int64 and np.all(np.abs(signs) == 1)
+        disc = float(np.max(np.abs(prof.T @ signs)))
         assert disc <= 2.0 + 1e-9
 
 
@@ -83,25 +83,23 @@ def test_beck_fiala_discrepancy_at_most_two(seed, n, k, real, density, unit):
     if not unit:
         v *= rng.random((n, 1))
     prof = coordinate_profile(vector_system(v))
-    signs = beck_fiala_signs(prof).signs
+    signs = beck_fiala_signs(prof)
     assert signs.shape == (n,) and np.all(np.abs(signs) == 1)
-    assert np.max(np.abs(prof.a.T @ signs)) <= 2.0 + 1e-9
+    assert np.max(np.abs(prof.T @ signs)) <= 2.0 + 1e-9
 
 
 def test_beck_fiala_rejects_heavy_rows():
-    from framedisc.engines import CoordinateProfile
-
     with pytest.raises(InvalidParameterError):
-        beck_fiala_signs(CoordinateProfile(a=np.array([[0.7, 0.7]])))
+        beck_fiala_signs(np.array([[0.7, 0.7]]))
+    with pytest.raises(InvalidParameterError, match=r"\(n, k\)"):
+        beck_fiala_signs(np.array([0.7, 0.2]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_beck_fiala_rejects_non_finite_profiles(bad):
-    from framedisc.engines import CoordinateProfile
-
     # a NaN entry passes both the sign and the l1 mass check
     with pytest.raises(InvalidParameterError, match="finite"):
-        beck_fiala_signs(CoordinateProfile(a=np.array([[bad, 0.2], [0.3, 0.1]])))
+        beck_fiala_signs(np.array([[bad, 0.2], [0.3, 0.1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +108,15 @@ def test_beck_fiala_rejects_non_finite_profiles(bad):
 
 def test_exhaustive_signs_two_equal_vectors():
     vs = vector_system([[1.0, 0.0], [1.0, 0.0]])
-    sv, value = exhaustive_sign_search(vs)
-    assert value == pytest.approx(0.0, abs=1e-12)
-    assert list(sv.signs) == [1, -1]
+    out = exhaustive_sign_search(vs)
+    assert out.value == pytest.approx(0.0, abs=1e-12)
+    assert out.witness.tolist() == [1, -1] and out.exact
 
 
 def test_exhaustive_signs_orthonormal_basis():
     # orthogonal rank-ones never cancel: every signed sum has opnorm 1
     vs = vector_system(np.eye(3))
-    _, value = exhaustive_sign_search(vs)
-    assert value == pytest.approx(1.0, abs=1e-12)
+    assert exhaustive_sign_search(vs).value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exhaustive_signs_matches_brute_force():
@@ -132,8 +129,7 @@ def test_exhaustive_signs_matches_brute_force():
         opnorm(sum(s * m for s, m in zip((1,) + signs, mats)))
         for signs in itertools.product((1, -1), repeat=5)
     )
-    _, value = exhaustive_sign_search(vs)
-    assert value == pytest.approx(best, abs=1e-10)
+    assert exhaustive_sign_search(vs).value == pytest.approx(best, abs=1e-10)
 
 
 def test_exhaustive_signs_unitary_invariance():
@@ -142,9 +138,8 @@ def test_exhaustive_signs_unitary_invariance():
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, _ = np.linalg.qr(g)
     rotated = vector_system(vs.vectors @ q.T)
-    _, v1 = exhaustive_sign_search(vs)
-    _, v2 = exhaustive_sign_search(rotated)
-    assert v1 == pytest.approx(v2, abs=1e-10)
+    v1 = exhaustive_sign_search(vs).value
+    assert exhaustive_sign_search(rotated).value == pytest.approx(v1, abs=1e-10)
 
 
 def test_exhaustive_signs_budget_refusal():
@@ -159,8 +154,9 @@ def test_exhaustive_signs_budget_refusal():
 
 def test_exhaustive_partition_two_basis_copies():
     vs = vector_system(np.vstack([np.eye(2), np.eye(2)]))
-    cert, exact = exhaustive_partition_search(vs, 2, 2.0)
-    assert exact
+    out = exhaustive_partition_search(vs, 2)
+    assert out.exact and out.value == pytest.approx(1.0, abs=1e-12)
+    cert = partition_certificate(vs, out.witness, 2.0)
     assert np.max(cert.per_part_bound) == pytest.approx(1.0, abs=1e-12)
     assert cert.slack == pytest.approx(1.0, abs=1e-12)
 
@@ -175,22 +171,22 @@ def test_exhaustive_partition_picks_lexicographic_optimum():
     # Mirror assignments have the same parts and must tie exactly, so the
     # witness is the first optimal assignment in lexicographic order.
     vs = _quarter_norm_system(1, 5, 2)
-    cert, _ = exhaustive_partition_search(vs, 2, 2.0)
+    out = exhaustive_partition_search(vs, 2)
     best_val, best = np.inf, None
     for assign in itertools.product(range(2), repeat=vs.n):
         parts = [[i for i in range(vs.n) if assign[i] == j] for j in range(2)]
         val = max(subset_frame_bound(vs, p) for p in parts)
         if val < best_val:
             best_val, best = val, assign
-    assert cert.partition.assignment.tolist() == list(best) == [0, 1, 1, 0, 1]
-    assert np.max(cert.per_part_bound) == pytest.approx(best_val, abs=1e-12)
+    assert out.witness.assignment.tolist() == list(best) == [0, 1, 1, 0, 1]
+    assert out.value == pytest.approx(best_val, abs=1e-12)
 
 
 def test_exhaustive_partition_witness_starts_in_part_zero():
     for seed in range(10):
         for n, k in ((4, 2), (6, 3)):
-            cert, _ = exhaustive_partition_search(_quarter_norm_system(seed, n, k), 2, 2.0)
-            assert cert.partition.assignment[0] == 0
+            out = exhaustive_partition_search(_quarter_norm_system(seed, n, k), 2)
+            assert out.witness.assignment[0] == 0
 
 
 def _product_reference(n, r, part_score):
@@ -206,8 +202,7 @@ def _product_reference(n, r, part_score):
 
 
 def _index_walk(n, r, part_score, **kwargs):
-    """The branch and bound with each part's index list as its state:
-    (partition, exact)."""
+    """The branch and bound with each part's index list as its state."""
     return engines._min_max_partition(n, r, [], lambda idx, i: idx + [i], part_score,
                                       **kwargs)
 
@@ -227,14 +222,15 @@ def test_restricted_growth_walk_matches_product_reference(r, n, seed):
 
     for score in (frame_score, tie_score):
         best, best_val = _product_reference(n, r, score)
-        part, _ = _index_walk(n, r, score)
+        out = _index_walk(n, r, score)
+        part = out.witness
         assert part.assignment.tolist() == best
         val = max((score(np.flatnonzero(part.assignment == j).tolist())
                    for j in range(r) if np.any(part.assignment == j)), default=0.0)
-        assert val == best_val
+        assert val == out.value == best_val
     if seed == 1:
-        cert, _ = exhaustive_partition_search(vs, r, 2.0)
-        assert cert.partition.assignment.tolist() == [0, 1, 1, 0, 1]
+        out = exhaustive_partition_search(vs, r)
+        assert out.witness.assignment.tolist() == [0, 1, 1, 0, 1]
 
 
 def test_restricted_growth_counts_partitions():
@@ -242,23 +238,20 @@ def test_restricted_growth_counts_partitions():
     # leaves, nodes(n) - nodes(n - 1), are the partitions into at most r
     # parts: 2^(n-1) for r = 2, Bell numbers when r >= n, 1 for r = 1.
     def nodes(n, r):
-        counters = {}
-        _index_walk(n, r, lambda idx: 0.0, counters=counters)
-        return counters["nodes_visited"]
+        return _index_walk(n, r, lambda idx: 0.0).counters["nodes_visited"]
 
     assert nodes(8, 2) - nodes(7, 2) == 2**7
     assert [nodes(n, n) - (nodes(n - 1, n) if n > 1 else 0) for n in range(1, 7)] == \
         [1, 2, 5, 15, 52, 203]
     assert nodes(5, 1) == 5
     assert nodes(1100, 1) == 1100  # deeper than Python's recursion limit
-    counters = {}
-    _index_walk(8, 2, lambda idx: 0.0, counters=counters)
+    counters = _index_walk(8, 2, lambda idx: 0.0).counters
     assert counters == {"nodes_visited": 2**8 - 1, "parts_scored": 2**8 - 1}
     # n = 5, r = 2 has 31 nodes, and its first leaf comes after 1 + 4 * 2;
     # a budget in between returns that walk's incumbent
-    assert _index_walk(5, 2, lambda idx: 0.0, budget=31)[1] is True
-    assert _index_walk(5, 2, lambda idx: 0.0, budget=30)[1] is False
-    assert _index_walk(5, 2, lambda idx: 0.0, budget=9)[1] is False
+    assert _index_walk(5, 2, lambda idx: 0.0, budget=31).exact is True
+    assert _index_walk(5, 2, lambda idx: 0.0, budget=30).exact is False
+    assert _index_walk(5, 2, lambda idx: 0.0, budget=9).exact is False
     with pytest.raises(BudgetExceededError, match="no leaf within budget = 8"):
         _index_walk(5, 2, lambda idx: 0.0, budget=8)
 
@@ -273,8 +266,8 @@ def test_walk_descends_into_the_lowest_bound_first():
     w = [3.0, 1.0, 1.0, 1.0]
 
     def walk(budget):
-        part, exact = _index_walk(4, 2, lambda idx: sum(w[i] for i in idx), budget=budget)
-        return part.assignment.tolist(), exact
+        out = _index_walk(4, 2, lambda idx: sum(w[i] for i in idx), budget=budget)
+        return out.witness.assignment.tolist(), out.exact
 
     assert walk(7) == walk(None) == ([0, 1, 1, 1], True)
     with pytest.raises(BudgetExceededError):
@@ -292,9 +285,9 @@ def test_floors_are_attained_on_tight_inputs():
     # with floor ||J|| / 2 = 2, also attained by two pairs
     ones = np.ones((4, 4))
     for a, floor in ((ones - np.eye(4), 1.0), (ones, 2.0), (np.eye(4) - ones, 1.0)):
-        _, value, exact = engines._paving_search(a, 2)
-        assert exact and value == pytest.approx(floor, abs=1e-14)
-        assert floor - 1e-13 <= engines._paving_floor(a, 2) <= value
+        out = engines._paving_search(a, 2)
+        assert out.exact and out.value == pytest.approx(floor, abs=1e-14)
+        assert floor - 1e-13 <= engines._paving_floor(a, 2) <= out.value
     # a zero matrix has floor 0, not the negative slack
     assert engines._paving_floor(np.zeros((3, 3)), 2) == 0.0
 
@@ -305,9 +298,8 @@ def test_sign_partition_bridge_inequality():
     rng = make_rng(44)
     for trial in range(5):
         vs = vector_system(random_unit_rows(6, 2, rng))
-        _, min_signed = exhaustive_sign_search(vs)
-        cert, _ = exhaustive_partition_search(vs, 2, 2.0)
-        lhs = float(np.max(cert.per_part_bound))
+        min_signed = exhaustive_sign_search(vs).value
+        lhs = exhaustive_partition_search(vs, 2).value
         rhs = (frame_bound(vs) + min_signed) / 2.0
         assert lhs >= rhs / 2.0 - 1e-9  # weak triangle-inequality direction
         # and the sharp direction: sum of the two part operators is the frame
@@ -321,9 +313,9 @@ def test_sign_partition_bridge_inequality():
 
 def test_matroid_two_basis_copies():
     vs = vector_system(np.vstack([np.eye(3), np.eye(3)]))
-    result = matroid_spanning_partition(vs, 2)
-    assert isinstance(result, Partition)
-    for p in result.parts():
+    out = matroid_spanning_partition(vs, 2)
+    assert isinstance(out.witness, Partition) and (out.value, out.exact) == (2.0, True)
+    for p in out.witness.parts():
         assert subset_frame_bound(vs, p) > 0
         assert np.linalg.matrix_rank(vs.vectors[p]) == 3
 
@@ -331,7 +323,7 @@ def test_matroid_two_basis_copies():
 def test_matroid_interleaved_needs_exchange():
     # ordering forces augmenting paths: all of basis one, then duplicates
     rows = np.vstack([np.eye(3), np.eye(3)[[0, 0, 1, 1, 2, 2]]])
-    result = matroid_spanning_partition(vector_system(rows), 2)
+    result = matroid_spanning_partition(vector_system(rows), 2).witness
     assert isinstance(result, Partition)
     for p in result.parts():
         assert np.linalg.matrix_rank(rows[p]) == 3
@@ -340,9 +332,10 @@ def test_matroid_interleaved_needs_exchange():
 def test_matroid_deficient_certificate():
     # only one copy of e_2 in C^2: no two spanning parts
     vs = vector_system(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    result = matroid_spanning_partition(vs, 2)
-    assert isinstance(result, ViolatingSet)
-    assert result.deficiency() >= 1
+    out = matroid_spanning_partition(vs, 2)
+    result = out.witness
+    assert isinstance(result, ViolatingSet) and out.exact
+    assert out.value == result.deficiency() >= 1
     # the counting inequality is checkable from the pieces
     assert result.r * (result.k - result.complement_rank) > len(result.indices)
     comp = [i for i in range(vs.n) if i not in result.indices]
@@ -363,7 +356,7 @@ def test_matroid_random_rotations():
         vs = vector_system(np.vstack(blocks))
         perm = rng.permutation(vs.n)
         shuffled = vector_system(vs.vectors[perm])
-        result = matroid_spanning_partition(shuffled, r)
+        result = matroid_spanning_partition(shuffled, r).witness
         assert isinstance(result, Partition)
         for p in result.parts():
             assert np.linalg.matrix_rank(shuffled.vectors[p]) == k
@@ -400,7 +393,7 @@ def test_matroid_matches_brute_force():
             if all(rank[m] == k for m in masks):
                 feasible = True
                 break
-        result = matroid_spanning_partition(vector_system(v), r)
+        result = matroid_spanning_partition(vector_system(v), r).witness
         assert isinstance(result, Partition) == feasible, (trial, kind, n, k, r)
         outcomes.add((kind, feasible))
         if feasible:
@@ -455,9 +448,9 @@ def reference_selfadjoint(k, c, rng):
     return h
 
 
-def test_sample_selfadjoint_gaussian_draws_entry_by_entry():
+def test_selfadjoint_draws_entry_by_entry():
     for k in (1, 2, 5):
-        h = engines.sample_selfadjoint_gaussian(k, 7, make_rng(k))
+        h = engines._selfadjoint_matrices(*engines._selfadjoint_draws(k, 7, make_rng(k)))
         assert np.array_equal(h, reference_selfadjoint(k, 7, make_rng(k)))
 
 
@@ -578,9 +571,9 @@ def test_banaszczyk_search_small_exhaustive():
     vs = vector_system(random_unit_rows(8, 2, rng))
     mats = [rank_one(v) / 5.0 for v in vs.vectors]
     ctx = gaussian_median_radius(2, samples=20_000, seed=0)
-    result, value = banaszczyk_sign_search(mats, M=ctx.M, budget=1000, seed=0)
-    assert isinstance(result, SignVector) and value <= ctx.M
-    signed = sum(s * m for s, m in zip(result.signs, mats))
+    out = banaszczyk_sign_search(mats, M=ctx.M, budget=1000, seed=0)
+    assert out.witness.dtype == np.int64 and out.value <= ctx.M and not out.exact
+    signed = sum(s * m for s, m in zip(out.witness, mats))
     assert opnorm(signed) <= ctx.M + 1e-12
 
 
@@ -588,10 +581,10 @@ def test_banaszczyk_search_unattainable_target_reports_best():
     rng = make_rng(47)
     vs = vector_system(random_unit_rows(5, 2, rng, max_norm=0.999))
     mats = [rank_one(v) / 5.0 for v in vs.vectors]
-    result, value = banaszczyk_sign_search(mats, M=0.0, budget=1000, seed=0)
-    assert isinstance(result, SignVector) and value > 0
-    signed = sum(s * m for s, m in zip(result.signs, mats))
-    assert opnorm(signed) == pytest.approx(value, abs=1e-12)
+    out = banaszczyk_sign_search(mats, M=0.0, budget=1000, seed=0)
+    assert out.witness.dtype == np.int64 and out.value > 0
+    signed = sum(s * m for s, m in zip(out.witness, mats))
+    assert opnorm(signed) == pytest.approx(out.value, abs=1e-12)
 
 
 def test_banaszczyk_search_large_heuristic_path():
@@ -599,10 +592,10 @@ def test_banaszczyk_search_large_heuristic_path():
     vs = vector_system(random_unit_rows(25, 2, rng))
     mats = [rank_one(v) / 5.0 for v in vs.vectors]
     ctx = gaussian_median_radius(2, samples=20_000, seed=0)
-    result, value = banaszczyk_sign_search(mats, M=ctx.M, budget=2000, seed=1)
-    assert value <= ctx.M
-    again, _ = banaszczyk_sign_search(mats, M=ctx.M, budget=2000, seed=1)
-    assert np.array_equal(result.signs, again.signs)
+    out = banaszczyk_sign_search(mats, M=ctx.M, budget=2000, seed=1)
+    assert out.value <= ctx.M
+    again = banaszczyk_sign_search(mats, M=ctx.M, budget=2000, seed=1)
+    assert np.array_equal(out.witness, again.witness)
 
 
 def test_banaszczyk_search_rejects_large_matrices():

@@ -40,6 +40,13 @@ survivor. These two pins were retaken when the exhaustive mode stopped
 searching for the minimum itself; it had reported the walk's bits, a few
 ulps away.
 
+The matroid and `search --kind banaszczyk` pins were retaken when every
+search began to report whether it ran to completion: those reports gained
+`exact` (true for the matroid decision, false for the greedy sign search).
+The exhaustive `verify-weaver` pins were retaken when the e_k claim began
+to sum sum_i <e_k, v'_i> v'_i from the vectors in exhaustive mode: it moved
+from 0.0 to 2.2e-16 at k = 12 and 2.3e-16 at k = 14.
+
 A mid-size `reduce --direction vec2proj` (60 seeded vectors in C^8 at
 N = 4) pins a 79 x 79 projection: 12,482 floats that take 4,553 distinct
 magnitudes, so the emitter's one string per distinct magnitude is checked
@@ -86,15 +93,15 @@ PINNED = {
     "weaver_heur_k40.report.json":
         "a05af72a1233b7b3f8abdbfe92922fbaf2c031a296d0c5bed2427463801e496b",
     "matroid_feasible.report.json":
-        "0fab1c6e951a5243cb2c65624ed9a07734683d4f52ed3fd56f3a6ee6d5b773b0",
+        "6b890405641203b51b3f08402344841d5917825bf64684784e5a360e4191d381",
     "matroid_infeasible.report.json":
-        "31540c9a2e168a7454f7a1bf7f2d8cdc11d5aefaadeffdf363b456e0759be226",
+        "71b3270dea86e11d12f26cdcf1639db82af95480a483f87de132b4cc7b9ce2be",
     "radius_k4.report.json":
         "9c95961d146e4467fcf0eb8bfb4c1f9a042b4c13723d667c9aec8a235f26ba20",
     "radius_k3.report.json":
         "97edf6ac14757349b17340804e688a09a198a9c597d7cb01e8128b438d09e42b",
     "banaszczyk.report.json":
-        "43fdb34a0dab6b9c0c2df32c331f2301538b05eaf6840cf33ae93357242541bc",
+        "903a8083afd31beee6a5178e5700b7fc6560cc2a2bf98897473cb9e1f510f4cf",
     "signs_real.report.json":
         "65cfdd10639a666a73514b1b6be0e08dc15ff247ffcc776081d0b53c7e0c7a98",
     "signs_complex_n_ge_k.report.json":
@@ -102,9 +109,9 @@ PINNED = {
     "signs_complex_n_lt_k.report.json":
         "2ca362ddb5f5c58896012980e845c96f00791de0c80cbc110e0928c127525f69",
     "weaver_exact_k12.report.json":
-        "3e18792ecbcfe76befcd8145673bde0a946c17cab3ed9d1337241bd26c1c961e",
+        "c05a3334f7c50460c495a0d95db438bbf03e90cb9cceb9023f6e13c6663af8e2",
     "weaver_exact_k14.report.json":
-        "fb13851c49725c1df2737504800c079e4187abe61aa45ce3ede56f5b56f265d5",
+        "798c840111d094c08d6c8c7dbf6a8ff130b3806d619e10ff57d05b52f6d701cb",
 }
 
 

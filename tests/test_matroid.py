@@ -88,7 +88,9 @@ def reference_partition(vs, r):
         if any(rank(sorted(part_set)) != k for part_set in parts):
             raise RuntimeError("internal error: assembled part does not span C^k")
         return partition(r, assignment), queries
-    reach, _, _, _ = search(unplaced)
+    reach, _, sink, _ = search(unplaced)
+    if sink is not None:  # the engine's check: no unplaced element is insertable
+        raise RuntimeError("internal error: an unplaced element became insertable")
     base = sorted(reach)
     d = rank(base)
     in_closure = [z in reach or rank(base + [z]) == d for z in range(n)]
@@ -125,16 +127,17 @@ def matroid_input(seed, kind, n, k):
        k=st.integers(1, 5), n=st.integers(1, 14))
 def test_cached_tables_match_per_query_reference(seed, kind, r, k, n):
     vs = vector_system(matroid_input(seed, kind, n, k))
-    counters = {}
     try:
         expected, queries = reference_partition(vs, r)
     except RuntimeError as exc:
-        # parts judged spanning in search order but not in sorted order
+        # parts judged spanning in search order but not in sorted order, or
+        # an unplaced element judged insertable by the final search
         with pytest.raises(RuntimeError, match=re.escape(str(exc))):
             engines.matroid_spanning_partition(vs, r)
         return
-    result = engines.matroid_spanning_partition(vs, r, counters=counters)
-    assert counters["exchange_queries"] == queries
+    out = engines.matroid_spanning_partition(vs, r)
+    result = out.witness
+    assert out.counters["exchange_queries"] == queries and out.exact
     if isinstance(expected, Partition):
         assert isinstance(result, Partition)
         assert np.array_equal(result.assignment, expected.assignment)
@@ -233,12 +236,11 @@ def test_capped_elimination_columns_match_per_column_eliminations(real):
 
 def test_budget_caps_exchange_queries():
     vs = vector_system(matroid_input(7, "low-rank", 12, 4))
-    counters = {}
-    result = engines.matroid_spanning_partition(vs, 2, counters=counters)
-    used = counters["exchange_queries"]
-    assert used > 1 and counters["eliminations"] >= 1
-    assert isinstance(result, ViolatingSet)
-    assert engines.matroid_spanning_partition(vs, 2, budget=used) == result
+    out = engines.matroid_spanning_partition(vs, 2)
+    used = out.counters["exchange_queries"]
+    assert used > 1 and out.counters["eliminations"] >= 1
+    assert isinstance(out.witness, ViolatingSet)
+    assert engines.matroid_spanning_partition(vs, 2, budget=used) == out
     with pytest.raises(BudgetExceededError):
         engines.matroid_spanning_partition(vs, 2, budget=used - 1)
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framedisc import exhaustive_partition_search, subset_frame_bound, vector_system
+from framedisc import (exhaustive_partition_search, paving_quality, subset_frame_bound,
+                       vector_system)
 from framedisc import engines
 from framedisc.errors import BudgetExceededError
 from framedisc.linalg import _opnorm
@@ -57,8 +58,7 @@ def reference_search(n, r, part_score):
 
 
 def index_walk(n, r, part_score, **kwargs):
-    """The branch and bound with each part's index list as its state:
-    (partition, exact)."""
+    """The branch and bound with each part's index list as its state."""
     return engines._min_max_partition(n, r, [], lambda idx, i: idx + [i], part_score,
                                       **kwargs)
 
@@ -120,12 +120,11 @@ def test_frame_search_matches_reference(seed, shape, kind):
     v = vectors(seed, n, k, kind)
     score = term_sum_score(v)
     best, best_val = reference_search(n, r, score)
-    counters = {}
-    cert, exact = exhaustive_partition_search(vector_system(v), r, 2.0, counters=counters)
-    assert exact
-    assert cert.partition.assignment.tolist() == best
-    assert value_of(cert.partition.assignment, r, score) == best_val
-    assert 1 <= counters["parts_scored"] <= counters["nodes_visited"]
+    out = exhaustive_partition_search(vector_system(v), r)
+    assert out.exact
+    assert out.witness.assignment.tolist() == best
+    assert value_of(out.witness.assignment, r, score) == out.value == best_val
+    assert 1 <= out.counters["parts_scored"] <= out.counters["nodes_visited"]
 
 
 @SEEDED
@@ -140,10 +139,8 @@ def test_term_sum_witness_is_optimal_under_the_matmul_score(seed, shape, kind):
     r, n, k = shape
     v = vectors(seed, n, k, kind)
     by_terms, by_matmul = term_sum_score(v), matmul_score(v)
-    terms_counters, matmul_counters = {}, {}
-    terms_part = exhaustive_partition_search(vector_system(v), r, 2.0,
-                                             counters=terms_counters)[0].partition
-    matmul_part, _ = index_walk(n, r, by_matmul, counters=matmul_counters)
+    terms, matmul = exhaustive_partition_search(vector_system(v), r), index_walk(n, r, by_matmul)
+    terms_part, matmul_part = terms.witness, matmul.witness
     tol = n * k * np.finfo(float).eps * float(np.sum(np.abs(v) ** 2))
     matmul_best = value_of(matmul_part.assignment, r, by_matmul)
     terms_best = value_of(terms_part.assignment, r, by_terms)
@@ -151,7 +148,7 @@ def test_term_sum_witness_is_optimal_under_the_matmul_score(seed, shape, kind):
     assert abs(value_of(matmul_part.assignment, r, by_terms) - terms_best) <= tol
     if kind == "generic":
         assert terms_part.assignment.tolist() == matmul_part.assignment.tolist()
-        assert terms_counters == matmul_counters
+        assert terms.counters == matmul.counters
 
 
 def zero_diagonal_matrix(seed, n, kind):
@@ -171,10 +168,10 @@ def test_paving_search_matches_reference(seed, shape, kind):
         return _opnorm(a[np.ix_(idx, idx)])
 
     best, best_val = reference_search(n, r, score)
-    part, _, exact = engines._paving_search(a, r)
-    assert exact
-    assert part.assignment.tolist() == best
-    assert value_of(part.assignment, r, score) == best_val
+    out = engines._paving_search(a, r)
+    assert out.exact
+    assert out.witness.assignment.tolist() == best
+    assert value_of(out.witness.assignment, r, score) == out.value == best_val
 
 
 @SEEDED
@@ -186,15 +183,14 @@ def test_tie_heavy_monotone_scores_match_reference(seed, shape, top):
     w = make_rng(seed).integers(0, top + 1, size=n)
     for score in (lambda idx: float(sum(w[idx])), lambda idx: float(max(w[idx], default=0))):
         best, best_val = reference_search(n, r, score)
-        part, _ = index_walk(n, r, score)
+        part = index_walk(n, r, score).witness
         assert part.assignment.tolist() == best
         assert value_of(part.assignment, r, score) == best_val
 
 
 def test_pruning_skips_most_of_the_tree():
     v = vectors(3, 12, 4, "generic")
-    counters = {}
-    exhaustive_partition_search(vector_system(v), 2, 2.0, counters=counters)
+    counters = exhaustive_partition_search(vector_system(v), 2).counters
     # the whole restricted-growth tree of r = 2, n = 12 has 2^12 - 1 nodes
     assert counters["nodes_visited"] < 2**12 - 1
     assert counters["parts_scored"] < 2**12 - 1
@@ -221,28 +217,34 @@ def budget_range(search):
 @example(**DUP_TIE, cut=0.5)
 def test_budgeted_walk_returns_a_floored_incumbent(seed, shape, kind, cut):
     # Every budget from the first leaf's to the whole walk's returns its
-    # incumbent: its reported value is its witness's, it lies above the
-    # floor, and it is exact exactly when the budget covers the walk, where
-    # the witness is the reference's. One node less than the first leaf
-    # needs is a refusal.
+    # incumbent: its reported value is its witness's as the walk scores it,
+    # within rounding of the witness's value by an independent route, it
+    # lies above the floor, and it is exact exactly when the budget covers
+    # the walk, where the witness is the reference's. One node less than
+    # the first leaf needs is a refusal.
     r, n, k = shape
     v = vectors(seed, n, k, kind)
     vs = vector_system(v)
     a = zero_diagonal_matrix(seed, n, kind)
+    tol = 8 * (n + k) * np.finfo(float).eps * max(float(np.sum(np.abs(v) ** 2)),
+                                                  float(np.linalg.norm(a)))
 
     def frame(budget):
-        counters = {}
-        cert, exact = exhaustive_partition_search(vs, r, 2.0, budget, counters)
-        value = float(np.max(cert.per_part_bound))
-        assert value == max(subset_frame_bound(vs, p) for p in cert.partition.parts())
-        return cert.partition, value, exact, counters["nodes_visited"]
+        out = exhaustive_partition_search(vs, r, budget)
+        part = out.witness
+        assert out.value == value_of(part.assignment, r, term_sum_score(v))
+        assert abs(out.value - max(subset_frame_bound(vs, p) for p in part.parts())) <= tol
+        return part, out.value, out.exact, out.counters["nodes_visited"]
 
     def pave(budget):
-        counters = {}
-        part, value, exact = engines._paving_search(a, r, budget, counters)
-        assert value == max(_opnorm(np.where(np.outer(q, q), a, 0.0))  # Q_j A Q_j
-                            for q in (part.assignment == j for j in range(r)))
-        return part, value, exact, counters["nodes_visited"]
+        out = engines._paving_search(a, r, budget)
+        part = out.witness
+        assert out.value == value_of(part.assignment, r,
+                                     lambda idx: _opnorm(a[np.ix_(idx, idx)]))
+        quality = max(_opnorm(np.where(np.outer(q, q), a, 0.0))  # Q_j A Q_j
+                      for q in (part.assignment == j for j in range(r)))
+        assert paving_quality(a, part) == quality and abs(out.value - quality) <= tol
+        return part, out.value, out.exact, out.counters["nodes_visited"]
 
     for search, floor, score in ((frame, engines.partition_floor(vs, r), term_sum_score(v)),
                                  (pave, engines._paving_floor(a, r),

@@ -4,16 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedisc import (
-    DiagonalProjection,
     InvalidParameterError,
-    compress,
     diagonal_delta,
     frame_bound,
     frame_operator,
     is_projection,
     opnorm,
     partition,
-    partition_to_diagonal_projections,
     paving_quality,
     projection_to_vectors,
     random_projection,
@@ -25,9 +22,18 @@ from framedisc.rng import make_rng
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
-def projection_matrix(q):
-    """The 0/1 diagonal matrix of a DiagonalProjection."""
-    return np.diag(np.isin(np.arange(q.n), list(q.support)).astype(float))
+def projection_matrix(n, part):
+    """Q, the 0/1 diagonal n x n matrix of the diagonal projection onto the
+    coordinates ``part``."""
+    return np.diag(np.isin(np.arange(n), part).astype(float))
+
+
+def compress(a, part):
+    """Q A Q for the diagonal projection Q onto ``part``: a with the rows and
+    columns outside the part zeroed, from A itself (no product is formed)."""
+    out = np.zeros_like(a)
+    out[np.ix_(part, part)] = a[np.ix_(part, part)]
+    return out
 
 
 def test_projection_to_vectors_identity_n1():
@@ -129,18 +135,23 @@ def test_vectors_to_projection_rejects():
 
 
 def test_diagonal_projection_and_compress():
-    q = DiagonalProjection(n=3, support=frozenset({0, 2}))
-    assert np.allclose(projection_matrix(q), np.diag([1.0, 0.0, 1.0]))
+    # Q is built from a part's indices; paving_quality scores each part by
+    # the same Q A Q
+    part = partition(2, [0, 1, 0]).parts()[0]
+    q = projection_matrix(3, part)
+    assert np.allclose(q, np.diag([1.0, 0.0, 1.0]))
     a = np.arange(9, dtype=float).reshape(3, 3)
     a = (a + a.T) / 2
-    c = compress(a, q)
+    c = compress(a, part)
     assert c[1, 1] == 0.0 and c[0, 1] == 0.0
     assert c[0, 0] == a[0, 0] and c[0, 2] == a[0, 2]
+    assert np.array_equal(c, q @ a @ q)
     # idempotence of compression and the norm-square identity ||QPQ|| <= ||P||
-    assert np.allclose(compress(c, q), c)
+    assert np.allclose(compress(c, part), c)
     assert opnorm(c) <= opnorm(a) + 1e-12
-    with pytest.raises(InvalidParameterError):
-        compress(a, DiagonalProjection(n=2, support=frozenset({0})))
+    assert paving_quality(a, partition(2, [0, 1, 0])) == max(opnorm(c), abs(a[1, 1]))
+    with pytest.raises(InvalidParameterError, match="dimension mismatch"):
+        paving_quality(a, partition(1, [0, 0]))
 
 
 def test_compression_quadratic_identity():
@@ -152,7 +163,7 @@ def test_compression_quadratic_identity():
     trace = vectors_to_projection(vs, n_level)
     m = trace.m
     w = trace.w.vectors
-    q = projection_matrix(DiagonalProjection(n=m, support=frozenset({0, 2})))
+    q = projection_matrix(m, [0, 2])
     for _ in range(20):
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         # the isometry u -> (<u, w_i>)_i carries C^k onto range(P)
@@ -167,8 +178,9 @@ def test_paving_quality_examples():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert paving_quality(a, partition(2, [0, 1])) == 0.0
     assert paving_quality(a, partition(1, [0, 0])) == pytest.approx(1.0)
-    projs = partition_to_diagonal_projections(partition(2, [0, 1]))
-    assert sum(projection_matrix(q) for q in projs) == pytest.approx(np.eye(2))
+    # the parts are the supports of Q_j with disjoint supports summing to I
+    parts = partition(2, [0, 1]).parts()
+    assert sum(projection_matrix(2, p) for p in parts) == pytest.approx(np.eye(2))
 
 
 def test_paving_quality_contraction_and_label_invariance():
@@ -181,6 +193,19 @@ def test_paving_quality_contraction_and_label_invariance():
     q2 = paving_quality(a, partition(2, 1 - assign))
     assert q1 == pytest.approx(q2, abs=1e-12)
     assert q1 <= opnorm(a) + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_paving_quality_is_bitwise_the_padded_compressions(seed):
+    # max_j ||Q_j A Q_j|| with each Q_j A Q_j the full n x n matrix, empty
+    # parts skipped: the bits of eigensolving the test-side padded matrices
+    rng = make_rng(3600 + seed)
+    n, r = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) * (seed % 2)
+    a = (g + g.conj().T) / 2
+    part = partition(r, rng.integers(0, r, size=n))
+    expected = max((opnorm(compress(a, p)) for p in part.parts() if p.size), default=0.0)
+    assert paving_quality(a, part).hex() == expected.hex()
 
 
 def test_random_projection_contract():

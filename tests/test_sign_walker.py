@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from framedisc import (
     BudgetExceededError,
     InvalidParameterError,
-    SignVector,
     banaszczyk_sign_search,
     exhaustive_sign_search,
     opnorm,
@@ -123,16 +122,17 @@ def hexed(result):
 def test_walk_matches_brute_force(seed, shape, real):
     # n < k takes the Gram path, real input the real path
     v = unit_rows(seed, *shape, real)
-    sv, value = exhaustive_sign_search(vector_system(v))
+    out = exhaustive_sign_search(vector_system(v))
+    sv, value = out.witness, out.value
     ref = brute_force(v)
     best = min(val for _, val in ref)
     assert value == pytest.approx(best, rel=1e-12, abs=1e-15)
-    assert sv.signs[0] == 1
-    assert opnorm(sum(s * rank_one(x) for s, x in zip(sv.signs, v))) == pytest.approx(
+    assert sv[0] == 1
+    assert opnorm(sum(s * rank_one(x) for s, x in zip(sv, v))) == pytest.approx(
         value, rel=1e-12, abs=1e-15)
     near = [s for s, val in ref if val <= best + 1e-9]
     if len(near) == 1:
-        assert tuple(sv.signs) == near[0]
+        assert tuple(sv) == near[0]
 
 
 @pytest.mark.parametrize("n, k", [(9, 4), (6, 6), (1, 1)])
@@ -148,9 +148,10 @@ def test_block_size_does_not_change_complex_walk(monkeypatch, n, k):
         walk = blocked_walk(mats)
         assert len(ref) == 2 ** (n - 1) and walk.keys() == ref.keys()
         assert all(walk[s].hex() == ref[s].hex() for s in ref)  # bitwise
-        sv, value = exhaustive_sign_search(vector_system(v))
-        assert hexed((sv.signs, value)) == hexed(all_patterns_search(vector_system(v)))
-        results.append((sv.signs.tolist(), value))
+        out = exhaustive_sign_search(vector_system(v))
+        sv, value = out.witness, out.value
+        assert hexed((sv, value)) == hexed(all_patterns_search(vector_system(v)))
+        results.append((sv.tolist(), value))
     # a different b adds the same terms in another order: the same witness,
     # a value a few ulps away
     for signs, value in results:
@@ -162,9 +163,10 @@ def test_block_size_does_not_change_complex_walk(monkeypatch, n, k):
 def test_exact_ties_go_to_the_lexicographically_smallest_signs(monkeypatch, cap):
     # sum_i s_i e_i e_i* = diag(s): every pattern has norm exactly 1
     monkeypatch.setattr(engines, "WALK_BLOCK_BYTES", cap)
-    sv, value = exhaustive_sign_search(vector_system(np.eye(5)))
+    out = exhaustive_sign_search(vector_system(np.eye(5)))
+    sv, value = out.witness, out.value
     assert value == 1.0
-    assert sv.signs.tolist() == [1, -1, -1, -1, -1]
+    assert sv.tolist() == [1, -1, -1, -1, -1]
 
 
 def test_walk_block_holds_at_most_the_byte_cap():
@@ -189,21 +191,21 @@ def test_certified_search_matches_all_patterns_search(seed, n, k, real, copies, 
     # many patterns tie; n < k takes the Gram path, real input the real path
     v = np.repeat(unit_rows(seed, n, k, real), copies, axis=0)[:max(n, 2 * copies)]
     vs = vector_system(v)
-    counters = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engines, "WALK_BLOCK_BYTES",
                    2 ** vs.n * vs.k * vs.k * 16 if cap is None else cap)
-        sv, value = exhaustive_sign_search(vs, counters=counters)
-        assert hexed((sv.signs, value)) == hexed(all_patterns_search(vs))
+        out = exhaustive_sign_search(vs)
+        sv, value, counters = out.witness, out.value, out.counters
+        assert hexed((sv, value)) == hexed(all_patterns_search(vs))
     assert 1 <= counters["eigensolves"] <= 2 ** (vs.n - 1) + (vs.n < vs.k)
 
 
 @pytest.mark.parametrize("k", range(6, 16))
 def test_weaver_search_matches_all_patterns_search(k):
     vs = counterexample_vectors(k).normalized
-    counters = {}
-    sv, value = exhaustive_sign_search(vs, counters=counters)
-    assert hexed((sv.signs, value)) == hexed(all_patterns_search(vs))
+    out = exhaustive_sign_search(vs)
+    sv, value, counters = out.witness, out.value, out.counters
+    assert hexed((sv, value)) == hexed(all_patterns_search(vs))
     if k >= 12:  # several blocks: the certificate skips eigensolves
         assert counters["eigensolves"] < 2 ** (k - 2)
     if k == 15:  # both factorizations rule patterns out
@@ -265,11 +267,12 @@ def test_search_takes_the_least_pattern_the_certificate_keeps(seed, n, k, real, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engines, "WALK_BLOCK_BYTES",
                    2 ** vs.n * vs.k * vs.k * 16 if cap is None else cap)
-        sv, value = exhaustive_sign_search(vs)
+        out = exhaustive_sign_search(vs)
+        sv, value = out.witness, out.value
         signs, norms = screened_patterns(vs, value + 2 * margin)
     least = norms.min()
     assert least.hex() == value.hex()
-    assert min(map(tuple, signs[norms == least].tolist())) == tuple(sv.signs.tolist())
+    assert min(map(tuple, signs[norms == least].tolist())) == tuple(sv.tolist())
 
 
 def test_certificate_refuses_past_the_budget():
@@ -344,9 +347,9 @@ def test_all_ties_are_all_eigensolved_and_go_to_the_smallest_signs(monkeypatch, 
     # n < k adds the Gram square root's eigensolve
     monkeypatch.setattr(engines, "WALK_BLOCK_BYTES", cap)
     vs = vector_system(v)
-    counters = {}
-    sv, value = exhaustive_sign_search(vs, counters=counters)
-    assert hexed((sv.signs, value)) == hexed(all_patterns_search(vs))
+    out = exhaustive_sign_search(vs)
+    sv, value, counters = out.witness, out.value, out.counters
+    assert hexed((sv, value)) == hexed(all_patterns_search(vs))
     assert counters["eigensolves"] == solves
 
 
@@ -360,9 +363,9 @@ def test_diagonal_sums_are_never_certified(monkeypatch, cap, v):
     # witness and value are pinned, against eigensolving every pattern
     monkeypatch.setattr(engines, "WALK_BLOCK_BYTES", cap)
     vs = vector_system(v)
-    counters = {}
-    sv, value = exhaustive_sign_search(vs, counters=counters)
-    assert hexed((sv.signs, value)) == hexed(all_patterns_search(vs))
+    out = exhaustive_sign_search(vs)
+    sv, value, counters = out.witness, out.value, out.counters
+    assert hexed((sv, value)) == hexed(all_patterns_search(vs))
     assert 1 <= counters["eigensolves"] <= 2 ** (vs.n - 1)
 
 
@@ -374,10 +377,9 @@ def test_exact_zero_minima_keep_every_tie(monkeypatch, cap):
     # would rule out every tie after the first one found
     monkeypatch.setattr(engines, "WALK_BLOCK_BYTES", cap)
     vs = vector_system(np.repeat([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], 2, axis=0))
-    counters = {}
-    sv, value = exhaustive_sign_search(vs, counters=counters)
-    assert hexed((sv.signs, value)) == hexed(all_patterns_search(vs))
-    assert (sv.signs.tolist(), value) == ([1, -1, -1, 1, -1, 1], 0.0)
+    out = exhaustive_sign_search(vs)
+    assert hexed((out.witness, out.value)) == hexed(all_patterns_search(vs))
+    assert (out.witness.tolist(), out.value) == ([1, -1, -1, 1, -1, 1], 0.0)
 
 
 def hermitian_stack(seed, count, k, real):
@@ -417,7 +419,7 @@ def test_weaver_minimum_matches_orbit_representatives(k):
     mats = [rank_one(v) for v in inst.normalized.vectors]
     orbit = min(opnorm(sum(s * m for s, m in zip([1] * (k - 1 - c) + [-1] * c, mats)))
                 for c in range(k - 1))
-    _, value = exhaustive_sign_search(inst.normalized)
+    value = exhaustive_sign_search(inst.normalized).value
     assert value == pytest.approx(orbit, rel=1e-12)
     extra = verify_counterexample(inst, mode="heuristic").extra
     assert extra["min_signed_norm_or_bound"] == pytest.approx(value, rel=1e-12)
@@ -572,15 +574,19 @@ def reference_greedy_search(matrices, M, budget, seed, log=None, starts=None):
                         signs[i] = -signs[i]
                         improved = True
             if val <= M:
-                return SignVector(signs=signs), float(val)
+                return signs, float(val)
             if val < best_val:
                 best_val, best_signs = val, signs.copy()
-    return SignVector(signs=best_signs), float(best_val)
+    return best_signs, float(best_val)
 
 
 def outcome(result):
+    """(signs, value hex) of a reference search's (signs, value) or of an
+    engine's Outcome."""
+    if isinstance(result, engines.Outcome):
+        result = result.witness, result.value
     signs, value = result
-    return signs.signs.tolist(), value.hex()
+    return signs.tolist(), value.hex()
 
 
 def greedy_inputs(seed, kind, n, k):
@@ -633,13 +639,13 @@ def test_screened_greedy_search_matches_unscreened_search(seed, n, k, budget, re
         if reach is not None and ref[1] > M:
             M = ref[1] + reach * (starts[0] - ref[1])
             ref = reference_greedy_search(mats, M, budget, seed)
-        counters = {}
-        result = banaszczyk_sign_search(mats, M=M, budget=budget, seed=seed, counters=counters)
+        result = banaszczyk_sign_search(mats, M=M, budget=budget, seed=seed)
         assert outcome(result) == outcome(ref), kind
+        assert result.exact is False
         if ref[1] > M:
-            assert counters["eigensolves"] == budget
+            assert result.counters["eigensolves"] == budget
         else:
-            assert 1 <= counters["eigensolves"] <= budget
+            assert 1 <= result.counters["eigensolves"] <= budget
 
 
 def test_screen_margin_absorbs_eigensolver_error():
