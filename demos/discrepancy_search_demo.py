@@ -72,7 +72,7 @@ print(f"9 vectors from 3 rotated bases of C^3 split into 3 spanning parts: "
 deficient = vector_system(np.array([[1, 0], [1, 0], [1, 0], [0, 1]], dtype=float))
 cert = matroid_spanning_partition(deficient, 2).witness
 print(f"deficient family: violating set X (0-based) = {cert.indices}, complement rank d = "
-      f"{cert.complement_rank}; r(k-d) = {cert.r * (cert.k - cert.complement_rank)} > |X| = "
+      f"{cert.complement_rank}; r(k-d) = {2 * (deficient.k - cert.complement_rank)} > |X| = "
       f"{len(cert.indices)}")
 
 print("\n=== Gaussian balancing inside radius 5R ===")

@@ -29,10 +29,11 @@ for k, n, subsets in ((2, 6, ([0, 1, 2], [3, 4], list(range(6)))),
     vs = unit_rows(n, k)
     print(f"k = {k}, gap {gap}:")
     for subset in subsets:
-        lower, upper, evaluations, _ = certified_subset_bound(vs, subset, gap)
+        out = certified_subset_bound(vs, subset, gap)
         oracle = subset_frame_bound(vs, subset)
-        print(f"  subset {subset}: {lower:.6f} <= oracle {oracle:.6f} <= {upper:.6f} "
-              f"({evaluations} box centres scored)")
+        print(f"  subset {subset}: {out.value:.6f} <= oracle {oracle:.6f} <= "
+              f"{out.value + gap:.6f} ({out.counters['net_points']} box centres scored)")
 
-lower, upper, evaluations, _ = certified_subset_bound(vector_system(np.eye(3)), range(3), gap)
-print(f"tight frame I_3: {lower:.6f} <= 1 <= {upper:.6f} ({evaluations} box centre scored)")
+out = certified_subset_bound(vector_system(np.eye(3)), range(3), gap)
+print(f"tight frame I_3: {out.value:.6f} <= 1 <= {out.value + gap:.6f} "
+      f"({out.counters['net_points']} box centre scored)")

@@ -38,12 +38,12 @@ print(f"Gram check max |<v_i,v_j> - N P[i][j]| = {np.max(np.abs(gram - N * p)):.
 
 print("\n=== converse: vectors -> projection ===")
 trace = vectors_to_projection(vs, N)
-print(f"completed to m = {trace.m} vectors; Gram matrix is a projection: "
+print(f"completed to m = {trace.w.n} vectors; Gram matrix is a projection: "
       f"{is_projection(trace.P, 1e-8)}")
 print(f"delta(P) = {diagonal_delta(trace.P):.6f} <= 1/N = {1 / N}")
 print(f"zero-diagonal part: ||A|| = {opnorm(trace.A):.6f} <= 1 + 1/N = {1 + 1 / N}")
 
 print("\n=== paving the test matrix ===")
-half = partition(2, np.arange(trace.m) % 2)
+half = partition(2, np.arange(trace.w.n) % 2)
 print(f"alternating 2-paving quality max_j ||Q_j A Q_j|| = "
       f"{paving_quality(trace.A, half):.6f} (vs ||A|| = {opnorm(trace.A):.6f})")

@@ -26,21 +26,23 @@ g = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
 vs = vector_system(g / (2 * np.linalg.norm(g, axis=1, keepdims=True)))
 print(f"start: {vs.n} vectors in C^{vs.k}, frame bound {frame_bound(vs):.4f}")
 for cap in (1.0, 0.3, 0.05):
-    out, trace = complete_to_tight(vs, 2.0, cap)
+    out = complete_to_tight(vs, 2.0, cap)
     res = np.linalg.norm(frame_operator(out) - 2.0 * np.eye(3))
-    added_max = np.max(np.sum(np.abs(trace.added) ** 2, axis=1)) if trace.added.size else 0.0
-    print(f"  cap {cap:4.2f}: added {trace.added.shape[0]:3d} vectors, "
+    added = out.vectors[vs.n:]
+    added_max = np.max(np.sum(np.abs(added) ** 2, axis=1)) if added.size else 0.0
+    print(f"  cap {cap:4.2f}: added {added.shape[0]:3d} vectors, "
           f"max added norm^2 = {added_max:.4f}, ||S - 2I||_F = {res:.2e}")
 
 print("\n=== unit-vector padding via DFT phases ===")
 q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
 unit = vector_system(q.T)
-out, trace = tight_pad_unit(unit, 3)
+out = tight_pad_unit(unit, 3)
 print(f"4 unit vectors in C^4 padded to {out.n} unit vectors, N = 3")
 print(f"||S - 3I||_F = {np.linalg.norm(frame_operator(out) - 3 * np.eye(4)):.2e}")
 print(f"max | ||u_s||^2 - 1 | = {np.max(np.abs(out.norms_squared() - 1.0)):.2e}")
-period = trace.added[:4]
-ident = np.linalg.norm(period.T @ period.conj() - trace.B / 2)
+period = out.vectors[4:8]  # the first of the N - 1 = 2 copies of the u_s
+residual = 3 * np.eye(4) - frame_operator(unit)
+ident = np.linalg.norm(period.T @ period.conj() - residual / 2)
 print(f"one DFT period reproduces B/(N-1): residual {ident:.2e}")
 
 print("\n=== lifting general vectors to unit vectors first ===")

@@ -38,14 +38,11 @@ from .errors import (
 )
 from .frames import (
     Partition,
-    PartitionCertificate,
-    TightPadTrace,
     VectorSystem,
     complete_to_tight,
     frame_bound,
     frame_operator,
     partition,
-    partition_certificate,
     subset_frame_bound,
     tight_pad_unit,
     unit_norm_lift,

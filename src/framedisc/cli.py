@@ -102,10 +102,6 @@ def cmd_verify_weaver(args) -> VerificationReport:
     return cx.verify_counterexample(inst, mode=args.mode, seed=args.seed, budget=args.budget)
 
 
-def _tol_or(args, default: float) -> float:
-    return default if args.tol is None else args.tol
-
-
 def _check_level(n_bound: float) -> None:
     """Reject a level N (--n-bound) that is not positive and finite."""
     if not (n_bound > 0 and math.isfinite(n_bound)):  # also rejects NaN
@@ -126,31 +122,32 @@ def cmd_reduce(args) -> VerificationReport:
         payload = canonical_json(system_to_dict(vs)) + "\n"
         claims = [
             Claim("max_vector_norm_squared", computed=float(np.max(vs.norms_squared())),
-                  bound=1.0, tolerance=_tol_or(args, 1e-9), relation="le"),
+                  bound=1.0, tolerance=1e-9, relation="le"),
             Claim("frame_bound_equals_N", computed=frames.frame_bound(vs),
-                  bound=n_bound, tolerance=_tol_or(args, 1e-8), relation="abs"),
+                  bound=n_bound, tolerance=1e-8, relation="abs"),
         ]
     else:
         vs = system_from_dict(data)
         engines._scale(vs, "reduce --direction vec2proj")
-        trace = reductions.vectors_to_projection(vs, n_bound)
+        trace = reductions.vectors_to_projection(vs, n_bound, args.budget)
         payload = canonical_json(matrix_to_dict(trace.P)) + "\n"
         proj_residual = float(np.linalg.norm(trace.P @ trace.P - trace.P))
         tight_residual = float(np.linalg.norm(
             frames.frame_operator(trace.w) - np.eye(vs.k)))
         claims = [
             Claim("projection_residual", computed=proj_residual, bound=0.0,
-                  tolerance=_tol_or(args, 1e-8), relation="abs"),
+                  tolerance=1e-8, relation="abs"),
             Claim("diagonal_delta_le_1_over_N", computed=diagonal_delta(trace.P),
                   bound=1.0 / n_bound, tolerance=1e-10, relation="le"),
             Claim("completed_frame_tightness", computed=tight_residual, bound=0.0,
-                  tolerance=_tol_or(args, 1e-9), relation="abs"),
+                  tolerance=1e-9, relation="abs"),
             Claim("zero_diagonal_opnorm", computed=opnorm(trace.A),
-                  bound=1.0 + 1.0 / n_bound, tolerance=_tol_or(args, 1e-8), relation="le"),
+                  bound=1.0 + 1.0 / n_bound, tolerance=1e-8, relation="le"),
         ]
     if args.out:  # a prefix: the report goes to <out>.report.<format> (see main)
         Path(args.out + ".object.json").write_text(payload)
-    return finish_report(f"reduce-{args.direction}", raw, claims)
+    budget = args.budget if args.direction == "vec2proj" else None  # caps the completion
+    return finish_report(f"reduce-{args.direction}", raw, claims, budget=budget)
 
 
 def cmd_search(args) -> VerificationReport:
@@ -182,10 +179,10 @@ def cmd_search(args) -> VerificationReport:
     elif args.kind == "partition":
         outcome = engines.exhaustive_partition_search(vs, args.r, budget)
         # the claim re-derives each part's frame bound from its vectors
-        cert = frames.partition_certificate(vs, outcome.witness, args.n_bound)
-        claims = [Claim("max_part_frame_bound", computed=float(np.max(cert.per_part_bound)),
+        top = max(frames.subset_frame_bound(vs, p) for p in outcome.witness.parts())
+        claims = [Claim("max_part_frame_bound", computed=top,
                         bound=args.n_bound, tolerance=0.0, relation="le")]
-        extra = {"witness": partition_to_dict(outcome.witness), "slack": cert.slack,
+        extra = {"witness": partition_to_dict(outcome.witness), "slack": args.n_bound - top,
                  "lower_bound": engines.partition_floor(vs, args.r)}
     elif args.kind == "pave":
         a = matrix_from_dict(data)
@@ -243,18 +240,19 @@ def cmd_net_check(args) -> VerificationReport:
         raise FrameDiscError(f"--subset repeats index {repeated[0]}")
     subset = [i - 1 for i in subset]
     mesh = args.epsilon / (4.0 * args.n_bound)
-    net_max, certified, evaluations, _ = engines.certified_subset_bound(
-        vs, subset, 2.0 * args.n_bound * mesh, args.budget)
+    gap = 2.0 * args.n_bound * mesh
+    outcome = engines.certified_subset_bound(vs, subset, gap, args.budget)
+    net_max, certified = outcome.value, outcome.value + gap
     oracle = frames.subset_frame_bound(vs, subset)
     claims = [
         Claim("net_max_below_oracle", computed=net_max, bound=oracle,
-              tolerance=_tol_or(args, 1e-9), relation="le"),
+              tolerance=1e-9, relation="le"),
         Claim("oracle_below_certified", computed=oracle, bound=certified,
-              tolerance=_tol_or(args, 1e-9), relation="le"),
+              tolerance=1e-9, relation="le"),
     ]
     extra = {"net_max": net_max, "certified_sup_bound": certified,
-             "eigenvalue_oracle": oracle, "mesh": mesh,
-             "net_points": evaluations, "certified_net": True}
+             "eigenvalue_oracle": oracle, "mesh": mesh, "certified_net": True,
+             **outcome.counters}
     return finish_report("net-check", raw, claims, seed=args.seed,
                          budget=args.budget, extra=extra)
 
@@ -271,13 +269,6 @@ def cmd_banaszczyk_radius(args) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # parser / entry point
-
-
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not value >= 0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"tolerance must be >= 0, got {text}")
-    return value
 
 
 def _at_least_one(text: str, flag: str) -> int:
@@ -329,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-bound", type=float, required=True, dest="n_bound",
                    help="the level N of the construction")
     common(p)
-    p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
 
     p = sub.add_parser("search", help="sign/partition/paving/matroid/balancing searches")
     p.add_argument("--kind", choices=["signs", "partition", "pave", "matroid", "banaszczyk"],
@@ -346,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--n-bound", type=float, required=True, dest="n_bound")
     common(p)
-    p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
 
     p = sub.add_parser("banaszczyk-radius", help="Gaussian median operator-norm radius")
     p.add_argument("--k", type=int, required=True)

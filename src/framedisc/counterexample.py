@@ -84,12 +84,12 @@ class CounterexampleInstance:
         primed = np.full((k - 1, k), -self.alpha)
         np.fill_diagonal(primed, (k - 2) * self.alpha)
         primed[:, k - 1] = self.beta
-        return VectorSystem(k=k, vectors=primed.astype(np.complex128))
+        return VectorSystem(primed.astype(np.complex128))
 
     @cached_property
     def normalized(self) -> VectorSystem:
         """The unit vectors v_i = v'_i / sqrt(delta), built on first use."""
-        return VectorSystem(k=self.k, vectors=self.primed.vectors / math.sqrt(self.delta))
+        return VectorSystem(self.primed.vectors / math.sqrt(self.delta))
 
 
 def counterexample_vectors(k: int) -> CounterexampleInstance:

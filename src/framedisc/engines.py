@@ -128,10 +128,11 @@
   every open centre, drops the boxes bounded by best + gap and halves the
   rest along their largest w_i h_i; then best <= sup f <= best + gap.
 
-Every search returns one Outcome: its witness, the witness's value as the
-search computed it, whether the search ran to completion (the Banaszczyk
-greedy never does, and a partition walk cut short by its budget does not),
-and the counters that the report carries.
+Every search returns one Outcome, the net bound's branch and bound
+included: its witness, the witness's value as the search computed it,
+whether the search ran to completion (the Banaszczyk greedy never does, and
+a partition walk cut short by its budget does not), and the counters that
+the report carries.
 
 Tie rules of the exact searches: the sign search fixes s_0 = +1 and returns
 the lexicographically smallest optimal sign vector.
@@ -165,10 +166,10 @@ from .rng import make_rng
 @dataclass(frozen=True)
 class Outcome:
     """What a search found: its ``witness`` (an int64 sign array, a
-    Partition or a ViolatingSet), the witness's ``value`` as the search
-    computed it, whether the search ran to completion (``exact``) rather
-    than stopping at an incumbent, and the ``counters`` of its work that a
-    report carries."""
+    Partition, a ViolatingSet or a unit vector), the witness's ``value`` as
+    the search computed it, whether the search ran to completion (``exact``)
+    rather than stopping at an incumbent, and the ``counters`` of its work
+    that a report carries."""
 
     witness: object
     value: float
@@ -179,26 +180,24 @@ class Outcome:
 @dataclass(frozen=True)
 class BanaszczykContext:
     """Empirical median radius of the Gaussian operator-norm distribution
-    on self-adjoint k x k matrices, the balancing radius M = 5 R, and the
-    eigensolves taken."""
+    on self-adjoint k x k matrices, the eigensolves taken, and the
+    balancing radius M = 5 R."""
 
     R_hat: float
-    M: float
     eigensolves: int
+
+    @property
+    def M(self) -> float:
+        return 5.0 * self.R_hat
 
 
 @dataclass(frozen=True)
 class ViolatingSet:
-    """Certificate that no partition into r spanning parts exists: with
-    d = dim span of the complement, r*(k - d) > |X|."""
+    """Certificate that no partition into r spanning parts exists: the
+    indices X, with d = dim span of the complement, r*(k - d) > |X|."""
 
     indices: tuple
     complement_rank: int
-    r: int
-    k: int
-
-    def deficiency(self) -> int:
-        return self.r * (self.k - self.complement_rank) - len(self.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -826,10 +825,10 @@ def matroid_spanning_partition(vs: VectorSystem, r: int, budget: int | None = No
     raises_rank = np.any(np.abs(red[d:, len(base):]) > tol, axis=0)
     in_closure = np.array([z in reach for z in range(n)]) | ~raises_rank
     x_set = tuple(int(i) for i in np.flatnonzero(~in_closure))
-    violation = ViolatingSet(indices=x_set, complement_rank=d, r=r, k=k)
-    if violation.deficiency() <= 0:
+    deficiency = r * (k - d) - len(x_set)
+    if deficiency <= 0:
         raise RuntimeError("internal error: certificate does not violate the count")
-    return Outcome(violation, float(violation.deficiency()), True, tally)
+    return Outcome(ViolatingSet(indices=x_set, complement_rank=d), float(deficiency), True, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,7 +1018,7 @@ def gaussian_median_radius(k: int, samples: int, seed: int) -> BanaszczykContext
         if r_hat is None:
             r_hat, more = _median_pass(k, samples, seed, certify=False)
             solves += more
-    return BanaszczykContext(R_hat=r_hat, M=5.0 * r_hat, eigensolves=solves)
+    return BanaszczykContext(R_hat=r_hat, eigensolves=solves)
 
 
 def _balancing_terms(matrices) -> tuple[np.ndarray, np.ndarray]:
@@ -1117,11 +1116,12 @@ def _box_bounds(s: np.ndarray, lam: float, lo: np.ndarray, hi: np.ndarray):
     return f, u, f + 2.0 * g * r + np.maximum(lam - f, 0.0) * r * r + 1e-12 * lam, wh
 
 
-def certified_subset_bound(vs: VectorSystem, X, gap: float, budget: int = 20000):
-    """(lower, upper, evaluations, witness): lower <= sup over unit u of
-    sum_{i in X} |<u, v_i>|^2 <= upper = lower + gap, where lower is the
-    value at the unit vector witness and evaluations counts the box centres
-    scored. Raises BudgetExceededError when they would exceed ``budget``."""
+def certified_subset_bound(vs: VectorSystem, X, gap: float, budget: int = 20000) -> Outcome:
+    """An exact Outcome whose value, lower, satisfies lower <= sup over unit
+    u of sum_{i in X} |<u, v_i>|^2 <= lower + gap: lower is the value at the
+    unit vector witness, and the counter ``net_points`` counts the box
+    centres scored. Raises BudgetExceededError when they would exceed
+    ``budget``."""
     idx = np.asarray(sorted(X), dtype=np.int64)
     if idx.size and (idx[0] < 0 or idx[-1] >= vs.n):
         raise InvalidParameterError(f"subset indices out of range 0..{vs.n - 1}")
@@ -1144,7 +1144,7 @@ def certified_subset_bound(vs: VectorSystem, X, gap: float, budget: int = 20000)
             best, witness = float(f[top]), u[top]
         keep = bound > best + gap
         if not keep.any():
-            return best, best + gap, evaluations, witness
+            return Outcome(witness, best, True, {"net_points": evaluations})
         lo, hi, wh = lo[keep], hi[keep], wh[keep]
         rows = np.arange(lo.shape[0])
         axis = np.argmax(wh, axis=1)

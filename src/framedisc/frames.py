@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidParameterError
+from .errors import BudgetExceededError, InfeasibleError, InvalidParameterError
 from .linalg import as_hermitian, eigensystem, eigenvalues
 
 
@@ -32,12 +32,15 @@ from .linalg import as_hermitian, eigensystem, eigenvalues
 class VectorSystem:
     """n complex vectors in C^k, stored as rows of an (n, k) array."""
 
-    k: int
     vectors: np.ndarray
 
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.vectors.shape[1]
 
     def norms_squared(self) -> np.ndarray:
         return np.sum(np.abs(self.vectors) ** 2, axis=1)
@@ -60,7 +63,7 @@ def vector_system(vectors) -> VectorSystem:
         raise InvalidParameterError(f"expected an (n, k) array of vectors, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidParameterError("vector system has non-finite entries")
-    return VectorSystem(k=arr.shape[1], vectors=arr)
+    return VectorSystem(arr)
 
 
 @dataclass(frozen=True)
@@ -87,27 +90,6 @@ def partition(r: int, assignment) -> Partition:
     if np.any(assignment < 0) or np.any(assignment >= r):
         raise InvalidParameterError("assignment entries must lie in 0..r-1")
     return Partition(r=r, assignment=assignment)
-
-
-@dataclass(frozen=True)
-class PartitionCertificate:
-    """Per-part frame bounds for a partition against a target level N."""
-
-    partition: Partition
-    per_part_bound: np.ndarray
-    slack: float
-    N: float
-
-
-@dataclass(frozen=True)
-class TightPadTrace:
-    """Record of a tight completion: the residual B = N*I - S, its
-    eigensystem, and the vectors that were appended."""
-
-    B: np.ndarray
-    b: np.ndarray
-    f: np.ndarray
-    added: np.ndarray
 
 
 def frame_operator(vs: VectorSystem) -> np.ndarray:
@@ -137,28 +119,17 @@ def subset_frame_bound(vs: VectorSystem, X) -> float:
     return float(max(w[-1], 0.0))
 
 
-def partition_certificate(vs: VectorSystem, part: Partition, N: float) -> PartitionCertificate:
-    """Evaluate a partition: per-part frame bounds and slack N - max."""
-    if part.n != vs.n:
-        raise InvalidParameterError(
-            f"partition covers {part.n} indices but the system has {vs.n} vectors"
-        )
-    bounds = np.array([subset_frame_bound(vs, p) for p in part.parts()])
-    return PartitionCertificate(
-        partition=part,
-        per_part_bound=bounds,
-        slack=float(N - np.max(bounds)),
-        N=float(N),
-    )
-
-
-def complete_to_tight(vs: VectorSystem, N: float, cap: float) -> tuple[VectorSystem, TightPadTrace]:
+def complete_to_tight(vs: VectorSystem, N: float, cap: float,
+                      budget: int | None = None) -> VectorSystem:
     """Append vectors so the frame operator becomes N*I_k, each added vector
     with squared norm <= cap.
 
     The residual N*I - S is eigendecomposed; each eigenvalue b (above 1e-12)
     is split into ceil(b/cap) equal rank-one pieces along its eigenvector.
-    The input vectors come first in the output, order preserved.
+    The input vectors come first in the output, order preserved. The piece
+    counts are summed in floats before any piece is built, and an output of
+    m > ``budget`` vectors (an infinite count included) raises
+    BudgetExceededError.
     """
     if not cap > 0:
         raise InvalidParameterError(f"cap must be positive, got {cap}")
@@ -167,19 +138,20 @@ def complete_to_tight(vs: VectorSystem, N: float, cap: float) -> tuple[VectorSys
         raise InfeasibleError(f"frame bound {fb:.12g} exceeds target N = {N:.12g}")
     residual = as_hermitian(N * np.eye(vs.k) - frame_operator(vs), atol=1e-9)
     values, f = eigensystem(residual)
-    added = []
-    for t in range(vs.k):
-        b = float(values[t])
-        if b <= 1e-12:
-            continue
+    padded = np.flatnonzero(values > 1e-12)
+    with np.errstate(over="ignore"):  # an overflowing count is infinite and refused
         # back off one ulp-scale so b == j*cap splits into exactly j pieces
-        pieces = max(1, math.ceil(b / cap - 1e-9))
-        w = math.sqrt(b / pieces) * f[:, t]
-        added.extend([w] * pieces)
+        pieces = np.maximum(1.0, np.ceil(values[padded] / cap - 1e-9))
+        m = vs.n + float(np.sum(pieces))
+    if budget is not None and m > budget:
+        raise BudgetExceededError(
+            f"the tight completion has m = {m:.12g} vectors, over the budget {budget}")
+    added = []
+    for t, count in zip(padded, pieces.astype(np.int64)):
+        w = math.sqrt(values[t] / count) * f[:, t]
+        added.extend([w] * count)
     added_arr = np.array(added, dtype=np.complex128).reshape(len(added), vs.k)
-    out = VectorSystem(k=vs.k, vectors=np.vstack([vs.vectors, added_arr]))
-    trace = TightPadTrace(B=residual, b=values, f=f, added=added_arr)
-    return out, trace
+    return VectorSystem(np.vstack([vs.vectors, added_arr]))
 
 
 def unit_norm_lift(vs: VectorSystem, N: float) -> VectorSystem:
@@ -204,10 +176,10 @@ def unit_norm_lift(vs: VectorSystem, N: float) -> VectorSystem:
     lifted[np.arange(n), k + np.arange(n)] = tail
     appended = np.zeros((k, m), dtype=np.complex128)
     appended[np.arange(k), k + np.arange(k)] = 1.0
-    return VectorSystem(k=m, vectors=np.vstack([lifted, appended]))
+    return VectorSystem(np.vstack([lifted, appended]))
 
 
-def tight_pad_unit(vs: VectorSystem, N: int) -> tuple[VectorSystem, TightPadTrace]:
+def tight_pad_unit(vs: VectorSystem, N: int) -> VectorSystem:
     """Pad m unit vectors in C^m to m*N unit vectors with frame operator N*I_m.
 
     The residual B = N*I - S has trace (N-1)m because every tr A_{w_i} = 1;
@@ -243,7 +215,4 @@ def tight_pad_unit(vs: VectorSystem, N: int) -> tuple[VectorSystem, TightPadTrac
     phases = np.exp(2j * np.pi * s_idx * t_idx / m)
     # u_s = sum_t coef[t] * phase[s, t] * f_t; rows of `padding` are the u_s
     padding = (phases * coef[None, :]) @ f.T
-    added = np.tile(padding, (N - 1, 1))
-    out = VectorSystem(k=m, vectors=np.vstack([vs.vectors, added]))
-    trace = TightPadTrace(B=residual, b=w, f=f, added=added)
-    return out, trace
+    return VectorSystem(np.vstack([vs.vectors, np.tile(padding, (N - 1, 1))]))

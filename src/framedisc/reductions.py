@@ -25,12 +25,12 @@ from .linalg import as_hermitian, diagonal_delta, eigensystem, is_projection, op
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Artifacts of the vectors -> projection construction."""
+    """Artifacts of the vectors -> projection construction: the completed
+    family w (its m = w.n vectors index P), the Gram projection P and its
+    zero-diagonal part A."""
 
-    m: int
     w: VectorSystem
     P: np.ndarray
-    D: np.ndarray
     A: np.ndarray
 
 
@@ -64,28 +64,28 @@ def projection_to_vectors(P, N: float) -> VectorSystem:
     F = f[:, cols]  # n x k, orthonormal columns spanning range(P)
     # <P e_i, f_t> = conj(F[i, t]) since f_t is in range(P)
     vectors = np.sqrt(N) * F.conj()
-    return VectorSystem(k=F.shape[1], vectors=vectors)
+    return VectorSystem(vectors)
 
 
-def vectors_to_projection(vs: VectorSystem, N: float) -> ReductionTrace:
+def vectors_to_projection(vs: VectorSystem, N: float,
+                          budget: int | None = None) -> ReductionTrace:
     """Gram-projection construction: shrink by 1/sqrt(N), complete to a
     Parseval-type family with per-operator norm cap 1/N, and return the Gram
-    projection P, its diagonal D, and the zero-diagonal part A = P - D."""
+    projection P and its zero-diagonal part A = P - diag(P). A completion of
+    more than ``budget`` vectors is refused (see complete_to_tight)."""
     if N < 1:
         raise InvalidParameterError(f"N must be >= 1, got {N}")
     _unit_ball_norms(vs)
     fb = frame_bound(vs)
     if fb > N + 1e-10:
         raise InvalidParameterError(f"frame bound {fb:.12g} exceeds N = {N:.12g}")
-    shrunk = VectorSystem(k=vs.k, vectors=vs.vectors / np.sqrt(N))
-    completed, _ = complete_to_tight(shrunk, 1.0, 1.0 / N)
+    completed = complete_to_tight(VectorSystem(vs.vectors / np.sqrt(N)), 1.0, 1.0 / N, budget)
     W = completed.vectors  # m x k rows w_i with sum_i w_i w_i^* = I_k
     P = W.conj() @ W.T  # P[i][j] = <w_j, w_i>
     P = (P + P.conj().T) / 2.0
-    D = np.diag(np.diag(P))
-    A = P - D
+    A = P - np.diag(np.diag(P))
     np.fill_diagonal(A, 0.0)
-    return ReductionTrace(m=W.shape[0], w=completed, P=P, D=D, A=A)
+    return ReductionTrace(w=completed, P=P, A=A)
 
 
 def paving_quality(A, part: Partition) -> float:

@@ -12,11 +12,9 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Return a Generator for the given seed. Distinct ``stream`` values give
-    statistically independent streams under the same seed."""
+def make_rng(seed: int) -> np.random.Generator:
+    """Return the Generator of the given seed: Philox keyed by it."""
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    bitgen = np.random.Philox(key=seed + (int(stream) << 64))
-    return np.random.Generator(bitgen)
+    return np.random.Generator(np.random.Philox(key=seed))

@@ -72,14 +72,14 @@ def matrix_to_dict(m: np.ndarray) -> dict:
     return {"dim": int(m.shape[0]), "entries": m.ravel()}
 
 
-def matrix_from_dict(d: dict, hermitian: bool = True) -> np.ndarray:
+def matrix_from_dict(d: dict) -> np.ndarray:
+    """The Hermitian matrix of a wire dict (as_hermitian's check)."""
     _require_keys(d, "matrix", ("dim", "entries"))
     n = _integer(d, "dim", "matrix")
     flat = np.array(_complex_list(d["entries"]))
     if flat.size != n * n:
         raise InvalidParameterError(f"matrix dim {n} needs {n * n} entries, got {flat.size}")
-    m = flat.reshape(n, n)
-    return as_hermitian(m) if hermitian else m
+    return as_hermitian(flat.reshape(n, n))
 
 
 def system_to_dict(vs: VectorSystem) -> dict:

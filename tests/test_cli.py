@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,9 +19,9 @@ from framedisc import (
     engines,
     opnorm,
     partition,
-    partition_certificate,
     paving_quality,
     rank_one,
+    subset_frame_bound,
     vector_system,
 )
 from framedisc.cli import (
@@ -72,10 +73,10 @@ def test_gen_weaver_usage_error():
     ["gen-weaver", "--k", "6", "--seed", "3"],
     ["gen-weaver", "--k", "6", "--budget", "5"],
     ["gen-weaver", "--k", "6", "--format", "csv"],
-    ["gen-weaver", "--k", "6", "--tol", "1"],
-    ["verify-weaver", "--k", "6", "--tol", "1"],
-    ["search", "--kind", "signs", "--input", "sys.json", "--tol", "1"],
-    ["banaszczyk-radius", "--k", "2", "--tol", "1"],
+    ["gen-weaver", "--k", "6", "--mode", "heuristic"],
+    ["verify-weaver", "--k", "6", "--input", "sys.json"],
+    ["search", "--kind", "signs", "--input", "sys.json", "--epsilon", "1"],
+    ["banaszczyk-radius", "--k", "2", "--n-bound", "2"],
 ])
 def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
@@ -212,6 +213,7 @@ def test_reduce_vec2proj_and_proj2vec(tmp_path):
                 "--n-bound", "2", "--out", str(back)]) == EXIT_PASS
     report2 = json.loads((tmp_path / "back.report.json").read_text())
     assert report2["passed"] is True
+    assert report["budget"] == 20000 and report2["budget"] is None  # only vec2proj reads it
 
 
 def test_reduce_csv_report_is_named_csv(tmp_path):
@@ -226,22 +228,29 @@ def test_reduce_csv_report_is_named_csv(tmp_path):
     assert (tmp_path / "fwd.object.json").exists()
 
 
-def test_tol_zero_is_kept_and_negative_tol_is_usage_error(tmp_path):
-    g = make_rng(71).standard_normal((4, 2)) + 1j * make_rng(72).standard_normal((4, 2))
-    g /= 2 * np.linalg.norm(g, axis=1, keepdims=True)
+def test_reduce_vec2proj_budget_caps_the_completion(tmp_path, capsys):
+    rng = make_rng(71)
+    g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     src = tmp_path / "sys.json"
-    write_system(src, vector_system(g))
-    prefix = tmp_path / "fwd"
-    code = run(["reduce", "--direction", "vec2proj", "--input", str(src),
-                "--n-bound", "2", "--tol", "0", "--out", str(prefix)])
-    assert code in (EXIT_PASS, EXIT_CLAIM_FAILURE)
-    claims = json.loads((tmp_path / "fwd.report.json").read_text())["claims"]
-    tols = {c["name"]: c["tolerance"] for c in claims}
-    assert tols == {"projection_residual": 0.0, "diagonal_delta_le_1_over_N": 1e-10,
-                    "completed_frame_tightness": 0.0, "zero_diagonal_opnorm": 0.0}
-    for bad in ("-1e-9", "nan"):
-        assert run(["reduce", "--direction", "vec2proj", "--input", str(src),
-                    "--n-bound", "2", "--tol", bad]) == EXIT_USAGE
+    write_system(src, vector_system(g / np.linalg.norm(g, axis=1, keepdims=True)))
+    argv = ["reduce", "--direction", "vec2proj", "--input", str(src),
+            "--out", str(tmp_path / "fwd")]
+    assert run(argv + ["--n-bound", "4"]) == EXIT_PASS
+    m = json.loads((tmp_path / "fwd.object.json").read_text())["dim"]
+    assert json.loads((tmp_path / "fwd.report.json").read_text())["budget"] == 20000
+    assert run(argv + ["--n-bound", "4", "--budget", str(m)]) == EXIT_PASS
+    assert run(argv + ["--n-bound", "4", "--budget", str(m - 1)]) == EXIT_BUDGET
+    assert f"m = {m} vectors, over the budget {m - 1}" in capsys.readouterr().err
+    # the completion would hold about 3e4 vectors at 1e4, infinitely many above
+    for level in ("1e4", "1e308", "1.7e308"):
+        tracemalloc.start()
+        try:
+            assert run(argv + ["--n-bound", level]) == EXIT_BUDGET
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # refused before any piece was built
+        assert "over the budget 20000" in capsys.readouterr().err
 
 
 def test_reduce_rejects_bad_delta(tmp_path):
@@ -514,7 +523,7 @@ def test_search_partition_budget_caps_the_walk(tmp_path, capsys):
     out = engines.exhaustive_partition_search(vs, 3, 30)
     assert extra["witness"]["assignment"] == [j + 1 for j in out.witness.assignment]
     value = report["claims"][0]["computed"]
-    assert value == float(np.max(partition_certificate(vs, out.witness, 2.0).per_part_bound))
+    assert value == max(subset_frame_bound(vs, p) for p in out.witness.parts())
     assert extra["lower_bound"] == engines.partition_floor(vs, 3) <= value
     # the seed plays no part in the walk
     assert run(argv + ["--seed", "6"]) == EXIT_PASS

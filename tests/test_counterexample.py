@@ -118,7 +118,7 @@ def test_a_perturbed_primed_vector_fails_the_e_k_claim_in_exhaustive_mode():
     inst = counterexample_vectors(9)
     v = inst.primed.vectors.copy()
     v[2, 0] += 1e-6
-    vars(inst)["primed"] = VectorSystem(k=9, vectors=v)  # a cached_property's slot
+    vars(inst)["primed"] = VectorSystem(v)  # a cached_property's slot
     claim = e_k_claim(verify_counterexample(inst))
     assert not claim.passed
     assert claim.computed == pytest.approx(inst.beta * 1e-6, rel=1e-6)

@@ -13,7 +13,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    # -W error reaches the demo's own interpreter: a warning fails the demo
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
     assert "np." not in done.stdout  # numpy scalar reprs, e.g. np.int64(1)

@@ -21,7 +21,6 @@ from framedisc import (
     gaussian_median_radius,
     matroid_spanning_partition,
     opnorm,
-    partition_certificate,
     rank_one,
     subset_frame_bound,
     vector_system,
@@ -156,9 +155,9 @@ def test_exhaustive_partition_two_basis_copies():
     vs = vector_system(np.vstack([np.eye(2), np.eye(2)]))
     out = exhaustive_partition_search(vs, 2)
     assert out.exact and out.value == pytest.approx(1.0, abs=1e-12)
-    cert = partition_certificate(vs, out.witness, 2.0)
-    assert np.max(cert.per_part_bound) == pytest.approx(1.0, abs=1e-12)
-    assert cert.slack == pytest.approx(1.0, abs=1e-12)
+    top = max(subset_frame_bound(vs, p) for p in out.witness.parts())
+    assert top == pytest.approx(1.0, abs=1e-12)
+    assert 2.0 - top == pytest.approx(1.0, abs=1e-12)  # the slack against N = 2
 
 
 def _quarter_norm_system(seed, n, k):
@@ -335,9 +334,9 @@ def test_matroid_deficient_certificate():
     out = matroid_spanning_partition(vs, 2)
     result = out.witness
     assert isinstance(result, ViolatingSet) and out.exact
-    assert out.value == result.deficiency() >= 1
+    assert out.value == 2 * (vs.k - result.complement_rank) - len(result.indices) >= 1
     # the counting inequality is checkable from the pieces
-    assert result.r * (result.k - result.complement_rank) > len(result.indices)
+    assert 2 * (vs.k - result.complement_rank) > len(result.indices)
     comp = [i for i in range(vs.n) if i not in result.indices]
     comp_rank = np.linalg.matrix_rank(vs.vectors[comp]) if comp else 0
     assert comp_rank == result.complement_rank
@@ -647,11 +646,11 @@ def test_phase_normalized_rows_match_normalize_phase_bitwise():
 
 def test_net_k1_exact():
     vs = vector_system([[0.7 + 0.1j], [0.3]])
-    net_max, cert, evaluations, witness = certified_subset_bound(vs, [0, 1], 0.1)
+    out = certified_subset_bound(vs, [0, 1], 0.1)
     oracle = subset_frame_bound(vs, [0, 1])
-    assert net_max == pytest.approx(oracle, abs=1e-12)
-    assert cert == net_max + 0.1
-    assert evaluations == 1 and witness.tolist() == [1.0]
+    assert out.value == pytest.approx(oracle, abs=1e-12) and out.exact
+    assert oracle <= out.value + 0.1
+    assert out.counters == {"net_points": 1} and out.witness.tolist() == [1.0]
 
 
 def test_net_k2_certified_sandwich():
@@ -660,10 +659,11 @@ def test_net_k2_certified_sandwich():
         vs = vector_system(random_unit_rows(6, 2, rng))
         n_level = 2.0
         mesh = 0.1 / (4 * n_level)
-        net_max, cert, _, _ = certified_subset_bound(vs, range(6), 2 * n_level * mesh)
+        gap = 2 * n_level * mesh
+        net_max = certified_subset_bound(vs, range(6), gap).value
         oracle = subset_frame_bound(vs, range(6))
         assert net_max <= oracle + 1e-9
-        assert oracle <= cert + 1e-9
+        assert oracle <= net_max + gap + 1e-9
 
 
 def _system(kind, k, n, real, rng):
@@ -692,11 +692,12 @@ def test_certified_subset_bound_sandwiches_the_top_eigenvalue(k, n, real, kind, 
     subset = [] if kind == "empty" else range(vs.n)
     gap = 10.0 ** gap_exp * (1.0 + float(np.sum(vs.norms_squared())))
     budget = 100000
-    lower, upper, evaluations, witness = certified_subset_bound(vs, subset, gap, budget)
+    out = certified_subset_bound(vs, subset, gap, budget)
+    lower, witness = out.value, out.witness
     lam = subset_frame_bound(vs, subset)
-    assert lower <= lam * (1 + 1e-12) <= upper * (1 + 1e-12)
-    assert upper == lower + gap
-    assert 1 <= evaluations <= budget
+    assert lower <= lam * (1 + 1e-12) <= (lower + gap) * (1 + 1e-12)
+    assert out.exact
+    assert 1 <= out.counters["net_points"] <= budget
     assert witness[0].imag == 0.0 and witness[0].real >= 0.0
     assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-14)
 
@@ -746,8 +747,9 @@ def test_box_bound_holds_at_every_point_of_the_box(k):
 
 def test_net_budget_refusal_and_validation():
     vs = vector_system(random_unit_rows(9, 3, make_rng(51)))
-    needed = certified_subset_bound(vs, range(9), 0.05, budget=10**6)[2]
-    assert certified_subset_bound(vs, range(9), 0.05, budget=needed)[2] == needed
+    needed = certified_subset_bound(vs, range(9), 0.05, budget=10**6).counters["net_points"]
+    assert certified_subset_bound(vs, range(9), 0.05, budget=needed).counters == {
+        "net_points": needed}
     with pytest.raises(BudgetExceededError):
         certified_subset_bound(vs, range(9), 0.05, budget=needed - 1)
     for gap in (0.0, -1.0, math.inf, math.nan, 1e-15):
@@ -760,8 +762,8 @@ def test_net_budget_refusal_and_validation():
 
 def test_net_empty_subset():
     vs = vector_system(np.eye(2))
-    net_max, cert, evaluations, _ = certified_subset_bound(vs, [], 0.4)
-    assert (net_max, cert, evaluations) == (0.0, 0.4, 1)
+    out = certified_subset_bound(vs, [], 0.4)
+    assert (out.value, out.value + 0.4, out.counters["net_points"]) == (0.0, 0.4, 1)
 
 
 def per_point_sum(points, vectors):
@@ -776,7 +778,7 @@ def test_net_bound_matches_per_point_sum(k, mesh, seed):
     vs = vector_system(random_unit_rows(7, k, rng))
     for size in (0, 1, 3, 7):
         subset = sorted(rng.choice(7, size=size, replace=False).tolist())
-        net_max, cert, _, witness = certified_subset_bound(vs, subset, 2.0 * 2.0 * mesh)
-        assert cert == net_max + 2.0 * 2.0 * mesh
-        ref = per_point_sum([witness], vs.vectors[subset])
-        assert net_max == pytest.approx(ref, rel=1e-13, abs=0.0)
+        out = certified_subset_bound(vs, subset, 2.0 * 2.0 * mesh)
+        assert out.exact
+        ref = per_point_sum([out.witness], vs.vectors[subset])
+        assert out.value == pytest.approx(ref, rel=1e-13, abs=0.0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedisc import (
+    BudgetExceededError,
     InfeasibleError,
     InvalidParameterError,
     complete_to_tight,
@@ -11,7 +12,6 @@ from framedisc import (
     frame_bound,
     frame_operator,
     partition,
-    partition_certificate,
     rank_one,
     subset_frame_bound,
     tight_pad_unit,
@@ -111,14 +111,14 @@ def test_partition_validation():
     assert [list(q) for q in p.parts()] == [[0, 3], [2], [1]]
 
 
-def test_partition_certificate_two_basis_copies():
+def test_per_part_frame_bounds_two_basis_copies():
     vs = vector_system(np.vstack([np.eye(2), np.eye(2)]))
-    cert = partition_certificate(vs, partition(2, [0, 0, 1, 1]), 2.0)
-    assert np.allclose(cert.per_part_bound, [1.0, 1.0])
-    assert cert.slack == pytest.approx(1.0)
-    bad = partition_certificate(vs, partition(2, [0, 1, 0, 1]), 2.0)
-    assert np.max(bad.per_part_bound) == pytest.approx(2.0)
-    assert bad.slack == pytest.approx(0.0)
+    good = [subset_frame_bound(vs, p) for p in partition(2, [0, 0, 1, 1]).parts()]
+    assert np.allclose(good, [1.0, 1.0])
+    assert 2.0 - max(good) == pytest.approx(1.0)  # the slack against N = 2
+    bad = [subset_frame_bound(vs, p) for p in partition(2, [0, 1, 0, 1]).parts()]
+    assert max(bad) == pytest.approx(2.0)
+    assert 2.0 - max(bad) == pytest.approx(0.0)
 
 
 def seeded_vectors(seed, n, k, real):
@@ -142,7 +142,7 @@ def test_frame_bound_scales_as_t_squared(seed, n, k, real, t):
 def test_complete_to_tight_frame_operator_is_N_identity(seed, n, k, real, headroom, cap):
     vs = vector_system(seeded_vectors(seed, n, k, real))
     N = frame_bound(vs) * (1.0 + headroom)
-    out, _ = complete_to_tight(vs, N, cap * N)
+    out = complete_to_tight(vs, N, cap * N)
     # rounding of the eigensolve and of the pieces, plus residual
     # eigenvalues up to 1e-12 that complete_to_tight leaves unpadded
     err = np.max(np.abs(frame_operator(out) - N * np.eye(k)))
@@ -152,30 +152,44 @@ def test_complete_to_tight_frame_operator_is_N_identity(seed, n, k, real, headro
 
 def test_complete_to_tight_single_vector():
     vs = vector_system([[1.0, 0.0]])
-    out, trace = complete_to_tight(vs, 2.0, 1.0)
+    out = complete_to_tight(vs, 2.0, 1.0)
     s = frame_operator(out)
     assert np.linalg.norm(s - 2 * np.eye(2)) <= 1e-10
     # input prefix preserved
     assert np.array_equal(out.vectors[:1], vs.vectors)
-    assert np.allclose(trace.B, 2 * np.eye(2) - frame_operator(vs))
+    # the added vectors make up the residual B = N I - S of the input
+    added = out.vectors[vs.n:]
+    assert np.allclose(added.T @ added.conj(), 2 * np.eye(2) - frame_operator(vs))
 
 
 def test_complete_to_tight_cap_respected():
     rng = make_rng(24)
     vs = random_system(4, 3, rng, max_norm=0.9)
     for cap in (1.0, 0.25, 0.07):
-        out, trace = complete_to_tight(vs, 2.5, cap)
+        out = complete_to_tight(vs, 2.5, cap)
         assert np.linalg.norm(frame_operator(out) - 2.5 * np.eye(3)) <= 1e-9
-        if trace.added.size:
-            assert np.max(np.sum(np.abs(trace.added) ** 2, axis=1)) <= cap * (1 + 1e-8)
+        added = out.vectors[vs.n:]
+        if added.size:
+            assert np.max(np.sum(np.abs(added) ** 2, axis=1)) <= cap * (1 + 1e-8)
         assert np.array_equal(out.vectors[:4], vs.vectors)
 
 
 def test_complete_to_tight_already_tight_adds_nothing():
     vs = vector_system(np.eye(3))
-    out, trace = complete_to_tight(vs, 1.0, 1.0)
-    assert trace.added.shape[0] == 0
+    out = complete_to_tight(vs, 1.0, 1.0)
+    assert out.vectors[vs.n:].shape[0] == 0
     assert out.n == 3
+
+
+def test_complete_to_tight_budget_caps_the_output_count():
+    vs = vector_system([[0.5, 0.0], [0.0, 0.5]])  # residual 0.75 I at N = 1
+    m = complete_to_tight(vs, 1.0, 0.25).n
+    assert m == 2 + 2 * 3
+    assert complete_to_tight(vs, 1.0, 0.25, budget=m).n == m
+    with pytest.raises(BudgetExceededError, match=f"m = {m} vectors"):
+        complete_to_tight(vs, 1.0, 0.25, budget=m - 1)
+    with pytest.raises(BudgetExceededError, match="m = inf vectors"):
+        complete_to_tight(vs, 1.0, 1e-320, budget=10**9)  # 0.75 / cap overflows
 
 
 def test_complete_to_tight_infeasible():
@@ -219,14 +233,15 @@ def test_unit_norm_lift_rejects_big_vectors_and_thin_systems():
 
 def test_tight_pad_unit_identity_input():
     vs = vector_system(np.eye(3))
-    out, trace = tight_pad_unit(vs, 2)
+    out = tight_pad_unit(vs, 2)
     assert out.n == 6
     assert np.linalg.norm(frame_operator(out) - 2 * np.eye(3)) <= 1e-10
     assert np.max(np.abs(out.norms_squared() - 1.0)) <= 1e-10
     # DFT identity: sum over one period of added vectors equals B/(N-1)
-    period = trace.added[:3]
+    period = out.vectors[vs.n:][:3]
     s = period.T @ period.conj()
-    assert np.linalg.norm(s - trace.B / 1.0) <= 1e-10
+    b = 2 * np.eye(3) - frame_operator(vs)
+    assert np.linalg.norm(s - b / 1.0) <= 1e-10
 
 
 def test_tight_pad_unit_random_rotations():
@@ -237,13 +252,14 @@ def test_tight_pad_unit_random_rotations():
         g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         q, _ = np.linalg.qr(g)
         vs = vector_system(q.T)  # m orthonormal rows = unit vectors
-        out, trace = tight_pad_unit(vs, n_level)
+        out = tight_pad_unit(vs, n_level)
         assert out.n == m * n_level
         assert np.max(np.abs(out.norms_squared() - 1.0)) <= 1e-9
         assert np.linalg.norm(frame_operator(out) - n_level * np.eye(m)) <= 1e-9
-        period = trace.added[:m]
+        period = out.vectors[vs.n:][:m]
         s = period.T @ period.conj()
-        assert np.linalg.norm(s - trace.B / (n_level - 1)) <= 1e-9
+        b = n_level * np.eye(m) - frame_operator(vs)
+        assert np.linalg.norm(s - b / (n_level - 1)) <= 1e-9
         assert np.array_equal(out.vectors[:m], vs.vectors)
 
 

@@ -51,7 +51,17 @@ A mid-size `reduce --direction vec2proj` (60 seeded vectors in C^8 at
 N = 4) pins a 79 x 79 projection: 12,482 floats that take 4,553 distinct
 magnitudes, so the emitter's one string per distinct magnitude is checked
 where thousands of them repeat, with either sign. Its pins were taken from
-the emitter that formatted every float.
+the emitter that formatted every float. The two `vec2proj` report pins
+were retaken when the command began to cap its tight completion by
+`--budget`: the reports' `budget` moved from null to 20000, and nothing
+else did.
+
+`search --kind partition` at r = 2 and at r = 3 with a budget that cuts
+the walk short (an inexact incumbent), `search --kind pave` on a seeded
+zero-diagonal Hermitian matrix, and `net-check` on a three-vector subset
+pin the reports whose per-part bounds, slack and certified bracket the
+command assembles from the engines' results. Their pins were taken before
+those results were slimmed to what the commands read.
 
 A report of a command that reads `--input` (reduce, matroid, banaszczyk
 and signs above) also pins its `inputs_digest`, the SHA-256 of the input
@@ -79,11 +89,11 @@ PINNED = {
     "v2p.object.json":
         "1f8bf3f651fbe9142a56514e4d3e2dda7807434340d90b3809eb01ef79c0a1e1",
     "v2p.report.json":
-        "d95dd5a5347cd83384cfa538dcd16e76c5c3dc9f1663168dfc525465931d7d64",
+        "e984b1adad9d19fc5ea28da3f0c9844978b28bb0e421c591784edb44c162b684",
     "v2p_mid.object.json":
         "1cdbfd8cd29e0f47338363d15640ebc7cb1a759983c173e5a2be87b3477d0a59",
     "v2p_mid.report.json":
-        "39dd9016cd54faf45cbfdeecf4498daa01690b4f11b44643572d4474203c9f4c",
+        "84bf568e44b381af5d78df8cc3e1b444787d8e93723c7cfba634ba98640fd2cd",
     "p2v.object.json":
         "7ba85aed42eb8d08e5a8e862fbf26e73748c694e47e991a9241b65b3335c56ab",
     "p2v.report.json":
@@ -112,6 +122,14 @@ PINNED = {
         "c05a3334f7c50460c495a0d95db438bbf03e90cb9cceb9023f6e13c6663af8e2",
     "weaver_exact_k14.report.json":
         "798c840111d094c08d6c8c7dbf6a8ff130b3806d619e10ff57d05b52f6d701cb",
+    "partition_r2.report.json":
+        "0ac1597faf9a7d54ec1bdaa75537e709e8daa861c2d9cc5276db034cb7636253",
+    "partition_r3_cut.report.json":
+        "d7488938d5d4c6fb3b5e40fbd79d78e0432d33c5c550d53d70afdd2038de955a",
+    "pave.report.json":
+        "8b910fb0f5f9985a5c4d384353cab38fe49a28aefc32a9d882f7cd66e0b4d1ad",
+    "net.report.json":
+        "52ff2529b7d1c821148655ce591629655bcad0502f2723c363901d652c60a895",
 }
 
 
@@ -133,6 +151,15 @@ def real_system(seed: int, n: int, k: int) -> dict:
 
 def wire(k: int, v: np.ndarray) -> dict:
     return {"k": k, "vectors": [[[float(z.real), float(z.imag)] for z in row] for row in v]}
+
+
+def zero_diagonal_matrix(seed: int, n: int) -> dict:
+    """A Hermitian n x n matrix with zero diagonal in the wire format."""
+    rng = make_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = np.triu(g, 1)
+    h = h + h.conj().T
+    return {"dim": n, "entries": [[float(z.real), float(z.imag)] for z in h.ravel()]}
 
 
 def deficient_system(seed: int) -> dict:
@@ -191,6 +218,20 @@ def digests(tmp_path_factory) -> dict:
     for k in (12, 14):
         assert main(["verify-weaver", "--k", str(k), "--mode", "exhaustive",
                      "--out", str(tmp_path / f"weaver_exact_k{k}.report.json")]) == EXIT_PASS
+    parts = tmp_path / "parts.json"
+    parts.write_text(json.dumps(seeded_system(20261026, 10, 3, 1.8)))
+    for name, r, budget in (("r2", 2, 20000), ("r3_cut", 3, 60)):
+        assert main(["search", "--kind", "partition", "--input", str(parts), "--r", str(r),
+                     "--n-bound", "2", "--budget", str(budget),
+                     "--out", str(tmp_path / f"partition_{name}.report.json")]) == EXIT_PASS
+    pave = tmp_path / "pave.json"
+    pave.write_text(json.dumps(zero_diagonal_matrix(20261027, 8)))
+    assert main(["search", "--kind", "pave", "--input", str(pave), "--r", "2",
+                 "--out", str(tmp_path / "pave.report.json")]) == EXIT_PASS
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(seeded_system(20261028, 6, 2, 1.8)))
+    assert main(["net-check", "--input", str(net), "--subset", "1,3,4", "--epsilon", "0.1",
+                 "--n-bound", "2", "--out", str(tmp_path / "net.report.json")]) == EXIT_PASS
     out = {}
     for name in PINNED:
         text = (tmp_path / name).read_text()

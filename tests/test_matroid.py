@@ -95,7 +95,7 @@ def reference_partition(vs, r):
     d = rank(base)
     in_closure = [z in reach or rank(base + [z]) == d for z in range(n)]
     x_set = tuple(z for z in range(n) if not in_closure[z])
-    return ViolatingSet(indices=x_set, complement_rank=d, r=r, k=k), queries
+    return ViolatingSet(indices=x_set, complement_rank=d), queries
 
 
 def matroid_input(seed, kind, n, k):

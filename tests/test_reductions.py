@@ -75,7 +75,7 @@ def test_projection_to_vectors_rejects_bad_inputs():
 def test_vectors_to_projection_singleton():
     trace = vectors_to_projection(vector_system([[1.0]]), 2.0)
     assert np.allclose(trace.P, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
-    assert np.allclose(trace.D, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
+    assert np.allclose(np.diag(np.diag(trace.P)), [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
     assert opnorm(trace.A) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -161,7 +161,7 @@ def test_compression_quadratic_identity():
     vs = vector_system((rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / 3.0)
     n_level = max(2.0, frame_bound(vs) + 0.1)
     trace = vectors_to_projection(vs, n_level)
-    m = trace.m
+    m = trace.w.n
     w = trace.w.vectors
     q = projection_matrix(m, [0, 2])
     for _ in range(20):

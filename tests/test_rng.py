@@ -17,14 +17,6 @@ def test_different_seeds_differ():
     assert not np.array_equal(a, b)
 
 
-def test_streams_are_independent():
-    a = make_rng(5, stream=0).standard_normal(10)
-    b = make_rng(5, stream=1).standard_normal(10)
-    assert not np.array_equal(a, b)
-    again = make_rng(5, stream=1).standard_normal(10)
-    assert np.array_equal(b, again)
-
-
 def test_seed_range_enforced():
     make_rng(0)
     make_rng(2**64 - 1)
