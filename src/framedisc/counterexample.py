@@ -47,10 +47,12 @@ terms (V's = H + L per block, not a running Gray sum), so the quotient is
 off by at most c k^(3/2) eps sum_i ||v_i||^2, far below the margin
 1e-9 sum_i ||v_i||^2 at every k an exhaustive walk can reach.
 
-Only gen-weaver and the exhaustive check read the vectors, which an
-instance builds on first use; the other claims take O(k) per subset from
-(k, alpha, beta). Heuristic verify-weaver at k = 10^6 runs in 4 to 5 s and
-60 MB peak RSS on a 2-vCPU host.
+The distance claims take one subset per count c = 0..k-1, the prefix
+X_c = {0, ..., c-1} (the family is symmetric in its first k-1
+coordinates), and the row c = k-1 also against e_k (_prefix_distances).
+Only gen-weaver and exhaustive mode read the vectors, which an instance
+builds on first use. Heuristic verify-weaver at k = 10^6 runs in about
+0.7 s and 35 MB peak RSS on a 2-vCPU host, mostly the 3 x 3 eigensolves.
 """
 
 from __future__ import annotations
@@ -63,10 +65,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
 from .engines import WALK_BLOCK_BYTES, WALK_ETA, _block_signs, _sign_blocks
-from .frames import VectorSystem
+from .frames import VectorSystem, _subset_indices
 from .linalg import _opnorm, _solve
 from .reports import Claim, VerificationReport, finish_report
-from .rng import make_rng
 
 
 @dataclass(frozen=True)
@@ -102,56 +103,44 @@ def counterexample_vectors(k: int) -> CounterexampleInstance:
                                   delta=delta, N=1.0 / delta)
 
 
-def _image_distances(inst: CounterexampleInstance, bits: np.ndarray, target: float):
-    """||sum_{i in X} <e_k, v'_i> v'_i - target e_k|| for each subset X, a row
-    of the 0/1 matrix ``bits`` (M x (k-1)), summed entrywise from (k, alpha,
-    beta) as beta((k-1) alpha 1_X - alpha |X| 1 + beta |X| e_k): O(k) per
-    subset, never the closed form in |X|."""
-    k, alpha, beta = inst.k, inst.alpha, inst.beta
-    c = bits @ np.ones(k - 1)  # exact: a sum of at most k - 1 ones
-    head = (k - 1) * alpha * bits
-    head -= alpha * c[:, None]
-    head *= beta
-    return np.sqrt(np.einsum("ij,ij->i", head, head) + (beta * beta * c - target) ** 2)
-
-
-def _subset_center_distances(inst: CounterexampleInstance, bits: np.ndarray):
-    """Direct and closed-form distances from e_k/2 for the subsets of
-    _image_distances (float rows): two length-M arrays."""
-    k, c = inst.k, bits @ np.ones(inst.k - 1)
-    closed = np.sqrt(c * (k - 1 - c) / (k - 1) ** 3 + (c / (k - 1) - 0.5) ** 2)
-    return _image_distances(inst, bits, 0.5), closed
+def _closed_distance(k: int, c):
+    """The closed form in c = |X| of the distance from e_k/2."""
+    c = np.asarray(c, dtype=float)
+    return np.sqrt(c * (k - 1 - c) / (k - 1) ** 3 + (c / (k - 1) - 0.5) ** 2)
 
 
 def subset_center_distance(inst: CounterexampleInstance, X) -> tuple[float, float]:
     """Distance of sum_{i in X} A_{v'_i} e_k from e_k/2: direct evaluation
-    and the closed form in c = |X|."""
-    idx = sorted(int(i) for i in X)
-    if idx and (idx[0] < 0 or idx[-1] >= inst.k - 1):
-        raise InvalidParameterError(f"subset indices out of range 0..{inst.k - 2}")
-    bits = np.bincount(np.asarray(idx, dtype=np.int64), minlength=inst.k - 1)
-    direct, closed = _subset_center_distances(inst, bits[None, :].astype(float))
-    return float(direct[0]), float(closed[0])
+    from the vectors and the closed form in c = |X|."""
+    v = inst.primed.vectors[_subset_indices(X, inst.k - 1)]
+    image = v[:, -1].conj() @ v  # sum_{i in X} <e_k, v'_i> v'_i
+    image[-1] -= 0.5
+    return float(np.linalg.norm(image)), float(_closed_distance(inst.k, len(v)))
 
 
-def _subset_blocks(k: int, seed: int):
-    """The subsets the closed-form claim checks, as blocks of 0/1 rows of at
-    most 128 KB (or one row): all 2^(k-1) for k <= 12, and 256 seeded ones
-    above, drawn as bitmasks up to k = 64 and as indicator rows beyond (a
-    bitmask no longer fits in an int64), in blocks that split one draw."""
-    block = max(1, (1 << 17) // (8 * k))
-    if k > 64:
-        rng = make_rng(seed)
-        return (rng.integers(0, 2, size=(min(block, 256 - s), k - 1)) for s in range(0, 256, block))
-    masks = (np.arange(2 ** (k - 1), dtype=np.int64) if k <= 12
-             else make_rng(seed).integers(0, 2 ** (k - 1), size=256))
-    return (masks[s:s + block, None] >> np.arange(k - 1) & 1 for s in range(0, len(masks), block))
+def _prefix_distances(inst: CounterexampleInstance, c: np.ndarray, target: float,
+                      exhaustive: bool) -> np.ndarray:
+    """||sum_{i < c} <e_k, v'_i> v'_i - target e_k|| for each c of the int
+    array c: from prefix sums of the vectors' entries in exhaustive mode (a
+    wrong entry of v'_i moves every c > i), in heuristic mode from (k,
+    alpha, beta) in O(1) per c: beta alpha (k-1-c) on the c members,
+    -beta alpha c on the rest and beta^2 c last."""
+    k = inst.k
+    if exhaustive:
+        v = inst.primed.vectors
+        sums = np.cumsum(np.vstack([np.zeros((1, k)), v[:, k - 1:].conj() * v]), axis=0)[c]
+        sums[:, k - 1] -= target
+        return np.linalg.norm(sums, axis=1)
+    ba, c = inst.beta * inst.alpha, c.astype(float)
+    p = k - 1 - c
+    return np.sqrt(c * (ba * p) ** 2 + p * (ba * c) ** 2
+                   + (inst.beta * inst.beta * c - target) ** 2)
 
 
 def signed_norm_lower_bound(k: int) -> float:
     """1/(delta*sqrt(k-1)), the proven floor for every sign pattern."""
-    delta = (2 * k - 3) / (k - 1) ** 2
-    return 1.0 / (delta * math.sqrt(k - 1))
+    inst = counterexample_vectors(k)
+    return 1.0 / (inst.delta * math.sqrt(inst.k - 1))
 
 
 def _signed_sums(v: np.ndarray, signs: np.ndarray):
@@ -259,14 +248,13 @@ def verify_counterexample(
     ``patterns_certified``, the patterns proven at or above t;
     ``eigensolves``, the k x k sums eigensolved (0 in heuristic mode); and
     ``orbit_eigensolves``, the 3 x 3 ones, (k-1)//2 + 1 for m and as many
-    again for the witnesses. The subset claim checks _subset_blocks.
+    again for the witnesses.
 
-    ``primed_frame_fixes_e_k`` asserts sum_i <e_k, v'_i> v'_i = e_k. In
-    exhaustive mode it is computed from the vectors v'_i. Heuristic mode
-    builds no vector and sums it entrywise from (k, alpha, beta) in O(k),
-    as _image_distances does: its first k-1 entries, ((k-1) alpha -
-    alpha (k-1)) beta, cancel exactly, so it checks only that beta^2 (k-1)
-    rounds to 1.
+    ``closed_form_subset_distance_agreement`` compares the distance from
+    e_k/2 of each prefix X_c with the closed form in c, in blocks of
+    WALK_BLOCK_BYTES // 8 counts, and ``primed_frame_fixes_e_k`` asserts
+    that X_{k-1}'s sum is e_k (_prefix_distances). ``seed`` is recorded in
+    the report; no claim depends on it.
     """
     k = inst.k
     lb = signed_norm_lower_bound(k)
@@ -288,16 +276,11 @@ def verify_counterexample(
         claims.append(Claim("no_pattern_below_orbit_minimum", computed=float(below.size),
                             bound=0.0, tolerance=0.0, relation="le"))
 
-    subset_dev = max(float(np.max(np.abs(direct - closed)))
-                     for direct, closed in (_subset_center_distances(inst, bits.astype(float))
-                                            for bits in _subset_blocks(k, seed)))
-    if mode == "exhaustive":  # the vectors are built: sum_i <e_k, v'_i> v'_i from them
-        v = inst.primed.vectors
-        image = (v[:, k - 1:].conj() * v).sum(axis=0)
-        image[k - 1] -= 1.0
-        image_err = float(np.linalg.norm(image))
-    else:
-        image_err = float(_image_distances(inst, np.ones((1, k - 1)), 1.0)[0])
+    exhaustive, block = mode == "exhaustive", WALK_BLOCK_BYTES // 8
+    subset_dev = max(float(np.max(np.abs(_prefix_distances(inst, c, 0.5, exhaustive)
+                                         - _closed_distance(k, c))))
+                     for c in (np.arange(s, min(s + block, k)) for s in range(0, k, block)))
+    image_err = float(_prefix_distances(inst, np.array([k - 1]), 1.0, exhaustive)[0])
     claims += [
         Claim("primed_frame_fixes_e_k", computed=image_err, bound=0.0,
               tolerance=1e-10, relation="abs"),

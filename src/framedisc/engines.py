@@ -154,7 +154,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
-from .frames import VectorSystem, _unit_ball_norms, frame_bound, partition
+from .frames import VectorSystem, _subset_indices, _unit_ball_norms, frame_bound, partition
 from .linalg import _cholesky_factors, _opnorm, _solve, as_hermitian, eigenvalues
 from .rng import make_rng
 
@@ -1122,10 +1122,7 @@ def certified_subset_bound(vs: VectorSystem, X, gap: float, budget: int = 20000)
     unit vector witness, and the counter ``net_points`` counts the box
     centres scored. Raises BudgetExceededError when they would exceed
     ``budget``."""
-    idx = np.asarray(sorted(X), dtype=np.int64)
-    if idx.size and (idx[0] < 0 or idx[-1] >= vs.n):
-        raise InvalidParameterError(f"subset indices out of range 0..{vs.n - 1}")
-    v = vs.vectors[idx]
+    v = vs.vectors[_subset_indices(X, vs.n)]
     s = v.T @ v.conj()  # S = sum_i v_i v_i*
     lam = min(float(np.trace(s).real), float(np.max(np.abs(s).sum(axis=1)))) * (1 + 1e-12)
     if not (gap > 1e-12 * lam and math.isfinite(gap)):

@@ -95,6 +95,8 @@ def partition(r: int, assignment) -> Partition:
 def frame_operator(vs: VectorSystem) -> np.ndarray:
     """Sum of rank-one operators of the system's vectors (PSD Hermitian)."""
     s = vs.vectors.T @ vs.vectors.conj()
+    # symmetrized: the product's rounding grows with the vectors' scale,
+    # past any absolute Hermitian tolerance
     return (s + s.conj().T) / 2.0
 
 
@@ -104,19 +106,18 @@ def frame_bound(vs: VectorSystem) -> float:
     return float(max(w[-1], 0.0))
 
 
+def _subset_indices(X, n: int) -> np.ndarray:
+    """The subset X of 0..n-1 as sorted int64 indices; raises unless they
+    are distinct and in range."""
+    idx = np.asarray(sorted(X), dtype=np.int64)
+    if idx.size and (idx[0] < 0 or idx[-1] >= n) or np.any(idx[1:] == idx[:-1]):
+        raise InvalidParameterError(f"subset indices must be distinct and in 0..{n - 1}")
+    return idx
+
+
 def subset_frame_bound(vs: VectorSystem, X) -> float:
     """Top eigenvalue of sum_{i in X} A_{v_i}; 0 for empty X."""
-    idx = np.asarray(sorted(X), dtype=np.int64)
-    if idx.size == 0:
-        return 0.0
-    if idx[0] < 0 or idx[-1] >= vs.n:
-        raise InvalidParameterError(f"subset indices out of range 0..{vs.n - 1}")
-    sub = vs.vectors[idx]
-    s = sub.T @ sub.conj()
-    # symmetrized as frame_operator does: the product's rounding grows with
-    # the vectors' scale, past any absolute Hermitian tolerance
-    w = eigenvalues((s + s.conj().T) / 2.0)
-    return float(max(w[-1], 0.0))
+    return frame_bound(VectorSystem(vs.vectors[_subset_indices(X, vs.n)]))
 
 
 def complete_to_tight(vs: VectorSystem, N: float, cap: float,

@@ -118,8 +118,8 @@ def test_verify_weaver_heuristic_mode(tmp_path):
 
 
 def test_verify_weaver_heuristic_above_k64(tmp_path):
-    # 2^(k-1) no longer fits in an int64, so the sampled subsets are drawn
-    # as indicator rows
+    # 2^(k-1) does not fit in an int64; the subset claim takes one prefix
+    # subset per count c, so it needs no bitmask
     out = tmp_path / "r.json"
     assert run(["verify-weaver", "--k", "70", "--mode", "heuristic", "--budget", "50",
                 "--out", str(out)]) == EXIT_PASS

@@ -19,7 +19,7 @@ from framedisc import (
     verify_counterexample,
 )
 from framedisc import counterexample
-from framedisc.counterexample import _orbit_minimum, _orbit_sums, _subset_blocks
+from framedisc.counterexample import _orbit_minimum, _orbit_sums
 from framedisc.linalg import _opnorm
 from framedisc.rng import make_rng
 
@@ -65,6 +65,8 @@ def test_subset_center_distance_matches_closed_form():
     assert c_empty == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(InvalidParameterError):
         subset_center_distance(inst, [9])
+    with pytest.raises(InvalidParameterError, match="distinct"):
+        subset_center_distance(counterexample_vectors(6), [1, 1])
 
 
 def test_subset_center_distance_depends_only_on_size():
@@ -93,6 +95,12 @@ def test_signed_norm_lower_bound_values():
         assert 0.4 <= ratio <= 0.6
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 5.5])
+def test_signed_norm_lower_bound_refuses_k_outside_the_family(k):
+    with pytest.raises(InvalidParameterError, match="integer k >= 5"):
+        signed_norm_lower_bound(k)
+
+
 def test_verify_counterexample_exhaustive():
     report = verify_counterexample(counterexample_vectors(5))
     assert report.passed
@@ -105,39 +113,60 @@ def test_verify_counterexample_heuristic():
     assert report.passed
     # heuristic reports an upper bound, still above the proven floor
     assert report.extra["min_signed_norm_or_bound"] >= report.extra["lower_bound"] - 1e-9
+    # the seed is recorded, and no claim depends on it
+    other = verify_counterexample(counterexample_vectors(5), mode="heuristic",
+                                  seed=2, budget=500)
+    assert other.claims == report.claims and other.seed == 2
+
+
+def perturbed_family(k):
+    """The family at k with v'_2's first entry moved by 1e-6."""
+    inst = counterexample_vectors(k)
+    v = inst.primed.vectors.copy()
+    v[2, 0] += 1e-6
+    vars(inst)["primed"] = VectorSystem(v)  # a cached_property's slot
+    return inst
+
+
+def claim_named(report, name):
+    return next(c for c in report.claims if c.name == name)
 
 
 def test_a_perturbed_primed_vector_fails_the_e_k_claim_in_exhaustive_mode():
     # exhaustive mode sums <e_k, v'_i> v'_i from the vectors themselves;
     # heuristic mode sums it from (k, alpha, beta), so it cannot see them
-    def e_k_claim(report):
-        return next(c for c in report.claims if c.name == "primed_frame_fixes_e_k")
-
-    clean = e_k_claim(verify_counterexample(counterexample_vectors(9)))
+    clean = claim_named(verify_counterexample(counterexample_vectors(9)),
+                        "primed_frame_fixes_e_k")
     assert clean.passed and clean.computed < 1e-15
-    inst = counterexample_vectors(9)
-    v = inst.primed.vectors.copy()
-    v[2, 0] += 1e-6
-    vars(inst)["primed"] = VectorSystem(v)  # a cached_property's slot
-    claim = e_k_claim(verify_counterexample(inst))
+    inst = perturbed_family(9)
+    claim = claim_named(verify_counterexample(inst), "primed_frame_fixes_e_k")
     assert not claim.passed
     assert claim.computed == pytest.approx(inst.beta * 1e-6, rel=1e-6)
-    assert e_k_claim(verify_counterexample(inst, mode="heuristic")).passed
+    assert claim_named(verify_counterexample(inst, mode="heuristic"),
+                       "primed_frame_fixes_e_k").passed
 
 
-def _loop_subset_deviation(inst, masks):
-    """max |direct - closed| summing <e_k, v'_i> v'_i one subset at a time."""
+def test_a_perturbed_primed_vector_fails_the_subset_claim_in_exhaustive_mode():
+    # the prefix sums carry v'_2's error into every count c > 2
+    inst = perturbed_family(9)
+    claim = claim_named(verify_counterexample(inst), "closed_form_subset_distance_agreement")
+    assert not claim.passed and claim.computed > 1e-8
+    assert claim_named(verify_counterexample(inst, mode="heuristic"),
+                       "closed_form_subset_distance_agreement").passed
+
+
+def _loop_prefix_deviation(inst):
+    """max |direct - closed| over the prefix subsets {0, ..., c-1},
+    summing <e_k, v'_i> v'_i one vector at a time."""
     k = inst.k
     e_k = np.zeros(k)
     e_k[-1] = 1.0
     dev = 0.0
-    for mask in masks:
-        x = [i for i in range(k - 1) if int(mask) >> i & 1]
-        total = np.zeros(k, dtype=np.complex128)
-        for i in x:
-            v = inst.primed.vectors[i]
+    total = np.zeros(k, dtype=np.complex128)
+    for c in range(k):
+        if c:
+            v = inst.primed.vectors[c - 1]
             total += np.vdot(v, e_k) * v
-        c = len(x)
         closed = math.sqrt(c * (k - 1 - c) / (k - 1) ** 3 + (c / (k - 1) - 0.5) ** 2)
         dev = max(dev, abs(float(np.linalg.norm(total - 0.5 * e_k)) - closed))
     return dev
@@ -146,18 +175,15 @@ def _loop_subset_deviation(inst, masks):
 @pytest.mark.parametrize("k", [5, 9, 12, 13, 20])
 def test_subset_check_matches_per_subset_loop(k):
     inst = counterexample_vectors(k)
-    report = verify_counterexample(inst, mode="heuristic", seed=3, budget=50)
-    masks = range(2 ** (k - 1)) if k <= 12 else \
-        make_rng(3).integers(0, 2 ** (k - 1), size=256)
-    computed = next(c.computed for c in report.claims
-                    if c.name == "closed_form_subset_distance_agreement")
     # both sides are sums of at most k - 1 terms of size <= 1/2, so summing
     # in another order moves them by a few eps
-    assert computed == pytest.approx(_loop_subset_deviation(inst, masks), abs=8 * k * 2**-52)
-    assert computed <= 1e-12
-    for mask in list(masks)[:20]:
-        x = [i for i in range(k - 1) if int(mask) >> i & 1]
-        direct, closed = subset_center_distance(inst, x)
+    for mode in ("heuristic", "exhaustive"):
+        report = verify_counterexample(inst, mode=mode, seed=3, budget=2 ** (k - 2))
+        computed = claim_named(report, "closed_form_subset_distance_agreement").computed
+        assert computed == pytest.approx(_loop_prefix_deviation(inst), abs=8 * k * 2**-52)
+        assert computed <= 1e-12
+    for c in range(k):
+        direct, closed = subset_center_distance(inst, range(c))
         assert direct == pytest.approx(closed, abs=8 * k * 2**-52)
 
 
@@ -251,15 +277,6 @@ def test_heuristic_mode_builds_no_vector_and_stays_small():
     assert report.extra["eigensolves"] == 0
     assert peak < 8 * 2**20
     assert "primed" not in vars(inst) and "normalized" not in vars(inst)
-
-
-@pytest.mark.parametrize("k", [65, 200])
-@pytest.mark.parametrize("seed", [0, 3])
-def test_subsets_drawn_in_blocks_are_one_draw_of_all(k, seed):
-    blocks = list(_subset_blocks(k, seed))
-    assert len(blocks) > 1
-    assert np.array_equal(np.concatenate(blocks),
-                          make_rng(seed).integers(0, 2, size=(256, k - 1)))
 
 
 def test_orbit_minimum_counts_the_complement(monkeypatch):

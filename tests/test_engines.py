@@ -760,6 +760,11 @@ def test_net_budget_refusal_and_validation():
             certified_subset_bound(vs, subset, 0.05)
 
 
+def test_net_refuses_a_repeated_index():
+    with pytest.raises(InvalidParameterError, match="distinct"):
+        certified_subset_bound(vector_system(np.eye(2)), [0, 0], 0.1)
+
+
 def test_net_empty_subset():
     vs = vector_system(np.eye(2))
     out = certified_subset_bound(vs, [], 0.4)

@@ -104,6 +104,14 @@ def test_subset_frame_bound_rejects_out_of_range():
         subset_frame_bound(vs, [5])
 
 
+def test_subset_frame_bound_refuses_a_repeated_index():
+    # counted twice, e_1 would give 2.0 where [0] gives 1.0
+    vs = vector_system(np.eye(2))
+    assert subset_frame_bound(vs, [0]) == 1.0
+    with pytest.raises(InvalidParameterError, match="distinct"):
+        subset_frame_bound(vs, [0, 0])
+
+
 def test_partition_validation():
     with pytest.raises(InvalidParameterError):
         partition(2, [0, 1, 2])

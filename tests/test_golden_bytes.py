@@ -7,8 +7,8 @@ any change to how a float, key or row is laid out shows up as a mismatch.
 
 Heuristic `verify-weaver` at k = 14 and k = 40 and `search --kind matroid`
 on a feasible and an infeasible input are pinned the same way, so a change
-to how subsets are sampled or how the matroid search decides its exchanges
-shows up too. The matroid pins predate the search's `eliminations` and
+to which subsets the distance claim checks or how the matroid search
+decides its exchanges shows up too. The matroid pins predate the search's `eliminations` and
 `exchange_queries` counters, so those two keys are dropped before hashing.
 The heuristic `verify-weaver` pins hold the family's orbit minimum: the
 least norm over the counts c = 0..(k-1)//2 of minus signs. The four
@@ -45,7 +45,12 @@ search began to report whether it ran to completion: those reports gained
 `exact` (true for the matroid decision, false for the greedy sign search).
 The exhaustive `verify-weaver` pins were retaken when the e_k claim began
 to sum sum_i <e_k, v'_i> v'_i from the vectors in exhaustive mode: it moved
-from 0.0 to 2.2e-16 at k = 12 and 2.3e-16 at k = 14.
+from 0.0 to 2.2e-16 at k = 12 and 2.3e-16 at k = 14. They were retaken
+again when the subset claim began to check the prefix subsets
+{0, ..., c-1}, one per count c, from prefix sums of the vectors' entries
+in exhaustive mode: it moved from 5.6e-17 to 2.2e-16 at k = 12 and from
+1.1e-16 to 2.2e-16 at k = 14. The heuristic pins held: there the claim,
+summed from (k, alpha, beta), kept its largest gap.
 
 A mid-size `reduce --direction vec2proj` (60 seeded vectors in C^8 at
 N = 4) pins a 79 x 79 projection: 12,482 floats that take 4,553 distinct
@@ -119,9 +124,9 @@ PINNED = {
     "signs_complex_n_lt_k.report.json":
         "2ca362ddb5f5c58896012980e845c96f00791de0c80cbc110e0928c127525f69",
     "weaver_exact_k12.report.json":
-        "c05a3334f7c50460c495a0d95db438bbf03e90cb9cceb9023f6e13c6663af8e2",
+        "a7c4f10d03b215fe4bb00b0cbe3103a929505cb8194c9d8b4aca50c18432303e",
     "weaver_exact_k14.report.json":
-        "798c840111d094c08d6c8c7dbf6a8ff130b3806d619e10ff57d05b52f6d701cb",
+        "82b46ac4371f74411047c8c66de6d74047c7951b1f3a251a9a04b3b45746fdef",
     "partition_r2.report.json":
         "0ac1597faf9a7d54ec1bdaa75537e709e8daa861c2d9cc5276db034cb7636253",
     "partition_r3_cut.report.json":
