@@ -66,31 +66,46 @@
   the union matroid's span only grows as elements are placed. A budget
   caps the exchange queries.
 * Gaussian median radius of the operator norm on self-adjoint matrices and
-  a sign search keeping signed sums inside operator-norm radius 5R. For
-  2 <= k <= RADIUS_CERTIFY_MAX_K the median is a certified selection: it
-  returns the bits of np.median over every sample's eigensolved norm but
-  eigensolves only a pilot and the samples that can be the median. The
-  exact norms of the first p ~ (z n / 2)^(2/3) of n samples give a bracket
-  [t_lo, t_hi] at pilot ranks p/2 -+ z sqrt(p)/2 (z = RADIUS_Z). Every
-  other sample H is placed by unpivoted Cholesky factorizations of
-  t I -+ H: both succeed at t_lo (1 - eta) => its computed norm is below
-  t_lo; either fails at t_hi (1 + eta) => above t_hi. The margin
-  eta = RADIUS_ETA (1e-9) is far above the k * eps backward error of
-  Cholesky and of the eigensolver. Narrowing passes then place the
-  candidates left by the same certificate on a narrower bracket [a, b]
-  inside [t_lo, t_hi]: a sample placed below a has computed norm below a,
-  as has every sample placed below t_lo <= a (and above b likewise), so
-  after a pass the argument below holds with a, b for t_lo, t_hi. With m
-  candidates (the pilot norms inside the bracket count too; being exact,
-  they are compared with a and b directly) and i <= j their median ranks,
-  a and b sit at rank fractions (i - z sqrt(m)/2)/m and
-  (j + z sqrt(m)/2)/m of the bracket, read off linearly. A pass is kept
-  only if both median ranks still fall among its candidates; otherwise the
-  previous candidates stand and the narrowing ends. It also ends after a
-  pass that fails to halve the candidates, or at
-  max(k^3, RADIUS_NARROW_MIN) candidates: a pass makes about k^3 numpy
-  calls whatever its size, plus a fixed ~0.1 ms, which there cost more
-  than the eigensolves it can save. The remaining candidates C are
+  a sign search keeping signed sums inside operator-norm radius 5R. The
+  standard Gaussian on self-adjoint k x k matrices has diagonal entries
+  N(0, 1) and off-diagonal real and imaginary parts N(0, 1/2). Householder
+  tridiagonalization keeps its eigenvalues, and by Dumitriu and Edelman
+  (J. Math. Phys. 43, 2002) the result is a real symmetric tridiagonal T
+  with independent diagonal a_j ~ N(0, 1) and squared off-diagonals
+  b_j^2 ~ Gamma(k - j, 1), j = 1..k-1. So ||T|| has the law of the
+  Gaussian's norm, and a sample costs 2k - 1 draws (_selfadjoint_draws).
+  For k >= 2 the median is a certified selection: it returns the bits of
+  np.median over every sample's eigensolved norm (LAPACK dsyevd on the
+  dense real T, off-diagonals sqrt(b_j^2)) but eigensolves only a pilot
+  and the samples that can be the median. The exact norms of the first
+  p ~ (z n / 2)^(2/3) of n samples give a bracket [t_lo, t_hi] at pilot
+  ranks p/2 -+ z sqrt(p)/2 (z = RADIUS_Z). Every other sample is placed by
+  the pivots of the LDL^T factorizations of t I -+ T, d_1 = t -+ a_1 and
+  d_j = (t -+ a_j) - b_{j-1}^2 / d_{j-1}: t I -+ T is positive definite
+  iff every pivot is positive (a Sturm sequence test, O(k) per sample).
+  Every pivot of both positive at t_lo (1 - eta) => its computed norm is
+  below t_lo; a pivot <= 0 in either at t_hi (1 + eta) => above t_hi.
+  Every pivot is tested, since a pivot <= 0 can be followed by positive
+  ones. The computed pivots are the exact pivots of t I -+ T' whose
+  diagonal entries t -+ a_j and squared off-diagonals b_j^2 are each off
+  by a relative few eps, so ||T' - T|| <= 3 eps (t + ||T||). The
+  eigensolved matrix has off-diagonals fl(sqrt(b_j^2)), within a relative
+  eps of sqrt(b_j^2), so it lies within 2 eps ||T|| of T, and dsyevd adds
+  a backward error of c k eps ||T||. The margin eta = RADIUS_ETA (1e-9) is
+  far above all of it, so a sample placed below t_lo (above t_hi) has
+  computed norm below t_lo (above t_hi).
+  Narrowing passes then place the candidates left by the same certificate
+  on a narrower bracket [a, b] inside [t_lo, t_hi]: a sample placed below
+  a has computed norm below a, as has every sample placed below
+  t_lo <= a (and above b likewise), so after a pass the argument below
+  holds with a, b for t_lo, t_hi. With m candidates (the pilot norms
+  inside the bracket count too; being exact, they are compared with a and
+  b directly) and i <= j their median ranks, a and b sit at rank fractions
+  (i - z sqrt(m)/2)/m and (j + z sqrt(m)/2)/m of the bracket, read off
+  linearly. A pass is kept only if both median ranks still fall among its
+  candidates; otherwise the previous candidates stand and the narrowing
+  ends. It also ends after a pass that fails to halve the candidates, or
+  at RADIUS_NARROW_MIN candidates. The remaining candidates C are
   eigensolved. With B samples certified below the last bracket kept,
   [t_lo, t_hi], and i, j the median ranks minus B, the sorted candidate
   norms c_i, c_j are the full sample's order statistics at the median
@@ -100,8 +115,8 @@
   alone, so c_i and c_j carry the bits of the all-samples computation, and
   they are averaged as np.median does. When this check fails (the pilot
   bracket missed the median, probability about 2 Phi(-z)) the pass reruns
-  with every sample a candidate, which is the all-samples computation. Above
-  RADIUS_CERTIFY_MAX_K every sample is a candidate from the start.
+  with every sample a candidate, which is the all-samples computation.
+  For k = 1 the norm is |g| and every sample counts.
 * The Banaszczyk sign search flips single signs greedily from seeded
   random starts and returns the first state within M: a restart's start,
   or the sum after a taken flip. Otherwise it stops after exactly
@@ -836,85 +851,69 @@ def matroid_spanning_partition(vs: VectorSystem, r: int, budget: int | None = No
 
 
 # Gaussian median radius: the certified selection (see the module
-# docstring). On a 2-vCPU x86 host (best of 3-5 runs) the Cholesky tests
-# stop paying for themselves past k ~ 8 at 1,000 samples, k ~ 14 at 2,000
-# and k ~ 22 at 20,000, so larger k eigensolves every sample. At k >= 12
-# and 2,000 samples or fewer the narrowing never runs (it stops at k^3
-# candidates), so only the 20,000-sample crossover could move with it, and
-# it did not. RADIUS_Z is the pilot bracket's half-width in binomial
-# standard deviations, RADIUS_ETA the relative margin of the Cholesky
-# tests.
-RADIUS_CERTIFY_MAX_K = 12
+# docstring). RADIUS_Z is the pilot bracket's half-width in binomial
+# standard deviations, RADIUS_ETA the relative margin of the pivot tests.
 RADIUS_Z = 5.0
 RADIUS_ETA = 1e-9
-# Samples per Cholesky screen of a chunk: smaller blocks shrink the
-# screen's temporaries. A chunk holds 2,000,000 // k^2 samples, so chunks
-# of k >= 8 fit in one block; splitting them would multiply the screen's
-# ~k^3 numpy calls per pass, which dominate there.
-RADIUS_BLOCK = 1 << 15
-# Narrowing stops at max(k^3, RADIUS_NARROW_MIN) candidates: a pass makes
-# about k^3 numpy calls plus a fixed ~0.1 ms, which below that many
-# candidates exceeds the eigensolves it can save.
-RADIUS_NARROW_MIN = 256
+# Narrowing stops at RADIUS_NARROW_MIN candidates: below that many, a pass
+# costs more than the eigensolves it can save. On a 2-vCPU x86 host stops
+# from 64 to 1,024 timed alike at k = 4 (20,000 and 250,000 samples), while
+# at k = 40 and 20,000 samples 64 took 138 ms, 256 took 147 ms and 512
+# took 153 ms (medians of 15 runs).
+RADIUS_NARROW_MIN = 64
 
 
 def _selfadjoint_draws(k: int, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of ``count`` samples of the standard Gaussian on the real
-    space of self-adjoint k x k matrices (whose Hilbert-Schmidt norm is the
-    Euclidean norm of the Gaussian), in the one order they are drawn:
-    diag (count, k) ~ N(0, 1), then the real and the imaginary part (each
-    N(0, 1/2)) of entry (a, b) for each pair a < b in row-major order, as
-    off (k(k-1)/2, 2, count)."""
-    diag = rng.standard_normal((count, k))
-    off = rng.standard_normal((k * (k - 1) // 2, 2, count)) / np.sqrt(2)
-    return diag, off
+    """``count`` samples of the tridiagonal model of the standard Gaussian on
+    self-adjoint k x k matrices (see the module docstring), batch last, in
+    the one order they are drawn: the diagonal diag (k, count) ~ N(0, 1),
+    then the squared off-diagonal off2 (k - 1, count), row j ~ Gamma(k-1-j, 1)."""
+    diag = rng.standard_normal((k, count))
+    off2 = rng.standard_gamma(np.arange(k - 1, 0, -1.0)[:, None], (k - 1, count))
+    return diag, off2
 
 
-def _selfadjoint_matrices(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """The complex (count, k, k) matrices of entry arrays as drawn by
-    ``_selfadjoint_draws``."""
-    count, k = diag.shape
-    h = np.zeros((count, k, k), dtype=np.complex128)
+def _selfadjoint_matrices(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """The real symmetric tridiagonal (count, k, k) matrices of the arrays
+    drawn by ``_selfadjoint_draws``: diagonal diag, off-diagonals sqrt(off2)."""
+    k, count = diag.shape
+    h = np.zeros((count, k, k))
     idx = np.arange(k)
-    h[:, idx, idx] = diag
-    for (a, b), (re, im) in zip(zip(*np.triu_indices(k, 1)), off):
-        h[:, a, b] = re + 1j * im
-        h[:, b, a] = re - 1j * im
+    h[:, idx, idx] = diag.T
+    h[:, idx[1:], idx[:-1]] = h[:, idx[:-1], idx[1:]] = np.sqrt(off2.T)
     return h
 
 
-def _cholesky_succeeds(t: float, sign: int, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Where the unpivoted Cholesky factorization A = R* R of A = t I + sign H
-    runs to the end, for a batch of self-adjoint H given by their entry
-    arrays with the batch as the last axis: diag (k, c) and off as drawn.
-    Real arithmetic on the upper triangle of R. A pivot <= 0 makes every
-    later pivot nan or -inf, so the last pivot alone decides."""
-    k = diag.shape[0]
-    re, im = {}, {}
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for j in range(k):
-            pivot = t + sign * diag[j]
-            for i in range(j):
-                pivot -= re[i, j] ** 2 + im[i, j] ** 2
-            if j == k - 1:
-                return pivot > 0
-            inv = 1.0 / np.sqrt(pivot)
-            row = j * (2 * k - j - 3) // 2 - 1  # off[row + l] is the pair (j, l)
-            for l in range(j + 1, k):
-                x, y = sign * off[row + l, 0], sign * off[row + l, 1]
-                for i in range(j):  # minus conj(R_ij) R_il
-                    x -= re[i, j] * re[i, l] + im[i, j] * im[i, l]
-                    y -= re[i, j] * im[i, l] - im[i, j] * re[i, l]
-                re[j, l], im[j, l] = x * inv, y * inv
+def _eigensolved_norms(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """The eigensolved norm of each sample, in dense stacks of at most
+    2,000,000 entries."""
+    k, count = diag.shape
+    step = max(1, 2_000_000 // (k * k))
+    return np.concatenate([np.empty(0)] + [
+        _opnorm(_selfadjoint_matrices(diag[:, s:s + step], off2[:, s:s + step]))
+        for s in range(0, count, step)])
 
 
-def _norm_below(t: float, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Where both t I - H and t I + H factor, so -t < lambda(H) < t. The
-    second factorization runs only on the matrices that passed the first."""
-    ok = _cholesky_succeeds(t, -1, diag, off)
-    idx = np.flatnonzero(ok)
-    ok[idx] = _cholesky_succeeds(t, 1, diag[:, idx], off[..., idx])
+def _pivots_positive(t: float, sign: int, diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """Where every pivot of the LDL^T factorization of t I + sign T is
+    positive, so t I + sign T is positive definite, for the tridiagonals T of
+    the arrays drawn by ``_selfadjoint_draws``: d_1 = t + sign a_1 and
+    d_j = (t + sign a_j) - b_{j-1}^2 / d_{j-1}. A pivot <= 0 can be
+    followed by positive ones, so every pivot is tested."""
+    shifted = t + sign * diag
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = shifted[0]
+        ok = d > 0
+        for a, b2 in zip(shifted[1:], off2):
+            d = a - b2 / d
+            ok &= d > 0
     return ok
+
+
+def _norm_below(t: float, diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """Where both t I - T and t I + T are positive definite, so
+    -t < lambda(T) < t."""
+    return _pivots_positive(t, -1, diag, off2) & _pivots_positive(t, 1, diag, off2)
 
 
 def _pilot_bracket(norms: np.ndarray) -> tuple[float, float]:
@@ -931,32 +930,32 @@ def _narrowed_bracket(lo: float, hi: float, i: int, j: int, m: int) -> tuple[flo
 
 
 def _screen(lo: float, hi: float, dg: np.ndarray, od: np.ndarray) -> tuple[int, np.ndarray]:
-    """Place samples given by entry arrays (batch last) against [lo, hi]:
-    (how many are certified below lo, the indices of the rest that are not
-    certified above hi)."""
-    rest = np.flatnonzero(~_norm_below(lo * (1 - RADIUS_ETA), dg, od))
-    keep = rest[_norm_below(hi * (1 + RADIUS_ETA), dg[:, rest], od[..., rest])]
-    return dg.shape[1] - rest.size, keep
+    """Place samples given by their drawn arrays (batch last) against
+    [lo, hi]: (how many are certified below lo, the indices of the rest
+    that are not certified above hi)."""
+    below = _norm_below(lo * (1 - RADIUS_ETA), dg, od)
+    keep = np.flatnonzero(~below & _norm_below(hi * (1 + RADIUS_ETA), dg, od))
+    return int(np.count_nonzero(below)), keep
 
 
-def _narrow(k: int, samples: int, lo: float, hi: float, below: int, pilot: np.ndarray,
+def _narrow(samples: int, lo: float, hi: float, below: int, pilot: np.ndarray,
             dg: np.ndarray, od: np.ndarray):
     """The narrowing passes of the certified selection (see the module
     docstring), from the pilot bracket [lo, hi] with ``below`` non-pilot
     samples certified below it, the sorted pilot norms and the candidates'
-    entry arrays: (lo, hi, below, pilot norms in [lo, hi], dg, od) as the last
+    drawn arrays: (lo, hi, below, pilot norms in [lo, hi], dg, od) as the last
     kept pass left them, ``below`` now counting pilot norms too."""
     below += int(np.count_nonzero(pilot < lo))
     pilot = pilot[(pilot >= lo) & (pilot <= hi)]
     i, j, m = (samples - 1) // 2 - below, samples // 2 - below, pilot.size + dg.shape[1]
-    while m > max(k ** 3, RADIUS_NARROW_MIN) and 0 <= i <= j < m:
+    while m > RADIUS_NARROW_MIN and 0 <= i <= j < m:
         a, b = _narrowed_bracket(lo, hi, i, j, m)
         n, keep = _screen(a, b, dg, od)
         n += int(np.count_nonzero(pilot < a))
         inside = pilot[(pilot >= a) & (pilot <= b)]
         if not 0 <= i - n <= j - n < inside.size + keep.size:
             break  # the median ranks left [a, b]: keep the previous candidates
-        lo, hi, below, pilot, dg, od = a, b, below + n, inside, dg[:, keep], od[..., keep]
+        lo, hi, below, pilot, dg, od = a, b, below + n, inside, dg[:, keep], od[:, keep]
         i, j, m, last = i - n, j - n, pilot.size + dg.shape[1], m
         if 2 * m > last:
             break
@@ -968,32 +967,26 @@ def _median_pass(k: int, samples: int, seed: int, certify: bool):
     (median or None on a bracket miss, eigensolves). Without ``certify``
     every sample is eigensolved and the median is always found."""
     rng = make_rng(seed)
-    chunk = max(1, 2_000_000 // (k * k))
+    chunk = max(1, 2_000_000 // (2 * k - 1))
+    sizes = [min(chunk, samples - d) for d in range(0, samples, chunk)]
     if not certify:
-        sizes = [min(chunk, samples - d) for d in range(0, samples, chunk)]
-        norms = [_opnorm(_selfadjoint_matrices(*_selfadjoint_draws(k, c, rng))) for c in sizes]
+        norms = [_eigensolved_norms(*_selfadjoint_draws(k, c, rng)) for c in sizes]
         return float(np.median(np.concatenate(norms))), samples
-    pilot = int((RADIUS_Z * samples / 2) ** (2 / 3))
-    dgs, ods, below, done = [], [], 0, 0
-    while done < samples:
-        c = min(chunk, samples - done)
-        diag, off = _selfadjoint_draws(k, c, rng)
-        first = 0
-        if done == 0:
-            first = min(c, pilot)
-            norms = np.sort(_opnorm(_selfadjoint_matrices(diag[:first], off[..., :first])))
+    first = min(sizes[0], int((RADIUS_Z * samples / 2) ** (2 / 3)))
+    dgs, ods, below = [], [], 0
+    for c in sizes:
+        dg, od = _selfadjoint_draws(k, c, rng)
+        if not dgs:  # the pilot: the first samples of the first chunk
+            norms = np.sort(_eigensolved_norms(dg[:, :first], od[:, :first]))
             lo, hi = _pilot_bracket(norms)
-        for start in range(first, c, RADIUS_BLOCK):
-            dg = np.ascontiguousarray(diag[start:start + RADIUS_BLOCK].T)
-            od = off[..., start:start + RADIUS_BLOCK]
-            n, keep = _screen(lo, hi, dg, od)
-            below += n
-            dgs.append(dg[:, keep])
-            ods.append(od[..., keep])
-        done += c
-    dg, od = np.concatenate(dgs, axis=1), np.concatenate(ods, axis=-1)
-    lo, hi, below, inside, dg, od = _narrow(k, samples, lo, hi, below, norms, dg, od)
-    solved = np.concatenate([inside, _opnorm(_selfadjoint_matrices(dg.T, od))])
+            dg, od = dg[:, first:], od[:, first:]
+        n, keep = _screen(lo, hi, dg, od)
+        below += n
+        dgs.append(dg[:, keep])
+        ods.append(od[:, keep])
+    dg, od = np.concatenate(dgs, axis=1), np.concatenate(ods, axis=1)
+    lo, hi, below, inside, dg, od = _narrow(samples, lo, hi, below, norms, dg, od)
+    solved = np.concatenate([inside, _eigensolved_norms(dg, od)])
     eigensolves = norms.size + dg.shape[1]
     i, j = (samples - 1) // 2 - below, samples // 2 - below
     if not 0 <= i <= j < solved.size:
@@ -1014,7 +1007,7 @@ def gaussian_median_radius(k: int, samples: int, seed: int) -> BanaszczykContext
     if k == 1:  # the norm of a 1 x 1 Gaussian is |g|
         r_hat, solves = float(np.median(np.abs(make_rng(seed).standard_normal(samples)))), 0
     else:
-        r_hat, solves = _median_pass(k, samples, seed, certify=k <= RADIUS_CERTIFY_MAX_K)
+        r_hat, solves = _median_pass(k, samples, seed, certify=True)
         if r_hat is None:
             r_hat, more = _median_pass(k, samples, seed, certify=False)
             solves += more

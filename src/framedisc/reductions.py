@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import BudgetExceededError, InvalidParameterError
 from .frames import Partition, VectorSystem, _unit_ball_norms, complete_to_tight, frame_bound
 from .linalg import as_hermitian, diagonal_delta, eigensystem, is_projection, opnorm
 
@@ -67,12 +67,21 @@ def projection_to_vectors(P, N: float) -> VectorSystem:
     return VectorSystem(vectors)
 
 
+# Bytes that `reduce --direction vec2proj` takes per entry of the m x m
+# projection P (P, A, P @ P and the emitted text; measured at m = 1,001 and
+# 2,000), and the most it may take: m = 1,495 at most.
+PROJECTION_ENTRY_BYTES = 240
+PROJECTION_MAX_BYTES = 2**29
+
+
 def vectors_to_projection(vs: VectorSystem, N: float,
                           budget: int | None = None) -> ReductionTrace:
     """Gram-projection construction: shrink by 1/sqrt(N), complete to a
     Parseval-type family with per-operator norm cap 1/N, and return the Gram
     projection P and its zero-diagonal part A = P - diag(P). A completion of
-    more than ``budget`` vectors is refused (see complete_to_tight)."""
+    more than ``budget`` vectors is refused (see complete_to_tight), and so
+    is one of m vectors whose projection would take more than
+    PROJECTION_MAX_BYTES, before P is built."""
     if N < 1:
         raise InvalidParameterError(f"N must be >= 1, got {N}")
     _unit_ball_norms(vs)
@@ -80,6 +89,12 @@ def vectors_to_projection(vs: VectorSystem, N: float,
     if fb > N + 1e-10:
         raise InvalidParameterError(f"frame bound {fb:.12g} exceeds N = {N:.12g}")
     completed = complete_to_tight(VectorSystem(vs.vectors / np.sqrt(N)), 1.0, 1.0 / N, budget)
+    m = completed.n
+    if PROJECTION_ENTRY_BYTES * m * m > PROJECTION_MAX_BYTES:
+        raise BudgetExceededError(
+            f"the projection of the m = {m} completed vectors would take about "
+            f"{PROJECTION_ENTRY_BYTES * m * m:,} bytes ({PROJECTION_ENTRY_BYTES} per entry "
+            f"of the m x m matrix), over the cap of {PROJECTION_MAX_BYTES:,} bytes")
     W = completed.vectors  # m x k rows w_i with sum_i w_i w_i^* = I_k
     P = W.conj() @ W.T  # P[i][j] = <w_j, w_i>
     P = (P + P.conj().T) / 2.0

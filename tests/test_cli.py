@@ -253,6 +253,28 @@ def test_reduce_vec2proj_budget_caps_the_completion(tmp_path, capsys):
         assert "over the budget 20000" in capsys.readouterr().err
 
 
+def test_reduce_vec2proj_refuses_a_projection_past_the_byte_cap(tmp_path, capsys):
+    # at N = 666 the completion of 6 unit vectors in C^3 holds m = 2,000
+    # vectors, within the default budget, but P would take about 960 MB
+    rng = make_rng(72)
+    g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    src = tmp_path / "sys.json"
+    write_system(src, vector_system(g / np.linalg.norm(g, axis=1, keepdims=True)))
+    tracemalloc.start()
+    try:
+        assert run(["reduce", "--direction", "vec2proj", "--input", str(src),
+                    "--n-bound", "666", "--out", str(tmp_path / "fwd")]) == EXIT_BUDGET
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # refused before P was built
+    err = capsys.readouterr().err
+    m = 2000
+    assert f"m = {m} completed vectors would take about {240 * m * m:,} bytes" in err
+    assert "over the cap of 536,870,912 bytes" in err
+    assert not (tmp_path / "fwd.object.json").exists()
+
+
 def test_reduce_rejects_bad_delta(tmp_path):
     proj_path = tmp_path / "id.json"
     proj_path.write_text(canonical_json(matrix_to_dict(np.eye(2))) + "\n")

@@ -435,7 +435,8 @@ def test_gaussian_median_radius_grows_with_k():
 
 def reference_selfadjoint(k, c, rng):
     """c Gaussian self-adjoint matrices drawn entry by entry: the diagonal,
-    then the real and imaginary part of each pair a < b."""
+    then the real and imaginary part of each pair a < b. The law the
+    tridiagonal model must match."""
     h = np.zeros((c, k, k), dtype=np.complex128)
     h[:, np.arange(k), np.arange(k)] = rng.standard_normal((c, k))
     for a in range(k):
@@ -447,35 +448,89 @@ def reference_selfadjoint(k, c, rng):
     return h
 
 
-def test_selfadjoint_draws_entry_by_entry():
+def reference_tridiagonal_draws(k, c, rng, shape_scale=1.0):
+    """c samples of the tridiagonal model drawn row by row: the diagonal
+    (k, c), then each squared off-diagonal row j ~ Gamma(k-1-j, 1) (its
+    shape times ``shape_scale``)."""
+    diag = rng.standard_normal((k, c))
+    off2 = np.array([rng.standard_gamma(shape_scale * (k - 1 - j), c) for j in range(k - 1)])
+    return diag, off2.reshape(k - 1, c)
+
+
+def reference_tridiagonal_norms(diag, off2):
+    """The operator norms of the dense real tridiagonals with diagonal diag
+    and off-diagonals sqrt(off2), batch last, by np.linalg.eigvalsh."""
+    k, c = diag.shape
+    h = np.zeros((c, k, k))
+    for j in range(k):
+        h[:, j, j] = diag[j]
+    for j in range(k - 1):
+        h[:, j, j + 1] = h[:, j + 1, j] = np.sqrt(off2[j])
+    w = np.linalg.eigvalsh(h)
+    return np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+
+
+def test_selfadjoint_draws_diagonal_then_gamma_rows():
     for k in (1, 2, 5):
-        h = engines._selfadjoint_matrices(*engines._selfadjoint_draws(k, 7, make_rng(k)))
-        assert np.array_equal(h, reference_selfadjoint(k, 7, make_rng(k)))
+        diag, off2 = engines._selfadjoint_draws(k, 7, make_rng(k))
+        ref_diag, ref_off2 = reference_tridiagonal_draws(k, 7, make_rng(k))
+        assert _same_bits(diag, ref_diag) and _same_bits(off2, ref_off2)
+        h = engines._selfadjoint_matrices(diag, off2)
+        assert h.dtype == np.float64 and h.shape == (7, k, k)
+        assert np.array_equal(h, np.transpose(h, (0, 2, 1)))
+        assert np.array_equal(np.diagonal(h, axis1=1, axis2=2), diag.T)
+        assert np.array_equal(np.diagonal(h, 1, axis1=1, axis2=2), np.sqrt(off2.T))
+        assert np.count_nonzero(h) == 7 * (3 * k - 2)
+
+
+def ks_statistic(x, y):
+    """The two-sample Kolmogorov-Smirnov statistic sup |F_x - F_y|."""
+    x, y = np.sort(x), np.sort(y)
+    grid = np.concatenate([x, y])
+    return np.max(np.abs(np.searchsorted(x, grid, side="right") / x.size
+                         - np.searchsorted(y, grid, side="right") / y.size))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 8])
+def test_tridiagonal_model_has_the_law_of_the_dense_draw(k):
+    # Dumitriu and Edelman: the tridiagonal model's eigenvalues have the law
+    # of the dense Gaussian's. A seeded two-sample KS test at the 0.1% level
+    # accepts the model's norms, and rejects the same draws with each Gamma
+    # shape halved or with off2 doubled.
+    n = 100_000
+    bound = 1.95 * math.sqrt(2 / n)
+    rng = make_rng(500 + k)
+    dense = np.concatenate([np.linalg.eigvalsh(reference_selfadjoint(k, 20_000, rng))
+                            for _ in range(n // 20_000)])
+    dense = np.maximum(np.abs(dense[:, 0]), np.abs(dense[:, -1]))
+    diag, off2 = engines._selfadjoint_draws(k, n, make_rng(k))
+    assert ks_statistic(engines._eigensolved_norms(diag, off2), dense) < bound
+    halved = reference_tridiagonal_draws(k, n, make_rng(k), shape_scale=0.5)
+    assert ks_statistic(reference_tridiagonal_norms(*halved), dense) > bound
+    assert ks_statistic(reference_tridiagonal_norms(diag, 2 * off2), dense) > bound
 
 
 def reference_median_radius(k, samples, seed):
-    """The all-samples median: each chunk drawn by reference_selfadjoint,
-    every sample eigensolved, and np.median over all of them."""
+    """The all-samples median: each chunk of 2,000,000 // (2k - 1) samples
+    drawn by reference_tridiagonal_draws, every sample eigensolved, and
+    np.median over all of them."""
     rng = make_rng(seed)
     if k == 1:
         return float(np.median(np.abs(rng.standard_normal(samples))))
-    norms = np.empty(samples)
-    chunk = max(1, 2_000_000 // (k * k))
-    for done in range(0, samples, chunk):
-        c = min(chunk, samples - done)
-        w = np.linalg.eigvalsh(reference_selfadjoint(k, c, rng))
-        norms[done:done + c] = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-    return float(np.median(norms))
+    chunk = 2_000_000 // (2 * k - 1)
+    sizes = [min(chunk, samples - done) for done in range(0, samples, chunk)]
+    return float(np.median(np.concatenate(
+        [reference_tridiagonal_norms(*reference_tridiagonal_draws(k, c, rng)) for c in sizes])))
 
 
 @SEEDED
-@given(k=st.integers(1, 7), samples=st.integers(1000, 3001), seed=st.integers(0, 2**32))
+@given(k=st.integers(1, 16), samples=st.integers(1000, 3001), seed=st.integers(0, 2**32))
 @example(k=2, samples=1000, seed=0)
 @example(k=3, samples=1001, seed=3)
-@example(k=6, samples=60_001, seed=41)  # two chunks of up to 55,555
-@example(k=2, samples=250_000, seed=5)  # several narrowing passes, blocked screens
+@example(k=16, samples=65_001, seed=41)  # two chunks: 64,516 and 485 samples
+@example(k=2, samples=250_000, seed=5)  # several narrowing passes
 @example(k=4, samples=60_001, seed=8)
-@example(k=8, samples=20_000, seed=13)  # one pass above k^3 candidates
+@example(k=8, samples=20_000, seed=13)
 def test_gaussian_median_radius_bits_equal_the_all_samples_median(k, samples, seed):
     ctx = gaussian_median_radius(k, samples=samples, seed=seed)
     ref = reference_median_radius(k, samples, seed)
@@ -524,43 +579,64 @@ def test_gaussian_median_radius_narrowing_eigensolves_few_candidates():
 
 @pytest.mark.parametrize("k", range(2, 13))
 def test_gaussian_median_radius_blocked_screen_matches_a_whole_chunk_screen(monkeypatch, k):
+    # each chunk is screened whole; screening it in blocks of 97 samples
+    # leaves the same candidates, bit for bit, and the same median
     seen = []
 
-    def record(k, samples, lo, hi, below, pilot, dg, od):
+    def record(samples, lo, hi, below, pilot, dg, od):
         seen.append((below, dg, od))
-        return narrow(k, samples, lo, hi, below, pilot, dg, od)
+        return narrow(samples, lo, hi, below, pilot, dg, od)
 
-    narrow = engines._narrow
+    def blocked(lo, hi, dg, od):
+        parts = [screen(lo, hi, dg[:, s:s + 97], od[:, s:s + 97]) + (s,)
+                 for s in range(0, dg.shape[1], 97)]
+        return (sum(n for n, _, _ in parts),
+                np.concatenate([np.empty(0, dtype=np.intp)] + [keep + s for _, keep, s in parts]))
+
+    narrow, screen = engines._narrow, engines._screen
     monkeypatch.setattr(engines, "_narrow", record)
     whole = gaussian_median_radius(k, samples=3001, seed=k)
-    monkeypatch.setattr(engines, "RADIUS_BLOCK", 97)
-    blocked = gaussian_median_radius(k, samples=3001, seed=k)
+    monkeypatch.setattr(engines, "_screen", blocked)
+    blocked_run = gaussian_median_radius(k, samples=3001, seed=k)
     (below, dg, od), (b_below, b_dg, b_od) = seen
     assert below == b_below
     assert _same_bits(dg, b_dg) and _same_bits(od, b_od)
-    assert blocked.R_hat.hex() == whole.R_hat.hex()
-    assert blocked.eigensolves == whole.eigensolves
+    assert blocked_run.R_hat.hex() == whole.R_hat.hex()
+    assert blocked_run.eigensolves == whole.eigensolves
 
 
-def test_gaussian_median_radius_above_the_crossover_eigensolves_every_sample():
-    k = engines.RADIUS_CERTIFY_MAX_K + 1
+@pytest.mark.parametrize("k", [13, 20, 40])
+def test_gaussian_median_radius_certifies_at_large_k(k):
+    # the pivot screen is O(k) per sample, so no k eigensolves every sample
     ctx = gaussian_median_radius(k, samples=1000, seed=5)
-    assert ctx.eigensolves == 1000
+    assert ctx.eigensolves < 1000
     assert ctx.R_hat.hex() == reference_median_radius(k, 1000, 5).hex()
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
+def test_pivot_test_checks_every_pivot():
+    # t I - T for T = [[2, 1], [1, -3]] at t = 0.5 has pivots -1.5 and
+    # 3.5 + 1/1.5 > 0: the last pivot is positive although lambda_max(T) > t
+    diag, off2 = np.array([[2.0], [-3.0]]), np.array([[1.0]])
+    assert not engines._pivots_positive(0.5, -1, diag, off2).any()
+    assert not engines._pivots_positive(0.5, 1, -diag, off2).any()
+    for d in (diag, -diag):
+        assert not engines._norm_below(0.5, d, off2).any()
+        assert engines._screen(0.5, 0.5, d, off2)[0] == 0
+    assert engines._norm_below(3.2, diag, off2).all()  # ||T|| = (1 + sqrt(29)) / 2
+
+
+@pytest.mark.parametrize("k", [*range(2, 13), 20, 40])
 @pytest.mark.parametrize("gap", [1e-6, 1e-9])
 def test_cholesky_certificate_agrees_with_eigvalsh_near_the_norm(k, gap):
-    diag, off = engines._selfadjoint_draws(k, 400, make_rng(k))
-    w = np.linalg.eigvalsh(engines._selfadjoint_matrices(diag, off))
+    # the certificate is the LDL^T (square-root-free Cholesky) pivot test
+    diag, off2 = engines._selfadjoint_draws(k, 400, make_rng(k))
+    w = np.linalg.eigvalsh(engines._selfadjoint_matrices(diag, off2))
     lo, hi, norm = w[:, 0], w[:, -1], np.max(np.abs(w), axis=1)
-    dg = np.ascontiguousarray(diag.T)
-    for sign, edge in ((-1, hi), (1, -lo)):  # t I - H > 0 iff t > lambda_max
-        assert engines._cholesky_succeeds(edge + gap * norm, sign, dg, off).all()
-        assert not engines._cholesky_succeeds(edge - gap * norm, sign, dg, off).any()
+    for sign, edge in ((-1, hi), (1, -lo)):  # t I - T > 0 iff t > lambda_max
+        assert engines._pivots_positive(edge + gap * norm, sign, diag, off2).all()
+        assert not engines._pivots_positive(edge - gap * norm, sign, diag, off2).any()
     for s in range(25):
-        one_d, one_o = dg[:, s:s + 1], off[..., s:s + 1]
+        one_d, one_o = diag[:, s:s + 1], off2[:, s:s + 1]
         assert engines._norm_below(norm[s] * (1 + gap), one_d, one_o).all()
         assert not engines._norm_below(norm[s] * (1 - gap), one_d, one_o).any()
 
