@@ -2,7 +2,7 @@
 
 For each k the script builds the k-1 vectors, checks the closed forms
 (frame bound (k-1)^2/(2k-3), subset-sum distance from e_k/2, signed-norm
-floor 1/(delta*sqrt(k-1))), and shows the sqrt(k)/2 growth that rules out
+floor 1/(delta*sqrt(k-1)), exact signed minimum), and shows the sqrt(k)/2 growth that rules out
 any constant bound on signed operator discrepancy of trace-norm-one PSD
 matrices.
 
@@ -34,12 +34,17 @@ for c in range(5):
     direct, closed = subset_center_distance(inst, list(range(c)))
     print(f"  |X| = {c}: direct = {direct:.12f}, closed form = {closed:.12f}")
 
-print("\nexhaustive signed minimum vs the proven floor:")
-for k in (5, 8, 11):
+print("\nexhaustive signed minimum vs its closed form and the proven floor:")
+print("  (the closed form is (|t| + sqrt(t^2 + 4 floor^2))/2, t = (k-2)(k-1-2c)/(2k-3),")
+print("   at c = (k-1)//2 minus signs: the floor itself for odd k, where t = 0)")
+for k in (5, 8, 11, 12):
     fam = counterexample_vectors(k)
     min_norm = exhaustive_sign_search(fam.normalized).value
     floor = signed_norm_lower_bound(k)
-    print(f"  k = {k:2d}: min over signs = {min_norm:.10f} >= floor {floor:.10f}")
+    t = (k - 2) * (k - 1 - 2 * ((k - 1) // 2)) / (2 * k - 3)
+    closed = (abs(t) + math.sqrt(t * t + 4 * floor * floor)) / 2
+    print(f"  k = {k:2d}: min over signs = {min_norm:.12f}, closed form = {closed:.12f}"
+          f" >= floor {floor:.12f}")
 
 print("\nOmega(sqrt(k)) growth of the floor:")
 for k in (25, 100, 400):

@@ -170,10 +170,10 @@ def test_exhaustive_weaver_fails_when_a_pattern_lies_below_the_orbit_minimum(
     claim = next(c for c in report["claims"] if c["name"] == "no_pattern_below_orbit_minimum")
     assert claim["passed"] is False and claim["computed"] > 0
     # one eigensolve per uncertified pattern, all of them below the
-    # threshold; the orbit's eigvalsh and the witness's eigh of its four
-    # 3 x 3 sums count apart
-    assert report["extra"]["eigensolves"] == claim["computed"]
-    assert report["extra"]["orbit_eigensolves"] == 2 * 4
+    # threshold, and one for the attained pattern; the orbit's eigvalsh of
+    # its four 3 x 3 sums counts apart
+    assert report["extra"]["eigensolves"] == claim["computed"] + 1
+    assert report["extra"]["orbit_eigensolves"] == 4
     assert report["extra"]["patterns_certified"] == 2**6 - claim["computed"]
     expected = json.loads(heuristic.read_text())["extra"]["min_signed_norm_or_bound"]
     assert report["extra"]["min_signed_norm_or_bound"] == pytest.approx(expected, rel=1e-12)
@@ -330,8 +330,9 @@ def test_sign_searches_report_their_eigensolves(tmp_path):
     assert 0 < json.loads(out.read_text())["extra"]["eigensolves"] < 2**13
     exact, heuristic = tmp_path / "exact.json", tmp_path / "heuristic.json"
     assert run(["verify-weaver", "--k", "12", "--out", str(exact)]) == EXIT_PASS
-    # every pattern passes its witness, so no k x k sum is eigensolved
-    assert json.loads(exact.read_text())["extra"]["eigensolves"] == 0
+    # every pattern passes its witness, so the one k x k sum eigensolved is
+    # the attained pattern's
+    assert json.loads(exact.read_text())["extra"]["eigensolves"] == 1
     # heuristic mode eigensolves one 3 x 3 sum per count of minus signs up
     # to the middle, and no k x k sum
     for k in (12, 23):

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from framedisc import (
     verify_counterexample,
 )
 from framedisc import counterexample
-from framedisc.counterexample import _orbit_minimum, _orbit_sums
+from framedisc.counterexample import _orbit_eigenvalue, _orbit_minimum, _orbit_sums
 from framedisc.linalg import _opnorm
 from framedisc.rng import make_rng
 
@@ -234,33 +236,127 @@ def test_orbit_sums_match_dense_sums_at_sampled_counts(k):
                        rtol=1e-12, atol=0.0)
 
 
-def orbit_floor_claim(report):
-    return next(c for c in report.claims if c.name == "orbit_minimum_equals_floor")
+EPS = 2.0**-52
 
 
-def test_odd_k_orbit_minimum_equals_the_floor():
-    for k in [*range(5, 80, 2), 1001, 4097, 20001]:
+def closed_tolerance(k):
+    """The closed-form claim's tolerance, 32 eps s: s = k(k-1)/(2k-3) is the
+    sum of the norms of T_c's two terms."""
+    return 32 * EPS * k * (k - 1) / (2 * k - 3)
+
+
+def extreme_eigenvalues(stack):
+    """Each matrix's eigenvalue of largest modulus, with its sign."""
+    w = np.linalg.eigvalsh(stack)
+    return np.where(-w[:, 0] > w[:, -1], w[:, 0], w[:, -1])
+
+
+@pytest.mark.parametrize("k", range(5, 13))
+def test_closed_form_matches_every_dense_pattern(k):
+    # every pattern with s_0 = +1, so counts c past (k-1)/2, where t_c < 0
+    # and lambda_c is negative, are reached; at t_c = 0 (the middle count
+    # of odd k) the two signs tie and only the modulus is compared
+    v = counterexample_vectors(k).normalized.vectors.real
+    signs = np.array([(1,) + tail for tail in itertools.product((1, -1), repeat=k - 2)],
+                     dtype=float)
+    dense = extreme_eigenvalues((v.T * signs[:, None, :]) @ v)
+    c = np.count_nonzero(signs < 0, axis=1)
+    closed = _orbit_eigenvalue(k, c)
+    tie = 2 * c == k - 1
+    assert np.all(np.abs(dense - closed)[~tie] <= closed_tolerance(k))
+    assert np.all(np.abs(np.abs(dense) - np.abs(closed)) <= closed_tolerance(k))
+    assert np.any(closed < 0) and np.all((closed < 0) == (2 * c > k - 1))
+
+
+def test_closed_form_matches_the_orbit_sums_at_every_count():
+    # T_c needs p > 0; c = k - 1 is the global flip of c = 0
+    for k in range(5, 301):
+        c = np.arange(k - 1)
+        ref = extreme_eigenvalues(_orbit_sums(counterexample_vectors(k), c))
+        closed = _orbit_eigenvalue(k, c)
+        gap = np.where(2 * c == k - 1, np.abs(np.abs(ref) - closed), np.abs(ref - closed))
+        assert np.all(gap <= closed_tolerance(k)), k
+        assert _orbit_eigenvalue(k, k - 1) == -closed[0]
+
+
+def test_trace_and_determinant_are_exact_in_the_gram_entries():
+    # B_c = diag(1, -1) G diag(p, c) / delta from the Gram entries of the
+    # v'_i (alpha^2 = (k-1)^-3, beta^2 = (k-1)^-1): <v'_i, v'_i> = delta,
+    # <v'_i, v'_j> = gamma, p G_PP = delta + (p-1) gamma, c G_MM = delta +
+    # (c-1) gamma and G_PM = gamma. Its trace is t_c and its determinant
+    # -F^2 exactly, and the float lambda_c is a root of x^2 - t_c x - F^2
+    # of the sign of t_c, so the larger in modulus, to rounding
+    for k in range(5, 201):
+        a2, b2 = Fraction(1, (k - 1) ** 3), Fraction(1, k - 1)
+        delta = ((k - 2) ** 2 + (k - 2)) * a2 + b2
+        gamma = (1 - k) * a2 + b2
+        assert delta == Fraction(2 * k - 3, (k - 1) ** 2)
+        f2 = Fraction((k - 1) ** 3, (2 * k - 3) ** 2)
+        lam = _orbit_eigenvalue(k, np.arange(k))
+        for c in range(k):
+            p = k - 1 - c
+            b11, b12 = (delta + (p - 1) * gamma) / delta, c * gamma / delta
+            b21, b22 = -p * gamma / delta, -(delta + (c - 1) * gamma) / delta
+            t = b11 + b22
+            assert t == Fraction((k - 2) * (k - 1 - 2 * c), 2 * k - 3), (k, c)
+            assert b11 * b22 - b12 * b21 == -f2, (k, c)
+            x = Fraction(float(lam[c]))
+            assert abs(x * x - t * x - f2) <= 8 * EPS * x * x, (k, c)
+            assert (x > 0) == (t >= 0), (k, c)
+
+
+def closed_claim(report):
+    return claim_named(report, "orbit_minimum_matches_closed_form")
+
+
+def test_orbit_minimum_matches_the_closed_form():
+    # for odd k, t_c = 0 at c = (k-1)/2 and the closed form is the floor
+    for k in [*range(5, 2001), 10**6 + 1]:
         report = verify_counterexample(counterexample_vectors(k), mode="heuristic", budget=k)
-        claim = orbit_floor_claim(report)
+        claim = closed_claim(report)
         assert report.passed and claim.passed, k
-        assert claim.bound == signed_norm_lower_bound(k)
-        assert claim.tolerance == 16 * math.ulp(claim.bound)
-    even = verify_counterexample(counterexample_vectors(12), mode="heuristic")
-    assert "orbit_minimum_equals_floor" not in [c.name for c in even.claims]
+        assert claim.computed == report.extra["min_signed_norm_or_bound"]
+        assert claim.tolerance == closed_tolerance(k)
+        if k % 2:
+            assert claim.bound == pytest.approx(signed_norm_lower_bound(k), rel=4 * EPS)
+        else:
+            assert claim.bound > signed_norm_lower_bound(k) * (1 + 1e-9)
 
 
+def test_the_closed_form_claim_needs_a_tolerance_in_s_at_large_even_k():
+    # T_c's two terms, of size about k/4, cancel to about sqrt(k)/2: at
+    # k = 933,554 the eigvalsh minimum lies more than 16 ulps of m from the
+    # closed form, and within 32 eps s
+    k = 933554
+    report = verify_counterexample(counterexample_vectors(k), mode="heuristic", budget=k)
+    claim = closed_claim(report)
+    assert report.passed and claim.passed
+    assert abs(claim.computed - claim.bound) > 16 * math.ulp(claim.bound)
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
+@pytest.mark.parametrize("k", [9, 10])
 @pytest.mark.parametrize("mode", ["heuristic", "exhaustive"])
-def test_a_perturbed_odd_k_minimum_fails_the_floor_claim(monkeypatch, mode):
-    # 17 ulps up: still above the floor, but no longer equal to it
+def test_a_perturbed_minimum_fails_the_closed_form_claim(monkeypatch, mode, k, factor):
+    # a minimum too low lies below the attained pattern's norm (and, for
+    # odd k, below the floor); one too high leaves the minimizing patterns
+    # below the threshold
     def perturbed(inst, budget):
         m, solves = orbit(inst, budget)
-        return m + 17 * math.ulp(signed_norm_lower_bound(inst.k)), solves
+        return m * factor, solves
 
     orbit = _orbit_minimum
     monkeypatch.setattr(counterexample, "_orbit_minimum", perturbed)
-    report = verify_counterexample(counterexample_vectors(9), mode=mode)
-    assert not orbit_floor_claim(report).passed and not report.passed
-    assert [c.name for c in report.claims if not c.passed] == ["orbit_minimum_equals_floor"]
+    report = verify_counterexample(counterexample_vectors(k), mode=mode)
+    failed = {c.name for c in report.claims if not c.passed}
+    expected = {"orbit_minimum_matches_closed_form"}
+    if mode == "exhaustive":
+        expected.add("orbit_minimum_attained")
+        if factor > 1:
+            expected.add("no_pattern_below_orbit_minimum")
+    if factor < 1 and k % 2:
+        expected.add("signed_norm_floor")
+    assert failed == expected and not report.passed
 
 
 def test_heuristic_mode_builds_no_vector_and_stays_small():

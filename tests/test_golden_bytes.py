@@ -5,7 +5,7 @@ the sha256 of every file they write, with `wall_time_s` zeroed, must match
 the values pinned here. The pins were taken from the recursive emitter, so
 any change to how a float, key or row is laid out shows up as a mismatch.
 
-Heuristic `verify-weaver` at k = 14 and k = 40 and `search --kind matroid`
+Heuristic `verify-weaver` at k = 14, 15 and 40 and `search --kind matroid`
 on a feasible and an infeasible input are pinned the same way, so a change
 to which subsets the distance claim checks or how the matroid search
 decides its exchanges shows up too. The matroid pins predate the search's `eliminations` and
@@ -16,7 +16,14 @@ least norm over the counts c = 0..(k-1)//2 of minus signs. The four
 3 x 3 sum T_c per count instead of a k x k sum: at k = 12 and k = 40 it
 moved by an ulp or two, the subset and e_k claims, now summed entrywise
 from (k, alpha, beta), moved by a few 1e-16, and the reports gained
-`orbit_eigensolves`.
+`orbit_eigensolves`. They were retaken again when every `verify-weaver`
+report gained the claim `orbit_minimum_matches_closed_form`, the minimum
+against the closed form max(|lambda_c|, w), and the exhaustive ones the
+claim `orbit_minimum_attained`, with `orbit_eigensolves` halved (the
+witnesses stopped taking an eigh of T_c). The minimum, `lower_bound` and
+the floor claim kept their bits. The odd k = 15 pin was added then: its
+claim replaced `orbit_minimum_equals_floor`, and there the closed form is
+the floor.
 
 `banaszczyk-radius` at k = 4 (250,000 samples) and k = 3 (an odd 1,001
 samples), and `search --kind banaszczyk` on a seeded input, pin the
@@ -109,9 +116,11 @@ PINNED = {
     "p2v.report.json":
         "afab6089945f12ec048141afe9255f2b9a6db6527569112f7246942d3ccdb955",
     "weaver_heur_k14.report.json":
-        "79b80b7cbdd8fac38de2fa894b11e4fe5266665f3548c75c07c880fa1fdfbf64",
+        "c2aa20bced4462dae62616f3ab7be82543e6fa8a719c769de8e57fdad90fbcd7",
+    "weaver_heur_k15.report.json":
+        "5b86a574735eea5cdc6a1416bfb87d2c9df1755dd02619870d62f9e038a37136",
     "weaver_heur_k40.report.json":
-        "a05af72a1233b7b3f8abdbfe92922fbaf2c031a296d0c5bed2427463801e496b",
+        "32efea93f52ae04083a5eea860e1343f9e4c1a28766443e014c7134d9594c27e",
     "matroid_feasible.report.json":
         "6b890405641203b51b3f08402344841d5917825bf64684784e5a360e4191d381",
     "matroid_infeasible.report.json":
@@ -129,9 +138,9 @@ PINNED = {
     "signs_complex_n_lt_k.report.json":
         "2ca362ddb5f5c58896012980e845c96f00791de0c80cbc110e0928c127525f69",
     "weaver_exact_k12.report.json":
-        "a7c4f10d03b215fe4bb00b0cbe3103a929505cb8194c9d8b4aca50c18432303e",
+        "4b36c3e0edfaeda9cd7dfe9c7694d065207557a89591e608bbed3fa77877aa97",
     "weaver_exact_k14.report.json":
-        "82b46ac4371f74411047c8c66de6d74047c7951b1f3a251a9a04b3b45746fdef",
+        "7a4a8f7812b0ff300992649afcf8fa45fd43d603b7175ed4409cbef86b29d021",
     "partition_r2.report.json":
         "0ac1597faf9a7d54ec1bdaa75537e709e8daa861c2d9cc5276db034cb7636253",
     "partition_r3_cut.report.json":
@@ -199,7 +208,7 @@ def digests(tmp_path_factory) -> dict:
     assert main(["reduce", "--direction", "proj2vec", "--input",
                  str(tmp_path / "v2p.object.json"), "--n-bound", "2",
                  "--out", str(tmp_path / "p2v")]) == EXIT_PASS
-    for k in (14, 40):
+    for k in (14, 15, 40):
         assert main(["verify-weaver", "--k", str(k), "--mode", "heuristic", "--budget", "300",
                      "--seed", "5", "--out", str(tmp_path / f"weaver_heur_k{k}.report.json")]
                     ) == EXIT_PASS

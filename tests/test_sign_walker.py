@@ -27,8 +27,9 @@ from framedisc import (
     vector_system,
 )
 from framedisc import counterexample, engines
-from framedisc.counterexample import (_orbit_minimum, _orbit_witness, _uncertified_patterns,
-                                      counterexample_vectors, verify_counterexample)
+from framedisc.counterexample import (_orbit_minimum, _orbit_sums, _orbit_witness,
+                                      _uncertified_patterns, counterexample_vectors,
+                                      verify_counterexample)
 from framedisc.engines import WALK_ETA
 from framedisc.linalg import _cholesky_factors, _opnorm
 from framedisc.rng import make_rng
@@ -429,16 +430,21 @@ def test_weaver_minimum_matches_orbit_representatives(k):
 @pytest.mark.parametrize("k", range(5, 17))
 def test_exhaustive_mode_certifies_every_pattern_above_the_orbit_minimum(k):
     # with no survivor the two modes report the orbit minimum's own bits;
-    # the witness takes one eigh of each 3 x 3 T_c, and every pattern
-    # passes its witness, so no k x k sum is eigensolved
+    # the witness comes from the closed form, with no 3 x 3 solve, and every
+    # pattern passes its witness, so the one k x k sum eigensolved is the
+    # alternating pattern's, whose norm attains the minimum
     inst = counterexample_vectors(k)
     exhaustive = verify_counterexample(inst, mode="exhaustive", budget=2**14)
     heuristic = verify_counterexample(inst, mode="heuristic", budget=2**14)
     claim = next(c for c in exhaustive.claims if c.name == "no_pattern_below_orbit_minimum")
     assert exhaustive.passed and claim.computed == 0.0
+    attained = next(c for c in exhaustive.claims if c.name == "orbit_minimum_attained")
+    assert attained.bound == exhaustive.extra["min_signed_norm_or_bound"]
+    assert attained.tolerance == pytest.approx(WALK_ETA * (k - 1), rel=1e-12)
+    assert abs(attained.computed - attained.bound) <= 1e-14 * attained.bound
     assert exhaustive.extra["patterns_certified"] == 2 ** (k - 2)
-    assert exhaustive.extra["eigensolves"] == 0
-    assert exhaustive.extra["orbit_eigensolves"] == 2 * ((k - 1) // 2 + 1)
+    assert exhaustive.extra["eigensolves"] == 1
+    assert exhaustive.extra["orbit_eigensolves"] == (k - 1) // 2 + 1
     assert (exhaustive.extra["min_signed_norm_or_bound"].hex()
             == heuristic.extra["min_signed_norm_or_bound"].hex())
 
@@ -487,6 +493,38 @@ def test_witness_check_matches_eigensolving_every_pattern(k, seed):
         uncertified = {tuple(s) for s in kept.tolist()}
         assert all(val > t for s, val in zip(map(tuple, signs.tolist()), norms)
                    if s not in uncertified)
+
+
+def eigh_witness(inst):
+    """The witness table from the eigenvector of T_c's eigenvalue of largest
+    modulus, by eigh, for c = 0..(k-1)//2, and the global flip (p, -q, e) of
+    row k-1-c past it: S_s = -S_{-s}."""
+    k = inst.k
+    c = np.arange((k - 1) // 2 + 1)
+    w, u = np.linalg.eigh(_orbit_sums(inst, c))
+    y = u[c, :, np.where(abs(w[:, -1]) >= abs(w[:, 0]), -1, 0)]
+    plus = y[:, 0] / np.sqrt(k - 1 - c)
+    minus = np.divide(y[:, 1], np.sqrt(c), out=np.zeros(len(c)), where=c > 0)
+    half = np.column_stack([(plus + minus) / 2, (plus - minus) / 2, y[:, 2]])
+    return np.vstack([half, half[k - 1 - np.arange(len(half), k)] * [1.0, -1.0, 1.0]])
+
+
+@pytest.mark.parametrize("k", range(5, 41))
+def test_closed_witness_matches_the_eigh_witness(k):
+    # up to sign, on the coordinates a pattern uses: the plus entry p_c + q_c
+    # for p > 0, the minus entry p_c - q_c for c > 0, and e_c; at t_c = 0
+    # (the middle count of odd k) the eigenvalues +-F tie, and either
+    # eigenvector is a witness
+    closed, ref = (np.column_stack([w[:, 0] + w[:, 1], w[:, 0] - w[:, 1], w[:, 2]])
+                   for w in (_orbit_witness(counterexample_vectors(k)),
+                             eigh_witness(counterexample_vectors(k))))
+    c = np.arange(k)
+    used = np.column_stack([c < k - 1, c > 0, np.ones(k, dtype=bool)])
+    gap = np.minimum(np.abs((closed - ref) * used).max(axis=1),
+                     np.abs((closed + ref) * used).max(axis=1))
+    assert np.all(gap[2 * c != k - 1] <= 4e-15)
+    assert np.allclose(np.sum(closed * closed * np.column_stack([k - 1 - c, c, np.ones(k)]),
+                              axis=1), 1.0, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("k", range(5, 17))
