@@ -47,6 +47,6 @@ print(f"one DFT period reproduces B/(N-1): residual {ident:.2e}")
 
 print("\n=== lifting general vectors to unit vectors first ===")
 small = vector_system(vs.vectors * 0.6)
-lifted = unit_norm_lift(small, 9.0)
+lifted = unit_norm_lift(small)
 print(f"{small.n} vectors in C^{small.k} -> {lifted.n} unit vectors in C^{lifted.k}, "
       f"frame bound {frame_bound(lifted):.4f} <= 9")

@@ -79,8 +79,21 @@ def _report_text(report: VerificationReport, fmt: str) -> str:
 # subcommands
 
 
+# Bytes that gen-weaver takes per entry of the (k - 1) x k family (both
+# vector systems, their dicts and the emitted text): on x86-64 with numpy
+# 2.4.6, peak RSS over a 34 MB baseline was 288 MB at k = 1,000 and 485 MB
+# at k = 1,400.
+WEAVER_ENTRY_BYTES = 250
+
+
 def cmd_gen_weaver(args) -> None:
     inst = cx.counterexample_vectors(args.k)
+    need = WEAVER_ENTRY_BYTES * (inst.k - 1) * inst.k
+    if need > reductions.MEMORY_CAP_BYTES:
+        raise BudgetExceededError(
+            f"gen-weaver at k = {inst.k} would take about {need:,} bytes "
+            f"({WEAVER_ENTRY_BYTES} per entry of the (k - 1) x k family), over the cap of "
+            f"{reductions.MEMORY_CAP_BYTES:,} bytes")
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     instance = {

@@ -74,15 +74,16 @@
   with independent diagonal a_j ~ N(0, 1) and squared off-diagonals
   b_j^2 ~ Gamma(k - j, 1), j = 1..k-1. So ||T|| has the law of the
   Gaussian's norm, and a sample costs 2k - 1 draws (_selfadjoint_draws).
-  For k >= 2 the median is a certified selection: it returns the bits of
-  np.median over every sample's eigensolved norm (LAPACK dsyevd on the
-  dense real T, off-diagonals sqrt(b_j^2)) but eigensolves only a pilot
-  and the samples that can be the median. The exact norms of the first
+  The median is a certified selection: it returns the bits of np.median
+  over every sample's eigensolved norm (LAPACK dsyevd on the dense real T,
+  off-diagonals sqrt(b_j^2)) but eigensolves only a pilot and the samples
+  that can be the median. The exact norms of the first
   p ~ (z n / 2)^(2/3) of n samples give a bracket [t_lo, t_hi] at pilot
-  ranks p/2 -+ z sqrt(p)/2 (z = RADIUS_Z). Every other sample is placed by
-  the pivots of the LDL^T factorizations of t I -+ T, d_1 = t -+ a_1 and
-  d_j = (t -+ a_j) - b_{j-1}^2 / d_{j-1}: t I -+ T is positive definite
-  iff every pivot is positive (a Sturm sequence test, O(k) per sample).
+  ranks p/2 -+ z sqrt(p)/2 (z = RADIUS_Z). Every sample, the pilot's
+  included, is placed by the pivots of the LDL^T factorizations of
+  t I -+ T, d_1 = t -+ a_1 and d_j = (t -+ a_j) - b_{j-1}^2 / d_{j-1}:
+  t I -+ T is positive definite iff every pivot is positive (a Sturm
+  sequence test, O(k) per sample; for k = 1 it tests |a_1| < t).
   Every pivot of both positive at t_lo (1 - eta) => its computed norm is
   below t_lo; a pivot <= 0 in either at t_hi (1 + eta) => above t_hi.
   Every pivot is tested, since a pivot <= 0 can be followed by positive
@@ -98,13 +99,11 @@
   on a narrower bracket [a, b] inside [t_lo, t_hi]: a sample placed below
   a has computed norm below a, as has every sample placed below
   t_lo <= a (and above b likewise), so after a pass the argument below
-  holds with a, b for t_lo, t_hi. With m candidates (the pilot norms
-  inside the bracket count too; being exact, they are compared with a and
-  b directly) and i <= j their median ranks, a and b sit at rank fractions
-  (i - z sqrt(m)/2)/m and (j + z sqrt(m)/2)/m of the bracket, read off
-  linearly. A pass is kept only if both median ranks still fall among its
-  candidates; otherwise the previous candidates stand and the narrowing
-  ends. It also ends after a pass that fails to halve the candidates, or
+  holds with a, b for t_lo, t_hi. With m candidates and i <= j their
+  median ranks, a and b sit at rank fractions (i - z sqrt(m)/2)/m and
+  (j + z sqrt(m)/2)/m of the bracket, read off linearly. A pass is kept
+  only if both median ranks still fall among its candidates; otherwise the
+  previous candidates stand and the narrowing ends. It also ends after a pass that fails to halve the candidates, or
   at RADIUS_NARROW_MIN candidates. The remaining candidates C are
   eigensolved. With B samples certified below the last bracket kept,
   [t_lo, t_hi], and i, j the median ranks minus B, the sorted candidate
@@ -116,7 +115,6 @@
   they are averaged as np.median does. When this check fails (the pilot
   bracket missed the median, probability about 2 Phi(-z)) the pass reruns
   with every sample a candidate, which is the all-samples computation.
-  For k = 1 the norm is |g| and every sample counts.
 * The Banaszczyk sign search flips single signs greedily from seeded
   random starts and returns the first state within M: a restart's start,
   or the sum after a taken flip. Otherwise it stops after exactly
@@ -938,28 +936,22 @@ def _screen(lo: float, hi: float, dg: np.ndarray, od: np.ndarray) -> tuple[int, 
     return int(np.count_nonzero(below)), keep
 
 
-def _narrow(samples: int, lo: float, hi: float, below: int, pilot: np.ndarray,
-            dg: np.ndarray, od: np.ndarray):
+def _narrow(samples: int, lo: float, hi: float, below: int, dg: np.ndarray, od: np.ndarray):
     """The narrowing passes of the certified selection (see the module
-    docstring), from the pilot bracket [lo, hi] with ``below`` non-pilot
-    samples certified below it, the sorted pilot norms and the candidates'
-    drawn arrays: (lo, hi, below, pilot norms in [lo, hi], dg, od) as the last
-    kept pass left them, ``below`` now counting pilot norms too."""
-    below += int(np.count_nonzero(pilot < lo))
-    pilot = pilot[(pilot >= lo) & (pilot <= hi)]
-    i, j, m = (samples - 1) // 2 - below, samples // 2 - below, pilot.size + dg.shape[1]
+    docstring), from the pilot bracket [lo, hi] with ``below`` samples
+    certified below it and the candidates' drawn arrays: (lo, hi, below,
+    dg, od) as the last kept pass left them."""
+    i, j, m = (samples - 1) // 2 - below, samples // 2 - below, dg.shape[1]
     while m > RADIUS_NARROW_MIN and 0 <= i <= j < m:
         a, b = _narrowed_bracket(lo, hi, i, j, m)
         n, keep = _screen(a, b, dg, od)
-        n += int(np.count_nonzero(pilot < a))
-        inside = pilot[(pilot >= a) & (pilot <= b)]
-        if not 0 <= i - n <= j - n < inside.size + keep.size:
+        if not 0 <= i - n <= j - n < keep.size:
             break  # the median ranks left [a, b]: keep the previous candidates
-        lo, hi, below, pilot, dg, od = a, b, below + n, inside, dg[:, keep], od[:, keep]
-        i, j, m, last = i - n, j - n, pilot.size + dg.shape[1], m
+        lo, hi, below, dg, od = a, b, below + n, dg[:, keep], od[:, keep]
+        i, j, m, last = i - n, j - n, dg.shape[1], m
         if 2 * m > last:
             break
-    return lo, hi, below, pilot, dg, od
+    return lo, hi, below, dg, od
 
 
 def _median_pass(k: int, samples: int, seed: int, certify: bool):
@@ -977,17 +969,15 @@ def _median_pass(k: int, samples: int, seed: int, certify: bool):
     for c in sizes:
         dg, od = _selfadjoint_draws(k, c, rng)
         if not dgs:  # the pilot: the first samples of the first chunk
-            norms = np.sort(_eigensolved_norms(dg[:, :first], od[:, :first]))
-            lo, hi = _pilot_bracket(norms)
-            dg, od = dg[:, first:], od[:, first:]
+            lo, hi = _pilot_bracket(np.sort(_eigensolved_norms(dg[:, :first], od[:, :first])))
         n, keep = _screen(lo, hi, dg, od)
         below += n
         dgs.append(dg[:, keep])
         ods.append(od[:, keep])
     dg, od = np.concatenate(dgs, axis=1), np.concatenate(ods, axis=1)
-    lo, hi, below, inside, dg, od = _narrow(samples, lo, hi, below, norms, dg, od)
-    solved = np.concatenate([inside, _eigensolved_norms(dg, od)])
-    eigensolves = norms.size + dg.shape[1]
+    lo, hi, below, dg, od = _narrow(samples, lo, hi, below, dg, od)
+    solved = _eigensolved_norms(dg, od)
+    eigensolves = first + dg.shape[1]
     i, j = (samples - 1) // 2 - below, samples // 2 - below
     if not 0 <= i <= j < solved.size:
         return None, eigensolves
@@ -1004,13 +994,10 @@ def gaussian_median_radius(k: int, samples: int, seed: int) -> BanaszczykContext
         raise InvalidParameterError(f"need k >= 1, got {k}")
     if samples < 1000:
         raise InvalidParameterError(f"need at least 1000 samples, got {samples}")
-    if k == 1:  # the norm of a 1 x 1 Gaussian is |g|
-        r_hat, solves = float(np.median(np.abs(make_rng(seed).standard_normal(samples)))), 0
-    else:
-        r_hat, solves = _median_pass(k, samples, seed, certify=True)
-        if r_hat is None:
-            r_hat, more = _median_pass(k, samples, seed, certify=False)
-            solves += more
+    r_hat, solves = _median_pass(k, samples, seed, certify=True)
+    if r_hat is None:
+        r_hat, more = _median_pass(k, samples, seed, certify=False)
+        solves += more
     return BanaszczykContext(R_hat=r_hat, eigensolves=solves)
 
 

@@ -155,14 +155,13 @@ def complete_to_tight(vs: VectorSystem, N: float, cap: float,
     return VectorSystem(np.vstack([vs.vectors, added_arr]))
 
 
-def unit_norm_lift(vs: VectorSystem, N: float) -> VectorSystem:
+def unit_norm_lift(vs: VectorSystem) -> VectorSystem:
     """Lift n vectors with ||v_i|| <= 1 in C^k to n + k unit vectors in C^{n+k}.
 
     Vector i gains a component sqrt(1 - ||v_i||^2) on coordinate k + i; the
     k basis vectors e_{k+1}, ..., e_{2k} of the tail block are appended.
-    If frame_bound(vs) <= N - sqrt(N) with N >= 4, the lifted system has
-    frame bound <= N (Cauchy-Schwarz cross-term estimate). N is recorded
-    for that check only; it does not enter the construction.
+    If frame_bound(vs) <= N - sqrt(N) for some N >= 4, the lifted system has
+    frame bound <= N (Cauchy-Schwarz cross-term estimate).
     """
     ns = _unit_ball_norms(vs)
     if vs.n < vs.k:

@@ -69,9 +69,10 @@ def projection_to_vectors(P, N: float) -> VectorSystem:
 
 # Bytes that `reduce --direction vec2proj` takes per entry of the m x m
 # projection P (P, A, P @ P and the emitted text; measured at m = 1,001 and
-# 2,000), and the most it may take: m = 1,495 at most.
+# 2,000), and the most a command may take (vec2proj: m = 1,495 at most;
+# gen-weaver uses the same cap).
 PROJECTION_ENTRY_BYTES = 240
-PROJECTION_MAX_BYTES = 2**29
+MEMORY_CAP_BYTES = 2**29
 
 
 def vectors_to_projection(vs: VectorSystem, N: float,
@@ -81,7 +82,7 @@ def vectors_to_projection(vs: VectorSystem, N: float,
     projection P and its zero-diagonal part A = P - diag(P). A completion of
     more than ``budget`` vectors is refused (see complete_to_tight), and so
     is one of m vectors whose projection would take more than
-    PROJECTION_MAX_BYTES, before P is built."""
+    MEMORY_CAP_BYTES, before P is built."""
     if N < 1:
         raise InvalidParameterError(f"N must be >= 1, got {N}")
     _unit_ball_norms(vs)
@@ -90,16 +91,15 @@ def vectors_to_projection(vs: VectorSystem, N: float,
         raise InvalidParameterError(f"frame bound {fb:.12g} exceeds N = {N:.12g}")
     completed = complete_to_tight(VectorSystem(vs.vectors / np.sqrt(N)), 1.0, 1.0 / N, budget)
     m = completed.n
-    if PROJECTION_ENTRY_BYTES * m * m > PROJECTION_MAX_BYTES:
+    if PROJECTION_ENTRY_BYTES * m * m > MEMORY_CAP_BYTES:
         raise BudgetExceededError(
             f"the projection of the m = {m} completed vectors would take about "
             f"{PROJECTION_ENTRY_BYTES * m * m:,} bytes ({PROJECTION_ENTRY_BYTES} per entry "
-            f"of the m x m matrix), over the cap of {PROJECTION_MAX_BYTES:,} bytes")
+            f"of the m x m matrix), over the cap of {MEMORY_CAP_BYTES:,} bytes")
     W = completed.vectors  # m x k rows w_i with sum_i w_i w_i^* = I_k
     P = W.conj() @ W.T  # P[i][j] = <w_j, w_i>
     P = (P + P.conj().T) / 2.0
-    A = P - np.diag(np.diag(P))
-    np.fill_diagonal(A, 0.0)
+    A = P - np.diag(np.diag(P))  # x - x = +0.0 for finite x
     return ReductionTrace(w=completed, P=P, A=A)
 
 

@@ -64,6 +64,13 @@ def test_gen_weaver_writes_instance_and_vectors(tmp_path):
     assert max(abs(n - 1.0) for n in norms) <= 1e-12
 
 
+def test_gen_weaver_refuses_a_family_past_the_byte_cap(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["gen-weaver", "--k", "100000", "--out", str(out)]) == EXIT_BUDGET
+    assert "k = 100000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_weaver_usage_error():
     assert run(["gen-weaver", "--k", "4"]) == EXIT_USAGE
     assert run(["gen-weaver"]) == EXIT_USAGE
@@ -934,7 +941,7 @@ def test_banaszczyk_radius_command(tmp_path):
     report = json.loads(out.read_text())
     assert report["extra"]["R_hat"] == pytest.approx(0.67449, abs=0.02)
     assert report["extra"]["M"] == pytest.approx(5 * report["extra"]["R_hat"])
-    assert report["extra"]["eigensolves"] == 0  # |g| needs no eigensolve
+    assert 0 < report["extra"]["eigensolves"] < 100000  # the pilot and the candidates only
 
 
 def test_banaszczyk_radius_counts_its_eigensolves(tmp_path):

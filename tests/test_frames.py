@@ -209,7 +209,7 @@ def test_complete_to_tight_infeasible():
 def test_unit_norm_lift_shapes_and_norms():
     rng = make_rng(25)
     vs = random_system(5, 3, rng, max_norm=0.8)
-    lifted = unit_norm_lift(vs, 4.0)
+    lifted = unit_norm_lift(vs)
     assert lifted.n == 5 + 3
     assert lifted.k == 5 + 3
     assert np.max(np.abs(lifted.norms_squared() - 1.0)) <= 1e-12
@@ -223,20 +223,19 @@ def test_unit_norm_lift_bound_when_headroom():
     for trial in range(10):
         vs = random_system(6, 2, rng, max_norm=0.7)
         fb = frame_bound(vs)
-        n_target = max(4.0, (np.sqrt(fb) + 0.5 + np.sqrt(fb + 0.25)) ** 2 / 1.0)
         # pick N with fb <= N - sqrt(N)
         n_target = max(4.0, fb + np.sqrt(fb) + 2.0)
         while n_target - np.sqrt(n_target) < fb:
             n_target += 1.0
-        lifted = unit_norm_lift(vs, n_target)
+        lifted = unit_norm_lift(vs)
         assert frame_bound(lifted) <= n_target + 1e-9
 
 
 def test_unit_norm_lift_rejects_big_vectors_and_thin_systems():
     with pytest.raises(InvalidParameterError):
-        unit_norm_lift(vector_system([[2.0, 0.0], [0.0, 1.0]]), 4.0)
+        unit_norm_lift(vector_system([[2.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(InvalidParameterError):
-        unit_norm_lift(vector_system([[0.5, 0.0, 0.0]]), 4.0)
+        unit_norm_lift(vector_system([[0.5, 0.0, 0.0]]))
 
 
 def test_tight_pad_unit_identity_input():
